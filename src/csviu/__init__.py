@@ -18,24 +18,19 @@ from .errors import (
     SingularOperatorError,
 )
 from .model import (
-    AnalysisConfig,
     CsviuModel,
     SymMatrix,
-    load_config,
     load_model,
-    save_model,
     validate,
 )
 from .ops import (
     OperatorRep,
-    SignVector,
     op_L_alpha,
     op_varpi,
     op_W,
     op_W_d,
     op_Z,
     operator_matrix,
-    sign_vec,
     smat,
     spectral_radius,
     svec,
@@ -98,20 +93,15 @@ __all__ = [
     # model
     "CsviuModel",
     "SymMatrix",
-    "AnalysisConfig",
     "load_model",
-    "save_model",
-    "load_config",
     "validate",
     # ops
     "OperatorRep",
-    "SignVector",
     "op_Z",
     "op_W",
     "op_W_d",
     "op_varpi",
     "op_L_alpha",
-    "sign_vec",
     "svec",
     "smat",
     "operator_matrix",

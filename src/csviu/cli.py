@@ -36,7 +36,7 @@ from .errors import (
     ParseError,
     SingularOperatorError,
 )
-from .model import PSD_TOL, SymMatrix, as_weight, load_model
+from .model import PSD_TOL, SymMatrix, as_weight, energy_weight, load_model
 from .norms import (
     counter_discount_bound,
     norm_report,
@@ -133,6 +133,12 @@ def _parse_vector(text, n, what="x0"):
     return np.asarray(values)
 
 
+def _check_alpha(alpha):
+    if not (np.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"alpha must be finite and positive, got {alpha}")
+    return alpha
+
+
 def _parse_alpha_list(text):
     try:
         alphas = [float(part) for part in text.split(",") if part.strip() != ""]
@@ -140,9 +146,7 @@ def _parse_alpha_list(text):
         raise ValueError("alpha list must be comma-separated numbers") from None
     if not alphas:
         raise ValueError("alpha list must be comma-separated numbers")
-    if any(a <= 0 for a in alphas):
-        raise ValueError("alpha must be positive")
-    return alphas
+    return [_check_alpha(a) for a in alphas]
 
 
 def _load_weight(path, n):
@@ -172,12 +176,9 @@ def _load_gain(path, n, p):
 
 def _positive_alpha(text):
     try:
-        alpha = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid alpha: {text!r}") from None
-    if alpha <= 0:
-        raise argparse.ArgumentTypeError("alpha must be positive")
-    return alpha
+        return _check_alpha(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"invalid alpha {text!r}: {exc}") from None
 
 
 def _resolve_threads(args):
@@ -272,8 +273,7 @@ def _emit(report, args, tables=None, ensemble=None):
 
 def cmd_analyze(args):
     model = load_model(args.model)
-    if args.alpha <= 0:
-        raise ValueError("alpha must be positive")
+    _check_alpha(args.alpha)
     Q = _load_weight(args.Q, model.n) if args.Q else None
 
     stability = check_stability(model, args.alpha)
@@ -285,8 +285,7 @@ def cmd_analyze(args):
 
     lyapunov = None
     if stability.verdict != "not_stable":
-        Qm = Q if Q is not None else model.C.T @ model.C
-        solution = solve_lyapunov(model, args.alpha, Qm)
+        solution = solve_lyapunov(model, args.alpha, energy_weight(model, Q))
         lyapunov = {
             "L": solution.L,
             "method": solution.method,
@@ -388,7 +387,7 @@ def cmd_norm(args):
 def cmd_simulate(args):
     model = load_model(args.model)
     Q = _load_weight(args.Q, model.n) if args.Q else None
-    Qm = as_weight(Q, model.n) if Q is not None else model.C.T @ model.C
+    Qm = energy_weight(model, Q)
     x0 = _parse_vector(args.x0, model.n) if args.x0 else np.zeros(model.n)
     threads = _resolve_threads(args)
 
@@ -455,10 +454,10 @@ def cmd_simulate(args):
     tables = {}
     if args.validate_representation:
         report["representation"] = _jsonable(
-            validate_representation(model, cfg, args.alpha, Qm)
+            validate_representation(ensemble, args.alpha, Qm)
         )
     if args.check_decay:
-        rows = check_decay(model, cfg, args.alpha, Qm)
+        rows = check_decay(ensemble, args.alpha, Qm)
         report["decay"] = _jsonable(rows)
         tables["decay.csv"] = (DECAY_COLUMNS, report["decay"])
 

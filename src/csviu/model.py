@@ -15,7 +15,7 @@ class.  ``m = 0`` means there is no exogenous input (B and D absent).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,11 +24,8 @@ from .errors import DimensionError, ParseError
 __all__ = [
     "SymMatrix",
     "CsviuModel",
-    "AnalysisConfig",
     "load_model",
-    "save_model",
     "validate",
-    "load_config",
 ]
 
 #: Relative eigenvalue tolerance for positive-semidefiniteness queries.
@@ -141,6 +138,21 @@ def as_weight(Q, n):
     return sym
 
 
+def energy_weight(model, Q=None):
+    """The energy weight as a symmetric (n, n) ndarray: Q, or C^T C when Q is None."""
+    return as_weight(Q, model.n) if Q is not None else model.C.T @ model.C
+
+
+def _dimension(doc, key):
+    """A JSON integer from the model document; booleans and fractions are rejected."""
+    value = doc[key]
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class CsviuModel:
     """A CSVIU system: matrices (A, sigma_x, sigma_bar_x, sigma, C, B, D).
@@ -174,33 +186,11 @@ class CsviuModel:
         for name in ("n", "r", "p", "m"):
             object.__setattr__(self, name, int(getattr(self, name)))
 
-    @property
-    def has_input(self):
-        return self.m > 0
-
     def with_dynamics(self, A):
         """A copy of the model with the dynamics matrix replaced."""
         from dataclasses import replace
 
         return replace(self, A=np.asarray(A, dtype=float))
-
-    def to_dict(self):
-        doc = {
-            "n": self.n,
-            "r": self.r,
-            "p": self.p,
-            "m": self.m,
-            "A": self.A.tolist(),
-            "sigma_x": self.sigma_x.tolist(),
-            "sigma_bar_x": self.sigma_bar_x.tolist(),
-            "sigma": self.sigma.tolist(),
-            "C": self.C.tolist(),
-        }
-        if self.B is not None:
-            doc["B"] = self.B.tolist()
-        if self.D is not None:
-            doc["D"] = self.D.tolist()
-        return doc
 
     @classmethod
     def from_dict(cls, doc):
@@ -214,12 +204,9 @@ class CsviuModel:
         for key in ("A", "sigma_x", "sigma_bar_x", "sigma", "C", "B", "D"):
             if key in doc and doc[key] is not None:
                 matrices[key] = _as_float_array(doc[key], key)
-        try:
-            n, r, p = int(doc["n"]), int(doc["r"]), int(doc["p"])
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"dimensions must be integers: {exc}") from None
+        n, r, p = (_dimension(doc, key) for key in ("n", "r", "p"))
         if "m" in doc and doc["m"] is not None:
-            m = int(doc["m"])
+            m = _dimension(doc, "m")
         elif "B" in matrices:
             # m is optional in the schema; infer it from B when absent.
             m = int(matrices["B"].shape[1]) if matrices["B"].ndim == 2 else 0
@@ -349,83 +336,3 @@ def load_model(path):
     if violations:
         _raise_for_violations(violations)
     return model
-
-
-def save_model(model, path):
-    """Write a model as JSON; save then load reproduces matrices bit-exactly."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model.to_dict(), fh, indent=2)
-        fh.write("\n")
-
-
-@dataclass
-class AnalysisConfig:
-    """Parameters of an analysis run.
-
-    Parameters
-    ----------
-    alpha : float
-        Discount (alpha < 1) or counter-discount (alpha >= 1) parameter.
-    Q : SymMatrix or None
-        PSD weight of the Q-mean energy; None selects the default C^T C.
-    x0 : array_like
-        Initial state.
-    solver_tol : float
-        Fixed-point and eigenvalue tolerance.
-    max_iter : int
-        Fixed-point iteration cap.
-    """
-
-    alpha: float
-    Q: SymMatrix | None = None
-    x0: np.ndarray = field(default_factory=lambda: np.zeros(1))
-    solver_tol: float = 1e-12
-    max_iter: int = 100000
-
-    def __post_init__(self):
-        self.alpha = float(self.alpha)
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
-        if self.Q is not None:
-            if not isinstance(self.Q, SymMatrix):
-                self.Q = SymMatrix(self.Q)
-            if not self.Q.is_psd():
-                raise ValueError("Q must be positive semidefinite")
-        self.x0 = np.atleast_1d(np.asarray(self.x0, dtype=float))
-        if not np.all(np.isfinite(self.x0)):
-            raise ValueError("x0 must be finite")
-        self.solver_tol = float(self.solver_tol)
-        if not self.solver_tol > 0:
-            raise ValueError("solver_tol must be positive")
-        self.max_iter = int(self.max_iter)
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be a positive integer")
-
-    def weight_for(self, model):
-        """The energy weight: Q if given, else the default C^T C."""
-        if self.Q is not None:
-            return as_weight(self.Q, model.n)
-        return model.C.T @ model.C
-
-
-def load_config(path, model=None):
-    """Load an AnalysisConfig from JSON (keys: alpha, Q, x0, solver_tol, max_iter)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: malformed JSON: {exc}") from None
-    if "alpha" not in doc:
-        raise ParseError(f"{path}: config requires key 'alpha'")
-    kwargs = {"alpha": doc["alpha"]}
-    if doc.get("Q") is not None:
-        kwargs["Q"] = SymMatrix(_as_float_array(doc["Q"], "Q"))
-    if doc.get("x0") is not None:
-        kwargs["x0"] = _as_float_array(doc["x0"], "x0")
-    elif model is not None:
-        kwargs["x0"] = np.zeros(model.n)
-    if doc.get("solver_tol") is not None:
-        kwargs["solver_tol"] = doc["solver_tol"]
-    if doc.get("max_iter") is not None:
-        kwargs["max_iter"] = doc["max_iter"]
-    return AnalysisConfig(**kwargs)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NotStableError, SingularOperatorError
-from .model import SymMatrix, as_weight
+from .model import SymMatrix, as_weight, energy_weight
 from .ops import op_W_d, op_varpi, spectral_radius
 from .solver import backward_recursion, critical_alpha, max_abs, radius_below_one, solve_lyapunov
 
@@ -69,8 +69,7 @@ class NormReport:
 
 
 def _solve(model, alpha, Q):
-    Qm = as_weight(Q, model.n) if Q is not None else model.C.T @ model.C
-    return solve_lyapunov(model, alpha, Qm, method="direct"), Qm
+    return solve_lyapunov(model, alpha, energy_weight(model, Q), method="direct")
 
 
 def h2_discounted_norm(model, alpha, Q=None):
@@ -93,7 +92,7 @@ def h2_discounted_norm(model, alpha, Q=None):
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError("h2_discounted_norm requires 0 < alpha < 1")
-    solution, _ = _solve(model, alpha, Q)
+    solution = _solve(model, alpha, Q)
     return alpha / (1.0 - alpha) * op_varpi(model, solution.L.entries)
 
 
@@ -108,7 +107,7 @@ def power_norm(model, Q=None):
             f"power norm requires r_sigma(A) < 1, got {r_A:.6g}",
             spectral_radius=r_A,
         )
-    solution, _ = _solve(model, 1.0, Q)
+    solution = _solve(model, 1.0, Q)
     return op_varpi(model, solution.L.entries)
 
 
@@ -166,12 +165,14 @@ def counter_discount_bound(model, alpha, Q, x0, kappa):
     Raises
     ------
     DomainError
-        If alpha < 1.
+        If alpha < 1 or the horizon kappa is negative.
     NotStableError
         If the equation is unsolvable at alpha or r_sigma(alpha A) >= 1.
     """
     if alpha < 1.0:
         raise DomainError("counter_discount_bound requires alpha >= 1")
+    if kappa < 0:
+        raise DomainError(f"counter_discount_bound requires kappa >= 0, got {kappa}")
     r_A = spectral_radius(model.A)
     if not radius_below_one(alpha * r_A):
         raise NotStableError(
@@ -179,7 +180,7 @@ def counter_discount_bound(model, alpha, Q, x0, kappa):
             f"got {alpha * r_A:.6g}",
             spectral_radius=alpha * r_A,
         )
-    solution, _ = _solve(model, alpha, Q)
+    solution = _solve(model, alpha, Q)
     Lm = solution.L.entries
     varpi_L = op_varpi(model, Lm)
     c0 = float(np.linalg.eigvalsh(Lm)[-1])
@@ -204,16 +205,16 @@ def decay_bound(model, alpha, Q, x0, k):
             f"{alpha * r_A:.6g}",
             spectral_radius=alpha * r_A,
         )
-    solution, _ = _solve(model, alpha, Q)
+    solution = _solve(model, alpha, Q)
     Lm = solution.L.entries
     vb = v_bar_bound(model, alpha, Lm).primary
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     return 2.0 * alpha ** (-k) * (float(x0 @ Lm @ x0) + float(vb @ np.abs(x0)))
 
 
-def default_sweep_grid(model, Q=None):
+def default_sweep_grid(model):
     """The default alpha grid: {0.5, 0.9, 0.99, 0.999, 1.0, min(1.05, (1+alpha_bar)/2)}."""
-    alpha_bar = critical_alpha(model, Q)
+    alpha_bar = critical_alpha(model)
     return [0.5, 0.9, 0.99, 0.999, 1.0, min(1.05, (1.0 + alpha_bar) / 2.0)]
 
 
@@ -233,11 +234,11 @@ def vanishing_discount_sweep(model, Q=None, alphas=None):
         h2_discounted, abel_gap, dist_to_L1, spectral_radius.
     """
     if alphas is None:
-        alphas = default_sweep_grid(model, Q)
+        alphas = default_sweep_grid(model)
     varpi_L1 = None
     L1 = None
     try:
-        sol1, _ = _solve(model, 1.0, Q)
+        sol1 = _solve(model, 1.0, Q)
         L1 = sol1.L.entries
         varpi_L1 = op_varpi(model, L1)
     except NotStableError:
@@ -255,7 +256,7 @@ def vanishing_discount_sweep(model, Q=None, alphas=None):
             "spectral_radius": None,
         }
         try:
-            solution, _ = _solve(model, alpha, Q)
+            solution = _solve(model, alpha, Q)
         except NotStableError as exc:
             row["status"] = "not_stable"
             row["spectral_radius"] = exc.spectral_radius
@@ -273,7 +274,7 @@ def vanishing_discount_sweep(model, Q=None, alphas=None):
     return rows
 
 
-def norm_report(model, alpha, Q=None, x0=None, kappa=None):
+def norm_report(model, alpha, Q=None):
     """Assemble every closed-form quantity available at one alpha.
 
     The counter-discount record (c0, c1) is included for alpha >= 1 when
@@ -285,12 +286,8 @@ def norm_report(model, alpha, Q=None, x0=None, kappa=None):
     model : CsviuModel
     alpha : float
     Q : SymMatrix or array_like, optional
-    x0, kappa : optional
-        Unused in the closed forms; accepted so callers can assemble
-        reports and bound evaluations with one argument set.
     """
-    del x0, kappa
-    solution, _ = _solve(model, alpha, Q)
+    solution = _solve(model, alpha, Q)
     Lm = solution.L.entries
     varpi_L = op_varpi(model, Lm)
     vb = v_bar_bound(model, alpha, Lm)

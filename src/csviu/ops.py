@@ -26,13 +26,11 @@ from .model import SymMatrix
 
 __all__ = [
     "OperatorRep",
-    "SignVector",
     "op_Z",
     "op_W",
     "op_W_d",
     "op_varpi",
     "op_L_alpha",
-    "sign_vec",
     "operator_matrix",
     "spectral_radius",
     "svec",
@@ -97,29 +95,6 @@ class OperatorRep:
         M.setflags(write=False)
         object.__setattr__(self, "M", M)
 
-    def apply(self, U):
-        """Apply the represented operator to a symmetric matrix."""
-        return smat(self.M @ svec(U), self.n)
-
-
-@dataclass(frozen=True)
-class SignVector:
-    """Entrywise sign of a state vector, with sign(0) = 0."""
-
-    s: np.ndarray
-
-    def __post_init__(self):
-        s = np.asarray(self.s, dtype=float)
-        if not np.all(np.isin(s, (-1.0, 0.0, 1.0))):
-            raise ValueError("sign vector entries must lie in {-1, 0, +1}")
-        s.setflags(write=False)
-        object.__setattr__(self, "s", s)
-
-    def __array__(self, dtype=None, copy=None):
-        if dtype is not None:
-            return self.s.astype(dtype)
-        return self.s
-
 
 def _as_square(U, n, what="U"):
     arr = np.asarray(U, dtype=float)
@@ -171,11 +146,6 @@ def op_L_alpha(model, alpha, U):
     U = _as_square(U, model.n)
     A = model.A
     return SymMatrix(alpha * (A.T @ U @ A + op_Z(model, U).entries))
-
-
-def sign_vec(x):
-    """Entrywise sign of x with the convention sign(0) = 0."""
-    return SignVector(np.sign(np.asarray(x, dtype=float)))
 
 
 def _basis_matrix(n, idx):

@@ -21,9 +21,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError
-from .model import as_weight
+from .model import as_weight, energy_weight
+from .norms import v_bar_bound
 from .ops import op_varpi, op_W_d
-from .solver import backward_recursion
+from .solver import backward_recursion, solve_lyapunov
 
 __all__ = [
     "SimConfig",
@@ -395,8 +396,10 @@ def per_stage_energy(ensemble, Q):
     return means, ses
 
 
-def validate_representation(model, cfg, alpha, Q, Phi=None, theta=None, gamma=0.0):
+def validate_representation(ensemble, alpha, Q, Phi=None, theta=None, gamma=0.0):
     """Monte Carlo check of the backward-recursion energy representation.
+
+    Evaluated on the paths of ``ensemble``, whose model and config it uses.
 
     lhs is the MC estimate of E[sum_{k<kappa} alpha^k ||x_k||_Q^2]; rhs is
     ||x0||_{P_0}^2 + <E[v_0], x0> + E[g_0] - alpha^kappa E[||x_kappa||_Phi^2
@@ -417,6 +420,7 @@ def validate_representation(model, cfg, alpha, Q, Phi=None, theta=None, gamma=0.
     dict with keys lhs, rhs, gap, std_error, z, n_paths,
     sign_noise_term, corrected_gap, corrected_std_error.
     """
+    model, cfg = ensemble.model, ensemble.cfg
     n = model.n
     kappa = cfg.horizon
     Qm = as_weight(Q, n)
@@ -426,7 +430,6 @@ def validate_representation(model, cfg, alpha, Q, Phi=None, theta=None, gamma=0.
     rec = backward_recursion(model, alpha, Qm, kappa, Phim, gamma)
     P = [Pk.entries for Pk in rec.P_seq]
 
-    ensemble = simulate_paths(model, cfg)
     okX = ensemble.X[ensemble.ok]
     n_ok = okX.shape[0]
     if n_ok == 0:
@@ -530,8 +533,10 @@ def compare_overtaking(ensemble_a, ensemble_b, alpha, epsilon):
     return {"overtakes": True, "crossing_kappa": last, "margin": margin.tolist()}
 
 
-def check_decay(model, cfg, alpha, Q=None):
+def check_decay(ensemble, alpha, Q=None):
     """Per-stage comparison of E||x_k||_Q^2 against the geometric envelope.
+
+    Evaluated on the paths of ``ensemble``, whose model and config it uses.
 
     Each row carries the stage index, the MC mean and standard error,
     the bound 2 alpha^{-k} (||x0||_L^2 + <v_bar, |x0|>) around the level
@@ -542,17 +547,14 @@ def check_decay(model, cfg, alpha, Q=None):
     -------
     list of dict with keys k, energy, std_error, level, bound, violated.
     """
-    from .norms import v_bar_bound
-    from .solver import solve_lyapunov
-
-    Qm = as_weight(Q, model.n) if Q is not None else model.C.T @ model.C
+    model, cfg = ensemble.model, ensemble.cfg
+    Qm = energy_weight(model, Q)
     solution = solve_lyapunov(model, alpha, Qm, method="direct")
     Lm = solution.L.entries
     level = alpha * op_varpi(model, Lm)
     vb = v_bar_bound(model, alpha, Lm).primary
     base = float(cfg.x0 @ Lm @ cfg.x0) + float(vb @ np.abs(cfg.x0))
 
-    ensemble = simulate_paths(model, cfg)
     means, ses = per_stage_energy(ensemble, Qm)
     rows = []
     for k in range(cfg.horizon + 1):

@@ -152,7 +152,7 @@ def solve_lyapunov(model, alpha, Q, method="direct", tol=1e-12, max_iter=100000)
     )
 
 
-def critical_alpha(model, Q=None, tol=1e-9, cap=1e6):
+def critical_alpha(model, tol=1e-9, cap=1e6):
     """The supremum of alpha for which the analysis is well posed.
 
     Returns sup{alpha : r_sigma(L_alpha) < 1 and r_sigma(A) < 1/alpha},
@@ -164,15 +164,11 @@ def critical_alpha(model, Q=None, tol=1e-9, cap=1e6):
     Parameters
     ----------
     model : CsviuModel
-    Q : SymMatrix or array_like, optional
-        Kept for signature uniformity; solvability of the equation for
-        PSD Q is equivalent to the radius predicate.
     tol : float
         Absolute bisection tolerance.
     cap : float
         Upper bound standing in for an infinite supremum.
     """
-    del Q
     rep1 = operator_matrix(model, 1.0, "L_alpha")
     r_op = spectral_radius(rep1)
     r_A = spectral_radius(model.A)

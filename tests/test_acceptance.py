@@ -151,14 +151,14 @@ def test_criterion_05_energy_representation_identity(acceptance):
     z_values = []
     for alpha, kappa in ((0.9, 50), (1.2, 40)):
         cfg = SimConfig(n_paths=40_000, horizon=kappa, seed=2027, x0=np.ones(1))
-        report = validate_representation(SCALAR, cfg, alpha, Q1)
+        report = validate_representation(simulate_paths(SCALAR, cfg), alpha, Q1)
         z_values.append(abs(report["gap"]) / report["std_error"])
 
     model2 = make_random_model(777, 2, target=0.75, alpha=0.9, m=1)
     cfg2 = SimConfig(n_paths=40_000, horizon=40, seed=2028,
                      x0=np.array([1.0, -0.5]),
                      input_policy=ConstantInput(ell=np.array([0.7])))
-    report2 = validate_representation(model2, cfg2, 0.9, np.eye(2))
+    report2 = validate_representation(simulate_paths(model2, cfg2), 0.9, np.eye(2))
     z_values.append(abs(report2["gap"]) / report2["std_error"])
     elapsed = time.perf_counter() - start
     acceptance(
@@ -172,7 +172,7 @@ def test_criterion_05_energy_representation_identity(acceptance):
 def test_criterion_06_geometric_decay_envelope(acceptance):
     start = time.perf_counter()
     cfg = SimConfig(n_paths=100_000, horizon=60, seed=2029, x0=np.ones(1))
-    rows = check_decay(SCALAR, cfg, 1.2, Q1)
+    rows = check_decay(simulate_paths(SCALAR, cfg), 1.2, Q1)
     violations = [row for row in rows if row["violated"]]
     first = violations[0]["k"] if violations else None
     elapsed = time.perf_counter() - start

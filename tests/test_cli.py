@@ -121,21 +121,25 @@ class TestExitCodes:
 
     def test_input_errors_exit_two(self, run, models):
         cases = [
-            ["analyze", models["scalar"], "--alpha", "-1.0"],
-            ["simulate", models["scalar"], "--paths", "0", "--horizon", "10",
-             "--seed", "3", "--alpha", "0.9"],
-            ["analyze", models["missing"], "--alpha", "0.9"],
-            ["analyze", models["malformed"], "--alpha", "0.9"],
-            ["simulate", models["scalar"], "--paths", "10", "--horizon", "5",
-             "--seed", "3", "--alpha", "0.9", "--dump"],
-            ["norm", models["scalar"], "--alpha", "1.2", "--kappa", "5",
-             "--x0", "1,2"],
+            (["analyze", models["scalar"], "--alpha", "-1.0"], "alpha must be"),
+            (["simulate", models["scalar"], "--paths", "0", "--horizon", "10",
+              "--seed", "3", "--alpha", "0.9"], "n_paths"),
+            (["analyze", models["missing"], "--alpha", "0.9"], "No such file"),
+            (["analyze", models["malformed"], "--alpha", "0.9"], "malformed JSON"),
+            (["simulate", models["scalar"], "--paths", "10", "--horizon", "5",
+              "--seed", "3", "--alpha", "0.9", "--dump"], "--dump"),
+            (["norm", models["scalar"], "--alpha", "1.2", "--kappa", "5",
+              "--x0", "1,2"], "x0"),
+            (["analyze", models["scalar"], "--alpha", "nan"], "alpha must be"),
+            (["sweep", models["scalar"], "--alphas", "nan,0.5"], "alpha must be"),
+            (["norm", models["scalar"], "--alpha", "1.5", "--kappa", "-3"], "kappa"),
         ]
-        for argv in cases:
+        for argv, message in cases:
             code, out, err = run(argv)
             assert code == 2, argv
             assert out == ""
             assert err.startswith("error:")
+            assert message in err, argv
 
     @pytest.mark.parametrize(
         "argv",
@@ -147,8 +151,13 @@ class TestExitCodes:
             ["simulate", "model.json", "--paths", "10", "--horizon", "5",
              "--seed", "3", "--alpha", "0.9", "--noise", "bogus"],
             ["no-such-command"],
+            ["norm", "model.json", "--alpha", "nan"],
+            ["norm", "model.json", "--alpha", "inf"],
+            ["simulate", "model.json", "--paths", "10", "--horizon", "5",
+             "--seed", "3", "--alpha", "nan"],
         ],
-        ids=["negative-alpha", "no-mode", "missing-alpha", "bad-noise", "unknown"],
+        ids=["negative-alpha", "no-mode", "missing-alpha", "bad-noise", "unknown",
+             "nan-alpha", "inf-alpha", "simulate-nan-alpha"],
     )
     def test_usage_errors_raise_parser_exit(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:

@@ -115,7 +115,7 @@ class TestCrossTermDeviation:
 
     def test_identity_gap_is_the_sign_coupling_term(self, scalar_model):
         cfg = SimConfig(n_paths=200_000, horizon=3, seed=241, x0=[1.0])
-        report = validate_representation(scalar_model, cfg, 0.9, Q1)
+        report = validate_representation(simulate_paths(scalar_model, cfg), 0.9, Q1)
         # the raw identity misses by many standard errors ...
         assert report["z"] > 10.0
         # ... and the estimated cross term accounts for the whole gap

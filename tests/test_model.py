@@ -8,14 +8,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from csviu import (
-    AnalysisConfig,
     CsviuModel,
     DimensionError,
     ParseError,
     SymMatrix,
-    load_config,
     load_model,
-    save_model,
     validate,
 )
 from csviu.model import as_weight
@@ -30,6 +27,15 @@ SCALAR_DOC = {
 def write_json(path, doc):
     path.write_text(json.dumps(doc))
     return path
+
+
+def model_doc(model):
+    """The model as a JSON-ready dict, matrices as nested lists of floats."""
+    doc = {"n": model.n, "r": model.r, "p": model.p, "m": model.m}
+    for name in ("A", "sigma_x", "sigma_bar_x", "sigma", "C", "B", "D"):
+        if getattr(model, name) is not None:
+            doc[name] = getattr(model, name).tolist()
+    return doc
 
 
 class TestSymMatrix:
@@ -82,8 +88,7 @@ class TestLoadSave:
         assert model.B is None and model.D is None
 
     def test_save_load_roundtrip_bit_exact(self, tmp_path, scalar_model):
-        path = tmp_path / "roundtrip.json"
-        save_model(scalar_model, path)
+        path = write_json(tmp_path / "roundtrip.json", model_doc(scalar_model))
         again = load_model(path)
         for name in ("A", "sigma_x", "sigma_bar_x", "sigma", "C"):
             assert np.array_equal(getattr(again, name), getattr(scalar_model, name))
@@ -93,8 +98,7 @@ class TestLoadSave:
         doc.update({"m": 1, "B": [[0.1 + 0.2]], "D": [[1e-300]]})
         path = write_json(tmp_path / "ex.json", doc)
         model = load_model(path)
-        save_model(model, path)
-        again = load_model(path)
+        again = load_model(write_json(path, model_doc(model)))
         assert again.B[0, 0] == 0.1 + 0.2  # bit-exact, not approx
         assert again.D[0, 0] == 1e-300
 
@@ -119,6 +123,16 @@ class TestLoadSave:
     def test_missing_keys_raise_parse_error(self, tmp_path):
         doc = {"n": 1, "r": 1, "p": 1}
         with pytest.raises(ParseError, match="missing keys"):
+            load_model(write_json(tmp_path / "m.json", doc))
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("n", 1.7), ("r", True), ("p", "1"), ("m", 0.5), ("n", False)],
+        ids=["n-fraction", "r-true", "p-string", "m-fraction", "n-false"],
+    )
+    def test_dimensions_must_be_json_integers(self, tmp_path, key, value):
+        doc = dict(SCALAR_DOC, **{key: value})
+        with pytest.raises(ParseError, match=f"{key} must be an integer"):
             load_model(write_json(tmp_path / "m.json", doc))
 
     def test_m_inferred_from_B_when_absent(self, tmp_path):
@@ -159,37 +173,3 @@ class TestValidate:
             assert validate(model) == []
             csviu.check_stability(model, 0.9)
             csviu.solve_lyapunov(model, 0.9, np.eye(3))
-
-
-class TestAnalysisConfig:
-    def test_defaults(self):
-        cfg = AnalysisConfig(alpha=0.9)
-        assert cfg.Q is None
-        assert cfg.solver_tol == 1e-12
-        assert cfg.max_iter == 100000
-
-    def test_rejects_nonpositive_alpha(self):
-        with pytest.raises(ValueError, match="alpha must be positive"):
-            AnalysisConfig(alpha=0.0)
-
-    def test_rejects_indefinite_Q(self):
-        with pytest.raises(ValueError, match="positive semidefinite"):
-            AnalysisConfig(alpha=0.9, Q=[[-1.0]])
-
-    def test_weight_for_defaults_to_CtC(self, scalar_model):
-        cfg = AnalysisConfig(alpha=0.9)
-        assert np.allclose(cfg.weight_for(scalar_model), scalar_model.C.T @ scalar_model.C)
-
-    def test_load_config(self, tmp_path, scalar_model):
-        path = write_json(
-            tmp_path / "cfg.json",
-            {"alpha": 1.2, "Q": [[2.0]], "x0": [1.0], "max_iter": 50},
-        )
-        cfg = load_config(path, model=scalar_model)
-        assert cfg.alpha == 1.2
-        assert np.asarray(cfg.Q)[0, 0] == 2.0
-        assert cfg.max_iter == 50
-
-    def test_load_config_requires_alpha(self, tmp_path):
-        with pytest.raises(ParseError, match="alpha"):
-            load_config(write_json(tmp_path / "cfg.json", {"Q": [[1.0]]}))

@@ -14,7 +14,6 @@ from csviu import (
     op_W_d,
     op_Z,
     operator_matrix,
-    sign_vec,
     smat,
     spectral_radius,
     svec,
@@ -118,15 +117,6 @@ class TestOpLAlpha:
 
 
 class TestSignVec:
-    def test_mixed_vector(self):
-        assert np.array_equal(np.asarray(sign_vec([1.5, -0.2, 0.0])), [1.0, -1.0, 0.0])
-
-    def test_zero_vector(self):
-        assert np.array_equal(np.asarray(sign_vec([0.0, 0.0])), [0.0, 0.0])
-
-    def test_single_negative(self):
-        assert np.array_equal(np.asarray(sign_vec([-3.0])), [-1.0])
-
     @given(
         st.lists(st.floats(-5, 5, allow_nan=False), min_size=1, max_size=6),
         st.lists(st.floats(-5, 5, allow_nan=False), min_size=1, max_size=6),
@@ -136,7 +126,7 @@ class TestSignVec:
         size = min(len(r), len(x))
         r = np.asarray(r[:size])
         x = np.asarray(x[:size])
-        s = np.asarray(sign_vec(x))
+        s = np.sign(x)
         assert np.dot(r, np.abs(x)) == pytest.approx(np.dot(s, r * x), abs=1e-12)
 
 

@@ -427,7 +427,7 @@ class TestOverflowHandling:
         cfg = SimConfig(n_paths=50, horizon=130, seed=13, x0=[1.0])
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match="all paths aborted"):
-                validate_representation(explosive_model(), cfg, 0.01, Q1)
+                validate_representation(simulate_paths(explosive_model(), cfg), 0.01, Q1)
 
 
 class TestRepresentationCheck:
@@ -443,7 +443,7 @@ class TestRepresentationCheck:
                                                          fixture):
         model = request.getfixturevalue(fixture)
         cfg = SimConfig(n_paths=20_000, horizon=30, seed=41, x0=[1.0])
-        rep = validate_representation(model, cfg, 0.9, Q1)
+        rep = validate_representation(simulate_paths(model, cfg), 0.9, Q1)
         assert set(rep) == self.REPORT_KEYS
         assert rep["n_paths"] == 20_000
         assert rep["z"] <= 3.0
@@ -460,13 +460,13 @@ class TestRepresentationCheck:
         )
         cfg = SimConfig(n_paths=20_000, horizon=25, seed=43, x0=[1.0, -0.5],
                         input_policy=ConstantInput([0.7]))
-        rep = validate_representation(model, cfg, 0.9, np.eye(2),
+        rep = validate_representation(simulate_paths(model, cfg), 0.9, np.eye(2),
                                       Phi=0.5 * np.eye(2), gamma=0.3)
         assert rep["z"] <= 3.0
 
     def test_zero_noise_identity_is_exact(self):
         cfg = SimConfig(n_paths=8, horizon=10, seed=0, x0=[1.0])
-        rep = validate_representation(zero_noise_scalar(), cfg, 0.9, Q1)
+        rep = validate_representation(simulate_paths(zero_noise_scalar(), cfg), 0.9, Q1)
         assert rep["gap"] <= 1e-12
         assert rep["std_error"] == 0.0
         assert abs(rep["lhs"] - rep["rhs"]) <= 1e-12
@@ -476,7 +476,7 @@ class TestRepresentationCheck:
         # by the sign-noise cross term; adding its pathwise estimate must
         # bring the gap back inside Monte Carlo error.
         cfg = SimConfig(n_paths=30_000, horizon=12, seed=47, x0=[1.0])
-        rep = validate_representation(scalar_model, cfg, 0.9, Q1)
+        rep = validate_representation(simulate_paths(scalar_model, cfg), 0.9, Q1)
         assert rep["z"] > 10.0
         assert rep["sign_noise_term"] > 0.0
         assert rep["corrected_gap"] <= 3 * rep["corrected_std_error"]
@@ -545,7 +545,7 @@ class TestDecayCheck:
                                                        fixture):
         model = request.getfixturevalue(fixture)
         cfg = SimConfig(n_paths=30_000, horizon=50, seed=59, x0=[1.0])
-        rows = check_decay(model, cfg, 1.2)
+        rows = check_decay(simulate_paths(model, cfg), 1.2)
         assert len(rows) == 51
         assert [row["k"] for row in rows] == list(range(51))
         assert set(rows[0]) == self.ROW_KEYS
@@ -569,7 +569,7 @@ class TestDecayCheck:
                                                           stationary):
         model = request.getfixturevalue(fixture)
         cfg = SimConfig(n_paths=30_000, horizon=60, seed=61, x0=[0.0])
-        rows = check_decay(model, cfg, 1.0)
+        rows = check_decay(simulate_paths(model, cfg), 1.0)
         assert not any(row["violated"] for row in rows)
         assert rows[0]["level"] == pytest.approx(stationary, rel=1e-12)
         tail = rows[-1]
@@ -577,7 +577,7 @@ class TestDecayCheck:
 
     def test_zero_noise_energies_exact_and_quiet(self):
         cfg = SimConfig(n_paths=4, horizon=20, seed=0, x0=[1.0])
-        rows = check_decay(zero_noise_scalar(), cfg, 1.2)
+        rows = check_decay(simulate_paths(zero_noise_scalar(), cfg), 1.2)
         for k, row in enumerate(rows):
             assert row["energy"] == 0.25**k
             assert row["std_error"] == 0.0
@@ -587,7 +587,7 @@ class TestDecayCheck:
     def test_unsolvable_alpha_propagates(self, scalar_model):
         cfg = SimConfig(n_paths=4, horizon=3, seed=0, x0=[1.0])
         with pytest.raises(NotStableError):
-            check_decay(scalar_model, cfg, 3.0)
+            check_decay(simulate_paths(scalar_model, cfg), 3.0)
 
 
 class TestSecondMomentBounds:
