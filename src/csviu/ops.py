@@ -46,32 +46,27 @@ def sym_dim(n):
     return n * (n + 1) // 2
 
 
-def _tril_indices(n):
-    # Row-major lower triangle: (0,0), (1,0), (1,1), (2,0), ...
-    return [(i, j) for i in range(n) for j in range(i + 1)]
-
-
 def svec(U):
-    """Symmetric vectorization with sqrt(2)-weighted off-diagonal entries."""
+    """Symmetric vectorization with sqrt(2)-weighted off-diagonal entries.
+
+    Accepts one matrix (n, n) or a stack (..., n, n); entries follow the
+    row-major lower triangle (0,0), (1,0), (1,1), (2,0), ...
+    """
     U = np.asarray(U, dtype=float)
-    n = U.shape[0]
-    out = np.empty(sym_dim(n))
-    for idx, (i, j) in enumerate(_tril_indices(n)):
-        out[idx] = U[i, i] if i == j else _SQRT2 * U[i, j]
+    rows, cols = np.tril_indices(U.shape[-1])
+    out = U[..., rows, cols]
+    out[..., rows != cols] *= _SQRT2
     return out
 
 
 def smat(v, n):
-    """Inverse of :func:`svec`: rebuild the symmetric matrix."""
+    """Inverse of :func:`svec`: rebuild the symmetric matrix (or a stack of them)."""
     v = np.asarray(v, dtype=float)
-    if v.shape != (sym_dim(n),):
+    if v.shape[-1:] != (sym_dim(n),):
         raise DimensionError(f"expected svec of length {sym_dim(n)}, got {v.shape}")
-    U = np.zeros((n, n))
-    for idx, (i, j) in enumerate(_tril_indices(n)):
-        if i == j:
-            U[i, i] = v[idx]
-        else:
-            U[i, j] = U[j, i] = v[idx] / _SQRT2
+    rows, cols = np.tril_indices(n)
+    U = np.zeros(v.shape[:-1] + (n, n))
+    U[..., rows, cols] = U[..., cols, rows] = np.where(rows == cols, v, v / _SQRT2)
     return U
 
 
@@ -148,15 +143,13 @@ def op_L_alpha(model, alpha, U):
     return SymMatrix(alpha * (A.T @ U @ A + op_Z(model, U).entries))
 
 
-def _basis_matrix(n, idx):
-    # Orthonormal basis of symmetric matrices under the Frobenius product.
-    e = np.zeros(sym_dim(n))
-    e[idx] = 1.0
-    return smat(e, n)
-
-
 def operator_matrix(model, alpha, which):
     """Matrix representation of a model operator in the svec basis.
+
+    The images of all dim = n(n+1)/2 orthonormal basis matrices are
+    computed at once on a (dim, n, n) stack; column j of M is the svec
+    of the image of basis matrix j.  L_alpha's images are symmetrized
+    as (X + X^T)/2, as :func:`op_L_alpha` does.
 
     Parameters
     ----------
@@ -170,22 +163,24 @@ def operator_matrix(model, alpha, which):
     -------
     OperatorRep
     """
+    if which not in ("L_alpha", "A_conj", "Z"):
+        raise ValueError(f"unknown operator {which!r}")
+    if which == "L_alpha" and alpha < 0:
+        raise ValueError("alpha must be nonnegative")
     n = model.n
     dim = sym_dim(n)
-    if which == "L_alpha":
-        if alpha < 0:
-            raise ValueError("alpha must be nonnegative")
-        op = lambda U: op_L_alpha(model, alpha, U).entries
-    elif which == "A_conj":
-        op = lambda U: model.A.T @ U @ model.A
-    elif which == "Z":
-        op = lambda U: op_Z(model, U).entries
+    A, sbx = model.A, model.sigma_bar_x
+    basis = smat(np.eye(dim), n)  # the orthonormal basis, one matrix per svec entry
+    if which == "A_conj":
+        images = A.T @ basis @ A
     else:
-        raise ValueError(f"unknown operator {which!r}")
-    M = np.empty((dim, dim))
-    for idx in range(dim):
-        M[:, idx] = svec(op(_basis_matrix(n, idx)))
-    return OperatorRep(n=n, dim=dim, M=M)
+        d = np.arange(n)
+        images = np.zeros_like(basis)
+        images[:, d, d] = (sbx.T @ basis @ sbx)[:, d, d]
+        if which == "L_alpha":
+            X = alpha * (A.T @ basis @ A + images)
+            images = (X + X.transpose(0, 2, 1)) / 2.0
+    return OperatorRep(n=n, dim=dim, M=np.ascontiguousarray(svec(images).T))
 
 
 def spectral_radius(rep):

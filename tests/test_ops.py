@@ -22,6 +22,43 @@ from conftest import make_random_model, scalar_reference_model
 
 SCALAR = scalar_reference_model()
 U1 = np.array([[1.0]])
+SQRT2 = np.sqrt(2.0)
+
+
+def loop_svec(U):
+    """Reference svec: one entry at a time over the row-major lower triangle."""
+    n = U.shape[0]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1)]
+    return np.array([U[i, i] if i == j else SQRT2 * U[i, j] for i, j in pairs])
+
+
+def loop_smat(v, n):
+    """Reference smat: the inverse of loop_svec."""
+    U = np.zeros((n, n))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1)]
+    for idx, (i, j) in enumerate(pairs):
+        if i == j:
+            U[i, i] = v[idx]
+        else:
+            U[i, j] = U[j, i] = v[idx] / SQRT2
+    return U
+
+
+def loop_operator_matrix(model, alpha, which):
+    """Reference representation: column j is svec(op(E_j)), one basis matrix at a time."""
+    n = model.n
+    dim = n * (n + 1) // 2
+    op = {
+        "L_alpha": lambda U: np.asarray(op_L_alpha(model, alpha, U)),
+        "A_conj": lambda U: model.A.T @ U @ model.A,
+        "Z": lambda U: np.asarray(op_Z(model, U)),
+    }[which]
+    M = np.empty((dim, dim))
+    for idx in range(dim):
+        e = np.zeros(dim)
+        e[idx] = 1.0
+        M[:, idx] = loop_svec(op(loop_smat(e, n)))
+    return M
 
 
 def random_psd(rng, n, scale=1.0):
@@ -131,6 +168,25 @@ class TestSignVec:
 
 
 class TestSvecBasis:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    def test_equal_to_reference_loops(self, n):
+        rng = np.random.default_rng(n)
+        U = rng.standard_normal((n, n))
+        assert np.array_equal(svec(U), loop_svec(U))
+        v = rng.standard_normal(n * (n + 1) // 2)
+        assert np.array_equal(smat(v, n), loop_smat(v, n))
+
+    def test_svec_and_smat_of_a_stack(self):
+        rng = np.random.default_rng(3)
+        stack = rng.standard_normal((2, 4, 3, 3))
+        vectors = svec(stack)
+        matrices = smat(vectors, 3)
+        assert vectors.shape == (2, 4, 6)
+        assert matrices.shape == (2, 4, 3, 3)
+        for idx in np.ndindex(2, 4):
+            assert np.array_equal(vectors[idx], loop_svec(stack[idx]))
+            assert np.array_equal(matrices[idx], loop_smat(vectors[idx], 3))
+
     @given(st.integers(1, 5), st.integers(0, 2**32 - 1))
     def test_roundtrip_preserves_frobenius_inner_product(self, n, seed):
         rng = np.random.default_rng(seed)
@@ -143,6 +199,17 @@ class TestSvecBasis:
 
 
 class TestOperatorMatrix:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("which", ["L_alpha", "A_conj", "Z"])
+    def test_batched_build_equals_basis_loop(self, n, which):
+        for seed in range(3):
+            model = make_random_model(100 + seed, n, target=0.8)
+            for alpha in (0.0, 0.9, 1.3):
+                assert np.array_equal(
+                    operator_matrix(model, alpha, which).M,
+                    loop_operator_matrix(model, alpha, which),
+                )
+
     def test_scalar_L_alpha_rep(self):
         rep = operator_matrix(SCALAR, 0.9, "L_alpha")
         assert rep.M.shape == (1, 1)
