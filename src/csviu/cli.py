@@ -41,10 +41,9 @@ from .norms import (
     counter_discount_bound,
     norm_report,
     power_norm,
-    v_bar_bound,
     vanishing_discount_sweep,
 )
-from .ops import op_varpi, spectral_radius
+from .ops import op_varpi
 from .sim import (
     NOISE_KINDS,
     SimConfig,
@@ -54,7 +53,7 @@ from .sim import (
     simulate_paths,
     validate_representation,
 )
-from .solver import critical_alpha, radius_below_one, solve_lyapunov
+from .solver import critical_alpha, solve_lyapunov
 from .stability import check_detectability_with_G, check_stability, search_detectability
 
 #: Fraction of aborted paths above which a simulate run exits 3.
@@ -312,6 +311,10 @@ def cmd_analyze(args):
 
 
 def cmd_norm(args):
+    if args.alpha is None and (args.kappa is not None or args.x0 is not None):
+        raise ValueError("--kappa and --x0 apply only with --alpha")
+    if args.x0 is not None and args.kappa is None:
+        raise ValueError("--x0 requires --kappa (the counter-discount bound)")
     model = load_model(args.model)
     Q = _load_weight(args.Q, model.n) if args.Q else None
 
@@ -349,21 +352,14 @@ def cmd_norm(args):
         _emit(report, args)
         return 0
 
-    rep = norm_report(model, args.alpha, Q)
-    body = _jsonable(rep)
-    if (
-        args.alpha >= 1.0
-        and args.kappa is not None
-        and radius_below_one(args.alpha * spectral_radius(model.A))
-    ):
-        x0 = (
-            _parse_vector(args.x0, model.n)
-            if args.x0
-            else np.zeros(model.n)
-        )
-        body["counter_bound_value"] = _jsonable(
-            counter_discount_bound(model, args.alpha, Q, x0, args.kappa)
-        )
+    # The bound's input checks (alpha >= 1, kappa >= 0, x0) come first.
+    counter_value = None
+    if args.kappa is not None:
+        x0 = _parse_vector(args.x0, model.n) if args.x0 else np.zeros(model.n)
+        counter_value = counter_discount_bound(model, args.alpha, Q, x0, args.kappa)
+    body = _jsonable(norm_report(model, args.alpha, Q))
+    if counter_value is not None:
+        body["counter_bound_value"] = _jsonable(counter_value)
     report = {
         "command": "norm",
         "manifest": _jsonable(

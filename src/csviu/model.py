@@ -180,7 +180,8 @@ class CsviuModel:
             value = getattr(self, name)
             if value is None:
                 continue
-            arr = np.asarray(value, dtype=float)
+            # A private read-only copy, so results kept on the model stay valid.
+            arr = np.array(value, dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         for name in ("n", "r", "p", "m"):

@@ -292,14 +292,11 @@ def norm_report(model, alpha, Q=None):
     varpi_L = op_varpi(model, Lm)
     vb = v_bar_bound(model, alpha, Lm)
 
+    # The zero-input offset g0 is the discounted energy itself.
     h2 = alpha / (1.0 - alpha) * varpi_L if alpha < 1.0 else None
-    g0 = alpha * varpi_L / (1.0 - alpha) if alpha < 1.0 else None
-    pw = None
-    if alpha == 1.0 and radius_below_one(spectral_radius(model.A)):
-        pw = varpi_L
-
-    counter = None
+    pw = counter = None
     if alpha >= 1.0 and radius_below_one(alpha * spectral_radius(model.A)):
+        pw = varpi_L if alpha == 1.0 else None
         c0 = float(np.linalg.eigvalsh(Lm)[-1])
         c1 = alpha * varpi_L / (alpha - 1.0) if alpha > 1.0 else varpi_L
         counter = {"c0": c0, "c1": c1}
@@ -312,6 +309,6 @@ def norm_report(model, alpha, Q=None):
         power_norm=pw,
         v_bar=vb.primary,
         v_bar_conservative=vb.conservative,
-        energy_offset_g0=g0,
+        energy_offset_g0=h2,
         counter_bound=counter,
     )

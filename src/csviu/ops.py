@@ -32,6 +32,7 @@ __all__ = [
     "op_varpi",
     "op_L_alpha",
     "operator_matrix",
+    "unit_operator",
     "spectral_radius",
     "svec",
     "smat",
@@ -146,10 +147,9 @@ def op_L_alpha(model, alpha, U):
 def operator_matrix(model, alpha, which):
     """Matrix representation of a model operator in the svec basis.
 
-    The images of all dim = n(n+1)/2 orthonormal basis matrices are
-    computed at once on a (dim, n, n) stack; column j of M is the svec
-    of the image of basis matrix j.  L_alpha's images are symmetrized
-    as (X + X^T)/2, as :func:`op_L_alpha` does.
+    Column j of M is the svec of the image of basis matrix j; all dim
+    images are computed at once on a (dim, n, n) stack, and L_alpha's
+    are symmetrized as (X + X^T)/2, as :func:`op_L_alpha` does.
 
     Parameters
     ----------
@@ -183,11 +183,28 @@ def operator_matrix(model, alpha, which):
     return OperatorRep(n=n, dim=dim, M=np.ascontiguousarray(svec(images).T))
 
 
+def unit_operator(model):
+    """(rep, radius): L_1 in the svec basis and r_sigma(L_1), built once per model.
+
+    L_alpha = alpha L_1 as operators, so every alpha shares this one
+    representation: L_alpha's matrix is alpha * M_1 and r_sigma(L_alpha)
+    = alpha * r_sigma(L_1).  The pair is kept on the model object, whose
+    arrays are read-only, so later calls with the same model reuse it.
+    """
+    unit = vars(model).get("_unit_operator")
+    if unit is None:
+        rep = operator_matrix(model, 1.0, "L_alpha")
+        unit = (rep, spectral_radius(rep))
+        object.__setattr__(model, "_unit_operator", unit)
+    return unit
+
+
 def spectral_radius(rep):
     """Spectral radius max|eigenvalue| of an OperatorRep or square matrix.
 
-    Computed from a full eigendecomposition; the representations at the
-    intended scale (n <= ~20, dim <= ~210) make robustness cheap.
+    Computed from a full eigendecomposition.  At n = 20 (dim 210) this
+    dense eigensolve dominates an analysis, so every L_alpha radius comes
+    from the one L_1 eigensolve of :func:`unit_operator`.
     """
     M = rep.M if isinstance(rep, OperatorRep) else np.asarray(rep, dtype=float)
     if M.size == 0:

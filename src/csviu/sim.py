@@ -15,6 +15,7 @@ grows.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -267,6 +268,11 @@ def simulate_paths(model, cfg, threads=None):
     threads : int, optional
         Worker threads over path blocks; None or 1 runs serially.
 
+    Raises
+    ------
+    ValueError
+        If the ensemble would not fit in physical memory (nothing is allocated).
+
     Returns
     -------
     Ensemble
@@ -282,6 +288,11 @@ def simulate_paths(model, cfg, threads=None):
         raise ValueError("input_policy requires a model with m > 0")
 
     n_paths, horizon = cfg.n_paths, cfg.horizon
+    need = n_paths * (horizon + 1) * model.n * 8
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > physical:
+        raise ValueError(f"the ensemble needs {need / 1e9:.3g} GB, more than the "
+                         f"{physical / 1e9:.3g} GB of memory; lower --paths or --horizon")
     X = np.empty((n_paths, horizon + 1, model.n))
     ok = np.ones(n_paths, dtype=bool)
     aborted = []

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DimensionError, NotStableError
 from .model import SymMatrix, as_weight
-from .ops import op_L_alpha, op_varpi, operator_matrix, smat, spectral_radius, svec
+from .ops import op_L_alpha, op_varpi, smat, spectral_radius, svec, unit_operator
 
 __all__ = [
     "LyapunovSolution",
@@ -85,8 +85,8 @@ def solve_lyapunov(model, alpha, Q, method="direct", tol=1e-12, max_iter=100000)
     Q : SymMatrix or array_like
         PSD right-hand side.
     method : {"direct", "fixed_point"}
-        ``direct`` solves (I - M) svec(U) = svec(Q) on the operator
-        representation; ``fixed_point`` iterates U <- L_alpha(U) + Q
+        ``direct`` solves (I - alpha M_1) svec(U) = svec(Q), M_1 the
+        representation of L_1; ``fixed_point`` iterates U <- L_alpha(U) + Q
         from U = Q until the update falls below ``tol``.
     tol, max_iter : float, int
         Fixed-point stopping controls.
@@ -106,8 +106,8 @@ def solve_lyapunov(model, alpha, Q, method="direct", tol=1e-12, max_iter=100000)
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
     Qm = as_weight(Q, model.n)
-    rep = operator_matrix(model, alpha, "L_alpha")
-    radius = spectral_radius(rep)
+    rep1, r1 = unit_operator(model)
+    radius = alpha * r1
     if not radius_below_one(radius):
         raise NotStableError(
             f"(I - L_alpha) has no PSD solution: r_sigma(L_alpha) = {radius:.6g} >= 1",
@@ -115,7 +115,7 @@ def solve_lyapunov(model, alpha, Q, method="direct", tol=1e-12, max_iter=100000)
         )
 
     if method == "direct":
-        lhs = np.eye(rep.dim) - rep.M
+        lhs = np.eye(rep1.dim) - alpha * rep1.M
         U = smat(np.linalg.solve(lhs, svec(Qm)), model.n)
         iterations = 0
     elif method == "fixed_point":
@@ -152,45 +152,24 @@ def solve_lyapunov(model, alpha, Q, method="direct", tol=1e-12, max_iter=100000)
     )
 
 
-def critical_alpha(model, tol=1e-9, cap=1e6):
+def critical_alpha(model, cap=1e6):
     """The supremum of alpha for which the analysis is well posed.
 
-    Returns sup{alpha : r_sigma(L_alpha) < 1 and r_sigma(A) < 1/alpha},
-    located by bisection after a doubling bracket.  Both predicates are
-    monotone in alpha (L_alpha = alpha * L_1 as operators), so bisection
-    is valid.  When the predicate holds all the way to ``cap``, the cap
-    is returned.
+    Returns sup{alpha : r_sigma(L_alpha) < 1 and r_sigma(A) < 1/alpha}
+    in closed form.  L_alpha = alpha * L_1 as operators, so both radii
+    are alpha times an alpha-free radius, and under the package's strict
+    test the supremum is (1 - STRICT_RADIUS_MARGIN) / max(r_sigma(L_1),
+    r_sigma(A)).
 
     Parameters
     ----------
     model : CsviuModel
-    tol : float
-        Absolute bisection tolerance.
     cap : float
-        Upper bound standing in for an infinite supremum.
+        Upper bound on the result; it stands in for an infinite supremum
+        when both radii are zero.
     """
-    rep1 = operator_matrix(model, 1.0, "L_alpha")
-    r_op = spectral_radius(rep1)
-    r_A = spectral_radius(model.A)
-
-    def predicate(alpha):
-        # L_alpha = alpha * L_1, so r_sigma(L_alpha) = alpha * r_op exactly.
-        return radius_below_one(alpha * r_op) and radius_below_one(alpha * r_A)
-
-    hi = 1.0
-    lo = 0.0
-    while predicate(hi):
-        lo = hi
-        hi *= 2.0
-        if hi >= cap:
-            return float(cap)
-    while hi - lo > tol:
-        mid = (lo + hi) / 2.0
-        if predicate(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    r = max(unit_operator(model)[1], spectral_radius(model.A))
+    return float(cap) if r == 0.0 else min(float(cap), (1.0 - STRICT_RADIUS_MARGIN) / r)
 
 
 def backward_recursion(model, alpha, Q, kappa, Phi=None, gamma=0.0):

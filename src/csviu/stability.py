@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, InternalInconsistencyError, SingularOperatorError
-from .ops import operator_matrix, smat, spectral_radius, svec
+from .ops import operator_matrix, smat, spectral_radius, svec, unit_operator
 from .solver import radius_below_one
 
 __all__ = [
@@ -73,14 +73,14 @@ class DetectabilityResult:
     closed_loop_radius: float
 
 
-def _solve_identity_witness(rep):
-    """Criterion (iii): solve (I - L_alpha)(U) = I and test U > 0."""
-    lhs = np.eye(rep.dim) - rep.M
+def _solve_identity_witness(rep1, alpha):
+    """Criterion (iii): solve (I - alpha L_1)(U) = I and test U > 0."""
+    lhs = np.eye(rep1.dim) - alpha * rep1.M
     try:
-        u_vec = np.linalg.solve(lhs, svec(np.eye(rep.n)))
+        u_vec = np.linalg.solve(lhs, svec(np.eye(rep1.n)))
     except np.linalg.LinAlgError:
         return False
-    U = smat(u_vec, rep.n)
+    U = smat(u_vec, rep1.n)
     min_eig = float(np.linalg.eigvalsh((U + U.T) / 2.0)[0])
     return min_eig > 0.0
 
@@ -108,12 +108,12 @@ def check_stability(model, alpha):
     """
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
-    rep_L = operator_matrix(model, alpha, "L_alpha")
-    r_L = spectral_radius(rep_L)
+    rep1, r1 = unit_operator(model)
+    r_L = alpha * r1
     r_A = spectral_radius(model.A)
 
     crit_ii = radius_below_one(r_L)
-    crit_iii = _solve_identity_witness(rep_L)
+    crit_iii = _solve_identity_witness(rep1, alpha)
     r_sqrt_alpha_A = np.sqrt(alpha) * r_A
     crit_v_part1 = radius_below_one(r_sqrt_alpha_A)
 
@@ -177,9 +177,11 @@ def check_stability(model, alpha):
 
 
 def _closed_loop_radius(model, alpha, G):
-    closed = model.with_dynamics(model.A + G @ model.C)
-    rep = operator_matrix(closed, alpha, "L_alpha")
-    return spectral_radius(rep)
+    if alpha < 0:
+        raise ValueError("alpha must be nonnegative")
+    # G = 0 leaves L_alpha itself, whose L_1 radius the model already holds.
+    closed = model.with_dynamics(model.A + G @ model.C) if np.any(G) else model
+    return alpha * unit_operator(closed)[1]
 
 
 def check_detectability_with_G(model, alpha, G):

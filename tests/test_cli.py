@@ -4,6 +4,7 @@ import json
 from importlib import resources
 
 import jsonschema
+import numpy as np
 import pytest
 from referencing import Registry, Resource
 
@@ -133,6 +134,16 @@ class TestExitCodes:
             (["analyze", models["scalar"], "--alpha", "nan"], "alpha must be"),
             (["sweep", models["scalar"], "--alphas", "nan,0.5"], "alpha must be"),
             (["norm", models["scalar"], "--alpha", "1.5", "--kappa", "-3"], "kappa"),
+            (["norm", models["scalar"], "--alpha", "0.9", "--kappa", "-3"], "alpha >= 1"),
+            (["norm", models["scalar"], "--alpha", "0.9", "--kappa", "5"], "alpha >= 1"),
+            (["norm", models["scalar"], "--power", "--x0", "5", "--kappa", "7"],
+             "only with --alpha"),
+            (["norm", models["scalar"], "--sweep", "--kappa", "3"], "only with --alpha"),
+            (["norm", models["scalar"], "--sweep", "0.5,0.9", "--x0", "1"],
+             "only with --alpha"),
+            (["norm", models["scalar"], "--alpha", "1.2", "--x0", "1.0"], "requires --kappa"),
+            (["simulate", models["scalar"], "--paths", "1000000000", "--horizon",
+              "1000000", "--seed", "3", "--alpha", "0.9"], "--paths"),
         ]
         for argv, message in cases:
             code, out, err = run(argv)
@@ -140,6 +151,13 @@ class TestExitCodes:
             assert out == ""
             assert err.startswith("error:")
             assert message in err, argv
+
+    def test_counter_bound_past_alpha_bar_is_numerical_failure(self, run, models):
+        # L_alpha is stable at 2.5 (2.5 * 0.34 < 1) but r_sigma(alpha A) = 1.25.
+        code, out, err = run(["norm", models["scalar"], "--alpha", "2.5", "--kappa", "5"])
+        assert code == 3
+        assert out == ""
+        assert "r_sigma(alpha A) < 1" in err
 
     @pytest.mark.parametrize(
         "argv",
@@ -155,9 +173,10 @@ class TestExitCodes:
             ["norm", "model.json", "--alpha", "inf"],
             ["simulate", "model.json", "--paths", "10", "--horizon", "5",
              "--seed", "3", "--alpha", "nan"],
+            ["sweep", "model.json", "--kappa", "3"],
         ],
         ids=["negative-alpha", "no-mode", "missing-alpha", "bad-noise", "unknown",
-             "nan-alpha", "inf-alpha", "simulate-nan-alpha"],
+             "nan-alpha", "inf-alpha", "simulate-nan-alpha", "sweep-kappa"],
     )
     def test_usage_errors_raise_parser_exit(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -239,6 +258,20 @@ class TestNormReport:
 
 
 class TestSweep:
+    def test_default_grid_takes_one_svec_eigensolve(self, run, models, monkeypatch):
+        # two_dim has n = 2, so its svec representations are 3 x 3.
+        shapes = []
+        eigvals = np.linalg.eigvals
+
+        def counting(M):
+            shapes.append(np.shape(M))
+            return eigvals(M)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counting)
+        code, _, _ = run(["sweep", models["two_dim"]])
+        assert code == 0
+        assert shapes.count((3, 3)) == 1
+
     def test_alias_stdout_is_identical(self, run, models):
         _, out_norm, _ = run(["norm", models["scalar"], "--sweep", "0.5,0.9,1.5"])
         _, out_alias, _ = run(["sweep", models["scalar"], "--alphas", "0.5,0.9,1.5"])

@@ -7,10 +7,16 @@ the files stored next to the models.  A change that alters a report on
 purpose regenerates them with
 
     PYTHONPATH=src python tests/test_golden.py
+
+which first prints, for every file that changes, the number of changed
+leaves (JSON values, or CSV cells for decay.csv), the worst relative
+change with its leaf, and every non-numeric leaf that changed.
 """
 
 import contextlib
+import csv
 import io
+import json
 import os
 import sys
 from pathlib import Path
@@ -68,16 +74,95 @@ def test_report_is_byte_identical(case, tmp_path, monkeypatch):
     assert decay == (stored_decay.read_text() if stored_decay.exists() else None)
 
 
+def test_drift_report_summarizes_changed_leaves():
+    old = json.dumps({"a": 2.0, "b": [1.0, "x"], "c": True})
+    new = json.dumps({"a": 2.0 + 2e-12, "b": [1.0, "y"], "d": 0})
+    assert drift(old, new, "case.stdout") == (
+        "case.stdout: 4 changed leaves; worst relative change 1e-12 at .a; "
+        "non-numeric: .b[1]: 'x' -> 'y', .c: True -> '(absent)', .d: '(absent)' -> 0"
+    )
+    table = "# manifest: m\nk,energy\n0,1.5\n1,3.0\n"
+    assert drift(table, table.replace("3.0", "3.3"), "t.decay.csv").startswith(
+        "t.decay.csv: 1 changed leaves; worst relative change 0.1 at [1].energy"
+    )
+
+
+#: Stands for a leaf that one side of a comparison does not have.
+ABSENT = "(absent)"
+
+
+def leaves(text, name):
+    """Flatten a stored report (JSON) or decay table (CSV) into {leaf path: value}."""
+    if name.endswith(".csv"):
+        rows = csv.DictReader(line for line in text.splitlines() if not line.startswith("#"))
+        return {f"[{i}].{key}": _number(cell)
+                for i, row in enumerate(rows) for key, cell in row.items()}
+    flat = {}
+
+    def walk(node, path):
+        if isinstance(node, dict):
+            for key, value in node.items():
+                walk(value, f"{path}.{key}")
+        elif isinstance(node, list):
+            for i, value in enumerate(node):
+                walk(value, f"{path}[{i}]")
+        else:
+            flat[path or "."] = node
+
+    walk(json.loads(text), "")
+    return flat
+
+
+def _number(cell):
+    try:
+        return float(cell)
+    except ValueError:
+        return cell
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def drift(old_text, new_text, name):
+    """One line on how a regenerated file differs from the stored one."""
+    old, new = leaves(old_text, name), leaves(new_text, name)
+    changed = [key for key in sorted(old.keys() | new.keys())
+               if old.get(key, ABSENT) != new.get(key, ABSENT)]
+    worst, worst_key, other = 0.0, None, []
+    for key in changed:
+        a, b = old.get(key, ABSENT), new.get(key, ABSENT)
+        if _is_number(a) and _is_number(b):
+            rel = abs(b - a) / abs(a) if a != 0 else float("inf")
+            if worst_key is None or rel > worst:
+                worst, worst_key = rel, key
+        else:
+            other.append(f"{key}: {a!r} -> {b!r}")
+    line = f"{name}: {len(changed)} changed leaves"
+    if worst_key is not None:
+        line += f"; worst relative change {worst:.2g} at {worst_key}"
+    return line + "; non-numeric: " + (", ".join(other) if other else "none")
+
+
 if __name__ == "__main__":
     import tempfile
 
     os.environ.pop("CSVIU_THREADS", None)
+    outputs = {}
     for case in CASES:
         with tempfile.TemporaryDirectory() as tmp:
             code, stdout, decay = replay(case, tmp)
         if code != 0:
             sys.exit(f"{case}: exit {code}")
-        (GOLDEN / f"{case}.stdout").write_text(stdout)
+        outputs[f"{case}.stdout"] = stdout
         if decay is not None:
-            (GOLDEN / f"{case}.decay.csv").write_text(decay)
-        print(case)
+            outputs[f"{case}.decay.csv"] = decay
+    for name, text in outputs.items():
+        stored = GOLDEN / name
+        if not stored.exists():
+            print(f"{name}: new file")
+        elif stored.read_text() != text:
+            print(drift(stored.read_text(), text, name))
+    for name, text in outputs.items():
+        (GOLDEN / name).write_text(text)
+    print(f"wrote {len(outputs)} files")

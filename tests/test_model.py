@@ -143,6 +143,19 @@ class TestLoadSave:
         assert model.m == 2
 
 
+class TestCsviuModel:
+    def test_keeps_private_read_only_copies(self):
+        A = np.array([[0.5, 0.1], [0.0, 0.3]])
+        view = A[:, :]
+        model = CsviuModel(n=2, r=2, p=2, m=0, A=view, sigma_x=np.zeros((2, 2)),
+                           sigma_bar_x=np.eye(2), sigma=np.eye(2), C=np.eye(2))
+        A[0, 0] = 0.9
+        assert model.A[0, 0] == 0.5
+        assert view.flags.writeable
+        with pytest.raises(ValueError):
+            model.A[0, 0] = 0.7
+
+
 class TestValidate:
     def test_valid_model_has_no_violations(self, scalar_model):
         assert validate(scalar_model) == []

@@ -95,6 +95,13 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="m > 0"):
             simulate_paths(scalar_model, cfg)
 
+    def test_ensemble_beyond_physical_memory_is_refused(self, scalar_model):
+        # 10^9 paths x (10^6 + 1) stages x 8 bytes is about 8 PB; the check
+        # is arithmetic, so nothing of that size is allocated.
+        cfg = SimConfig(n_paths=10**9, horizon=10**6, seed=0, x0=[0.0])
+        with pytest.raises(ValueError, match="--paths or --horizon"):
+            simulate_paths(scalar_model, cfg)
+
 
 class TestReproducibility:
     def test_bit_identical_across_thread_counts(self, scalar_model):

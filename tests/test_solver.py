@@ -8,12 +8,14 @@ from csviu import (
     CsviuModel,
     NotStableError,
     backward_recursion,
+    check_stability,
     critical_alpha,
     op_L_alpha,
     operator_matrix,
     solve_lyapunov,
     spectral_radius,
 )
+from csviu.solver import STRICT_RADIUS_MARGIN, radius_below_one
 from conftest import make_random_model
 
 Q1 = np.array([[1.0]])
@@ -102,7 +104,9 @@ class TestSolveLyapunov:
 
 class TestCriticalAlpha:
     def test_scalar_value(self, scalar_model):
-        assert critical_alpha(scalar_model) == pytest.approx(2.0, abs=1e-6)
+        # max(r_sigma(L_1), r_sigma(A)) = max(0.34, 0.5)
+        expect = (1.0 - STRICT_RADIUS_MARGIN) / 0.5
+        assert critical_alpha(scalar_model) == pytest.approx(expect, rel=1e-12)
 
     def test_cap_when_unbounded(self):
         model = diag_model([0.0, 0.0])
@@ -113,7 +117,8 @@ class TestCriticalAlpha:
         model = diag_model([0.9, 0.0])
         # L_alpha stable iff alpha * 0.81 < 1 (alpha < 1.2346); the
         # r_sigma(A) < 1/alpha clause gives the tighter 1/0.9.
-        assert critical_alpha(model) == pytest.approx(1.0 / 0.9, abs=1e-6)
+        expect = (1.0 - STRICT_RADIUS_MARGIN) / 0.9
+        assert critical_alpha(model) == pytest.approx(expect, rel=1e-12)
 
     def test_monotone_predicate_consistency(self):
         for seed in range(10):
@@ -121,7 +126,30 @@ class TestCriticalAlpha:
             bar = critical_alpha(model)
             r1 = spectral_radius(operator_matrix(model, 1.0, "L_alpha"))
             r_A = spectral_radius(model.A)
-            assert bar == pytest.approx(min(1.0 / r1, 1.0 / r_A), abs=1e-6)
+            expect = (1.0 - STRICT_RADIUS_MARGIN) / max(r1, r_A)
+            assert bar == pytest.approx(expect, rel=1e-12)
+
+    def test_is_the_supremum_of_the_strict_test(self):
+        for seed in range(10):
+            model = make_random_model(seed, 3, target=0.7)
+            bar = critical_alpha(model)
+            r = max(spectral_radius(operator_matrix(model, 1.0, "L_alpha")),
+                    spectral_radius(model.A))
+            assert radius_below_one(bar * (1.0 - 1e-12) * r)
+            assert not radius_below_one(bar * (1.0 + 1e-12) * r)
+
+
+class TestAlphaRadius:
+    def test_alpha_times_unit_radius_matches_direct_representation(self):
+        for seed in range(12):
+            n = 1 + seed % 4
+            model = make_random_model(seed, n, target=0.8)
+            for alpha in (0.5, 0.9, 1.2):
+                direct = spectral_radius(operator_matrix(model, alpha, "L_alpha"))
+                stability = check_stability(model, alpha)
+                solution = solve_lyapunov(model, alpha, np.eye(n))
+                assert stability.spectral_radii["L_alpha"] == pytest.approx(direct, rel=1e-12)
+                assert solution.spectral_radius == pytest.approx(direct, rel=1e-12)
 
 
 class TestBackwardRecursion:

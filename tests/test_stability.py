@@ -129,6 +129,12 @@ class TestDetectabilityWithG:
         with pytest.raises(DimensionError):
             check_detectability_with_G(scalar_model, 0.9, np.zeros((2, 1)))
 
+    def test_negative_alpha_rejected(self, scalar_model):
+        with pytest.raises(ValueError, match="nonnegative"):
+            check_detectability_with_G(scalar_model, -0.5, np.zeros((1, 1)))
+        with pytest.raises(ValueError, match="nonnegative"):
+            search_detectability(scalar_model, -0.5)
+
 
 class TestSearchDetectability:
     def test_stable_model_found_at_zero_gain(self, scalar_model):
