@@ -35,11 +35,18 @@ COMMANDS = {
     "norm-power": ["norm", "{model}", "--power"],
     "norm-counter": ["norm", "{model}", "--alpha", "1.2", "--kappa", "40",
                      "--x0", "1.0"],
+    "norm-counter-1.0": ["norm", "{model}", "--alpha", "1.0", "--kappa", "7",
+                         "--x0", "0.5"],
     "sweep": ["sweep", "{model}"],
     "simulate-checks": ["simulate", "{model}", "--paths", "500", "--horizon",
                         "20", "--seed", "7", "--alpha", "0.9", "--x0", "1.0",
                         "--noise", "rademacher", "--validate-representation",
                         "--check-decay", "--output-dir", "OUT"],
+    # x0 = 0: the reports carry the closed forms and their z-scores
+    "simulate-decay-0.9": ["simulate", "{model}", "--paths", "500", "--horizon",
+                           "20", "--seed", "7", "--alpha", "0.9", "--check-decay"],
+    "simulate-decay-1.0": ["simulate", "{model}", "--paths", "500", "--horizon",
+                           "20", "--seed", "7", "--alpha", "1.0", "--check-decay"],
 }
 MODELS = ("scalar", "n3")
 CASES = [f"{model}-{command}" for model in MODELS for command in COMMANDS]
