@@ -38,7 +38,9 @@ from .errors import (
 )
 from .model import PSD_TOL, SymMatrix, as_weight, energy_weight, load_model
 from .norms import (
+    check_counter_domain,
     counter_discount_bound,
+    h2_discounted_norm,
     norm_report,
     power_norm,
     vanishing_discount_sweep,
@@ -125,6 +127,8 @@ def _parse_vector(text, n, what="x0"):
         raise ValueError(f"{what} must be a comma-separated list of numbers") from None
     if not values:
         raise ValueError(f"{what} must be a comma-separated list of numbers")
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{what} entries must be finite, got {text!r}")
     if len(values) == 1 and n > 1:
         return np.full(n, values[0])
     if len(values) != n:
@@ -352,14 +356,14 @@ def cmd_norm(args):
         _emit(report, args)
         return 0
 
-    # The bound's input checks (alpha >= 1, kappa >= 0, x0) come first.
-    counter_value = None
+    # The bound's input checks (x0, alpha >= 1, kappa >= 0) come before the solve.
     if args.kappa is not None:
         x0 = _parse_vector(args.x0, model.n) if args.x0 else np.zeros(model.n)
-        counter_value = counter_discount_bound(model, args.alpha, Q, x0, args.kappa)
-    body = _jsonable(norm_report(model, args.alpha, Q))
-    if counter_value is not None:
-        body["counter_bound_value"] = _jsonable(counter_value)
+        check_counter_domain(args.alpha, args.kappa)
+    norms = norm_report(model, args.alpha, Q)
+    body = _jsonable(norms)
+    if args.kappa is not None:
+        body["counter_bound_value"] = counter_discount_bound(norms, x0, args.kappa)
     report = {
         "command": "norm",
         "manifest": _jsonable(
@@ -380,7 +384,23 @@ def cmd_norm(args):
     return 0
 
 
+def _against_closed_form(estimate, closed_form):
+    """The estimate's report block, with the closed form and z-score when one exists."""
+    block = _jsonable(estimate)
+    try:
+        closed = None if closed_form is None else closed_form()
+    except NotStableError:
+        closed = None
+    if closed is not None:
+        se = estimate.std_error
+        block["closed_form"] = closed
+        block["z_score"] = (estimate.value - closed) / se if se > 0 else None
+    return block
+
+
 def cmd_simulate(args):
+    if args.dump and not args.output_dir:
+        raise ValueError("--dump requires --output-dir")
     model = load_model(args.model)
     Q = _load_weight(args.Q, model.n) if args.Q else None
     Qm = energy_weight(model, Q)
@@ -398,32 +418,12 @@ def cmd_simulate(args):
     abort_fraction = len(ensemble.aborted) / cfg.n_paths
 
     abel = estimate_abel_energy(ensemble, Qm, args.alpha)
-    abel_block = _jsonable(abel)
-    if args.alpha < 1.0 and not np.any(x0):
-        try:
-            closed = float(args.alpha / (1.0 - args.alpha)) * op_varpi(
-                model, solve_lyapunov(model, args.alpha, Qm).L.entries
-            )
-            abel_block["closed_form"] = closed
-            abel_block["z_score"] = (
-                (abel.value - closed) / abel.std_error if abel.std_error > 0 else None
-            )
-        except NotStableError:
-            pass
-    estimates = {"abel": abel_block}
-
+    zero_start = args.alpha < 1.0 and not np.any(x0)
+    estimates = {"abel": _against_closed_form(
+        abel, (lambda: h2_discounted_norm(model, args.alpha, Qm)) if zero_start else None)}
     if args.alpha == 1.0:
-        ces = estimate_cesaro_power(ensemble, Qm)
-        ces_block = _jsonable(ces)
-        try:
-            closed = power_norm(model, Qm)
-            ces_block["closed_form"] = closed
-            ces_block["z_score"] = (
-                (ces.value - closed) / ces.std_error if ces.std_error > 0 else None
-            )
-        except NotStableError:
-            pass
-        estimates["cesaro"] = ces_block
+        estimates["cesaro"] = _against_closed_form(
+            estimate_cesaro_power(ensemble, Qm), lambda: power_norm(model, Qm))
 
     report = {
         "command": "simulate",
@@ -457,8 +457,6 @@ def cmd_simulate(args):
         report["decay"] = _jsonable(rows)
         tables["decay.csv"] = (DECAY_COLUMNS, report["decay"])
 
-    if args.dump and not args.output_dir:
-        raise ValueError("--dump requires --output-dir")
     _emit(report, args, tables=tables, ensemble=ensemble if args.dump else None)
     if abort_fraction > ABORT_FRACTION_LIMIT:
         print(

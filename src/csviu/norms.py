@@ -8,6 +8,9 @@ All quantities here come from L, the solution of (I - L_alpha)(U) = Q:
   counter-discount bound (alpha >= 1):  c0 ||x0 - xi||^2 + kappa c1 alpha^kappa
   geometric decay bound:  2 alpha^{-k} (||x0||_L^2 + <v_bar, |x0|>)
 
+norm_report solves for L once per (model, alpha, Q); every other
+function here reads the NormReport it returns.
+
 These formulas are exact for the second-moment recursion they are
 derived from; see csviu.sim for the Monte Carlo oracle that measures how
 well that recursion tracks the actual nonlinear dynamics (exactly, when
@@ -23,7 +26,7 @@ import numpy as np
 from .errors import DomainError, NotStableError, SingularOperatorError
 from .model import SymMatrix, as_weight, energy_weight
 from .ops import op_W_d, op_varpi, spectral_radius
-from .solver import backward_recursion, critical_alpha, max_abs, radius_below_one, solve_lyapunov
+from .solver import critical_alpha, max_abs, radius_below_one, solve_lyapunov
 
 __all__ = [
     "NormReport",
@@ -31,6 +34,7 @@ __all__ = [
     "h2_discounted_norm",
     "power_norm",
     "v_bar_bound",
+    "check_counter_domain",
     "counter_discount_bound",
     "decay_bound",
     "vanishing_discount_sweep",
@@ -72,6 +76,18 @@ def _solve(model, alpha, Q):
     return solve_lyapunov(model, alpha, energy_weight(model, Q), method="direct")
 
 
+def _require_alpha_A_stable(report, quantity):
+    """Raise NotStableError unless r_sigma(alpha A) < 1 at the report's alpha.
+
+    Every alpha >= 1 quantity needs it; norm_report keeps c0 and c1 there
+    exactly when it holds.  Below one a solvable L_alpha implies it
+    (alpha r_sigma(A)^2 <= r_sigma(L_alpha) < 1).
+    """
+    if report.alpha >= 1.0 and report.counter_bound is None:
+        alpha = report.alpha
+        raise NotStableError(f"{quantity} requires r_sigma(alpha A) < 1 at alpha = {alpha:.6g}")
+
+
 def h2_discounted_norm(model, alpha, Q=None):
     """Discounted mean energy alpha/(1-alpha) * varpi(L) for x0 = 0.
 
@@ -92,8 +108,7 @@ def h2_discounted_norm(model, alpha, Q=None):
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError("h2_discounted_norm requires 0 < alpha < 1")
-    solution = _solve(model, alpha, Q)
-    return alpha / (1.0 - alpha) * op_varpi(model, solution.L.entries)
+    return norm_report(model, alpha, Q).h2_discounted
 
 
 def power_norm(model, Q=None):
@@ -101,14 +116,9 @@ def power_norm(model, Q=None):
 
     Requires r_sigma(A) < 1 in addition to d-stability of L_1.
     """
-    r_A = spectral_radius(model.A)
-    if not radius_below_one(r_A):
-        raise NotStableError(
-            f"power norm requires r_sigma(A) < 1, got {r_A:.6g}",
-            spectral_radius=r_A,
-        )
-    solution = _solve(model, 1.0, Q)
-    return op_varpi(model, solution.L.entries)
+    report = norm_report(model, 1.0, Q)
+    _require_alpha_A_stable(report, "power norm")
+    return report.power_norm
 
 
 def v_bar_bound(model, alpha, L):
@@ -145,77 +155,83 @@ def v_bar_bound(model, alpha, L):
     return VBarBound(primary=primary, conservative=conservative)
 
 
-def _bound_center(model, alpha, Lm):
-    """xi = -1/2 L^{-1} v_bar, the computable center of the energy bound."""
-    vb = v_bar_bound(model, alpha, Lm).primary
-    try:
-        return -0.5 * np.linalg.solve(Lm, vb)
-    except np.linalg.LinAlgError:
-        raise SingularOperatorError(
-            "L is singular; the bound center -1/2 L^{-1} v_bar is undefined"
-        ) from None
+def check_counter_domain(alpha, kappa):
+    """DomainError unless alpha >= 1 and kappa >= 0; needs no solve."""
+    if alpha < 1.0:
+        raise DomainError("counter_discount_bound requires alpha >= 1")
+    if kappa < 0:
+        raise DomainError(f"counter_discount_bound requires kappa >= 0, got {kappa}")
 
 
-def counter_discount_bound(model, alpha, Q, x0, kappa):
+def counter_discount_bound(report, x0, kappa):
     """Growth bound c0 ||x0 - xi||^2 + kappa c1 alpha^kappa for alpha >= 1.
 
+    Reads alpha, L, v_bar and (c0, c1) from ``report``, a NormReport:
     c0 = lambda_max(L); c1 = alpha varpi(L)/(alpha - 1) for alpha > 1 and
     c1 = varpi(L) at alpha = 1; xi = -1/2 L^{-1} v_bar.
 
     Raises
     ------
     DomainError
-        If alpha < 1 or the horizon kappa is negative.
+        If alpha < 1, kappa < 0, or the bound overflows a double.
     NotStableError
-        If the equation is unsolvable at alpha or r_sigma(alpha A) >= 1.
+        If r_sigma(alpha A) >= 1.
     """
-    if alpha < 1.0:
-        raise DomainError("counter_discount_bound requires alpha >= 1")
-    if kappa < 0:
-        raise DomainError(f"counter_discount_bound requires kappa >= 0, got {kappa}")
-    r_A = spectral_radius(model.A)
-    if not radius_below_one(alpha * r_A):
-        raise NotStableError(
-            f"counter-discount bound requires r_sigma(alpha A) < 1, "
-            f"got {alpha * r_A:.6g}",
-            spectral_radius=alpha * r_A,
-        )
-    solution = _solve(model, alpha, Q)
-    Lm = solution.L.entries
-    varpi_L = op_varpi(model, Lm)
-    c0 = float(np.linalg.eigvalsh(Lm)[-1])
-    c1 = alpha * varpi_L / (alpha - 1.0) if alpha > 1.0 else varpi_L
-    xi = _bound_center(model, alpha, Lm)
+    alpha = report.alpha
+    check_counter_domain(alpha, kappa)
+    _require_alpha_A_stable(report, "counter-discount bound")
+    Lm = report.L.entries
+    try:
+        xi = -0.5 * np.linalg.solve(Lm, report.v_bar)
+    except np.linalg.LinAlgError:
+        raise SingularOperatorError(
+            "L is singular; the bound center -1/2 L^{-1} v_bar is undefined"
+        ) from None
+    c0, c1 = report.counter_bound["c0"], report.counter_bound["c1"]
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    return c0 * float(np.sum((x0 - xi) ** 2)) + kappa * c1 * alpha**kappa
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = c0 * float(np.sum((x0 - xi) ** 2)) + kappa * c1 * alpha**kappa
+    except OverflowError:
+        value = float("inf")
+    if not np.isfinite(value):
+        raise DomainError("the counter-discount bound is not a finite double; "
+                          "lower --kappa or --x0")
+    return value
 
 
-def decay_bound(model, alpha, Q, x0, k):
+def _decay_envelope(report, x0, k):
+    """decay_bound without its guard."""
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    quad = float(x0 @ report.L.entries @ x0) + float(report.v_bar @ np.abs(x0))
+    return 2.0 * report.alpha ** (-k) * quad
+
+
+def decay_bound(report, x0, k):
     """Geometric envelope 2 alpha^{-k} (||x0||_L^2 + <v_bar, |x0|>).
 
-    Bounds |E||x_k||_Q^2 - alpha varpi(L)| in the second-moment
-    recursion for every k > 0, provided 0 < alpha < alpha_bar.
+    Reads alpha, L and v_bar from ``report``, a NormReport.  Bounds
+    |E||x_k||_Q^2 - alpha varpi(L)| in the second-moment recursion for
+    every k > 0, provided 0 < alpha < alpha_bar.
     """
-    if alpha <= 0:
+    if report.alpha <= 0:
         raise DomainError("decay_bound requires alpha > 0")
-    r_A = spectral_radius(model.A)
-    if not radius_below_one(alpha * r_A):
-        raise NotStableError(
-            f"decay bound requires alpha < alpha_bar; r_sigma(alpha A) = "
-            f"{alpha * r_A:.6g}",
-            spectral_radius=alpha * r_A,
-        )
-    solution = _solve(model, alpha, Q)
-    Lm = solution.L.entries
-    vb = v_bar_bound(model, alpha, Lm).primary
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    return 2.0 * alpha ** (-k) * (float(x0 @ Lm @ x0) + float(vb @ np.abs(x0)))
+    _require_alpha_A_stable(report, "decay bound")
+    return _decay_envelope(report, x0, k)
 
 
 def default_sweep_grid(model):
     """The default alpha grid: {0.5, 0.9, 0.99, 0.999, 1.0, min(1.05, (1+alpha_bar)/2)}."""
     alpha_bar = critical_alpha(model)
     return [0.5, 0.9, 0.99, 0.999, 1.0, min(1.05, (1.0 + alpha_bar) / 2.0)]
+
+
+def _solve_or_radius(model, alpha, Q):
+    """(solution, None) at a solvable alpha, else (None, r_sigma(L_alpha))."""
+    try:
+        return _solve(model, alpha, Q), None
+    except NotStableError as exc:
+        return None, exc.spectral_radius
 
 
 def vanishing_discount_sweep(model, Q=None, alphas=None):
@@ -225,7 +241,8 @@ def vanishing_discount_sweep(model, Q=None, alphas=None):
     alpha/(1-alpha) varpi(L_alpha) when alpha < 1, the closed-form Abel
     gap (1-alpha)*[Abel sum] - varpi(L_1) = alpha varpi(L_alpha) -
     varpi(L_1), and the distance ||L_alpha - L_1||_inf.  Unsolvable
-    entries are marked not_stable rather than aborting the sweep.
+    entries are marked not_stable rather than aborting the sweep.  Grid
+    points at alpha = 1 reuse the solve that gives L_1.
 
     Returns
     -------
@@ -235,51 +252,35 @@ def vanishing_discount_sweep(model, Q=None, alphas=None):
     """
     if alphas is None:
         alphas = default_sweep_grid(model)
-    varpi_L1 = None
-    L1 = None
-    try:
-        sol1 = _solve(model, 1.0, Q)
-        L1 = sol1.L.entries
-        varpi_L1 = op_varpi(model, L1)
-    except NotStableError:
-        pass
+    at_one = _solve_or_radius(model, 1.0, Q)
+    L1 = None if at_one[0] is None else at_one[0].L.entries
+    varpi_L1 = None if L1 is None else op_varpi(model, L1)
 
     rows = []
     for alpha in alphas:
-        row = {
-            "alpha": float(alpha),
-            "status": "ok",
-            "varpi_L": None,
-            "h2_discounted": None,
-            "abel_gap": None,
-            "dist_to_L1": None,
-            "spectral_radius": None,
-        }
-        try:
-            solution = _solve(model, alpha, Q)
-        except NotStableError as exc:
-            row["status"] = "not_stable"
-            row["spectral_radius"] = exc.spectral_radius
-            rows.append(row)
-            continue
-        Lm = solution.L.entries
-        row["spectral_radius"] = solution.spectral_radius
-        row["varpi_L"] = op_varpi(model, Lm)
-        if alpha < 1.0:
-            row["h2_discounted"] = alpha / (1.0 - alpha) * row["varpi_L"]
-        if varpi_L1 is not None:
-            row["abel_gap"] = alpha * row["varpi_L"] - varpi_L1
-            row["dist_to_L1"] = max_abs(Lm - L1)
+        solution, radius = at_one if alpha == 1.0 else _solve_or_radius(model, alpha, Q)
+        row = {"alpha": float(alpha), "status": "not_stable", "spectral_radius": radius,
+               **dict.fromkeys(("varpi_L", "h2_discounted", "abel_gap", "dist_to_L1"))}
+        if solution is not None:
+            Lm = solution.L.entries
+            row.update(status="ok", spectral_radius=solution.spectral_radius,
+                       varpi_L=op_varpi(model, Lm))
+            if alpha < 1.0:
+                row["h2_discounted"] = alpha / (1.0 - alpha) * row["varpi_L"]
+            if varpi_L1 is not None:
+                row["abel_gap"] = alpha * row["varpi_L"] - varpi_L1
+                row["dist_to_L1"] = max_abs(Lm - L1)
         rows.append(row)
     return rows
 
 
 def norm_report(model, alpha, Q=None):
-    """Assemble every closed-form quantity available at one alpha.
+    """Solve (I - L_alpha)(U) = Q once and derive every closed form at alpha.
 
     The counter-discount record (c0, c1) is included for alpha >= 1 when
     r_sigma(alpha A) < 1; the discounted energy and offset g0 for
-    alpha < 1; the power norm only at alpha = 1.
+    alpha < 1; the power norm only at alpha = 1 (and r_sigma(A) < 1).
+    Raises NotStableError if the equation has no PSD solution at alpha.
 
     Parameters
     ----------

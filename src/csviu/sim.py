@@ -23,9 +23,9 @@ import numpy as np
 
 from .errors import DimensionError
 from .model import as_weight, energy_weight
-from .norms import v_bar_bound
+from .norms import _decay_envelope, norm_report
 from .ops import op_varpi, op_W_d
-from .solver import backward_recursion, solve_lyapunov
+from .solver import backward_recursion
 
 __all__ = [
     "SimConfig",
@@ -387,23 +387,24 @@ def per_stage_energy(ensemble, Q):
     Qm = as_weight(Q, ensemble.model.n)
     kappa = ensemble.horizon
     total = np.zeros(kappa + 1)
+    sq_dev = np.zeros(kappa + 1)
     n = 0
     for q in _quad_per_stage(ensemble.X, Qm, ensemble.ok):
-        total += q.sum(axis=0)
-        n += q.shape[0]
+        m = q.shape[0]
+        chunk_total = q.sum(axis=0)
+        # Deviations from each chunk's own mean avoid the cancellation (and
+        # inf - inf) of the textbook sum-of-squares shortcut; chunks merge by
+        # the pairwise update of Chan, Golub & LeVeque (1979).
+        sq_dev += ((q - chunk_total / m) ** 2).sum(axis=0)
+        if n:
+            sq_dev += (chunk_total / m - total / n) ** 2 * (n * m / (n + m))
+        total += chunk_total
+        n += m
     if n == 0:
         nan = np.full(kappa + 1, np.nan)
         return nan, nan
     means = total / n
-    if n > 1:
-        # Two-pass deviations: immune to the cancellation (and inf - inf)
-        # that the textbook sum-of-squares shortcut hits at scale.
-        sq_dev = np.zeros(kappa + 1)
-        for q in _quad_per_stage(ensemble.X, Qm, ensemble.ok):
-            sq_dev += ((q - means) ** 2).sum(axis=0)
-        ses = np.sqrt(sq_dev / (n - 1) / n)
-    else:
-        ses = np.zeros(kappa + 1)
+    ses = np.sqrt(sq_dev / (n - 1) / n) if n > 1 else np.zeros(kappa + 1)
     return means, ses
 
 
@@ -441,7 +442,7 @@ def validate_representation(ensemble, alpha, Q, Phi=None, theta=None, gamma=0.0)
     rec = backward_recursion(model, alpha, Qm, kappa, Phim, gamma)
     P = [Pk.entries for Pk in rec.P_seq]
 
-    okX = ensemble.X[ensemble.ok]
+    okX = ensemble.X if ensemble.ok.all() else ensemble.X[ensemble.ok]
     n_ok = okX.shape[0]
     if n_ok == 0:
         raise ValueError("all paths aborted; representation check impossible")
@@ -551,8 +552,9 @@ def check_decay(ensemble, alpha, Q=None):
 
     Each row carries the stage index, the MC mean and standard error,
     the bound 2 alpha^{-k} (||x0||_L^2 + <v_bar, |x0|>) around the level
-    alpha varpi(L), and whether the mean exceeds level + bound by more
-    than 3 standard errors.
+    alpha varpi(L), both read from norm_report, and whether the mean
+    exceeds level + bound by more than 3 standard errors.  Unlike
+    decay_bound it also tabulates an alpha with r_sigma(alpha A) >= 1.
 
     Returns
     -------
@@ -560,16 +562,13 @@ def check_decay(ensemble, alpha, Q=None):
     """
     model, cfg = ensemble.model, ensemble.cfg
     Qm = energy_weight(model, Q)
-    solution = solve_lyapunov(model, alpha, Qm, method="direct")
-    Lm = solution.L.entries
-    level = alpha * op_varpi(model, Lm)
-    vb = v_bar_bound(model, alpha, Lm).primary
-    base = float(cfg.x0 @ Lm @ cfg.x0) + float(vb @ np.abs(cfg.x0))
+    report = norm_report(model, alpha, Qm)
+    level = alpha * report.varpi_L
 
     means, ses = per_stage_energy(ensemble, Qm)
     rows = []
     for k in range(cfg.horizon + 1):
-        bound = 2.0 * float(alpha) ** (-k) * base
+        bound = _decay_envelope(report, cfg.x0, k)
         violated = bool(means[k] > level + bound + 3.0 * ses[k])
         rows.append(
             {

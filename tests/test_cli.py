@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from referencing import Registry, Resource
 
-from csviu import cli
+from csviu import cli, norms
 
 SCALAR_DOC = {
     "n": 1, "r": 1, "p": 1,
@@ -144,6 +144,16 @@ class TestExitCodes:
             (["norm", models["scalar"], "--alpha", "1.2", "--x0", "1.0"], "requires --kappa"),
             (["simulate", models["scalar"], "--paths", "1000000000", "--horizon",
               "1000000", "--seed", "3", "--alpha", "0.9"], "--paths"),
+            (["norm", models["scalar"], "--alpha", "1.2", "--kappa", "40",
+              "--x0", "nan"], "x0 entries must be finite"),
+            (["norm", models["scalar"], "--alpha", "1.2", "--kappa", "40",
+              "--x0", "inf"], "x0 entries must be finite"),
+            (["norm", models["scalar"], "--alpha", "1.2", "--kappa", "40",
+              "--x0", "1e200"], "--x0"),
+            (["norm", models["scalar"], "--alpha", "1.2", "--kappa", "100000"],
+             "--kappa"),
+            (["norm", models["scalar"], "--alpha", "1.0", "--kappa", "1" + "0" * 400],
+             "--kappa"),
         ]
         for argv, message in cases:
             code, out, err = run(argv)
@@ -151,6 +161,19 @@ class TestExitCodes:
             assert out == ""
             assert err.startswith("error:")
             assert message in err, argv
+
+    def test_dump_without_output_dir_fails_before_simulating(self, run, models,
+                                                             monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("simulate_paths called")
+
+        monkeypatch.setattr(cli, "simulate_paths", forbidden)
+        code, out, err = run(["simulate", models["scalar"], "--paths", "10",
+                              "--horizon", "5", "--seed", "3", "--alpha", "0.9",
+                              "--dump"])
+        assert code == 2
+        assert out == ""
+        assert "--dump requires --output-dir" in err
 
     def test_counter_bound_past_alpha_bar_is_numerical_failure(self, run, models):
         # L_alpha is stable at 2.5 (2.5 * 0.34 < 1) but r_sigma(alpha A) = 1.25.
@@ -255,6 +278,34 @@ class TestNormReport:
         norms = json.loads(out)["norms"]
         assert norms["counter_bound"] is not None
         assert "counter_bound_value" not in norms
+
+
+class TestSolveCounts:
+    """Each command solves the Lyapunov equation once per distinct alpha."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        alphas = []
+        solve = norms.solve_lyapunov
+
+        def counting(model, alpha, Q, *args, **kwargs):
+            alphas.append(alpha)
+            return solve(model, alpha, Q, *args, **kwargs)
+
+        monkeypatch.setattr(norms, "solve_lyapunov", counting)
+        return alphas
+
+    def test_counter_bound_reads_the_one_report(self, run, models, solves):
+        code, _, _ = run(["norm", models["scalar"], "--alpha", "1.2", "--kappa", "40",
+                          "--x0", "1.0"])
+        assert code == 0
+        assert solves == [1.2]
+
+    def test_default_sweep_solves_each_alpha_once(self, run, models, solves):
+        code, out, _ = run(["sweep", models["scalar"]])
+        assert code == 0
+        grid = [row["alpha"] for row in json.loads(out)["sweep"]]
+        assert sorted(solves) == sorted(set(grid))
 
 
 class TestSweep:

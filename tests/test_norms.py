@@ -135,12 +135,12 @@ class TestCounterDiscountBound:
         vb = v_bar_bound(scalar_model, alpha, sol.L).primary[0]
         xi = -0.5 * vb / Lv
         expect = c0 * (1.0 - xi) ** 2 + kappa * c1 * alpha**kappa
-        got = counter_discount_bound(scalar_model, alpha, Q1, [1.0], kappa)
+        got = counter_discount_bound(norm_report(scalar_model, alpha, Q1), [1.0], kappa)
         assert np.isfinite(got) and got > 0
         assert got == pytest.approx(expect, rel=1e-12)
 
     def test_alpha_one_uses_varpi_slope(self, scalar_model):
-        got = counter_discount_bound(scalar_model, 1.0, Q1, [0.0], 7)
+        got = counter_discount_bound(norm_report(scalar_model, 1.0, Q1), [0.0], 7)
         sol = solve_lyapunov(scalar_model, 1.0, Q1)
         varpi_L = op_varpi(scalar_model, np.asarray(sol.L))
         # xi = 0 is impossible here (v_bar > 0), so reconstruct in full
@@ -151,16 +151,22 @@ class TestCounterDiscountBound:
 
     def test_near_zero_for_centered_noiseless_start(self, scalar_model):
         quiet = noiseless(scalar_model)
-        got = counter_discount_bound(quiet, 1.5, Q1, [0.0], 2)
+        got = counter_discount_bound(norm_report(quiet, 1.5, Q1), [0.0], 2)
         assert got == pytest.approx(0.0, abs=1e-12)
 
     def test_domain_error_below_one(self, scalar_model):
         with pytest.raises(DomainError):
-            counter_discount_bound(scalar_model, 0.9, Q1, [1.0], 10)
+            counter_discount_bound(norm_report(scalar_model, 0.9, Q1), [1.0], 10)
 
     def test_not_stable_past_alpha_bar(self, scalar_model):
         with pytest.raises(NotStableError):
-            counter_discount_bound(scalar_model, 2.5, Q1, [1.0], 10)
+            counter_discount_bound(norm_report(scalar_model, 2.5, Q1), [1.0], 10)
+
+    @pytest.mark.parametrize("x0, kappa", [([1e200], 40), ([1.0], 100_000),
+                                           ([np.nan], 40)])
+    def test_non_finite_bound_is_domain_error(self, scalar_model, x0, kappa):
+        with pytest.raises(DomainError, match="not a finite double"):
+            counter_discount_bound(norm_report(scalar_model, 1.2, Q1), x0, kappa)
 
 
 class TestDecayBound:
@@ -168,26 +174,32 @@ class TestDecayBound:
         sol = solve_lyapunov(scalar_model, 1.2, Q1)
         Lv = np.asarray(sol.L)[0, 0]
         vb = v_bar_bound(scalar_model, 1.2, sol.L).primary[0]
-        got = decay_bound(scalar_model, 1.2, Q1, [1.0], 0)
+        got = decay_bound(norm_report(scalar_model, 1.2, Q1), [1.0], 0)
         assert got == pytest.approx(2.0 * (Lv + vb), rel=1e-12)
 
     def test_zero_start_gives_zero(self, scalar_model):
         for k in (0, 3, 11):
-            assert decay_bound(scalar_model, 1.2, Q1, [0.0], k) == 0.0
+            assert decay_bound(norm_report(scalar_model, 1.2, Q1), [0.0], k) == 0.0
 
     def test_geometric_decay_in_k(self, scalar_model):
         alpha = 1.2
-        b0 = decay_bound(scalar_model, alpha, Q1, [1.0], 0)
+        report = norm_report(scalar_model, alpha, Q1)
+        b0 = decay_bound(report, [1.0], 0)
         for k in (1, 5, 12):
-            got = decay_bound(scalar_model, alpha, Q1, [1.0], k)
+            got = decay_bound(report, [1.0], k)
             assert got == pytest.approx(b0 * alpha**-k, rel=1e-12)
+
+    def test_not_stable_past_alpha_bar(self, scalar_model):
+        # L_alpha is solvable at 2.5, but r_sigma(alpha A) = 1.25
+        with pytest.raises(NotStableError, match="r_sigma\\(alpha A\\) < 1"):
+            decay_bound(norm_report(scalar_model, 2.5, Q1), [1.0], 3)
 
     def test_k0_dominates_initial_deviation(self, scalar_model):
         sol = solve_lyapunov(scalar_model, 1.2, Q1)
         level = 1.2 * op_varpi(scalar_model, np.asarray(sol.L))
         x0 = 1.0
         deviation = abs(x0**2 - level)  # E||x_0||_Q^2 is deterministic
-        assert decay_bound(scalar_model, 1.2, Q1, [x0], 0) >= deviation
+        assert decay_bound(norm_report(scalar_model, 1.2, Q1), [x0], 0) >= deviation
 
 
 class TestVanishingDiscountSweep:

@@ -19,6 +19,7 @@ from csviu import (
     decay_bound,
     estimate_abel_energy,
     estimate_cesaro_power,
+    norm_report,
     op_varpi,
     per_stage_energy,
     simulate_paths,
@@ -346,6 +347,22 @@ class TestEstimatorAccuracy:
         assert ses[1] > 0.0
         assert abs(means[1] - 0.05) <= 4 * ses[1]
 
+    @pytest.mark.parametrize("with_aborts", [False, True])
+    def test_chunked_std_errors_match_two_pass(self, scalar_model, with_aborts):
+        # more paths than one estimator chunk, so the chunk merge is exercised
+        cfg = SimConfig(n_paths=2 * sim.PATH_BLOCK + 900, horizon=6, seed=19,
+                        x0=[3.0])
+        ens = simulate_paths(scalar_model, cfg)
+        if with_aborts:
+            ens.ok[::7] = False
+            ens.X[~ens.ok, 3:] = np.nan
+        means, ses = per_stage_energy(ens, Q1)
+        q = ens.X[ens.ok, :, 0] ** 2
+        expect = q.std(axis=0, ddof=1) / np.sqrt(q.shape[0])
+        assert means == pytest.approx(q.mean(axis=0), rel=1e-12)
+        assert ses[1:] == pytest.approx(expect[1:], rel=1e-12)
+        assert ses[0] == 0.0
+
     def test_iid_unit_variance_long_run_average(self):
         model = scalar_variant(a=0.0, sx=0.0, sbar=0.0, sg=1.0)
         cfg = SimConfig(n_paths=20_000, horizon=20, seed=83, x0=[0.0])
@@ -560,8 +577,9 @@ class TestDecayCheck:
         L = solve_lyapunov(model, 1.2, Q1).L.entries
         level = 1.2 * op_varpi(model, L)
         assert rows[0]["level"] == pytest.approx(level, rel=1e-12)
+        report = norm_report(model, 1.2, Q1)
         for k in (0, 7, 50):
-            expected = decay_bound(model, 1.2, Q1, [1.0], k)
+            expected = decay_bound(report, [1.0], k)
             assert rows[k]["bound"] == pytest.approx(expected, rel=1e-12)
         assert rows[1]["bound"] * 1.2 == pytest.approx(rows[0]["bound"],
                                                        rel=1e-12)
