@@ -40,7 +40,6 @@ from .model import PSD_TOL, SymMatrix, as_weight, energy_weight, load_model
 from .norms import (
     check_counter_domain,
     counter_discount_bound,
-    h2_discounted_norm,
     norm_report,
     power_norm,
     vanishing_discount_sweep,
@@ -184,18 +183,16 @@ def _positive_alpha(text):
         raise argparse.ArgumentTypeError(f"invalid alpha {text!r}: {exc}") from None
 
 
-def _resolve_threads(args):
+def _check_threads(args):
+    """Validate CSVIU_THREADS (it wins when set) or --threads; no report depends on either."""
     env = os.environ.get("CSVIU_THREADS")
     if env is not None:
         try:
-            return max(1, int(env))
+            int(env)
         except ValueError:
             raise ValueError(f"CSVIU_THREADS must be an integer, got {env!r}") from None
-    if args.threads is not None:
-        if args.threads < 1:
-            raise ValueError("threads must be a positive integer")
-        return args.threads
-    return os.cpu_count() or 1
+    elif args.threads is not None and args.threads < 1:
+        raise ValueError("threads must be a positive integer")
 
 
 def _manifest(command, args, config):
@@ -384,13 +381,9 @@ def cmd_norm(args):
     return 0
 
 
-def _against_closed_form(estimate, closed_form):
+def _against_closed_form(estimate, closed):
     """The estimate's report block, with the closed form and z-score when one exists."""
     block = _jsonable(estimate)
-    try:
-        closed = None if closed_form is None else closed_form()
-    except NotStableError:
-        closed = None
     if closed is not None:
         se = estimate.std_error
         block["closed_form"] = closed
@@ -405,7 +398,7 @@ def cmd_simulate(args):
     Q = _load_weight(args.Q, model.n) if args.Q else None
     Qm = energy_weight(model, Q)
     x0 = _parse_vector(args.x0, model.n) if args.x0 else np.zeros(model.n)
-    threads = _resolve_threads(args)
+    _check_threads(args)
 
     cfg = SimConfig(
         n_paths=args.paths,
@@ -414,16 +407,26 @@ def cmd_simulate(args):
         noise_kind=args.noise,
         x0=x0,
     )
-    ensemble = simulate_paths(model, cfg, threads=threads)
+    ensemble = simulate_paths(model, cfg)
     abort_fraction = len(ensemble.aborted) / cfg.n_paths
 
-    abel = estimate_abel_energy(ensemble, Qm, args.alpha)
+    # One solve serves the closed forms and the decay check; only the check must have it.
     zero_start = args.alpha < 1.0 and not np.any(x0)
+    norms = None
+    if zero_start or args.alpha == 1.0 or args.check_decay:
+        try:
+            norms = norm_report(model, args.alpha, Qm)
+        except NotStableError:
+            if args.check_decay:
+                raise
+
+    abel_closed = norms.h2_discounted if norms is not None and zero_start else None
     estimates = {"abel": _against_closed_form(
-        abel, (lambda: h2_discounted_norm(model, args.alpha, Qm)) if zero_start else None)}
+        estimate_abel_energy(ensemble, Qm, args.alpha), abel_closed)}
     if args.alpha == 1.0:
         estimates["cesaro"] = _against_closed_form(
-            estimate_cesaro_power(ensemble, Qm), lambda: power_norm(model, Qm))
+            estimate_cesaro_power(ensemble, Qm),
+            norms.power_norm if norms is not None else None)
 
     report = {
         "command": "simulate",
@@ -453,7 +456,7 @@ def cmd_simulate(args):
             validate_representation(ensemble, args.alpha, Qm)
         )
     if args.check_decay:
-        rows = check_decay(ensemble, args.alpha, Qm)
+        rows = check_decay(ensemble, args.alpha, Qm, report=norms)
         report["decay"] = _jsonable(rows)
         tables["decay.csv"] = (DECAY_COLUMNS, report["decay"])
 
@@ -541,7 +544,8 @@ def build_parser():
         "--threads",
         type=int,
         default=None,
-        help="worker threads (default: all cores; CSVIU_THREADS overrides)",
+        help="accepted and validated only; reports never depend on it "
+        "(CSVIU_THREADS overrides)",
     )
     p_sim.add_argument(
         "--validate-representation",

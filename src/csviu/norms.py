@@ -204,7 +204,12 @@ def _decay_envelope(report, x0, k):
     """decay_bound without its guard."""
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     quad = float(x0 @ report.L.entries @ x0) + float(report.v_bar @ np.abs(x0))
-    return 2.0 * report.alpha ** (-k) * quad
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = 2.0 * np.float64(report.alpha) ** (-k) * quad
+    if not np.isfinite(value):
+        raise DomainError(f"the decay envelope 2 alpha^-k (||x0||_L^2 + <v_bar, |x0|>) is "
+                          f"not a finite double at k = {k}; lower --horizon or raise --alpha")
+    return float(value)
 
 
 def decay_bound(report, x0, k):
@@ -212,7 +217,8 @@ def decay_bound(report, x0, k):
 
     Reads alpha, L and v_bar from ``report``, a NormReport.  Bounds
     |E||x_k||_Q^2 - alpha varpi(L)| in the second-moment recursion for
-    every k > 0, provided 0 < alpha < alpha_bar.
+    every k > 0, provided 0 < alpha < alpha_bar.  Raises DomainError when
+    the envelope is not a finite double.
     """
     if report.alpha <= 0:
         raise DomainError("decay_bound requires alpha > 0")

@@ -6,17 +6,17 @@ per-stage decay check.
 
 Reproducibility contract: path j draws its noise from a Philox stream
 keyed by (master seed, j), consumed in a stage-block partition that
-depends only on the model dimensions and the horizon.  Path blocks have
-a fixed size, estimators reduce in fixed block order, and the thread
-pool only schedules path blocks — so results are bit-identical for any
-thread count, and path j's trajectory does not change when the ensemble
-grows.
+depends only on the model dimensions and the horizon.  Each path block
+re-keys one generator per path, which gives every path the stream of a
+fresh Philox(key=(seed, j)).  Path blocks have a fixed size and
+estimators reduce in fixed block order, so path j's trajectory does not
+change when the ensemble grows.  Blocks run serially: the CLI accepts
+and validates --threads, and no result depends on it.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,7 +44,8 @@ __all__ = [
     "check_decay",
 ]
 
-#: Paths per scheduling block; fixed so thread count never changes results.
+#: Paths per block (one generator, one noise buffer); fixed, so no result
+#: depends on the ensemble size or on --threads.
 PATH_BLOCK = 4096
 
 #: Noise-buffer budget per path block, in array elements.
@@ -150,8 +151,8 @@ class Ensemble:
 
     X has shape (n_paths, horizon+1, n); aborted paths hold NaN from
     their abort stage onward and are excluded from every estimator.
-    ``aborted`` lists (path index, stage) for each overflow, in path
-    order.
+    ``aborted`` lists (path index, stage) for each overflow, ordered by
+    path block, then stage, then path.
     """
 
     model: object
@@ -188,12 +189,14 @@ class Ensemble:
         return Y
 
 
-def _draw(gen, kind, shape):
+def _draw(gen, kind, out):
+    """Fill ``out`` with the next draws of ``gen`` in C order."""
     if kind == "gaussian":
-        return gen.standard_normal(shape)
-    if kind == "rademacher":
-        return gen.integers(0, 2, size=shape).astype(float) * 2.0 - 1.0
-    return gen.uniform(-_SQRT3, _SQRT3, size=shape)
+        gen.standard_normal(out=out)
+    elif kind == "rademacher":
+        out[...] = gen.integers(0, 2, size=out.shape).astype(float) * 2.0 - 1.0
+    else:
+        out[...] = gen.uniform(-_SQRT3, _SQRT3, size=out.shape)
 
 
 def _stage_block_size(horizon, width):
@@ -204,69 +207,74 @@ def _stage_block_size(horizon, width):
 
 def _simulate_block(model, cfg, X, ok, aborted, j0, j1):
     """Simulate paths j0..j1-1 into the preallocated slice X[j0:j1]."""
-    n, r, m = model.n, model.r, model.m
-    A, sx, sbx, sg = model.A, model.sigma_x, model.sigma_bar_x, model.sigma
-    B = model.B
+    n = model.n
+    A, B, sx, sbx, sg = model.A, model.B, model.sigma_x, model.sigma_bar_x, model.sigma
     policy = cfg.input_policy
     horizon = cfg.horizon
-    width = n + r
+    width = n + model.r
     bp = j1 - j0
 
-    gens = [
-        np.random.Generator(
-            np.random.Philox(key=np.array([cfg.seed, j], dtype=np.uint64))
-        )
-        for j in range(j0, j1)
-    ]
+    # One generator re-keyed per path: a fresh Philox(key=(seed, j)) has
+    # counter 0 and an empty output buffer, so path j's stream is unchanged.
+    bitgen = np.random.Philox(0)
+    gen = np.random.Generator(bitgen)
+    fresh = {"bit_generator": "Philox", "state": {"counter": [0] * 4, "key": [cfg.seed, 0]},
+             "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    key = fresh["state"]["key"]
+    saved = [None] * bp
+
     x = np.tile(cfg.x0, (bp, 1))
     X[j0:j1, 0, :] = x
     alive = np.ones(bp, dtype=bool)
-    block_aborts = []
+    all_alive = True
 
     sb = _stage_block_size(horizon, width)
-    buf = np.empty((sb, bp, width))
+    buf = np.empty((bp, sb, width))
     with np.errstate(over="ignore", invalid="ignore"):
         for k0 in range(0, horizon, sb):
             k1 = min(k0 + sb, horizon)
-            for i, gen in enumerate(gens):
-                buf[: k1 - k0, i, :] = _draw(gen, cfg.noise_kind, (k1 - k0, width))
+            for i in range(bp):
+                if k0:
+                    bitgen.state = saved[i]
+                else:
+                    key[1] = j0 + i
+                    bitgen.state = fresh
+                _draw(gen, cfg.noise_kind, buf[i, : k1 - k0])
+                if k1 < horizon:
+                    saved[i] = bitgen.state
             for k in range(k0, k1):
-                eps = buf[k - k0, :, :n]
-                om = buf[k - k0, :, n:]
+                eps = buf[:, k - k0, :n]
+                om = buf[:, k - k0, n:]
                 xn = x @ A.T
                 if B is not None:
                     ell = policy.inputs(k, x)
                     if ell is not None:
                         xn = xn + ell @ B.T
                 xn = xn + eps @ sx.T + (np.abs(x) * eps) @ sbx.T + om @ sg.T
-                bad = alive & ~(
-                    np.isfinite(xn).all(axis=1)
-                    & (np.abs(xn).max(axis=1) <= OVERFLOW_LIMIT)
-                )
-                if bad.any():
-                    for i in np.flatnonzero(bad):
-                        block_aborts.append((j0 + int(i), k + 1))
+                # NaN and inf both fail the comparison.
+                bad = ~(np.abs(xn) <= OVERFLOW_LIMIT).all(axis=1)
+                if not all_alive or bad.any():
+                    bad &= alive
+                    aborted.extend((j0 + int(i), k + 1) for i in np.flatnonzero(bad))
                     alive &= ~bad
-                xn[~alive] = np.nan
+                    all_alive = False
+                    xn[~alive] = np.nan
                 X[j0:j1, k + 1, :] = xn
-                x = np.where(alive[:, None], xn, 0.0)
+                x = xn if all_alive else np.where(alive[:, None], xn, 0.0)
     ok[j0:j1] = alive
-    aborted.extend(block_aborts)
 
 
-def simulate_paths(model, cfg, threads=None):
+def simulate_paths(model, cfg):
     """Sample an ensemble of CSVIU trajectories.
 
     x_{k+1} = A x_k + B l_k + (sigma_x + sigma_bar_x diag(|x_k|)) eps_k
     + sigma w_k per path.  Identical (model, cfg) gives bit-identical
-    ensembles for every thread count.
+    ensembles.
 
     Parameters
     ----------
     model : CsviuModel
     cfg : SimConfig
-    threads : int, optional
-        Worker threads over path blocks; None or 1 runs serially.
 
     Raises
     ------
@@ -281,9 +289,7 @@ def simulate_paths(model, cfg, threads=None):
         the trajectory is NaN from there on, and estimators exclude it.
     """
     if cfg.x0.shape != (model.n,):
-        raise DimensionError(
-            f"x0 must have length n={model.n}, got {cfg.x0.shape}"
-        )
+        raise DimensionError(f"x0 must have length n={model.n}, got {cfg.x0.shape}")
     if model.B is None and not isinstance(cfg.input_policy, ZeroInput):
         raise ValueError("input_policy requires a model with m > 0")
 
@@ -296,28 +302,8 @@ def simulate_paths(model, cfg, threads=None):
     X = np.empty((n_paths, horizon + 1, model.n))
     ok = np.ones(n_paths, dtype=bool)
     aborted = []
-
-    blocks = [
-        (j0, min(j0 + PATH_BLOCK, n_paths)) for j0 in range(0, n_paths, PATH_BLOCK)
-    ]
-    if threads is None or threads <= 1 or len(blocks) == 1:
-        for j0, j1 in blocks:
-            _simulate_block(model, cfg, X, ok, aborted, j0, j1)
-    else:
-        # Blocks write disjoint slices; per-block abort lists are merged
-        # in block order so the result is schedule-independent.
-        per_block = [[] for _ in blocks]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(
-                    _simulate_block, model, cfg, X, ok, per_block[b], j0, j1
-                )
-                for b, (j0, j1) in enumerate(blocks)
-            ]
-            for fut in futures:
-                fut.result()
-        for chunk in per_block:
-            aborted.extend(chunk)
+    for j0 in range(0, n_paths, PATH_BLOCK):
+        _simulate_block(model, cfg, X, ok, aborted, j0, min(j0 + PATH_BLOCK, n_paths))
     return Ensemble(model=model, cfg=cfg, X=X, ok=ok, aborted=aborted)
 
 
@@ -545,7 +531,7 @@ def compare_overtaking(ensemble_a, ensemble_b, alpha, epsilon):
     return {"overtakes": True, "crossing_kappa": last, "margin": margin.tolist()}
 
 
-def check_decay(ensemble, alpha, Q=None):
+def check_decay(ensemble, alpha, Q=None, report=None):
     """Per-stage comparison of E||x_k||_Q^2 against the geometric envelope.
 
     Evaluated on the paths of ``ensemble``, whose model and config it uses.
@@ -555,6 +541,9 @@ def check_decay(ensemble, alpha, Q=None):
     alpha varpi(L), both read from norm_report, and whether the mean
     exceeds level + bound by more than 3 standard errors.  Unlike
     decay_bound it also tabulates an alpha with r_sigma(alpha A) >= 1.
+    ``report``, when given, must be norm_report(model, alpha, Q); the
+    check then solves nothing.  An envelope that is not a finite double
+    raises DomainError.
 
     Returns
     -------
@@ -562,7 +551,8 @@ def check_decay(ensemble, alpha, Q=None):
     """
     model, cfg = ensemble.model, ensemble.cfg
     Qm = energy_weight(model, Q)
-    report = norm_report(model, alpha, Qm)
+    if report is None:
+        report = norm_report(model, alpha, Qm)
     level = alpha * report.varpi_L
 
     means, ses = per_stage_energy(ensemble, Qm)

@@ -2,6 +2,7 @@
 
 import json
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -9,6 +10,8 @@ import pytest
 from referencing import Registry, Resource
 
 from csviu import cli, norms
+
+N3_MODEL = str(Path(__file__).parent / "golden" / "models" / "n3.json")
 
 SCALAR_DOC = {
     "n": 1, "r": 1, "p": 1,
@@ -154,6 +157,8 @@ class TestExitCodes:
              "--kappa"),
             (["norm", models["scalar"], "--alpha", "1.0", "--kappa", "1" + "0" * 400],
              "--kappa"),
+            (["simulate", models["scalar"], "--paths", "10", "--horizon", "1100",
+              "--seed", "1", "--alpha", "0.5", "--check-decay"], "--horizon"),
         ]
         for argv, message in cases:
             code, out, err = run(argv)
@@ -300,6 +305,14 @@ class TestSolveCounts:
                           "--x0", "1.0"])
         assert code == 0
         assert solves == [1.2]
+
+    @pytest.mark.parametrize("alpha", [0.9, 1.0])
+    def test_simulate_shares_its_report_with_the_decay_check(self, run, solves, alpha):
+        code, out, _ = run(["simulate", N3_MODEL, "--paths", "500", "--horizon", "20",
+                            "--seed", "7", "--alpha", str(alpha), "--check-decay"])
+        assert code == 0
+        assert "closed_form" in json.loads(out)["estimates"]["abel" if alpha < 1 else "cesaro"]
+        assert solves == [alpha]
 
     def test_default_sweep_solves_each_alpha_once(self, run, models, solves):
         code, out, _ = run(["sweep", models["scalar"]])

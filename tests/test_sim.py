@@ -104,24 +104,82 @@ class TestSimConfig:
             simulate_paths(scalar_model, cfg)
 
 
-class TestReproducibility:
-    def test_bit_identical_across_thread_counts(self, scalar_model):
-        cfg = SimConfig(n_paths=10_000, horizon=40, seed=42, x0=[1.0])
-        runs = [simulate_paths(scalar_model, cfg, threads=t)
-                for t in (None, 2, 5)]
-        for other in runs[1:]:
-            assert np.array_equal(runs[0].X, other.X)
-            assert np.array_equal(runs[0].ok, other.ok)
-            assert runs[0].aborted == other.aborted
+def oracle_path(model, cfg, j):
+    """Path j of a scalar model by the plain recursion of the stream contract.
 
-    def test_abort_bookkeeping_is_thread_invariant(self):
+    Draws come from a fresh Generator(Philox(key=(seed, j))) in one call
+    (the partition into stage blocks does not change them), and the scalar
+    operations run in the simulator's order.  Returns the trajectory, NaN
+    from an abort on, and the abort stage or None.
+    """
+    a, sx = model.A[0, 0], model.sigma_x[0, 0]
+    sbar, sg = model.sigma_bar_x[0, 0], model.sigma[0, 0]
+    gen = np.random.Generator(
+        np.random.Philox(key=np.array([cfg.seed, j], dtype=np.uint64)))
+    shape = (cfg.horizon, 2)
+    if cfg.noise_kind == "gaussian":
+        draws = gen.standard_normal(shape)
+    elif cfg.noise_kind == "rademacher":
+        draws = gen.integers(0, 2, size=shape).astype(float) * 2.0 - 1.0
+    else:
+        draws = gen.uniform(-np.sqrt(3.0), np.sqrt(3.0), size=shape)
+    path = np.full(cfg.horizon + 1, np.nan)
+    x = path[0] = cfg.x0[0]
+    for k, (eps, om) in enumerate(draws):
+        x = x * a + eps * sx + (abs(x) * eps) * sbar + om * sg
+        if not abs(x) <= sim.OVERFLOW_LIMIT:
+            return path, k + 1
+        path[k + 1] = x
+    return path, None
+
+
+class TestReproducibility:
+    PATHS = (0, 1, sim.PATH_BLOCK - 1, sim.PATH_BLOCK, sim.PATH_BLOCK + 1)
+
+    @pytest.fixture
+    def split_stages(self, monkeypatch):
+        # Seven stages per block for n + r = 2, so every horizon below splits.
+        monkeypatch.setattr(sim, "STAGE_BLOCK_ELEMENTS", sim.PATH_BLOCK * 2 * 7)
+
+    @pytest.mark.parametrize("kind", ["gaussian", "rademacher", "uniform"])
+    def test_paths_follow_the_stream_contract(self, scalar_model, split_stages, kind):
+        cfg = SimConfig(n_paths=sim.PATH_BLOCK + 2, horizon=30, seed=2**64 - 5,
+                        noise_kind=kind, x0=[1.0])
+        assert sim._stage_block_size(cfg.horizon, 2) < cfg.horizon
+        ens = simulate_paths(scalar_model, cfg)
+        for j in self.PATHS:
+            path, stage = oracle_path(scalar_model, cfg, j)
+            assert stage is None
+            assert np.array_equal(ens.X[j, :, 0], path), j
+
+    def test_abort_bookkeeping_follows_the_stream_contract(self, split_stages):
         cfg = SimConfig(n_paths=9_000, horizon=120, seed=89, x0=[1.0])
-        runs = [simulate_paths(explosive_model(), cfg, threads=t)
-                for t in (None, 3, 7)]
-        assert 0 < runs[0].n_ok < 9_000
-        for other in runs[1:]:
-            assert np.array_equal(runs[0].X, other.X, equal_nan=True)
-            assert runs[0].aborted == other.aborted
+        ens = simulate_paths(explosive_model(), cfg)
+        assert 0 < ens.n_ok < 9_000
+        stages = dict(ens.aborted)
+        for j in self.PATHS:
+            path, stage = oracle_path(explosive_model(), cfg, j)
+            assert np.array_equal(ens.X[j, :, 0], path, equal_nan=True), j
+            assert stages.get(j) == stage
+            assert ens.ok[j] == (stage is None)
+        assert any(j in stages for j in self.PATHS)
+        again = simulate_paths(explosive_model(), cfg)
+        assert np.array_equal(ens.X, again.X, equal_nan=True)
+        assert np.array_equal(ens.ok, again.ok)
+        assert ens.aborted == again.aborted
+
+    def test_one_generator_per_path_block(self, scalar_model, monkeypatch):
+        built = []
+        philox = np.random.Philox
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return philox(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counting)
+        simulate_paths(scalar_model, SimConfig(n_paths=2 * sim.PATH_BLOCK + 5,
+                                               horizon=3, seed=1))
+        assert len(built) == 3
 
     def test_identical_configs_give_identical_ensembles(self, scalar_model):
         cfg = SimConfig(n_paths=500, horizon=25, seed=3, x0=[1.0])
