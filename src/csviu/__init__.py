@@ -24,7 +24,6 @@ from .model import (
     validate,
 )
 from .ops import (
-    OperatorRep,
     op_L_alpha,
     op_varpi,
     op_W,
@@ -96,7 +95,6 @@ __all__ = [
     "load_model",
     "validate",
     # ops
-    "OperatorRep",
     "op_Z",
     "op_W",
     "op_W_d",

@@ -204,6 +204,8 @@ def _decay_envelope(report, x0, k):
     """decay_bound without its guard."""
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     quad = float(x0 @ report.L.entries @ x0) + float(report.v_bar @ np.abs(x0))
+    if quad == 0.0:
+        return 0.0  # from x0 = 0 the envelope is 0 at every k, where alpha^-k may overflow
     with np.errstate(over="ignore", invalid="ignore"):
         value = 2.0 * np.float64(report.alpha) ** (-k) * quad
     if not np.isfinite(value):

@@ -17,15 +17,12 @@ are basis-independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConvergenceError, DimensionError
 from .model import SymMatrix
 
 __all__ = [
-    "OperatorRep",
     "op_Z",
     "op_W",
     "op_W_d",
@@ -69,27 +66,6 @@ def smat(v, n):
     U = np.zeros(v.shape[:-1] + (n, n))
     U[..., rows, cols] = U[..., cols, rows] = np.where(rows == cols, v, v / _SQRT2)
     return U
-
-
-@dataclass(frozen=True)
-class OperatorRep:
-    """Matrix representation of a linear operator on symmetric matrices.
-
-    ``M @ svec(U)`` equals ``svec(op(U))`` for every symmetric U.
-    """
-
-    n: int
-    dim: int
-    M: np.ndarray
-
-    def __post_init__(self):
-        M = np.asarray(self.M, dtype=float)
-        if self.dim != sym_dim(self.n):
-            raise DimensionError(f"dim must be n(n+1)/2 = {sym_dim(self.n)}")
-        if M.shape != (self.dim, self.dim):
-            raise DimensionError(f"M must be {self.dim}x{self.dim}, got {M.shape}")
-        M.setflags(write=False)
-        object.__setattr__(self, "M", M)
 
 
 def _as_square(U, n, what="U"):
@@ -147,66 +123,65 @@ def op_L_alpha(model, alpha, U):
 def operator_matrix(model, alpha, which):
     """Matrix representation of a model operator in the svec basis.
 
-    Column j of M is the svec of the image of basis matrix j; all dim
-    images are computed at once on a (dim, n, n) stack, and L_alpha's
-    are symmetrized as (X + X^T)/2, as :func:`op_L_alpha` does.
+    The returned M satisfies ``M @ svec(U) == svec(op(U))`` for every
+    symmetric U.  Column j of M is the svec of the image of basis matrix
+    j; all dim images are computed at once on a (dim, n, n) stack, and
+    L_alpha's are symmetrized as (X + X^T)/2, as :func:`op_L_alpha` does.
 
     Parameters
     ----------
     model : CsviuModel
     alpha : float
-        Used only for ``which="L_alpha"``; the conjugation A_conj
-        (U -> A^T U A) and Z are alpha-free.
-    which : {"L_alpha", "A_conj", "Z"}
+        Used only for ``which="L_alpha"``; Z is alpha-free.
+    which : {"L_alpha", "Z"}
 
     Returns
     -------
-    OperatorRep
+    numpy.ndarray
+        The read-only (dim, dim) matrix M, dim = n(n+1)/2.
     """
-    if which not in ("L_alpha", "A_conj", "Z"):
+    if which not in ("L_alpha", "Z"):
         raise ValueError(f"unknown operator {which!r}")
     if which == "L_alpha" and alpha < 0:
         raise ValueError("alpha must be nonnegative")
     n = model.n
-    dim = sym_dim(n)
     A, sbx = model.A, model.sigma_bar_x
-    basis = smat(np.eye(dim), n)  # the orthonormal basis, one matrix per svec entry
-    if which == "A_conj":
-        images = A.T @ basis @ A
-    else:
-        d = np.arange(n)
-        images = np.zeros_like(basis)
-        images[:, d, d] = (sbx.T @ basis @ sbx)[:, d, d]
-        if which == "L_alpha":
-            X = alpha * (A.T @ basis @ A + images)
-            images = (X + X.transpose(0, 2, 1)) / 2.0
-    return OperatorRep(n=n, dim=dim, M=np.ascontiguousarray(svec(images).T))
+    basis = smat(np.eye(sym_dim(n)), n)  # the orthonormal basis, one matrix per svec entry
+    d = np.arange(n)
+    images = np.zeros_like(basis)
+    images[:, d, d] = (sbx.T @ basis @ sbx)[:, d, d]
+    if which == "L_alpha":
+        X = alpha * (A.T @ basis @ A + images)
+        images = (X + X.transpose(0, 2, 1)) / 2.0
+    M = np.ascontiguousarray(svec(images).T)
+    M.setflags(write=False)
+    return M
 
 
 def unit_operator(model):
-    """(rep, radius): L_1 in the svec basis and r_sigma(L_1), built once per model.
+    """(M_1, radius): L_1 in the svec basis and r_sigma(L_1), built once per model.
 
     L_alpha = alpha L_1 as operators, so every alpha shares this one
-    representation: L_alpha's matrix is alpha * M_1 and r_sigma(L_alpha)
+    matrix: L_alpha's matrix is alpha * M_1 and r_sigma(L_alpha)
     = alpha * r_sigma(L_1).  The pair is kept on the model object, whose
     arrays are read-only, so later calls with the same model reuse it.
     """
     unit = vars(model).get("_unit_operator")
     if unit is None:
-        rep = operator_matrix(model, 1.0, "L_alpha")
-        unit = (rep, spectral_radius(rep))
+        M1 = operator_matrix(model, 1.0, "L_alpha")
+        unit = (M1, spectral_radius(M1))
         object.__setattr__(model, "_unit_operator", unit)
     return unit
 
 
-def spectral_radius(rep):
-    """Spectral radius max|eigenvalue| of an OperatorRep or square matrix.
+def spectral_radius(M):
+    """Spectral radius max|eigenvalue| of a square matrix.
 
     Computed from a full eigendecomposition.  At n = 20 (dim 210) this
     dense eigensolve dominates an analysis, so every L_alpha radius comes
     from the one L_1 eigensolve of :func:`unit_operator`.
     """
-    M = rep.M if isinstance(rep, OperatorRep) else np.asarray(rep, dtype=float)
+    M = np.asarray(M, dtype=float)
     if M.size == 0:
         return 0.0
     try:

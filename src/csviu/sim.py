@@ -279,7 +279,8 @@ def simulate_paths(model, cfg):
     Raises
     ------
     ValueError
-        If the ensemble would not fit in physical memory (nothing is allocated).
+        If the ensemble and its noise buffer would not fit in physical
+        memory (nothing is allocated).
 
     Returns
     -------
@@ -294,11 +295,15 @@ def simulate_paths(model, cfg):
         raise ValueError("input_policy requires a model with m > 0")
 
     n_paths, horizon = cfg.n_paths, cfg.horizon
-    need = n_paths * (horizon + 1) * model.n * 8
+    width = model.n + model.r
+    # The ensemble X plus one path block's noise buffer.
+    need = 8 * (n_paths * (horizon + 1) * model.n
+                + min(n_paths, PATH_BLOCK) * _stage_block_size(horizon, width) * width)
     physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > physical:
-        raise ValueError(f"the ensemble needs {need / 1e9:.3g} GB, more than the "
-                         f"{physical / 1e9:.3g} GB of memory; lower --paths or --horizon")
+        raise ValueError(f"the ensemble and its noise buffer need {need / 1e9:.3g} GB, "
+                         f"more than the {physical / 1e9:.3g} GB of memory; "
+                         "lower --paths or --horizon")
     X = np.empty((n_paths, horizon + 1, model.n))
     ok = np.ones(n_paths, dtype=bool)
     aborted = []
@@ -394,15 +399,15 @@ def per_stage_energy(ensemble, Q):
     return means, ses
 
 
-def validate_representation(ensemble, alpha, Q, Phi=None, theta=None, gamma=0.0):
+def validate_representation(ensemble, alpha, Q, Phi=None, gamma=0.0):
     """Monte Carlo check of the backward-recursion energy representation.
 
     Evaluated on the paths of ``ensemble``, whose model and config it uses.
 
     lhs is the MC estimate of E[sum_{k<kappa} alpha^k ||x_k||_Q^2]; rhs is
     ||x0||_{P_0}^2 + <E[v_0], x0> + E[g_0] - alpha^kappa E[||x_kappa||_Phi^2
-    + <theta, |x_kappa|> + gamma], with v_0 and the input-dependent part of
-    g_0 evaluated per path along the sampled sign sequence.
+    + gamma], with v_0 and the input-dependent part of g_0 evaluated per
+    path along the sampled sign sequence.
 
     The representation's derivation treats the sign sequence as
     uncorrelated with same-stage noise.  That cross term is generally
@@ -423,7 +428,6 @@ def validate_representation(ensemble, alpha, Q, Phi=None, theta=None, gamma=0.0)
     kappa = cfg.horizon
     Qm = as_weight(Q, n)
     Phim = np.zeros((n, n)) if Phi is None else as_weight(Phi, n)
-    theta_v = np.zeros(n) if theta is None else np.atleast_1d(np.asarray(theta, float))
 
     rec = backward_recursion(model, alpha, Qm, kappa, Phim, gamma)
     P = [Pk.entries for Pk in rec.P_seq]
@@ -440,7 +444,7 @@ def validate_representation(ensemble, alpha, Q, Phi=None, theta=None, gamma=0.0)
 
     A, B = model.A, model.B
     policy = cfg.input_policy
-    v = np.sign(okX[:, kappa, :]) * theta_v
+    v = np.zeros((n_ok, n))
     g = np.full(n_ok, float(gamma))
     corr = np.zeros(n_ok)
     for k in range(kappa - 1, -1, -1):
@@ -469,11 +473,7 @@ def validate_representation(ensemble, alpha, Q, Phi=None, theta=None, gamma=0.0)
             corr += w[k] * alpha * (v * noise).sum(axis=1)
             v = alpha * (v @ A + wd * s_k)
 
-    terminal = (
-        np.einsum("pi,ij,pj->p", okX[:, kappa, :], Phim, okX[:, kappa, :])
-        + np.abs(okX[:, kappa, :]) @ theta_v
-        + float(gamma)
-    )
+    terminal = np.einsum("pi,ij,pj->p", okX[:, kappa, :], Phim, okX[:, kappa, :]) + float(gamma)
     quad0 = float(x0 @ P[0] @ x0)
     R = v @ x0 + g - w[kappa] * terminal
 

@@ -106,7 +106,7 @@ def solve_lyapunov(model, alpha, Q, method="direct", tol=1e-12, max_iter=100000)
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
     Qm = as_weight(Q, model.n)
-    rep1, r1 = unit_operator(model)
+    M1, r1 = unit_operator(model)
     radius = alpha * r1
     if not radius_below_one(radius):
         raise NotStableError(
@@ -115,7 +115,7 @@ def solve_lyapunov(model, alpha, Q, method="direct", tol=1e-12, max_iter=100000)
         )
 
     if method == "direct":
-        lhs = np.eye(rep1.dim) - alpha * rep1.M
+        lhs = np.eye(M1.shape[0]) - alpha * M1
         U = smat(np.linalg.solve(lhs, svec(Qm)), model.n)
         iterations = 0
     elif method == "fixed_point":

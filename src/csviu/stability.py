@@ -8,6 +8,13 @@ are provably equivalent:
   (v)   r_sigma(sqrt(alpha) A) < 1  and
         r_sigma((I - alpha A_conj)^{-1} Z) < 1/alpha
 
+where A_conj(U) = A^T U A.  Every criterion reads the one svec matrix
+M_1 of L_1 (L_alpha = alpha L_1).  Criterion (v) is evaluated through
+Z's rank-n factor Z = E Phi: E's columns are svec(E_ii) and Phi's rows
+svec(s_i s_i^T) for the columns s_i of sigma_bar_x.  So A_conj has the
+matrix M_1 - E Phi, and the nonzero spectrum of (I - alpha A_conj)^{-1}
+E Phi is that of the n-by-n matrix Phi (I - alpha A_conj)^{-1} E.
+
 For alpha >= 1 the verdict additionally requires all eigenvalues of
 alpha*A inside the open unit disk.  Any disagreement among the criteria
 beyond tolerance is an implementation bug and raises
@@ -22,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, InternalInconsistencyError, SingularOperatorError
-from .ops import operator_matrix, smat, spectral_radius, svec, unit_operator
+from .ops import smat, spectral_radius, svec, unit_operator
 from .solver import radius_below_one
 
 __all__ = [
@@ -73,14 +80,14 @@ class DetectabilityResult:
     closed_loop_radius: float
 
 
-def _solve_identity_witness(rep1, alpha):
+def _solve_identity_witness(M1, n, alpha):
     """Criterion (iii): solve (I - alpha L_1)(U) = I and test U > 0."""
-    lhs = np.eye(rep1.dim) - alpha * rep1.M
+    lhs = np.eye(M1.shape[0]) - alpha * M1
     try:
-        u_vec = np.linalg.solve(lhs, svec(np.eye(rep1.n)))
+        u_vec = np.linalg.solve(lhs, svec(np.eye(n)))
     except np.linalg.LinAlgError:
         return False
-    U = smat(u_vec, rep1.n)
+    U = smat(u_vec, n)
     min_eig = float(np.linalg.eigvalsh((U + U.T) / 2.0)[0])
     return min_eig > 0.0
 
@@ -108,27 +115,26 @@ def check_stability(model, alpha):
     """
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
-    rep1, r1 = unit_operator(model)
+    M1, r1 = unit_operator(model)
     r_L = alpha * r1
     r_A = spectral_radius(model.A)
 
     crit_ii = radius_below_one(r_L)
-    crit_iii = _solve_identity_witness(rep1, alpha)
+    crit_iii = _solve_identity_witness(M1, model.n, alpha)
     r_sqrt_alpha_A = np.sqrt(alpha) * r_A
     crit_v_part1 = radius_below_one(r_sqrt_alpha_A)
 
-    rep_A = operator_matrix(model, alpha, "A_conj")
-    rep_Z = operator_matrix(model, alpha, "Z")
-    resolvent_gain = None
-    crit_v_part2 = None
+    eye_n, sbx_cols = np.eye(model.n), model.sigma_bar_x.T
+    E = svec(eye_n[:, :, None] * eye_n[:, None, :]).T
+    Phi = svec(sbx_cols[:, :, None] * sbx_cols[:, None, :])
+    resolvent_gain = crit_v_part2 = None
     try:
-        resolvent = np.linalg.solve(np.eye(rep_A.dim) - alpha * rep_A.M, rep_Z.M)
-        resolvent_gain = spectral_radius(resolvent)
+        X = np.linalg.solve(np.eye(M1.shape[0]) - alpha * (M1 - E @ Phi), E)
+        resolvent_gain = spectral_radius(Phi @ X)
         # r < 1/alpha, i.e. alpha * r strictly below one; alpha = 0 is trivially true.
         crit_v_part2 = radius_below_one(alpha * resolvent_gain)
     except np.linalg.LinAlgError:
-        # (I - alpha A_conj) singular: criterion (v) indeterminate.
-        crit_v_part2 = None
+        pass  # (I - alpha A_conj) singular: criterion (v) indeterminate.
 
     r_alpha_A = alpha * r_A
     eig_clause = radius_below_one(r_alpha_A)

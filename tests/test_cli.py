@@ -158,7 +158,8 @@ class TestExitCodes:
             (["norm", models["scalar"], "--alpha", "1.0", "--kappa", "1" + "0" * 400],
              "--kappa"),
             (["simulate", models["scalar"], "--paths", "10", "--horizon", "1100",
-              "--seed", "1", "--alpha", "0.5", "--check-decay"], "--horizon"),
+              "--seed", "1", "--alpha", "0.5", "--check-decay", "--x0", "1.0"],
+             "--horizon"),
         ]
         for argv, message in cases:
             code, out, err = run(argv)
@@ -166,6 +167,15 @@ class TestExitCodes:
             assert out == ""
             assert err.startswith("error:")
             assert message in err, argv
+
+    def test_decay_envelope_from_rest_is_zero_past_the_overflow_horizon(self, run, models):
+        # 0.5^-k overflows at k = 1023, but from x0 = 0 the envelope is 0 at every k.
+        code, out, err = run(["simulate", models["scalar"], "--paths", "10", "--horizon",
+                              "1100", "--seed", "1", "--alpha", "0.5", "--check-decay"])
+        assert code == 0, err
+        rows = json.loads(out)["decay"]
+        assert len(rows) == 1101
+        assert all(row["bound"] == 0.0 for row in rows)
 
     def test_dump_without_output_dir_fails_before_simulating(self, run, models,
                                                              monkeypatch):

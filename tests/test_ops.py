@@ -200,24 +200,24 @@ class TestSvecBasis:
 
 class TestOperatorMatrix:
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
-    @pytest.mark.parametrize("which", ["L_alpha", "A_conj", "Z"])
+    @pytest.mark.parametrize("which", ["L_alpha", "Z"])
     def test_batched_build_equals_basis_loop(self, n, which):
         for seed in range(3):
             model = make_random_model(100 + seed, n, target=0.8)
             for alpha in (0.0, 0.9, 1.3):
                 assert np.array_equal(
-                    operator_matrix(model, alpha, which).M,
+                    operator_matrix(model, alpha, which),
                     loop_operator_matrix(model, alpha, which),
                 )
 
     def test_scalar_L_alpha_rep(self):
-        rep = operator_matrix(SCALAR, 0.9, "L_alpha")
-        assert rep.M.shape == (1, 1)
-        assert rep.M[0, 0] == pytest.approx(0.306)
+        M = operator_matrix(SCALAR, 0.9, "L_alpha")
+        assert M.shape == (1, 1)
+        assert M[0, 0] == pytest.approx(0.306)
 
     def test_Z_rep_zero_when_no_sigma_bar(self):
         model = make_random_model(2, 3, target=0.5, with_sigma_bar=False)
-        assert np.allclose(operator_matrix(model, 1.0, "Z").M, 0.0)
+        assert np.allclose(operator_matrix(model, 1.0, "Z"), 0.0)
 
     def test_rep_matches_operator_on_random_U(self):
         model = make_random_model(21, 2, target=0.8)
@@ -225,12 +225,11 @@ class TestOperatorMatrix:
         for which, op in (
             ("L_alpha", lambda U: np.asarray(op_L_alpha(model, 0.9, U))),
             ("Z", lambda U: np.asarray(op_Z(model, U))),
-            ("A_conj", lambda U: model.A.T @ U @ model.A),
         ):
-            rep = operator_matrix(model, 0.9, which)
+            M = operator_matrix(model, 0.9, which)
             for _ in range(20):
                 U = random_psd(rng, 2)
-                assert np.max(np.abs(rep.M @ svec(U) - svec(op(U)))) <= 1e-10
+                assert np.max(np.abs(M @ svec(U) - svec(op(U)))) <= 1e-10
 
     def test_unknown_operator_rejected(self):
         with pytest.raises(ValueError):
@@ -255,8 +254,8 @@ class TestSpectralRadius:
             A=np.diag([0.5, 0.8]), sigma_x=np.zeros((2, 2)),
             sigma_bar_x=np.zeros((2, 2)), sigma=np.zeros((2, 2)), C=np.eye(2),
         )
-        rep = operator_matrix(model, 1.0, "L_alpha")
-        assert spectral_radius(rep) == pytest.approx(0.64, abs=1e-12)
+        M = operator_matrix(model, 1.0, "L_alpha")
+        assert spectral_radius(M) == pytest.approx(0.64, abs=1e-12)
 
     def test_accepts_plain_matrices(self):
         assert spectral_radius(np.diag([0.5, -0.9])) == pytest.approx(0.9)

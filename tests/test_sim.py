@@ -103,6 +103,25 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="--paths or --horizon"):
             simulate_paths(scalar_model, cfg)
 
+    def test_noise_buffer_counts_toward_the_memory_check(self, scalar_model, monkeypatch):
+        # 4096 paths x 5000 stages: X takes 164 MB and one path block's
+        # noise buffer 268 MB; physical memory is set halfway into the buffer.
+        paths, horizon, width = sim.PATH_BLOCK, 5000, 2
+        ensemble = paths * (horizon + 1) * 8
+        buffer = paths * sim._stage_block_size(horizon, width) * width * 8
+        assert buffer == 2**28
+        pages = (ensemble + buffer // 2) // 4096
+        monkeypatch.setattr(sim.os, "sysconf",
+                            {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": pages}.__getitem__)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("allocated before the memory check")
+
+        monkeypatch.setattr(sim.np, "empty", forbidden)
+        cfg = SimConfig(n_paths=paths, horizon=horizon, seed=0, x0=[0.0])
+        with pytest.raises(ValueError, match="--paths or --horizon"):
+            simulate_paths(scalar_model, cfg)
+
 
 def oracle_path(model, cfg, j):
     """Path j of a scalar model by the plain recursion of the stream contract.

@@ -1,5 +1,7 @@
 """Stability verdicts, criterion equivalence, and detectability checks."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from csviu import (
     DimensionError,
     check_detectability_with_G,
     check_stability,
+    load_model,
     operator_matrix,
     search_detectability,
     solve_lyapunov,
@@ -15,6 +18,9 @@ from csviu import (
     NotStableError,
 )
 from conftest import make_random_model
+from test_ops import loop_operator_matrix
+
+N3_MODEL = Path(__file__).resolve().parent / "golden" / "models" / "n3.json"
 
 
 class TestCheckStability:
@@ -78,6 +84,38 @@ class TestCheckStability:
                 crit_v = report.crit_v_part1 and report.crit_v_part2
                 assert report.crit_ii == report.crit_iii == crit_v
 
+    def test_resolvent_radius_matches_dense_oracle(self):
+        # (v) reads Z's rank-n factor; the oracle solves the full svec system.
+        rng = np.random.default_rng(77)
+        for trial in range(40):
+            n = int(rng.integers(1, 8))
+            alpha = float(rng.choice([0.5, 0.9, 1.0, 1.2]))
+            target = float(rng.choice([0.4, 0.8, 1.3]))
+            model = make_random_model(int(rng.integers(2**31)), n, target=target, alpha=alpha)
+            dim = n * (n + 1) // 2
+            resolvent = np.linalg.solve(
+                np.eye(dim) - alpha * loop_operator_matrix(model, alpha, "A_conj"),
+                loop_operator_matrix(model, alpha, "Z"),
+            )
+            expected = float(np.abs(np.linalg.eigvals(resolvent)).max())
+            got = check_stability(model, alpha).spectral_radii["resolvent_Z"]
+            assert got == pytest.approx(expected, rel=1e-10, abs=0.0), (n, alpha)
+
+    def test_one_svec_sized_eigensolve(self, monkeypatch):
+        model = load_model(N3_MODEL)
+        shapes = []
+        eigvals = np.linalg.eigvals
+
+        def counting(M):
+            shapes.append(np.shape(M))
+            return eigvals(M)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counting)
+        check_stability(model, 0.9)
+        # r_sigma(L_1) is the only 6x6 eigensolve; A and the resolvent are 3x3.
+        assert shapes.count((6, 6)) == 1
+        assert shapes.count((3, 3)) == 2
+
     def test_solution_plus_witness_implies_stable(self):
         rng = np.random.default_rng(8)
         checked = 0
@@ -109,8 +147,7 @@ class TestDetectabilityWithG:
             )
             alpha = 0.9
             result = check_detectability_with_G(model, alpha, -model.A)
-            rep_Z = operator_matrix(model, alpha, "Z")
-            z_radius = alpha * spectral_radius(rep_Z.M)
+            z_radius = alpha * spectral_radius(operator_matrix(model, alpha, "Z"))
             assert result.detectable == (z_radius < 1.0 - 1e-9)
             assert result.closed_loop_radius == pytest.approx(z_radius, abs=1e-10)
 
