@@ -84,12 +84,12 @@ class TestCheckStability:
                 crit_v = report.crit_v_part1 and report.crit_v_part2
                 assert report.crit_ii == report.crit_iii == crit_v
 
-    def test_resolvent_radius_matches_dense_oracle(self):
+    @pytest.mark.parametrize("alpha", [0.5, 0.9, 1.0, 1.2])
+    def test_resolvent_radius_matches_dense_oracle(self, alpha):
         # (v) reads Z's rank-n factor; the oracle solves the full svec system.
         rng = np.random.default_rng(77)
         for trial in range(40):
             n = int(rng.integers(1, 8))
-            alpha = float(rng.choice([0.5, 0.9, 1.0, 1.2]))
             target = float(rng.choice([0.4, 0.8, 1.3]))
             model = make_random_model(int(rng.integers(2**31)), n, target=target, alpha=alpha)
             dim = n * (n + 1) // 2
