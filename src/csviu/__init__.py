@@ -19,7 +19,6 @@ from .errors import (
 )
 from .model import (
     CsviuModel,
-    SymMatrix,
     load_model,
     validate,
 )
@@ -91,7 +90,6 @@ __all__ = [
     "InternalInconsistencyError",
     # model
     "CsviuModel",
-    "SymMatrix",
     "load_model",
     "validate",
     # ops

@@ -36,7 +36,7 @@ from .errors import (
     ParseError,
     SingularOperatorError,
 )
-from .model import PSD_TOL, SymMatrix, as_weight, energy_weight, load_model
+from .model import PSD_TOL, _as_float_array, as_weight, energy_weight, load_model
 from .norms import (
     check_counter_domain,
     counter_discount_bound,
@@ -54,7 +54,7 @@ from .sim import (
     simulate_paths,
     validate_representation,
 )
-from .solver import critical_alpha, solve_lyapunov
+from .solver import _require_finite, critical_alpha, solve_lyapunov
 from .stability import check_detectability_with_G, check_stability, search_detectability
 
 #: Fraction of aborted paths above which a simulate run exits 3.
@@ -96,8 +96,6 @@ def _jsonable(value):
     Non-finite floats become None: the canonical reports must be valid
     strict JSON.
     """
-    if isinstance(value, SymMatrix):
-        return _jsonable(value.entries)
     if isinstance(value, np.ndarray):
         return [_jsonable(v) for v in value.tolist()]
     if isinstance(value, (np.bool_, bool)):
@@ -151,28 +149,31 @@ def _parse_alpha_list(text):
     return [_check_alpha(a) for a in alphas]
 
 
-def _load_weight(path, n):
-    """Load a weight matrix Q from a JSON file and require PSD."""
+def _load_matrix(path, flag):
+    """The float array in a JSON file; content that is not one is a ParseError naming flag."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed JSON in {path}: {exc}") from None
-    Q = as_weight(np.asarray(data, dtype=float), n)
-    if not SymMatrix(Q).is_psd(PSD_TOL):
-        raise ValueError("Q must be positive semidefinite")
+    return _as_float_array(data, flag)
+
+
+def _load_weight(path, n):
+    """Load a weight matrix Q from a JSON file and require PSD within PSD_TOL."""
+    Q = as_weight(_load_matrix(path, "--Q"), n, "--Q")
+    scale = max(1.0, float(np.abs(Q).max(initial=0.0)))
+    if np.linalg.eigvalsh(Q)[0] < -PSD_TOL * scale:
+        raise ValueError("--Q must be positive semidefinite")
     return Q
 
 
 def _load_gain(path, n, p):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"malformed JSON in {path}: {exc}") from None
-    G = np.atleast_2d(np.asarray(data, dtype=float))
+    G = np.atleast_2d(_load_matrix(path, "--G"))
     if G.shape != (n, p):
-        raise DimensionError(f"G must have shape ({n}, {p}), got {G.shape}")
+        raise DimensionError(f"--G must have shape ({n}, {p}), got {G.shape}")
+    if not np.isfinite(G).all():
+        raise ValueError("--G entries must be finite")
     return G
 
 
@@ -286,11 +287,14 @@ def cmd_analyze(args):
     lyapunov = None
     if stability.verdict != "not_stable":
         solution = solve_lyapunov(model, args.alpha, energy_weight(model, Q))
+        with np.errstate(over="ignore", invalid="ignore"):
+            varpi_L = op_varpi(model, solution.L)
+        _require_finite(args.alpha, varpi_L)
         lyapunov = {
             "L": solution.L,
             "method": solution.method,
             "residual": solution.residual,
-            "varpi_L": op_varpi(model, solution.L.entries),
+            "varpi_L": varpi_L,
         }
 
     report = _jsonable(

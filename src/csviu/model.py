@@ -22,13 +22,12 @@ import numpy as np
 from .errors import DimensionError, ParseError
 
 __all__ = [
-    "SymMatrix",
     "CsviuModel",
     "load_model",
     "validate",
 ]
 
-#: Relative eigenvalue tolerance for positive-semidefiniteness queries.
+#: Relative eigenvalue tolerance for the positive-semidefiniteness test of --Q.
 PSD_TOL = 1e-10
 
 
@@ -36,105 +35,24 @@ def _as_float_array(value, name):
     """Convert to a float ndarray, mapping conversion failures to ParseError."""
     try:
         arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{name} is not a numeric array: {exc}") from None
+    except (TypeError, ValueError):
+        raise ParseError(f"{name} is not a numeric array of equal-length rows") from None
     return arr
 
 
-class SymMatrix:
-    """A real symmetric n-by-n matrix with positive-semidefiniteness queries.
+def as_weight(Q, n, what="Q"):
+    """Q as a read-only symmetric (n, n) ndarray: the one gate for outside matrices.
 
-    Construction repairs last-ulp asymmetry by averaging (U + U^T)/2
-    rather than rejecting the input; user-supplied weights routinely
-    carry rounding asymmetry.
-
-    Parameters
-    ----------
-    entries : array_like
-        Square 2-D real array.
-
-    Raises
-    ------
-    DimensionError
-        If the input is not a square 2-D array.
-    ValueError
-        If any entry is non-finite.
+    Rounding asymmetry is repaired by averaging (Q + Q^T)/2.  Raises
+    ParseError, DimensionError or ValueError naming the matrix ``what``.
     """
-
-    __slots__ = ("_entries",)
-
-    def __init__(self, entries):
-        arr = np.asarray(entries, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise DimensionError(
-                f"SymMatrix requires a square 2-D array, got shape {arr.shape}"
-            )
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("SymMatrix entries must be finite")
-        sym = (arr + arr.T) / 2.0
-        sym.setflags(write=False)
-        self._entries = sym
-
-    @classmethod
-    def identity(cls, n):
-        return cls(np.eye(n))
-
-    @classmethod
-    def zeros(cls, n):
-        return cls(np.zeros((n, n)))
-
-    @property
-    def n(self):
-        return self._entries.shape[0]
-
-    @property
-    def entries(self):
-        """The symmetric matrix as a read-only ndarray."""
-        return self._entries
-
-    def __array__(self, dtype=None, copy=None):
-        if dtype is not None:
-            return self._entries.astype(dtype)
-        return self._entries
-
-    def min_eigenvalue(self):
-        return float(np.linalg.eigvalsh(self._entries)[0])
-
-    def is_psd(self, tol=PSD_TOL):
-        """Whether the matrix is positive semidefinite.
-
-        Agrees with the sign of the smallest eigenvalue within ``tol``
-        scaled by the matrix magnitude.
-        """
-        scale = max(1.0, float(np.abs(self._entries).max(initial=0.0)))
-        return self.min_eigenvalue() >= -tol * scale
-
-    def is_positive_definite(self, tol=PSD_TOL):
-        scale = max(1.0, float(np.abs(self._entries).max(initial=0.0)))
-        return self.min_eigenvalue() > tol * scale
-
-    def quad(self, x):
-        """The quadratic form x^T U x."""
-        x = np.asarray(x, dtype=float)
-        return float(x @ self._entries @ x)
-
-    def __repr__(self):
-        return f"SymMatrix(n={self.n})"
-
-    def __eq__(self, other):
-        if isinstance(other, SymMatrix):
-            return np.array_equal(self._entries, other._entries)
-        return NotImplemented
-
-
-def as_weight(Q, n):
-    """Coerce Q (SymMatrix or array) to a symmetric (n, n) ndarray."""
-    if isinstance(Q, SymMatrix):
-        sym = Q.entries
-    else:
-        sym = SymMatrix(Q).entries
-    if sym.shape != (n, n):
-        raise DimensionError(f"weight must be {n}x{n}, got {sym.shape}")
+    arr = _as_float_array(Q, what)
+    if arr.shape != (n, n):
+        raise DimensionError(f"{what} must be {n}x{n}, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{what} entries must be finite")
+    sym = arr / 2.0 + arr.T / 2.0  # halved first: entries near the double limit stay finite
+    sym.setflags(write=False)
     return sym
 
 

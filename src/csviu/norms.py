@@ -24,9 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NotStableError, SingularOperatorError
-from .model import SymMatrix, as_weight, energy_weight
+from .model import as_weight, energy_weight
 from .ops import op_W_d, op_varpi, spectral_radius
-from .solver import critical_alpha, max_abs, radius_below_one, solve_lyapunov
+from .solver import _require_finite, critical_alpha, max_abs, radius_below_one, solve_lyapunov
 
 __all__ = [
     "NormReport",
@@ -59,10 +59,10 @@ class VBarBound:
 
 @dataclass(frozen=True)
 class NormReport:
-    """All closed-form norm quantities available at one alpha."""
+    """All closed-form norm quantities available at one alpha; L is read-only."""
 
     alpha: float
-    L: SymMatrix
+    L: np.ndarray
     varpi_L: float
     h2_discounted: float | None
     power_norm: float | None
@@ -96,7 +96,7 @@ def h2_discounted_norm(model, alpha, Q=None):
     model : CsviuModel
     alpha : float
         Must satisfy 0 < alpha < 1.
-    Q : SymMatrix or array_like, optional
+    Q : array_like, optional
         Energy weight; defaults to C^T C.
 
     Raises
@@ -128,7 +128,7 @@ def v_bar_bound(model, alpha, L):
     ----------
     model : CsviuModel
     alpha : float
-    L : SymMatrix or array_like
+    L : array_like
         Solution of the Lyapunov equation at alpha (or any PSD upper
         bound for the recursion sequence).
 
@@ -143,7 +143,7 @@ def v_bar_bound(model, alpha, L):
         If I - alpha A^T is singular.
     """
     n = model.n
-    Lm = as_weight(L, n)
+    Lm = as_weight(L, n, "L")
     T = np.eye(n) - alpha * model.A.T
     try:
         T_inv = np.linalg.inv(T)
@@ -180,7 +180,7 @@ def counter_discount_bound(report, x0, kappa):
     alpha = report.alpha
     check_counter_domain(alpha, kappa)
     _require_alpha_A_stable(report, "counter-discount bound")
-    Lm = report.L.entries
+    Lm = report.L
     try:
         xi = -0.5 * np.linalg.solve(Lm, report.v_bar)
     except np.linalg.LinAlgError:
@@ -203,7 +203,7 @@ def counter_discount_bound(report, x0, kappa):
 def _decay_envelope(report, x0, k):
     """decay_bound without its guard."""
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    quad = float(x0 @ report.L.entries @ x0) + float(report.v_bar @ np.abs(x0))
+    quad = float(x0 @ report.L @ x0) + float(report.v_bar @ np.abs(x0))
     if quad == 0.0:
         return 0.0  # from x0 = 0 the envelope is 0 at every k, where alpha^-k may overflow
     with np.errstate(over="ignore", invalid="ignore"):
@@ -242,6 +242,7 @@ def _solve_or_radius(model, alpha, Q):
         return None, exc.spectral_radius
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow ends in _require_finite instead
 def vanishing_discount_sweep(model, Q=None, alphas=None):
     """Tabulate varpi(L_alpha) and the Abel gap across an alpha grid.
 
@@ -249,8 +250,9 @@ def vanishing_discount_sweep(model, Q=None, alphas=None):
     alpha/(1-alpha) varpi(L_alpha) when alpha < 1, the closed-form Abel
     gap (1-alpha)*[Abel sum] - varpi(L_1) = alpha varpi(L_alpha) -
     varpi(L_1), and the distance ||L_alpha - L_1||_inf.  Unsolvable
-    entries are marked not_stable rather than aborting the sweep.  Grid
-    points at alpha = 1 reuse the solve that gives L_1.
+    entries are marked not_stable rather than aborting the sweep; a row
+    that overflows a double raises DomainError.  Grid points at alpha = 1
+    reuse the solve that gives L_1.
 
     Returns
     -------
@@ -261,16 +263,17 @@ def vanishing_discount_sweep(model, Q=None, alphas=None):
     if alphas is None:
         alphas = default_sweep_grid(model)
     at_one = _solve_or_radius(model, 1.0, Q)
-    L1 = None if at_one[0] is None else at_one[0].L.entries
+    L1 = None if at_one[0] is None else at_one[0].L
     varpi_L1 = None if L1 is None else op_varpi(model, L1)
 
+    columns = ("varpi_L", "h2_discounted", "abel_gap", "dist_to_L1")
     rows = []
     for alpha in alphas:
         solution, radius = at_one if alpha == 1.0 else _solve_or_radius(model, alpha, Q)
         row = {"alpha": float(alpha), "status": "not_stable", "spectral_radius": radius,
-               **dict.fromkeys(("varpi_L", "h2_discounted", "abel_gap", "dist_to_L1"))}
+               **dict.fromkeys(columns)}
         if solution is not None:
-            Lm = solution.L.entries
+            Lm = solution.L
             row.update(status="ok", spectral_radius=solution.spectral_radius,
                        varpi_L=op_varpi(model, Lm))
             if alpha < 1.0:
@@ -278,26 +281,29 @@ def vanishing_discount_sweep(model, Q=None, alphas=None):
             if varpi_L1 is not None:
                 row["abel_gap"] = alpha * row["varpi_L"] - varpi_L1
                 row["dist_to_L1"] = max_abs(Lm - L1)
+            _require_finite(alpha, *(row[key] for key in columns))
         rows.append(row)
     return rows
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow ends in _require_finite instead
 def norm_report(model, alpha, Q=None):
     """Solve (I - L_alpha)(U) = Q once and derive every closed form at alpha.
 
     The counter-discount record (c0, c1) is included for alpha >= 1 when
     r_sigma(alpha A) < 1; the discounted energy and offset g0 for
     alpha < 1; the power norm only at alpha = 1 (and r_sigma(A) < 1).
-    Raises NotStableError if the equation has no PSD solution at alpha.
+    Raises NotStableError if the equation has no PSD solution at alpha,
+    and DomainError if L or a closed form is not a finite double.
 
     Parameters
     ----------
     model : CsviuModel
     alpha : float
-    Q : SymMatrix or array_like, optional
+    Q : array_like, optional
     """
     solution = _solve(model, alpha, Q)
-    Lm = solution.L.entries
+    Lm = solution.L
     varpi_L = op_varpi(model, Lm)
     vb = v_bar_bound(model, alpha, Lm)
 
@@ -309,10 +315,11 @@ def norm_report(model, alpha, Q=None):
         c0 = float(np.linalg.eigvalsh(Lm)[-1])
         c1 = alpha * varpi_L / (alpha - 1.0) if alpha > 1.0 else varpi_L
         counter = {"c0": c0, "c1": c1}
+    _require_finite(alpha, varpi_L, h2, vb.primary, vb.conservative, *(counter or {}).values())
 
     return NormReport(
         alpha=float(alpha),
-        L=solution.L,
+        L=Lm,
         varpi_L=varpi_L,
         h2_discounted=h2,
         power_norm=pw,

@@ -20,7 +20,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConvergenceError, DimensionError
-from .model import SymMatrix
 
 __all__ = [
     "op_Z",
@@ -79,7 +78,7 @@ def op_Z(model, U):
     """Z(U) = Diag(sigma_bar_x^T U sigma_bar_x); PSD whenever U is PSD."""
     U = _as_square(U, model.n)
     sbx = model.sigma_bar_x
-    return SymMatrix(np.diag(np.diag(sbx.T @ U @ sbx)))
+    return np.diag(np.diag(sbx.T @ U @ sbx))
 
 
 def op_W(model, U):
@@ -89,7 +88,7 @@ def op_W(model, U):
     family that is not positive.
     """
     U = _as_square(U, model.n)
-    return SymMatrix(np.diag(op_W_d(model, U)))
+    return np.diag(op_W_d(model, U))
 
 
 def op_W_d(model, U):
@@ -108,7 +107,7 @@ def op_varpi(model, U):
 
 
 def op_L_alpha(model, alpha, U):
-    """L_alpha(U) = alpha (A^T U A + Z(U)).
+    """L_alpha(U) = alpha (A^T U A + Z(U)), symmetrized as (X + X^T)/2.
 
     Linear-positive and monotone: U >= V (PSD order) implies
     L_alpha(U) >= L_alpha(V), for every alpha >= 0.
@@ -117,7 +116,8 @@ def op_L_alpha(model, alpha, U):
         raise ValueError("alpha must be nonnegative")
     U = _as_square(U, model.n)
     A = model.A
-    return SymMatrix(alpha * (A.T @ U @ A + op_Z(model, U).entries))
+    X = alpha * (A.T @ U @ A + op_Z(model, U))
+    return (X + X.T) / 2.0
 
 
 def operator_matrix(model, alpha, which):

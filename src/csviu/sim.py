@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, DomainError
 from .model import as_weight, energy_weight
 from .norms import _decay_envelope, norm_report
 from .ops import op_varpi, op_W_d
@@ -321,6 +321,13 @@ def _quad_per_stage(X, Qm, mask, chunk=PATH_BLOCK):
         yield np.einsum("pki,ij,pkj->pk", Xc, Qm, Xc)
 
 
+def _require_finite_means(means):
+    """The estimators run without overflow warnings; a mean that is not finite raises here."""
+    if not np.isfinite(means).all():
+        raise DomainError("a Monte Carlo mean is not a finite double; "
+                          "scale down --Q, or lower --alpha or --horizon")
+
+
 def _ensemble_stats(values):
     values = np.asarray(values, dtype=float)
     n = values.size
@@ -332,9 +339,12 @@ def _ensemble_stats(values):
             se = float(values.std(ddof=1) / np.sqrt(n))
         else:
             se = 0.0 if n == 1 else float("nan")
+    if n:
+        _require_finite_means(mean)
     return mean, se, n
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def estimate_abel_energy(ensemble, Q, alpha):
     """Per-path discounted energy sum_{k=0}^{kappa} alpha^k ||x_k||_Q^2.
 
@@ -356,6 +366,7 @@ def estimate_abel_energy(ensemble, Q, alpha):
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def estimate_cesaro_power(ensemble, Q):
     """Per-path long-run average (1/kappa) sum_{k<kappa} ||x_k||_Q^2."""
     Qm = as_weight(Q, ensemble.model.n)
@@ -368,6 +379,7 @@ def estimate_cesaro_power(ensemble, Q):
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def per_stage_energy(ensemble, Q):
     """Stagewise ensemble means and standard errors of ||x_k||_Q^2.
 
@@ -395,10 +407,12 @@ def per_stage_energy(ensemble, Q):
         nan = np.full(kappa + 1, np.nan)
         return nan, nan
     means = total / n
+    _require_finite_means(means)
     ses = np.sqrt(sq_dev / (n - 1) / n) if n > 1 else np.zeros(kappa + 1)
     return means, ses
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def validate_representation(ensemble, alpha, Q, Phi=None, gamma=0.0):
     """Monte Carlo check of the backward-recursion energy representation.
 
@@ -427,10 +441,7 @@ def validate_representation(ensemble, alpha, Q, Phi=None, gamma=0.0):
     n = model.n
     kappa = cfg.horizon
     Qm = as_weight(Q, n)
-    Phim = np.zeros((n, n)) if Phi is None else as_weight(Phi, n)
-
-    rec = backward_recursion(model, alpha, Qm, kappa, Phim, gamma)
-    P = [Pk.entries for Pk in rec.P_seq]
+    P = backward_recursion(model, alpha, Qm, kappa, Phi, gamma).P_seq
 
     okX = ensemble.X if ensemble.ok.all() else ensemble.X[ensemble.ok]
     n_ok = okX.shape[0]
@@ -473,7 +484,7 @@ def validate_representation(ensemble, alpha, Q, Phi=None, gamma=0.0):
             corr += w[k] * alpha * (v * noise).sum(axis=1)
             v = alpha * (v @ A + wd * s_k)
 
-    terminal = np.einsum("pi,ij,pj->p", okX[:, kappa, :], Phim, okX[:, kappa, :]) + float(gamma)
+    terminal = np.einsum("pi,ij,pj->p", okX[:, kappa, :], P[kappa], okX[:, kappa, :]) + float(gamma)
     quad0 = float(x0 @ P[0] @ x0)
     R = v @ x0 + g - w[kappa] * terminal
 

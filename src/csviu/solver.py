@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DimensionError, NotStableError
-from .model import SymMatrix, as_weight
+from .errors import ConvergenceError, DomainError, NotStableError
+from .model import as_weight
 from .ops import op_L_alpha, op_varpi, smat, spectral_radius, svec, unit_operator
 
 __all__ = [
@@ -38,15 +38,14 @@ def radius_below_one(radius):
 
 def max_abs(M):
     """Entrywise max-absolute norm used for residuals and agreement checks."""
-    M = np.asarray(M, dtype=float)
     return float(np.abs(M).max(initial=0.0))
 
 
 @dataclass(frozen=True)
 class LyapunovSolution:
-    """Solution of (I - L_alpha)(U) = Q with solve diagnostics."""
+    """Solution of (I - L_alpha)(U) = Q with solve diagnostics; L is read-only."""
 
-    L: SymMatrix
+    L: np.ndarray
     alpha: float
     method: str
     residual: float
@@ -70,10 +69,14 @@ class RecursionTriple:
     alpha: float
 
 
-def _residual(model, alpha, U, Q):
-    return max_abs(U - op_L_alpha(model, alpha, U).entries - Q)
+def _require_finite(alpha, *values):
+    """DomainError unless every value that is not None is finite."""
+    if not all(np.isfinite(v).all() for v in values if v is not None):
+        raise DomainError(f"the Lyapunov solution or a closed form at alpha = {alpha:.6g} is "
+                          "not a finite double; scale down --Q or lower --alpha")
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow ends in _require_finite instead
 def solve_lyapunov(model, alpha, Q, method="direct", tol=1e-12, max_iter=100000):
     """Solve the perturbed Lyapunov equation (I - L_alpha)(U) = Q.
 
@@ -82,7 +85,7 @@ def solve_lyapunov(model, alpha, Q, method="direct", tol=1e-12, max_iter=100000)
     model : CsviuModel
     alpha : float
         Nonnegative discount/counter-discount parameter.
-    Q : SymMatrix or array_like
+    Q : array_like
         PSD right-hand side.
     method : {"direct", "fixed_point"}
         ``direct`` solves (I - alpha M_1) svec(U) = svec(Q), M_1 the
@@ -102,6 +105,8 @@ def solve_lyapunov(model, alpha, Q, method="direct", tol=1e-12, max_iter=100000)
         (no PSD solution exists); carries the computed radius.
     ConvergenceError
         If the fixed point hits ``max_iter`` with a marginal radius.
+    DomainError
+        If the solution or its residual is not a finite double.
     """
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
@@ -119,15 +124,12 @@ def solve_lyapunov(model, alpha, Q, method="direct", tol=1e-12, max_iter=100000)
         U = smat(np.linalg.solve(lhs, svec(Qm)), model.n)
         iterations = 0
     elif method == "fixed_point":
-        U = Qm.copy()
-        iterations = None
+        U, iterations = Qm, None
         for it in range(1, max_iter + 1):
-            U_next = op_L_alpha(model, alpha, U).entries + Qm
-            if max_abs(U_next - U) <= tol:
-                U = U_next
+            U, U_prev = op_L_alpha(model, alpha, U) + Qm, U
+            if not max_abs(U - U_prev) > tol:  # a NaN step also ends the loop
                 iterations = it
                 break
-            U = U_next
         if iterations is None:
             raise ConvergenceError(
                 f"fixed point did not converge in {max_iter} iterations "
@@ -136,14 +138,16 @@ def solve_lyapunov(model, alpha, Q, method="direct", tol=1e-12, max_iter=100000)
     else:
         raise ValueError(f"unknown method {method!r}")
 
-    residual = _residual(model, alpha, U, Qm)
+    residual = max_abs(U - op_L_alpha(model, alpha, U) - Qm)
+    _require_finite(alpha, U, residual)
     if residual > 1e-9 * max(1.0, max_abs(Qm)):
         raise ConvergenceError(
             f"solution residual {residual:.3g} exceeds tolerance "
             f"(r_sigma = {radius:.6g})"
         )
+    U.setflags(write=False)
     return LyapunovSolution(
-        L=SymMatrix(U),
+        L=U,
         alpha=float(alpha),
         method=method,
         residual=residual,
@@ -183,10 +187,10 @@ def backward_recursion(model, alpha, Q, kappa, Phi=None, gamma=0.0):
     ----------
     model : CsviuModel
     alpha : float
-    Q : SymMatrix or array_like
+    Q : array_like
     kappa : int
         Horizon, >= 1.
-    Phi : SymMatrix or array_like, optional
+    Phi : array_like, optional
         PSD terminal weight (default zero).
     gamma : float
         Terminal constant.
@@ -201,17 +205,17 @@ def backward_recursion(model, alpha, Q, kappa, Phi=None, gamma=0.0):
         raise ValueError("alpha must be nonnegative")
     n = model.n
     Qm = as_weight(Q, n)
-    Phim = np.zeros((n, n)) if Phi is None else as_weight(Phi, n)
+    Phim = np.zeros((n, n)) if Phi is None else as_weight(Phi, n, "Phi")
 
     P = [None] * (kappa + 1)
     g = np.zeros(kappa + 1)
     P[kappa] = Phim
     g[kappa] = float(gamma)
     for k in range(kappa - 1, -1, -1):
-        P[k] = op_L_alpha(model, alpha, P[k + 1]).entries + Qm
+        P[k] = op_L_alpha(model, alpha, P[k + 1]) + Qm
         g[k] = alpha * (g[k + 1] + op_varpi(model, P[k + 1]))
     return RecursionTriple(
-        P_seq=[SymMatrix(Pk) for Pk in P],
+        P_seq=P,
         g_seq=g,
         kappa=int(kappa),
         alpha=float(alpha),

@@ -87,9 +87,7 @@ def _solve_identity_witness(M1, n, alpha):
         u_vec = np.linalg.solve(lhs, svec(np.eye(n)))
     except np.linalg.LinAlgError:
         return False
-    U = smat(u_vec, n)
-    min_eig = float(np.linalg.eigvalsh((U + U.T) / 2.0)[0])
-    return min_eig > 0.0
+    return float(np.linalg.eigvalsh(smat(u_vec, n))[0]) > 0.0
 
 
 def check_stability(model, alpha):

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, report shapes, artifacts, determinism."""
 
 import json
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -23,6 +24,8 @@ NO_SX_DOC = dict(SCALAR_DOC, sigma_x=[[0.0]])
 # A = 0 with huge state-proportional noise overflows most paths within ~120 stages
 EXPLOSIVE_DOC = dict(SCALAR_DOC, A=[[0.0]], sigma_x=[[1.0]], sigma_bar_x=[[40.0]],
                      sigma=[[1.0]])
+# sigma = 10 puts the noise trace above 1, so varpi(L) overflows where L does not
+LOUD_DOC = dict(SCALAR_DOC, sigma=[[10.0]])
 TWO_DIM_DOC = {
     "n": 2, "r": 2, "p": 1,
     "A": [[0.5, 0.1], [0.0, 0.3]],
@@ -47,13 +50,22 @@ def models(tmp_path_factory):
     base = tmp_path_factory.mktemp("cli_models")
     paths = {}
     for name, doc in (("scalar", SCALAR_DOC), ("no_sx", NO_SX_DOC),
-                      ("explosive", EXPLOSIVE_DOC), ("two_dim", TWO_DIM_DOC)):
+                      ("explosive", EXPLOSIVE_DOC), ("two_dim", TWO_DIM_DOC),
+                      ("loud", LOUD_DOC)):
         path = base / f"{name}.json"
         path.write_text(json.dumps(doc))
         paths[name] = str(path)
     gain = base / "gain.json"
     gain.write_text(json.dumps([[-0.5]]))
     paths["gain"] = str(gain)
+    # --Q / --G files; json.dumps writes float("nan") as NaN, which json.load accepts
+    for name, content in (("eye", [[1.0]]), ("dict", {"a": 1}), ("nan", [[float("nan")]]),
+                          ("non_square", [[1.0, 2.0]]), ("ragged", [[1.0], [1.0, 2.0]]),
+                          ("huge", [[1.5e308]]), ("near_limit", [[8.9e307]]),
+                          ("tiny_negative", [[-1e-12]]), ("negative", [[-1.0]])):
+        path = base / f"matrix_{name}.json"
+        path.write_text(json.dumps(content))
+        paths[f"matrix_{name}"] = str(path)
     malformed = base / "malformed.json"
     malformed.write_text("{not json")
     paths["malformed"] = str(malformed)
@@ -161,12 +173,68 @@ class TestExitCodes:
               "--seed", "1", "--alpha", "0.5", "--check-decay", "--x0", "1.0"],
              "--horizon"),
         ]
+        scalar, m = models["scalar"], lambda name: models[f"matrix_{name}"]
+        short_sim = ["--paths", "10", "--horizon", "5", "--seed", "1", "--alpha", "0.9"]
+        # --Q and --G files that are not finite numeric matrices of the right shape
+        cases += [
+            (["norm", scalar, "--alpha", "0.9", "--Q", m("dict")], "--Q"),
+            (["analyze", scalar, "--alpha", "0.9", "--G", m("dict")], "--G"),
+            (["analyze", scalar, "--alpha", "0.9", "--G", m("nan")], "--G"),
+            (["norm", scalar, "--alpha", "0.9", "--Q", m("nan")], "--Q"),
+            (["norm", scalar, "--alpha", "0.9", "--Q", m("non_square")], "--Q"),
+            (["norm", scalar, "--alpha", "0.9", "--Q", m("ragged")], "--Q"),
+            (["analyze", scalar, "--alpha", "0.9", "--G", m("ragged")], "--G"),
+        ]
+        # finite --Q entries whose solution, closed forms or Monte Carlo means overflow
+        cases += [
+            (["analyze", scalar, "--alpha", "0.9", "--Q", m("huge")], "--Q"),
+            (["norm", scalar, "--alpha", "0.9", "--Q", m("huge")], "--Q"),
+            (["sweep", scalar, "--Q", m("huge")], "--Q"),
+            (["simulate", scalar, *short_sim, "--Q", m("huge")], "--Q"),
+            (["simulate", scalar, *short_sim, "--Q", m("huge"), "--x0", "1.0"], "--Q"),
+            (["norm", scalar, "--alpha", "2.9", "--Q", m("near_limit")], "--alpha"),
+            (["analyze", models["loud"], "--alpha", "0.9", "--Q", m("near_limit")], "--Q"),
+            (["sweep", scalar, "--Q", m("near_limit")], "--Q"),
+        ]
         for argv, message in cases:
-            code, out, err = run(argv)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                code, out, err = run(argv)
             assert code == 2, argv
             assert out == ""
             assert err.startswith("error:")
+            assert err.count("\n") == 1, (argv, err)
             assert message in err, argv
+
+    def test_near_limit_weight_gives_a_finite_report(self, run, models):
+        # L = 8.9e307 / 0.694 is finite; every number that --Q = I prints stays finite
+        def leaves(value, path=()):
+            if isinstance(value, dict):
+                for key, item in value.items():
+                    yield from leaves(item, path + (key,))
+            elif isinstance(value, list):
+                for i, item in enumerate(value):
+                    yield from leaves(item, path + (i,))
+            else:
+                yield path, value
+
+        reports = {}
+        for name in ("eye", "near_limit"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                code, out, err = run(["norm", models["scalar"], "--alpha", "0.9",
+                                      "--Q", models[f"matrix_{name}"]])
+            assert (code, err) == (0, "")
+            reports[name] = dict(leaves(json.loads(out)["norms"]))
+        assert reports["near_limit"].keys() == reports["eye"].keys()
+        for path, value in reports["eye"].items():
+            assert (reports["near_limit"][path] is None) == (value is None), path
+        assert reports["near_limit"][("L", 0, 0)] > 1e308
+
+    def test_weight_psd_test_allows_the_tolerance(self, models):
+        assert cli._load_weight(models["matrix_tiny_negative"], 1)[0, 0] == -1e-12
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            cli._load_weight(models["matrix_negative"], 1)
 
     def test_decay_envelope_from_rest_is_zero_past_the_overflow_horizon(self, run, models):
         # 0.5^-k overflows at k = 1023, but from x0 = 0 the envelope is 0 at every k.

@@ -153,8 +153,8 @@ class TestBeyondAlphaOne:
         model = request.getfixturevalue(fixture)
         stationary = coeffs["d"] / (1.0 - coeffs["c"])
 
-        L1 = solve_lyapunov(model, 1.0, Q1).L.entries
+        L1 = solve_lyapunov(model, 1.0, Q1).L
         assert 1.0 * op_varpi(model, L1) == pytest.approx(stationary, rel=1e-12)
 
-        L12 = solve_lyapunov(model, 1.2, Q1).L.entries
+        L12 = solve_lyapunov(model, 1.2, Q1).L
         assert 1.2 * op_varpi(model, L12) > 1.25 * stationary

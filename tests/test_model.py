@@ -11,7 +11,6 @@ from csviu import (
     CsviuModel,
     DimensionError,
     ParseError,
-    SymMatrix,
     load_model,
     validate,
 )
@@ -38,42 +37,42 @@ def model_doc(model):
     return doc
 
 
-class TestSymMatrix:
+class TestAsWeight:
     def test_symmetrizes_by_averaging(self):
-        M = SymMatrix([[1.0, 2.0], [0.0, 3.0]])
-        assert np.allclose(np.asarray(M), [[1.0, 1.0], [1.0, 3.0]])
-        assert np.array_equal(np.asarray(M), np.asarray(M).T)
+        M = as_weight([[1.0, 2.0], [0.0, 3.0]], 2)
+        assert np.array_equal(M, [[1.0, 1.0], [1.0, 3.0]])
 
-    def test_psd_query_matches_min_eigenvalue(self):
-        assert SymMatrix([[1.0, 0.0], [0.0, 2.0]]).is_psd()
-        assert not SymMatrix([[1.0, 0.0], [0.0, -1.0]]).is_psd()
-        # within the stated tolerance a tiny negative eigenvalue still counts
-        assert SymMatrix([[-1e-12]]).is_psd(tol=1e-10)
-
-    def test_positive_definite_is_strict(self):
-        assert SymMatrix([[2.0]]).is_positive_definite()
-        assert not SymMatrix([[0.0]]).is_positive_definite()
-
-    def test_quad_form(self):
-        M = SymMatrix([[2.0, 1.0], [1.0, 3.0]])
-        x = np.array([1.0, -1.0])
-        assert M.quad(x) == pytest.approx(2.0 - 2.0 + 3.0)
-
-    def test_identity_and_zeros(self):
-        assert np.array_equal(np.asarray(SymMatrix.identity(3)), np.eye(3))
-        assert np.array_equal(np.asarray(SymMatrix.zeros(2)), np.zeros((2, 2)))
+    def test_result_is_read_only(self):
+        M = as_weight(np.eye(2), 2)
+        assert not M.flags.writeable
+        with pytest.raises(ValueError):
+            M[0, 0] = 5.0
 
     def test_non_square_rejected(self):
-        with pytest.raises(DimensionError):
-            SymMatrix([[1.0, 2.0]])
+        with pytest.raises(DimensionError, match="Q must be 1x1"):
+            as_weight([[1.0, 2.0]], 1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="entries must be finite"):
+            as_weight([[1.0, bad], [bad, 1.0]], 2)
+
+    def test_non_numeric_rejected(self):
+        with pytest.raises(ParseError, match="W is not a numeric array"):
+            as_weight([[1.0], [1.0, 2.0]], 2, "W")
+
+    def test_entries_near_the_double_limit_stay_finite(self):
+        # (Q + Q^T)/2 would overflow to inf here; the average itself is finite
+        M = as_weight([[1.5e308, 1.0e308], [1.2e308, 1.5e308]], 2)
+        assert np.array_equal(M, [[1.5e308, 1.1e308], [1.1e308, 1.5e308]])
 
     @given(st.integers(1, 4), st.integers(0, 2**32 - 1))
-    def test_as_weight_roundtrips_arrays_and_symmatrix(self, n, seed):
+    def test_averaging_is_bit_identical_to_half_the_sum(self, n, seed):
         rng = np.random.default_rng(seed)
         raw = rng.standard_normal((n, n))
+        assert np.array_equal(as_weight(raw, n), (raw + raw.T) / 2.0)
         sym = (raw + raw.T) / 2
-        assert np.allclose(np.asarray(as_weight(sym, n)), sym)
-        assert np.allclose(np.asarray(as_weight(SymMatrix(sym), n)), sym)
+        assert np.array_equal(as_weight(sym, n), sym)
 
     def test_as_weight_dimension_mismatch(self):
         with pytest.raises(DimensionError):

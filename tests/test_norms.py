@@ -261,6 +261,25 @@ class TestNormReport:
         assert report.counter_bound["c0"] > 0
         assert report.counter_bound["c1"] > 0
 
+    def test_L_is_read_only(self, scalar_model):
+        # simulate shares one report between its closed forms and the decay check
+        report = norm_report(scalar_model, 0.9)
+        assert isinstance(report.L, np.ndarray)
+        assert not report.L.flags.writeable
+        with pytest.raises(ValueError):
+            report.L[0, 0] = 0.0
+
+    def test_overflowing_closed_form_is_a_domain_error(self, scalar_model):
+        # L = 8.9e307 / 0.694 is finite, but the h2 factor 0.999/0.001 is not
+        with pytest.raises(DomainError, match="--Q"):
+            norm_report(scalar_model, 0.999, [[8.9e307]])
+
+    def test_overflowing_solution_is_a_domain_error(self, scalar_model):
+        with pytest.raises(DomainError, match="--alpha"):
+            solve_lyapunov(scalar_model, 2.9, [[8.9e307]])
+        with pytest.raises(DomainError, match="--alpha"):
+            solve_lyapunov(scalar_model, 2.9, [[8.9e307]], method="fixed_point")
+
     def test_invariant_h2_equals_scaled_varpi(self):
         model = make_random_model(17, 2, target=0.6, alpha=0.9)
         report = norm_report(model, 0.9)

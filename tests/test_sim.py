@@ -651,7 +651,7 @@ class TestDecayCheck:
         assert [row["k"] for row in rows] == list(range(51))
         assert set(rows[0]) == self.ROW_KEYS
         assert not any(row["violated"] for row in rows)
-        L = solve_lyapunov(model, 1.2, Q1).L.entries
+        L = solve_lyapunov(model, 1.2, Q1).L
         level = 1.2 * op_varpi(model, L)
         assert rows[0]["level"] == pytest.approx(level, rel=1e-12)
         report = norm_report(model, 1.2, Q1)
@@ -704,7 +704,7 @@ class TestSecondMomentBounds:
         # saturated in the kappa -> infinity limit, so Monte Carlo slack is
         # part of the assertion.
         model = request.getfixturevalue(fixture)
-        L = solve_lyapunov(model, alpha, Q1).L.entries
+        L = solve_lyapunov(model, alpha, Q1).L
         level = alpha * op_varpi(model, L)
         vb = v_bar_bound(model, alpha, L).primary
         cfg = SimConfig(n_paths=20_000, horizon=60, seed=67, x0=[1.0])
@@ -719,7 +719,7 @@ class TestSecondMomentBounds:
         # with c0 = lambda_max(L), c1 = alpha varpi(L)/(alpha - 1), and
         # xi = -1/2 L^{-1} v_bar.
         alpha = 1.2
-        L = solve_lyapunov(scalar_model, alpha, Q1).L.entries
+        L = solve_lyapunov(scalar_model, alpha, Q1).L
         varpi_L = op_varpi(scalar_model, L)
         c0 = float(np.linalg.eigvalsh(L)[-1])
         c1 = alpha * varpi_L / (alpha - 1.0)
