@@ -169,7 +169,7 @@ def _load_weight(path, n):
 
 
 def _load_gain(path, n, p):
-    G = np.atleast_2d(_load_matrix(path, "--G"))
+    G = _load_matrix(path, "--G")
     if G.shape != (n, p):
         raise DimensionError(f"--G must have shape ({n}, {p}), got {G.shape}")
     if not np.isfinite(G).all():

@@ -31,8 +31,21 @@ __all__ = [
 PSD_TOL = 1e-10
 
 
+def _holds_bool(value):
+    """Whether a JSON value is, or nests, a boolean."""
+    if isinstance(value, list):
+        return any(map(_holds_bool, value))
+    return isinstance(value, bool)
+
+
 def _as_float_array(value, name):
-    """Convert to a float ndarray, mapping conversion failures to ParseError."""
+    """Convert to a float ndarray, mapping conversion failures to ParseError.
+
+    Booleans are refused before numpy sees them, since np.asarray reads
+    [[1.0, true]] as [[1.0, 1.0]].
+    """
+    if _holds_bool(value):
+        raise ParseError(f"{name} holds a boolean where a number is expected")
     try:
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError):

@@ -13,6 +13,11 @@ W is not.  Matrix representations act on the symmetric-vectorization
 (svec) of U, with off-diagonal entries weighted by sqrt(2) so the
 representation preserves the Frobenius inner product and spectral radii
 are basis-independent.
+
+r_sigma(L_1) comes from a Collatz-Wielandt bracket, a power iteration on
+n-by-n matrices (:func:`radius_bracket`); the n(n+1)/2-square svec
+matrix M_1 is built only for dense solves and for the eigensolve the
+bracket falls back on when it cannot close.
 """
 
 from __future__ import annotations
@@ -28,7 +33,8 @@ __all__ = [
     "op_varpi",
     "op_L_alpha",
     "operator_matrix",
-    "unit_operator",
+    "unit_radius",
+    "unit_matrix",
     "spectral_radius",
     "svec",
     "smat",
@@ -36,6 +42,15 @@ __all__ = [
 ]
 
 _SQRT2 = np.sqrt(2.0)
+
+#: The Collatz-Wielandt bracket on r_sigma(L_1) closes at hi - lo <= RADIUS_RTOL * hi.
+RADIUS_RTOL = 1e-12
+#: Power steps after which an open bracket gives way to the dense eigensolve of M_1.
+RADIUS_MAX_STEPS = 400
+#: The bracket is read at U = I and then every BRACKET_EVERY power steps.
+BRACKET_EVERY = 4
+#: Reads over which the bracket's shrink rate is measured to foresee the cap.
+STALL_WINDOW = 4
 
 
 def sym_dim(n):
@@ -158,28 +173,116 @@ def operator_matrix(model, alpha, which):
     return M
 
 
-def unit_operator(model):
-    """(M_1, radius): L_1 in the svec basis and r_sigma(L_1), built once per model.
+def radius_bracket(model, floor=np.inf):
+    """A Collatz-Wielandt bracket (lo, hi) on r_sigma(L_1), or None if it does not close.
 
-    L_alpha = alpha L_1 as operators, so every alpha shares this one
-    matrix: L_alpha's matrix is alpha * M_1 and r_sigma(L_alpha)
-    = alpha * r_sigma(L_1).  The pair is kept on the model object, whose
-    arrays are read-only, so later calls with the same model reuse it.
+    L_1 maps the PSD cone into itself, so for every U > 0 with Cholesky
+    factor U = C C^T the extreme eigenvalues of R = C^{-1} L_1(U) C^{-T}
+    bound its spectral radius: lambda_min(R) <= r_sigma(L_1) <=
+    lambda_max(R).  A power iteration U <- L_1(U) / tr L_1(U) from U = I
+    tightens them; the bracket is read at U = I and then every
+    BRACKET_EVERY steps, keeping the running max of the lower and min of
+    the upper bounds.  It closes when hi - lo <= RADIUS_RTOL * hi.
+
+    With a finite ``floor`` it also stops, open, once lo >= floor: the
+    radius is then known to be at least floor.
+
+    None means the power iteration cannot decide: U lost definiteness,
+    L_1(U) has zero trace or is not finite, the bounds crossed, or the
+    bracket will not close within RADIUS_MAX_STEPS (by its shrink over
+    the last STALL_WINDOW reads).  That happens when the Perron
+    eigenvector of L_1 is singular or defective (diagonal or nilpotent
+    A, a Jordan block) or when subdominant eigenvalues lie close to it.
     """
-    unit = vars(model).get("_unit_operator")
-    if unit is None:
+    A, sbx = model.A, model.sigma_bar_x
+    diag = np.diag_indices(model.n)
+    lo, hi, widths = 0.0, np.inf, []
+    U = np.eye(model.n)
+    for step in range(RADIUS_MAX_STEPS + 1):
+        X = A.T @ U @ A  # L_1(U); symmetrized only where the bracket reads it
+        X[diag] += np.einsum("ij,ij->j", sbx, U @ sbx)
+        if step % BRACKET_EVERY == 0:
+            X = (X + X.T) / 2.0
+            if not np.isfinite(X).all():
+                return None
+            try:
+                C_inv = np.linalg.inv(np.linalg.cholesky(U))
+                eigs = np.linalg.eigvalsh(C_inv @ X @ C_inv.T)
+            except np.linalg.LinAlgError:
+                return None
+            lo, hi = max(lo, float(eigs[0])), min(hi, float(eigs[-1]))
+            if abs(hi - lo) <= RADIUS_RTOL * hi or lo >= floor:
+                return lo, hi
+            widths.append(hi - lo)
+            if lo > hi or _misses_cap(widths, step, hi):
+                return None
+        trace = np.trace(X)
+        if not 0.0 < trace < np.inf:
+            return None
+        U = X / trace
+    return None
+
+
+def _misses_cap(widths, step, hi):
+    """Whether the shrink of the bracket widths over the last STALL_WINDOW reads,
+    kept up, would leave it open at RADIUS_MAX_STEPS."""
+    if len(widths) <= STALL_WINDOW:
+        return False
+    shrink = widths[-1] / widths[-1 - STALL_WINDOW]
+    if shrink >= 1.0:
+        return True
+    reads_left = STALL_WINDOW * np.log(RADIUS_RTOL * hi / widths[-1]) / np.log(shrink)
+    return step + BRACKET_EVERY * reads_left > RADIUS_MAX_STEPS
+
+
+def radius_from_bracket(model, floor=np.inf):
+    """r_sigma(L_1): the upper end of :func:`radius_bracket`, or, when the
+    bracket does not close, the dense eigensolve of :func:`unit_matrix`.
+
+    A caller that only compares the radius with ``floor`` gets the
+    bracket's lower end instead as soon as that reaches floor.
+    """
+    bracket = radius_bracket(model, floor)
+    if bracket is None:
+        return spectral_radius(unit_matrix(model))
+    lo, hi = bracket
+    return lo if lo >= floor else hi
+
+
+def unit_radius(model):
+    """r_sigma(L_1), computed once per model and kept on the model object.
+
+    L_alpha = alpha L_1 as operators, so r_sigma(L_alpha) = alpha *
+    r_sigma(L_1) for every alpha.  See :func:`radius_from_bracket`.
+    """
+    radius = vars(model).get("_unit_radius")
+    if radius is None:
+        radius = radius_from_bracket(model)
+        object.__setattr__(model, "_unit_radius", radius)
+    return radius
+
+
+def unit_matrix(model):
+    """M_1, the svec matrix of L_1, built once per model and kept on the model object.
+
+    L_alpha's matrix is alpha * M_1.  Only the dense solves (the
+    Lyapunov equation, stability criteria (iii) and (v)) and the
+    fallback of :func:`radius_from_bracket` need it; the model's arrays
+    are read-only, so the kept matrix stays valid.
+    """
+    M1 = vars(model).get("_unit_matrix")
+    if M1 is None:
         M1 = operator_matrix(model, 1.0, "L_alpha")
-        unit = (M1, spectral_radius(M1))
-        object.__setattr__(model, "_unit_operator", unit)
-    return unit
+        object.__setattr__(model, "_unit_matrix", M1)
+    return M1
 
 
 def spectral_radius(M):
     """Spectral radius max|eigenvalue| of a square matrix.
 
-    Computed from a full eigendecomposition.  At n = 20 (dim 210) this
-    dense eigensolve dominates an analysis, so every L_alpha radius comes
-    from the one L_1 eigensolve of :func:`unit_operator`.
+    Computed from a full eigendecomposition, O(dim^3).  For M_1, dim =
+    n(n+1)/2, so r_sigma(L_1) comes from :func:`radius_bracket` and
+    reaches this only as its fallback.
     """
     M = np.asarray(M, dtype=float)
     if M.size == 0:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, NotStableError
 from .model import as_weight
-from .ops import op_L_alpha, op_varpi, smat, spectral_radius, svec, unit_operator
+from .ops import op_L_alpha, op_varpi, smat, spectral_radius, svec, unit_matrix, unit_radius
 
 __all__ = [
     "LyapunovSolution",
@@ -89,7 +89,8 @@ def solve_lyapunov(model, alpha, Q, method="direct", tol=1e-12, max_iter=100000)
         PSD right-hand side.
     method : {"direct", "fixed_point"}
         ``direct`` solves (I - alpha M_1) svec(U) = svec(Q), M_1 the
-        representation of L_1; ``fixed_point`` iterates U <- L_alpha(U) + Q
+        representation of L_1, built only once the radius test has
+        passed; ``fixed_point`` iterates U <- L_alpha(U) + Q
         from U = Q until the update falls below ``tol``.
     tol, max_iter : float, int
         Fixed-point stopping controls.
@@ -111,8 +112,7 @@ def solve_lyapunov(model, alpha, Q, method="direct", tol=1e-12, max_iter=100000)
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
     Qm = as_weight(Q, model.n)
-    M1, r1 = unit_operator(model)
-    radius = alpha * r1
+    radius = alpha * unit_radius(model)
     if not radius_below_one(radius):
         raise NotStableError(
             f"(I - L_alpha) has no PSD solution: r_sigma(L_alpha) = {radius:.6g} >= 1",
@@ -120,6 +120,7 @@ def solve_lyapunov(model, alpha, Q, method="direct", tol=1e-12, max_iter=100000)
         )
 
     if method == "direct":
+        M1 = unit_matrix(model)
         lhs = np.eye(M1.shape[0]) - alpha * M1
         U = smat(np.linalg.solve(lhs, svec(Qm)), model.n)
         iterations = 0
@@ -163,7 +164,8 @@ def critical_alpha(model, cap=1e6):
     in closed form.  L_alpha = alpha * L_1 as operators, so both radii
     are alpha times an alpha-free radius, and under the package's strict
     test the supremum is (1 - STRICT_RADIUS_MARGIN) / max(r_sigma(L_1),
-    r_sigma(A)).
+    r_sigma(A)).  r_sigma(L_1) is :func:`csviu.ops.unit_radius`, which
+    builds the svec matrix M_1 only when its bracket cannot close.
 
     Parameters
     ----------
@@ -172,7 +174,7 @@ def critical_alpha(model, cap=1e6):
         Upper bound on the result; it stands in for an infinite supremum
         when both radii are zero.
     """
-    r = max(unit_operator(model)[1], spectral_radius(model.A))
+    r = max(unit_radius(model), spectral_radius(model.A))
     return float(cap) if r == 0.0 else min(float(cap), (1.0 - STRICT_RADIUS_MARGIN) / r)
 
 

@@ -8,8 +8,10 @@ are provably equivalent:
   (v)   r_sigma(sqrt(alpha) A) < 1  and
         r_sigma((I - alpha A_conj)^{-1} Z) < 1/alpha
 
-where A_conj(U) = A^T U A.  Every criterion reads the one svec matrix
-M_1 of L_1 (L_alpha = alpha L_1).  Criterion (v) is evaluated through
+where A_conj(U) = A^T U A.  L_alpha = alpha L_1, so (ii) reads the one
+radius r_sigma(L_1) of ops.unit_radius, a Collatz-Wielandt bracket on
+n-by-n matrices; (iii) and (v) are dense solves with the svec matrix M_1
+of L_1, and only they build it.  Criterion (v) is evaluated through
 Z's rank-n factor Z = E Phi: E's columns are svec(E_ii) and Phi's rows
 svec(s_i s_i^T) for the columns s_i of sigma_bar_x.  So A_conj has the
 matrix M_1 - E Phi, and the nonzero spectrum of (I - alpha A_conj)^{-1}
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, InternalInconsistencyError, SingularOperatorError
-from .ops import smat, spectral_radius, svec, unit_operator
+from .ops import radius_from_bracket, smat, spectral_radius, svec, unit_matrix, unit_radius
 from .solver import radius_below_one
 
 __all__ = [
@@ -113,8 +115,8 @@ def check_stability(model, alpha):
     """
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
-    M1, r1 = unit_operator(model)
-    r_L = alpha * r1
+    M1 = unit_matrix(model)
+    r_L = alpha * unit_radius(model)
     r_A = spectral_radius(model.A)
 
     crit_ii = radius_below_one(r_L)
@@ -180,12 +182,15 @@ def check_stability(model, alpha):
     )
 
 
-def _closed_loop_radius(model, alpha, G):
+def _closed_loop_radius(model, alpha, G, floor=np.inf):
+    """r_sigma(L_alpha) at the closed loop A + G C, or a lower bound once that reaches floor."""
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
     # G = 0 leaves L_alpha itself, whose L_1 radius the model already holds.
-    closed = model.with_dynamics(model.A + G @ model.C) if np.any(G) else model
-    return alpha * unit_operator(closed)[1]
+    if not np.any(G):
+        return alpha * unit_radius(model)
+    closed = model.with_dynamics(model.A + G @ model.C)
+    return alpha * radius_from_bracket(closed, floor / alpha if alpha > 0 else np.inf)
 
 
 def check_detectability_with_G(model, alpha, G):
@@ -269,7 +274,9 @@ def search_detectability(model, alpha, budget=100, seed=0):
 
     def attempt(G):
         nonlocal best_radius
-        radius = _closed_loop_radius(model, alpha, G)
+        # A radius at or above the best so far, which failed, is neither a
+        # witness nor a new best, so the bracket may stop once it gets there.
+        radius = _closed_loop_radius(model, alpha, G, best_radius)
         best_radius = min(best_radius, radius)
         if radius_below_one(radius):
             return DetectabilityResult(True, np.asarray(G, dtype=float), radius)

@@ -26,6 +26,8 @@ EXPLOSIVE_DOC = dict(SCALAR_DOC, A=[[0.0]], sigma_x=[[1.0]], sigma_bar_x=[[40.0]
                      sigma=[[1.0]])
 # sigma = 10 puts the noise trace above 1, so varpi(L) overflows where L does not
 LOUD_DOC = dict(SCALAR_DOC, sigma=[[10.0]])
+# a JSON boolean where a number belongs; numpy alone would read it as A = 1
+BOOL_A_DOC = dict(SCALAR_DOC, A=[[True]])
 TWO_DIM_DOC = {
     "n": 2, "r": 2, "p": 1,
     "A": [[0.5, 0.1], [0.0, 0.3]],
@@ -51,7 +53,7 @@ def models(tmp_path_factory):
     paths = {}
     for name, doc in (("scalar", SCALAR_DOC), ("no_sx", NO_SX_DOC),
                       ("explosive", EXPLOSIVE_DOC), ("two_dim", TWO_DIM_DOC),
-                      ("loud", LOUD_DOC)):
+                      ("loud", LOUD_DOC), ("bool_a", BOOL_A_DOC)):
         path = base / f"{name}.json"
         path.write_text(json.dumps(doc))
         paths[name] = str(path)
@@ -62,7 +64,8 @@ def models(tmp_path_factory):
     for name, content in (("eye", [[1.0]]), ("dict", {"a": 1}), ("nan", [[float("nan")]]),
                           ("non_square", [[1.0, 2.0]]), ("ragged", [[1.0], [1.0, 2.0]]),
                           ("huge", [[1.5e308]]), ("near_limit", [[8.9e307]]),
-                          ("tiny_negative", [[-1e-12]]), ("negative", [[-1.0]])):
+                          ("tiny_negative", [[-1e-12]]), ("negative", [[-1.0]]),
+                          ("true", [[True]]), ("bare_number", -0.5), ("flat_list", [-0.5])):
         path = base / f"matrix_{name}.json"
         path.write_text(json.dumps(content))
         paths[f"matrix_{name}"] = str(path)
@@ -184,6 +187,13 @@ class TestExitCodes:
             (["norm", scalar, "--alpha", "0.9", "--Q", m("non_square")], "--Q"),
             (["norm", scalar, "--alpha", "0.9", "--Q", m("ragged")], "--Q"),
             (["analyze", scalar, "--alpha", "0.9", "--G", m("ragged")], "--G"),
+            (["norm", scalar, "--alpha", "0.9", "--Q", m("true")], "--Q holds a boolean"),
+            (["analyze", scalar, "--alpha", "0.9", "--G", m("true")], "--G holds a boolean"),
+            (["analyze", models["bool_a"], "--alpha", "0.9"], "A holds a boolean"),
+            (["analyze", scalar, "--alpha", "0.9", "--G", m("bare_number")],
+             "--G must have shape"),
+            (["analyze", scalar, "--alpha", "0.9", "--G", m("flat_list")],
+             "--G must have shape"),
         ]
         # finite --Q entries whose solution, closed forms or Monte Carlo means overflow
         cases += [
@@ -400,8 +410,9 @@ class TestSolveCounts:
 
 
 class TestSweep:
-    def test_default_grid_takes_one_svec_eigensolve(self, run, models, monkeypatch):
-        # two_dim has n = 2, so its svec representations are 3 x 3.
+    def test_default_grid_takes_no_svec_eigensolve(self, run, models, monkeypatch):
+        # two_dim has n = 2, so its svec representations are 3 x 3; the
+        # radius bracket decides on it, so only A (2 x 2) is eigensolved.
         shapes = []
         eigvals = np.linalg.eigvals
 
@@ -412,7 +423,7 @@ class TestSweep:
         monkeypatch.setattr(np.linalg, "eigvals", counting)
         code, _, _ = run(["sweep", models["two_dim"]])
         assert code == 0
-        assert shapes.count((3, 3)) == 1
+        assert shapes == [(2, 2)]
 
     def test_alias_stdout_is_identical(self, run, models):
         _, out_norm, _ = run(["norm", models["scalar"], "--sweep", "0.5,0.9,1.5"])

@@ -18,6 +18,8 @@ from csviu import (
     spectral_radius,
     svec,
 )
+from csviu import ops
+from csviu.ops import RADIUS_RTOL, STALL_WINDOW, radius_bracket, unit_radius
 from conftest import make_random_model, scalar_reference_model
 
 SCALAR = scalar_reference_model()
@@ -259,6 +261,91 @@ class TestSpectralRadius:
 
     def test_accepts_plain_matrices(self):
         assert spectral_radius(np.diag([0.5, -0.9])) == pytest.approx(0.9)
+
+
+def plain_model(A, sigma_bar_x=None):
+    """A model with only dynamics and state-proportional noise, for L_1's spectrum."""
+    A = np.asarray(A, dtype=float)
+    n = A.shape[0]
+    zeros = np.zeros((n, n))
+    return CsviuModel(
+        n=n, r=n, p=n, m=0, A=A, sigma_x=zeros,
+        sigma_bar_x=zeros if sigma_bar_x is None else sigma_bar_x,
+        sigma=zeros, C=np.eye(n),
+    )
+
+
+ROTATION = np.array([[np.cos(1.0), -np.sin(1.0)], [np.sin(1.0), np.cos(1.0)]])
+
+#: Models whose Perron eigenvector is singular or defective, and two that are not;
+#: True marks the ones on which the bracket gives way to the dense eigensolve.
+HARD_CASES = {
+    "diagonal": (plain_model(np.diag([0.9, 0.5, 0.3])), True),
+    "diagonal_with_sigma_bar": (plain_model(np.diag([0.9, 0.5, 0.3]), 0.2 * np.eye(3)), True),
+    "jordan_block": (plain_model([[0.9, 1.0], [0.0, 0.9]]), True),
+    "nilpotent": (plain_model([[0.0, 1.0], [0.0, 0.0]]), True),
+    "rotation": (plain_model(0.9 * ROTATION), False),
+    "scaled_permutation": (plain_model(0.8 * np.eye(3)[[1, 2, 0]]), False),
+}
+
+
+class TestRadiusBracket:
+    @pytest.mark.parametrize("alpha", [0.5, 0.9, 1.0, 1.2])
+    def test_contains_the_kronecker_radius(self, alpha):
+        rng = np.random.default_rng(int(10 * alpha))
+        for trial in range(40):
+            n = int(rng.integers(1, 8))
+            model = make_random_model(int(rng.integers(2**31)), n,
+                                      target=float(rng.uniform(0.3, 1.3)), alpha=alpha)
+            exact = spectral_radius(loop_operator_matrix(model, alpha, "L_alpha"))
+            bracket = radius_bracket(model)
+            assert bracket is not None, (trial, n)
+            lo, hi = alpha * bracket[0], alpha * bracket[1]
+            assert hi - lo <= RADIUS_RTOL * hi
+            assert lo * (1.0 - 1e-12) <= exact <= hi * (1.0 + 1e-12), (trial, n)
+
+    @pytest.mark.parametrize("case", sorted(HARD_CASES))
+    def test_hard_case_equals_the_dense_radius(self, case):
+        model, falls_back = HARD_CASES[case]
+        dense = spectral_radius(operator_matrix(model, 1.0, "L_alpha"))
+        assert unit_radius(model) == pytest.approx(dense, rel=1e-12)
+        assert (radius_bracket(model) is None) == falls_back
+
+    @pytest.mark.parametrize("case, expected_reads", [
+        ("rotation", 1), ("scaled_permutation", 1),  # U = I is already the Perron vector
+        ("nilpotent", 1),  # L_1(L_1(I)) = 0: the trace vanishes before the second read
+        # a stalled bracket gives way once its shrink has been measured, not at the cap
+        ("diagonal", STALL_WINDOW + 1), ("jordan_block", STALL_WINDOW + 1),
+    ])
+    def test_reads_before_deciding(self, case, expected_reads, monkeypatch):
+        reads = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda R: reads.append(R) or eigvalsh(R))
+        radius_bracket(HARD_CASES[case][0])
+        assert len(reads) == expected_reads
+
+    @pytest.mark.parametrize("case, dense_builds", [("rotation", 0), ("jordan_block", 1)])
+    def test_dense_eigensolve_only_as_the_fallback(self, case, dense_builds, monkeypatch):
+        builds = []
+        build = ops.operator_matrix
+        monkeypatch.setattr(ops, "operator_matrix",
+                            lambda *args: builds.append(args) or build(*args))
+        model, _ = HARD_CASES[case]
+        model = model.with_dynamics(model.A)  # a fresh copy holds no kept radius
+        unit_radius(model)
+        unit_radius(model)
+        assert len(builds) == dense_builds
+
+    def test_stops_open_at_the_floor(self):
+        model = make_random_model(3, 4, target=0.8)
+        lo, hi = radius_bracket(model)
+        early = radius_bracket(model, floor=0.5)
+        assert 0.5 <= early[0] <= lo and early[1] - early[0] > RADIUS_RTOL * early[1]
+        assert ops.radius_from_bracket(model, floor=0.5) == early[0]
+        assert ops.radius_from_bracket(model, floor=0.9) == hi
+
+    def test_zero_operator_closes_at_zero(self):
+        assert radius_bracket(plain_model(np.zeros((2, 2)))) == (0.0, 0.0)
 
 
 class TestOperatorInvariants:

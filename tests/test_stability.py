@@ -17,6 +17,7 @@ from csviu import (
     spectral_radius,
     NotStableError,
 )
+from csviu import ops, stability
 from conftest import make_random_model
 from test_ops import loop_operator_matrix
 
@@ -101,7 +102,7 @@ class TestCheckStability:
             got = check_stability(model, alpha).spectral_radii["resolvent_Z"]
             assert got == pytest.approx(expected, rel=1e-10, abs=0.0), (n, alpha)
 
-    def test_one_svec_sized_eigensolve(self, monkeypatch):
+    def test_no_svec_sized_eigensolve(self, monkeypatch):
         model = load_model(N3_MODEL)
         shapes = []
         eigvals = np.linalg.eigvals
@@ -112,9 +113,9 @@ class TestCheckStability:
 
         monkeypatch.setattr(np.linalg, "eigvals", counting)
         check_stability(model, 0.9)
-        # r_sigma(L_1) is the only 6x6 eigensolve; A and the resolvent are 3x3.
-        assert shapes.count((6, 6)) == 1
-        assert shapes.count((3, 3)) == 2
+        # r_sigma(L_1) comes from the radius bracket, so no 6x6 eigensolve
+        # runs; only A and the resolvent, both 3x3, are eigensolved.
+        assert shapes == [(3, 3), (3, 3)]
 
     def test_solution_plus_witness_implies_stable(self):
         rng = np.random.default_rng(8)
@@ -200,6 +201,31 @@ class TestSearchDetectability:
         result = search_detectability(model, 1.0, budget=30)
         assert not result.detectable
         assert result.closed_loop_radius >= 1.0
+
+    def test_attempts_build_no_svec_matrix(self, monkeypatch):
+        # G = 0 fails here, so the search goes on to the deadbeat gains.
+        model = make_random_model(5, 3, target=1.3)
+        builds = []
+        build = ops.operator_matrix
+        monkeypatch.setattr(ops, "operator_matrix",
+                            lambda *args: builds.append(args) or build(*args))
+        assert not check_detectability_with_G(model, 0.9, np.zeros((3, 3))).detectable
+        result = search_detectability(model, 0.9)
+        assert result.detectable
+        assert builds == []
+
+    def test_floor_leaves_the_search_unchanged(self, monkeypatch):
+        # Not stable with one output: some searches find a gain, some exhaust the budget.
+        models = [make_random_model(seed, 1 + seed % 4, target=1.3, p=1) for seed in range(8)]
+        with_floor = [search_detectability(m, 0.9, budget=30) for m in models]
+        monkeypatch.setattr(stability, "radius_from_bracket",
+                            lambda model, floor: ops.radius_from_bracket(model))
+        without = [search_detectability(m, 0.9, budget=30) for m in models]
+        assert {a.detectable for a in with_floor} == {True, False}
+        for a, b in zip(with_floor, without):
+            assert a.detectable == b.detectable
+            assert a.closed_loop_radius == b.closed_loop_radius
+            assert (a.G is None and b.G is None) or np.array_equal(a.G, b.G)
 
     def test_budget_validation(self, scalar_model):
         with pytest.raises(ValueError):
