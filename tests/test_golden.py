@@ -47,6 +47,11 @@ COMMANDS = {
                            "20", "--seed", "7", "--alpha", "0.9", "--check-decay"],
     "simulate-decay-1.0": ["simulate", "{model}", "--paths", "500", "--horizon",
                            "20", "--seed", "7", "--alpha", "1.0", "--check-decay"],
+    # three path blocks, so the estimators' block seams are fenced too
+    "simulate-blocks": ["simulate", "{model}", "--paths", "9000", "--horizon",
+                        "20", "--seed", "7", "--alpha", "0.9", "--x0", "1.0",
+                        "--noise", "rademacher", "--validate-representation",
+                        "--check-decay", "--output-dir", "OUT"],
 }
 MODELS = ("scalar", "n3")
 CASES = [f"{model}-{command}" for model in MODELS for command in COMMANDS]
