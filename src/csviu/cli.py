@@ -47,12 +47,15 @@ from .norms import (
 from .ops import op_varpi
 from .sim import (
     NOISE_KINDS,
+    AbelSums,
+    CesaroMeans,
+    Ensemble,
+    PathFeed,
+    RepresentationCheck,
     SimConfig,
-    check_decay,
-    estimate_abel_energy,
-    estimate_cesaro_power,
+    StageStats,
+    decay_rows,
     simulate_paths,
-    validate_representation,
 )
 from .solver import _require_finite, critical_alpha, solve_lyapunov
 from .stability import check_detectability_with_G, check_stability, search_detectability
@@ -88,6 +91,9 @@ SWEEP_COLUMNS = [
     "dist_to_L1",
 ]
 DECAY_COLUMNS = ["k", "energy", "std_error", "level", "bound", "violated"]
+
+#: The manifest every file written under --output-dir names.
+MANIFEST = "manifest.json"
 
 
 def _jsonable(value):
@@ -224,34 +230,47 @@ def _csv_cell(value):
     return value
 
 
-def _dump_trajectories(path, manifest_name, ensemble):
-    X = ensemble.X
-    Y = ensemble.outputs()
-    n, p = X.shape[2], Y.shape[2]
-    columns = (
-        ["path", "k"]
-        + [f"x{i}" for i in range(n)]
-        + [f"y{i}" for i in range(p)]
-    )
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# manifest: {manifest_name}\n")
-        writer = csv.writer(fh)
-        writer.writerow(columns)
+class _TrajectoryDump:
+    """Block sink that writes trajectories.csv as the path blocks are simulated."""
+
+    def __init__(self, out_dir, model, cfg):
+        os.makedirs(out_dir, exist_ok=True)
+        self.path = os.path.join(out_dir, "trajectories.csv")
+        self.model, self.cfg = model, cfg
+        self.fh = open(self.path, "w", encoding="utf-8", newline="")
+        self.fh.write(f"# manifest: {MANIFEST}\n")
+        self.writer = csv.writer(self.fh)
+        self.writer.writerow(
+            ["path", "k"]
+            + [f"x{i}" for i in range(model.n)]
+            + [f"y{i}" for i in range(model.p)]
+        )
+
+    def add_block(self, j0, X, ok):
+        Y = Ensemble(model=self.model, cfg=self.cfg, X=X, ok=ok, aborted=[]).outputs()
         for j in range(X.shape[0]):
             for k in range(X.shape[1]):
-                writer.writerow(
-                    [j, k]
+                self.writer.writerow(
+                    [j0 + j, k]
                     + [repr(float(v)) for v in X[j, k]]
                     + [repr(float(v)) for v in Y[j, k]]
                 )
 
+    def close(self):
+        self.fh.close()
 
-def _emit(report, args, tables=None, ensemble=None):
+    def discard(self):
+        """Close and remove the file, for a run that fails after it was opened."""
+        self.fh.close()
+        os.remove(self.path)
+
+
+def _emit(report, args, tables=None):
     """Print the canonical report; mirror it to --output-dir when given."""
     out_dir = getattr(args, "output_dir", None)
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
-        manifest_name = "manifest.json"
+        manifest_name = MANIFEST
         manifest = dict(report["manifest"])
         manifest["output_dir"] = out_dir
         manifest["timestamp"] = datetime.now(timezone.utc).isoformat()
@@ -265,10 +284,6 @@ def _emit(report, args, tables=None, ensemble=None):
             fh.write("\n")
         for name, (columns, rows) in (tables or {}).items():
             _write_csv(os.path.join(out_dir, name), manifest_name, columns, rows)
-        if ensemble is not None:
-            _dump_trajectories(
-                os.path.join(out_dir, "trajectories.csv"), manifest_name, ensemble
-            )
     print(json.dumps(report, indent=2, sort_keys=True))
 
 
@@ -411,8 +426,6 @@ def cmd_simulate(args):
         noise_kind=args.noise,
         x0=x0,
     )
-    ensemble = simulate_paths(model, cfg)
-    abort_fraction = len(ensemble.aborted) / cfg.n_paths
 
     # One solve serves the closed forms and the decay check; only the check must have it.
     zero_start = args.alpha < 1.0 and not np.any(x0)
@@ -424,47 +437,59 @@ def cmd_simulate(args):
             if args.check_decay:
                 raise
 
-    abel_closed = norms.h2_discounted if norms is not None and zero_start else None
-    estimates = {"abel": _against_closed_form(
-        estimate_abel_energy(ensemble, Qm, args.alpha), abel_closed)}
-    if args.alpha == 1.0:
-        estimates["cesaro"] = _against_closed_form(
-            estimate_cesaro_power(ensemble, Qm),
-            norms.power_norm if norms is not None else None)
+    # Every estimate reads the one pass over the path blocks.
+    abel = AbelSums(args.alpha, cfg.horizon)
+    cesaro = CesaroMeans(cfg.horizon) if args.alpha == 1.0 else None
+    representation = (RepresentationCheck(model, cfg, args.alpha, Qm)
+                      if args.validate_representation else None)
+    stages = StageStats(cfg.horizon) if args.check_decay else None
+    feed = PathFeed(Qm, [r for r in (abel, cesaro, representation, stages) if r is not None])
+    dump = _TrajectoryDump(args.output_dir, model, cfg) if args.dump else None
+    try:
+        ensemble = simulate_paths(model, cfg, [feed] if dump is None else [feed, dump])
+        abort_fraction = len(ensemble.aborted) / cfg.n_paths
 
-    report = {
-        "command": "simulate",
-        "manifest": _jsonable(
-            _manifest(
-                "simulate",
-                args,
-                {
-                    "alpha": args.alpha,
-                    "paths": cfg.n_paths,
-                    "horizon": cfg.horizon,
-                    "seed": cfg.seed,
-                    "noise_kind": cfg.noise_kind,
-                    "x0": cfg.x0,
-                    "Q": Q if Q is not None else "C^T C",
-                },
-            )
-        ),
-        "estimates": estimates,
-        "aborted_paths": len(ensemble.aborted),
-        "abort_fraction": abort_fraction,
-    }
+        abel_closed = norms.h2_discounted if norms is not None and zero_start else None
+        estimates = {"abel": _against_closed_form(abel.result(), abel_closed)}
+        if cesaro is not None:
+            estimates["cesaro"] = _against_closed_form(
+                cesaro.result(), norms.power_norm if norms is not None else None)
 
-    tables = {}
-    if args.validate_representation:
-        report["representation"] = _jsonable(
-            validate_representation(ensemble, args.alpha, Qm)
-        )
-    if args.check_decay:
-        rows = check_decay(ensemble, args.alpha, Qm, report=norms)
-        report["decay"] = _jsonable(rows)
-        tables["decay.csv"] = (DECAY_COLUMNS, report["decay"])
+        report = {
+            "command": "simulate",
+            "manifest": _jsonable(
+                _manifest(
+                    "simulate",
+                    args,
+                    {
+                        "alpha": args.alpha,
+                        "paths": cfg.n_paths,
+                        "horizon": cfg.horizon,
+                        "seed": cfg.seed,
+                        "noise_kind": cfg.noise_kind,
+                        "x0": cfg.x0,
+                        "Q": Q if Q is not None else "C^T C",
+                    },
+                )
+            ),
+            "estimates": estimates,
+            "aborted_paths": len(ensemble.aborted),
+            "abort_fraction": abort_fraction,
+        }
 
-    _emit(report, args, tables=tables, ensemble=ensemble if args.dump else None)
+        tables = {}
+        if representation is not None:
+            report["representation"] = _jsonable(representation.result())
+        if stages is not None:
+            rows = decay_rows(norms, args.alpha, cfg.x0, *stages.result())
+            report["decay"] = _jsonable(rows)
+            tables["decay.csv"] = (DECAY_COLUMNS, report["decay"])
+    except BaseException:
+        if dump is not None:
+            dump.discard()
+        raise
+
+    _emit(report, args, tables=tables)
     if abort_fraction > ABORT_FRACTION_LIMIT:
         print(
             f"error: {len(ensemble.aborted)} of {cfg.n_paths} paths aborted "

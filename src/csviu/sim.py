@@ -4,6 +4,14 @@ Trajectory sampling, energy/power estimators, pathwise evaluation of the
 backward-recursion energy representation, overtaking comparison, and the
 per-stage decay check.
 
+simulate_paths makes one pass over path blocks.  Each block is handed to
+sinks and dropped; a PathFeed sink evaluates the block's quadratic forms
+x_k^T Q x_k once and passes them to every reducer (Abel sums, Cesaro
+means, per-stage statistics, the representation check), which keep only
+per-path scalars.  The whole ensemble X is kept only when it is asked
+for (no sinks); the Ensemble-taking estimators replay it through the
+same reducers, in the same chunks, so both routes give the same bits.
+
 Reproducibility contract: path j draws its noise from a Philox stream
 keyed by (master seed, j), consumed in a stage-block partition that
 depends only on the model dimensions and the horizon.  Each path block
@@ -36,12 +44,18 @@ __all__ = [
     "ConstantInput",
     "StateFeedbackInput",
     "simulate_paths",
+    "PathFeed",
+    "AbelSums",
+    "CesaroMeans",
+    "StageStats",
+    "RepresentationCheck",
     "estimate_abel_energy",
     "estimate_cesaro_power",
     "per_stage_energy",
     "validate_representation",
     "compare_overtaking",
     "check_decay",
+    "decay_rows",
 ]
 
 #: Paths per block (one generator, one noise buffer); fixed, so no result
@@ -50,6 +64,17 @@ PATH_BLOCK = 4096
 
 #: Noise-buffer budget per path block, in array elements.
 STAGE_BLOCK_ELEMENTS = 2**25
+
+#: Upper bound on the arrays of one path block's X size that a streamed run
+#: holds at once: the block buffer, the chunk buffer and the survivors being
+#: copied into it, and q with the two per-stage temporaries (each at most
+#: one block's X).
+STREAM_BLOCK_ARRAYS = 6
+
+#: Upper bound on the doubles per path that a streamed run keeps: the Abel
+#: and Cesaro values, and the representation's three per-path terms with
+#: their concatenations and differences.
+STREAM_PATH_DOUBLES = 12
 
 #: A path aborts once any state component exceeds this magnitude.
 OVERFLOW_LIMIT = 1e150
@@ -149,10 +174,13 @@ class EnergyEstimate:
 class Ensemble:
     """Sampled trajectories plus abort diagnostics.
 
-    X has shape (n_paths, horizon+1, n); aborted paths hold NaN from
-    their abort stage onward and are excluded from every estimator.
-    ``aborted`` lists (path index, stage) for each overflow, ordered by
-    path block, then stage, then path.
+    X has shape (n_paths, horizon+1, n) and is kept only when it is asked
+    for, that is when simulate_paths streams into no sinks; otherwise it
+    is None and the run kept only per-path results.  Aborted paths hold
+    NaN from their abort stage onward and are excluded from every
+    estimator.  ``ok`` marks the surviving paths; ``aborted`` lists
+    (path index, stage) for each overflow, ordered by path block, then
+    stage, then path.
     """
 
     model: object
@@ -163,11 +191,11 @@ class Ensemble:
 
     @property
     def n_paths(self):
-        return self.X.shape[0]
+        return self.ok.shape[0]
 
     @property
     def horizon(self):
-        return self.X.shape[1] - 1
+        return self.cfg.horizon
 
     @property
     def n_ok(self):
@@ -194,7 +222,8 @@ def _draw(gen, kind, out):
     if kind == "gaussian":
         gen.standard_normal(out=out)
     elif kind == "rademacher":
-        out[...] = gen.integers(0, 2, size=out.shape).astype(float) * 2.0 - 1.0
+        np.multiply(gen.integers(0, 2, size=out.shape), 2.0, out=out)
+        out -= 1.0
     else:
         out[...] = gen.uniform(-_SQRT3, _SQRT3, size=out.shape)
 
@@ -205,14 +234,13 @@ def _stage_block_size(horizon, width):
     return max(1, min(horizon, STAGE_BLOCK_ELEMENTS // (PATH_BLOCK * width)))
 
 
-def _simulate_block(model, cfg, X, ok, aborted, j0, j1):
-    """Simulate paths j0..j1-1 into the preallocated slice X[j0:j1]."""
+def _simulate_block(model, cfg, steps, X, buf, aborted, j0):
+    """Simulate paths j0..j0+len(X)-1 into X, drawing into ``buf``; return their survival mask."""
     n = model.n
-    A, B, sx, sbx, sg = model.A, model.B, model.sigma_x, model.sigma_bar_x, model.sigma
+    AT, BT, sxT, sbxT, sgT = steps
     policy = cfg.input_policy
     horizon = cfg.horizon
-    width = n + model.r
-    bp = j1 - j0
+    bp = X.shape[0]
 
     # One generator re-keyed per path: a fresh Philox(key=(seed, j)) has
     # counter 0 and an empty output buffer, so path j's stream is unchanged.
@@ -224,12 +252,11 @@ def _simulate_block(model, cfg, X, ok, aborted, j0, j1):
     saved = [None] * bp
 
     x = np.tile(cfg.x0, (bp, 1))
-    X[j0:j1, 0, :] = x
+    X[:, 0, :] = x
     alive = np.ones(bp, dtype=bool)
     all_alive = True
 
-    sb = _stage_block_size(horizon, width)
-    buf = np.empty((bp, sb, width))
+    sb = buf.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):
         for k0 in range(0, horizon, sb):
             k1 = min(k0 + sb, horizon)
@@ -245,12 +272,14 @@ def _simulate_block(model, cfg, X, ok, aborted, j0, j1):
             for k in range(k0, k1):
                 eps = buf[:, k - k0, :n]
                 om = buf[:, k - k0, n:]
-                xn = x @ A.T
-                if B is not None:
+                xn = x @ AT
+                if BT is not None:
                     ell = policy.inputs(k, x)
                     if ell is not None:
-                        xn = xn + ell @ B.T
-                xn = xn + eps @ sx.T + (np.abs(x) * eps) @ sbx.T + om @ sg.T
+                        xn += ell @ BT
+                xn += eps @ sxT
+                xn += (np.abs(x) * eps) @ sbxT
+                xn += om @ sgT
                 # NaN and inf both fail the comparison.
                 bad = ~(np.abs(xn) <= OVERFLOW_LIMIT).all(axis=1)
                 if not all_alive or bad.any():
@@ -259,28 +288,36 @@ def _simulate_block(model, cfg, X, ok, aborted, j0, j1):
                     alive &= ~bad
                     all_alive = False
                     xn[~alive] = np.nan
-                X[j0:j1, k + 1, :] = xn
+                X[:, k + 1, :] = xn
                 x = xn if all_alive else np.where(alive[:, None], xn, 0.0)
-    ok[j0:j1] = alive
+    return alive
 
 
-def simulate_paths(model, cfg):
-    """Sample an ensemble of CSVIU trajectories.
+def simulate_paths(model, cfg, sinks=()):
+    """Sample an ensemble of CSVIU trajectories, one path block at a time.
 
     x_{k+1} = A x_k + B l_k + (sigma_x + sigma_bar_x diag(|x_k|)) eps_k
     + sigma w_k per path.  Identical (model, cfg) gives bit-identical
-    ensembles.
+    trajectories.
 
     Parameters
     ----------
     model : CsviuModel
     cfg : SimConfig
+    sinks : sequence, optional
+        Objects with ``add_block(j0, X, ok)`` and ``close()``.  Each block
+        of PATH_BLOCK paths from j0 on is simulated into a buffer reused
+        for the next block and handed to every sink in turn (X of shape
+        (paths, horizon+1, n), ok its survival mask; neither outlives the
+        call), and ``close()`` runs after the last block.  With no sinks
+        the whole ensemble X is kept instead.
 
     Raises
     ------
     ValueError
-        If the ensemble and its noise buffer would not fit in physical
-        memory (nothing is allocated).
+        If what the run holds would not fit in physical memory (nothing
+        is allocated): the ensemble X and one noise buffer without sinks;
+        the block buffers and per-path results with them.
 
     Returns
     -------
@@ -288,37 +325,101 @@ def simulate_paths(model, cfg):
         Paths whose state magnitude exceeds 1e150 (or goes non-finite)
         abort at the offending stage: the (path, stage) pair is recorded,
         the trajectory is NaN from there on, and estimators exclude it.
+        X is None when sinks were given.
     """
     if cfg.x0.shape != (model.n,):
         raise DimensionError(f"x0 must have length n={model.n}, got {cfg.x0.shape}")
     if model.B is None and not isinstance(cfg.input_policy, ZeroInput):
         raise ValueError("input_policy requires a model with m > 0")
 
-    n_paths, horizon = cfg.n_paths, cfg.horizon
-    width = model.n + model.r
-    # The ensemble X plus one path block's noise buffer.
-    need = 8 * (n_paths * (horizon + 1) * model.n
-                + min(n_paths, PATH_BLOCK) * _stage_block_size(horizon, width) * width)
+    n_paths, horizon, n = cfg.n_paths, cfg.horizon, model.n
+    width = n + model.r
+    block = min(n_paths, PATH_BLOCK)
+    sb = _stage_block_size(horizon, width)
+    noise = block * sb * width
+    if sinks:
+        need = 8 * (noise + STREAM_BLOCK_ARRAYS * block * (horizon + 1) * n
+                    + STREAM_PATH_DOUBLES * n_paths)
+        held = "the path-block buffers and per-path results"
+    else:
+        need = 8 * (n_paths * (horizon + 1) * n + noise)
+        held = "the ensemble and its noise buffer"
     physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > physical:
-        raise ValueError(f"the ensemble and its noise buffer need {need / 1e9:.3g} GB, "
+        raise ValueError(f"{held} need {need / 1e9:.3g} GB, "
                          f"more than the {physical / 1e9:.3g} GB of memory; "
                          "lower --paths or --horizon")
-    X = np.empty((n_paths, horizon + 1, model.n))
+    steps = tuple(None if M is None else np.ascontiguousarray(M.T)
+                  for M in (model.A, model.B, model.sigma_x, model.sigma_bar_x, model.sigma))
+    buf = np.empty((block, sb, width))
+    X = None if sinks else np.empty((n_paths, horizon + 1, n))
+    Xb = np.empty((block, horizon + 1, n)) if sinks else None
     ok = np.ones(n_paths, dtype=bool)
     aborted = []
     for j0 in range(0, n_paths, PATH_BLOCK):
-        _simulate_block(model, cfg, X, ok, aborted, j0, min(j0 + PATH_BLOCK, n_paths))
+        j1 = min(j0 + PATH_BLOCK, n_paths)
+        Xj = Xb[: j1 - j0] if X is None else X[j0:j1]
+        ok[j0:j1] = _simulate_block(model, cfg, steps, Xj, buf[: j1 - j0], aborted, j0)
+        for sink in sinks:
+            sink.add_block(j0, Xj, ok[j0:j1])
+    for sink in sinks:
+        sink.close()
     return Ensemble(model=model, cfg=cfg, X=X, ok=ok, aborted=aborted)
 
 
-def _quad_per_stage(X, Qm, mask, chunk=PATH_BLOCK):
-    """Yield per-path, per-stage quadratic forms x^T Q x over valid paths."""
-    idx = np.flatnonzero(mask)
-    for c0 in range(0, idx.size, chunk):
-        sel = idx[c0 : c0 + chunk]
-        Xc = X[sel]
-        yield np.einsum("pki,ij,pkj->pk", Xc, Qm, Xc)
+class PathFeed:
+    """Block sink that hands surviving paths to reducers, PATH_BLOCK at a time.
+
+    A chunk is the next PATH_BLOCK surviving paths in path order (fewer
+    for the last), so the reductions do not depend on where aborts fall:
+    after a block with aborts, survivors fill a chunk buffer across
+    blocks.  Each chunk's quadratic forms q[p, k] = x_k^T Q x_k are
+    evaluated once and every reducer's ``add_chunk(X, q)`` reads them.
+    """
+
+    def __init__(self, Q, reducers):
+        self.Q = Q
+        self.reducers = reducers
+        self._chunk = None
+        self._fill = 0
+
+    def add_block(self, j0, X, ok):
+        if self._fill == 0 and X.shape[0] == PATH_BLOCK and ok.all():
+            self._reduce(X)
+            return
+        if self._chunk is None:
+            self._chunk = np.empty((PATH_BLOCK,) + X.shape[1:])
+        idx = np.flatnonzero(ok)
+        i = 0
+        while i < idx.size:
+            take = idx[i : i + PATH_BLOCK - self._fill]
+            self._chunk[self._fill : self._fill + take.size] = X[take]
+            self._fill += take.size
+            i += take.size
+            if self._fill == PATH_BLOCK:
+                self._reduce(self._chunk)
+                self._fill = 0
+
+    def close(self):
+        if self._fill:
+            self._reduce(self._chunk[: self._fill])
+        self._chunk, self._fill = None, 0
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def _reduce(self, X):
+        q = np.einsum("pki,ij,pkj->pk", X, self.Q, X)
+        for reducer in self.reducers:
+            reducer.add_chunk(X, q)
+
+
+def _replay(ensemble, Q, reducer):
+    """Feed a kept ensemble's paths to one reducer block by block; return its result."""
+    feed = PathFeed(as_weight(Q, ensemble.model.n), [reducer])
+    for j0 in range(0, ensemble.n_paths, PATH_BLOCK):
+        j1 = j0 + PATH_BLOCK
+        feed.add_block(j0, ensemble.X[j0:j1], ensemble.ok[j0:j1])
+    feed.close()
+    return reducer.result()
 
 
 def _require_finite_means(means):
@@ -345,41 +446,165 @@ def _ensemble_stats(values):
 
 
 @np.errstate(over="ignore", invalid="ignore")
+def _estimate(parts, kind):
+    values = np.concatenate(parts) if parts else np.empty(0)
+    mean, se, n = _ensemble_stats(values)
+    return EnergyEstimate(value=mean, std_error=se, n_paths=n, kind=kind)
+
+
+class AbelSums:
+    """Reducer: per-path discounted energy sum_{k=0}^{kappa} alpha^k ||x_k||_Q^2."""
+
+    def __init__(self, alpha, kappa):
+        if alpha <= 0:
+            raise ValueError("alpha must be positive")
+        self.kind = f"abel(alpha={alpha}, kappa={kappa})"
+        with np.errstate(over="ignore"):
+            self.w = float(alpha) ** np.arange(kappa + 1)
+        self.sums = []
+
+    def add_chunk(self, X, q):
+        self.sums.append(q @ self.w)
+
+    def result(self):
+        """EnergyEstimate: mean and standard error over the surviving paths."""
+        return _estimate(self.sums, self.kind)
+
+
+class CesaroMeans:
+    """Reducer: per-path long-run average (1/kappa) sum_{k<kappa} ||x_k||_Q^2."""
+
+    def __init__(self, kappa):
+        self.kappa = kappa
+        self.means = []
+
+    def add_chunk(self, X, q):
+        self.means.append(q[:, : self.kappa].mean(axis=1))
+
+    def result(self):
+        """EnergyEstimate: mean and standard error over the surviving paths."""
+        return _estimate(self.means, f"cesaro(kappa={self.kappa})")
+
+
+class StageStats:
+    """Reducer: stagewise ensemble means and standard errors of ||x_k||_Q^2."""
+
+    def __init__(self, kappa):
+        self.total = np.zeros(kappa + 1)
+        self.sq_dev = np.zeros(kappa + 1)
+        self.n = 0
+
+    def add_chunk(self, X, q):
+        m, n = q.shape[0], self.n
+        chunk_total = q.sum(axis=0)
+        # Deviations from each chunk's own mean avoid the cancellation (and
+        # inf - inf) of the textbook sum-of-squares shortcut; chunks merge by
+        # the pairwise update of Chan, Golub & LeVeque (1979).
+        self.sq_dev += ((q - chunk_total / m) ** 2).sum(axis=0)
+        if n:
+            self.sq_dev += (chunk_total / m - self.total / n) ** 2 * (n * m / (n + m))
+        self.total += chunk_total
+        self.n += m
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def result(self):
+        """(means, std_errors), each of shape (kappa+1,)."""
+        n = self.n
+        if n == 0:
+            nan = np.full(self.total.shape, np.nan)
+            return nan, nan
+        means = self.total / n
+        _require_finite_means(means)
+        ses = np.sqrt(self.sq_dev / (n - 1) / n) if n > 1 else np.zeros(self.total.shape)
+        return means, ses
+
+
+class RepresentationCheck:
+    """Reducer behind validate_representation; the backward recursion runs once, here."""
+
+    def __init__(self, model, cfg, alpha, Q, Phi=None, gamma=0.0):
+        kappa = cfg.horizon
+        self.model, self.cfg, self.alpha, self.gamma = model, cfg, alpha, float(gamma)
+        self.P = backward_recursion(model, alpha, Q, kappa, Phi, gamma).P_seq
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.w = float(alpha) ** np.arange(kappa + 1)
+            self.W_d = [op_W_d(model, Pk) for Pk in self.P[1:]]
+            self.varpi = [op_varpi(model, Pk) for Pk in self.P[1:]]
+        self.S, self.R, self.corr = [], [], []
+
+    def add_chunk(self, X, q):
+        model, alpha, w, P = self.model, self.alpha, self.w, self.P
+        kappa = self.cfg.horizon
+        A, B = model.A, model.B
+        policy = self.cfg.input_policy
+        m = X.shape[0]
+        v = np.zeros((m, model.n))
+        g = np.full(m, self.gamma)
+        corr = np.zeros(m)
+        for k in range(kappa - 1, -1, -1):
+            Pk1, wd = P[k + 1], self.W_d[k]
+            s_k = np.sign(X[:, k, :])
+            ell = policy.inputs(k, X[:, k, :]) if B is not None else None
+            if ell is not None:
+                Bl = ell @ B.T
+                g = alpha * (
+                    g
+                    + self.varpi[k]
+                    + np.einsum("pi,ij,pj->p", Bl, Pk1, Bl)
+                    + (v * Bl).sum(axis=1)
+                )
+                noise = X[:, k + 1, :] - X[:, k, :] @ A.T - Bl
+                corr += w[k] * alpha * (v * noise).sum(axis=1)
+                v = alpha * ((v + 2.0 * (Bl @ Pk1)) @ A + wd * s_k)
+            else:
+                g = alpha * (g + self.varpi[k])
+                noise = X[:, k + 1, :] - X[:, k, :] @ A.T
+                corr += w[k] * alpha * (v * noise).sum(axis=1)
+                v = alpha * (v @ A + wd * s_k)
+        terminal = np.einsum("pi,ij,pj->p", X[:, kappa, :], P[kappa], X[:, kappa, :]) + self.gamma
+        self.S.append(q[:, :kappa] @ w[:kappa])
+        self.R.append(v @ self.cfg.x0 + g - w[kappa] * terminal)
+        self.corr.append(corr)
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def result(self):
+        """The record validate_representation returns."""
+        if not self.S:
+            raise ValueError("all paths aborted; representation check impossible")
+        S, R, corr = (np.concatenate(parts) for parts in (self.S, self.R, self.corr))
+        x0 = self.cfg.x0
+        quad0 = float(x0 @ self.P[0] @ x0)
+        diffs = S - R
+        gap_mean, gap_se, _ = _ensemble_stats(diffs)
+        gap = abs(gap_mean - quad0)
+        corrected = diffs - corr
+        cgap_mean, cgap_se, _ = _ensemble_stats(corrected)
+        return {
+            "lhs": float(S.mean()),
+            "rhs": quad0 + float(R.mean()),
+            "gap": gap,
+            "std_error": gap_se,
+            "z": gap / gap_se if gap_se > 0 else float("inf") if gap > 0 else 0.0,
+            "n_paths": S.size,
+            "sign_noise_term": float(corr.mean()),
+            "corrected_gap": abs(cgap_mean - quad0),
+            "corrected_std_error": cgap_se,
+        }
+
+
 def estimate_abel_energy(ensemble, Q, alpha):
     """Per-path discounted energy sum_{k=0}^{kappa} alpha^k ||x_k||_Q^2.
 
     Returns the ensemble mean and standard error over surviving paths.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    Qm = as_weight(Q, ensemble.model.n)
-    kappa = ensemble.horizon
-    w = float(alpha) ** np.arange(kappa + 1)
-    sums = [q @ w for q in _quad_per_stage(ensemble.X, Qm, ensemble.ok)]
-    values = np.concatenate(sums) if sums else np.empty(0)
-    mean, se, n = _ensemble_stats(values)
-    return EnergyEstimate(
-        value=mean,
-        std_error=se,
-        n_paths=n,
-        kind=f"abel(alpha={alpha}, kappa={kappa})",
-    )
+    return _replay(ensemble, Q, AbelSums(alpha, ensemble.horizon))
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def estimate_cesaro_power(ensemble, Q):
     """Per-path long-run average (1/kappa) sum_{k<kappa} ||x_k||_Q^2."""
-    Qm = as_weight(Q, ensemble.model.n)
-    kappa = ensemble.horizon
-    means = [q[:, :kappa].mean(axis=1) for q in _quad_per_stage(ensemble.X, Qm, ensemble.ok)]
-    values = np.concatenate(means) if means else np.empty(0)
-    mean, se, n = _ensemble_stats(values)
-    return EnergyEstimate(
-        value=mean, std_error=se, n_paths=n, kind=f"cesaro(kappa={kappa})"
-    )
+    return _replay(ensemble, Q, CesaroMeans(ensemble.horizon))
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def per_stage_energy(ensemble, Q):
     """Stagewise ensemble means and standard errors of ||x_k||_Q^2.
 
@@ -387,32 +612,9 @@ def per_stage_energy(ensemble, Q):
     -------
     (means, std_errors) : ndarray of shape (horizon+1,), each
     """
-    Qm = as_weight(Q, ensemble.model.n)
-    kappa = ensemble.horizon
-    total = np.zeros(kappa + 1)
-    sq_dev = np.zeros(kappa + 1)
-    n = 0
-    for q in _quad_per_stage(ensemble.X, Qm, ensemble.ok):
-        m = q.shape[0]
-        chunk_total = q.sum(axis=0)
-        # Deviations from each chunk's own mean avoid the cancellation (and
-        # inf - inf) of the textbook sum-of-squares shortcut; chunks merge by
-        # the pairwise update of Chan, Golub & LeVeque (1979).
-        sq_dev += ((q - chunk_total / m) ** 2).sum(axis=0)
-        if n:
-            sq_dev += (chunk_total / m - total / n) ** 2 * (n * m / (n + m))
-        total += chunk_total
-        n += m
-    if n == 0:
-        nan = np.full(kappa + 1, np.nan)
-        return nan, nan
-    means = total / n
-    _require_finite_means(means)
-    ses = np.sqrt(sq_dev / (n - 1) / n) if n > 1 else np.zeros(kappa + 1)
-    return means, ses
+    return _replay(ensemble, Q, StageStats(ensemble.horizon))
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def validate_representation(ensemble, alpha, Q, Phi=None, gamma=0.0):
     """Monte Carlo check of the backward-recursion energy representation.
 
@@ -437,75 +639,9 @@ def validate_representation(ensemble, alpha, Q, Phi=None, gamma=0.0):
     dict with keys lhs, rhs, gap, std_error, z, n_paths,
     sign_noise_term, corrected_gap, corrected_std_error.
     """
-    model, cfg = ensemble.model, ensemble.cfg
-    n = model.n
-    kappa = cfg.horizon
-    Qm = as_weight(Q, n)
-    P = backward_recursion(model, alpha, Qm, kappa, Phi, gamma).P_seq
-
-    okX = ensemble.X if ensemble.ok.all() else ensemble.X[ensemble.ok]
-    n_ok = okX.shape[0]
-    if n_ok == 0:
-        raise ValueError("all paths aborted; representation check impossible")
-    x0 = cfg.x0
-
-    w = float(alpha) ** np.arange(kappa + 1)
-    q = np.einsum("pki,ij,pkj->pk", okX, Qm, okX)
-    S = q[:, :kappa] @ w[:kappa]
-
-    A, B = model.A, model.B
-    policy = cfg.input_policy
-    v = np.zeros((n_ok, n))
-    g = np.full(n_ok, float(gamma))
-    corr = np.zeros(n_ok)
-    for k in range(kappa - 1, -1, -1):
-        Pk1 = P[k + 1]
-        wd = op_W_d(model, Pk1)
-        s_k = np.sign(okX[:, k, :])
-        varpi_k1 = op_varpi(model, Pk1)
-        if B is not None:
-            ell = policy.inputs(k, okX[:, k, :])
-        else:
-            ell = None
-        if ell is not None:
-            Bl = ell @ B.T
-            g = alpha * (
-                g
-                + varpi_k1
-                + np.einsum("pi,ij,pj->p", Bl, Pk1, Bl)
-                + (v * Bl).sum(axis=1)
-            )
-            noise = okX[:, k + 1, :] - okX[:, k, :] @ A.T - Bl
-            corr += w[k] * alpha * (v * noise).sum(axis=1)
-            v = alpha * ((v + 2.0 * (Bl @ Pk1)) @ A + wd * s_k)
-        else:
-            g = alpha * (g + varpi_k1)
-            noise = okX[:, k + 1, :] - okX[:, k, :] @ A.T
-            corr += w[k] * alpha * (v * noise).sum(axis=1)
-            v = alpha * (v @ A + wd * s_k)
-
-    terminal = np.einsum("pi,ij,pj->p", okX[:, kappa, :], P[kappa], okX[:, kappa, :]) + float(gamma)
-    quad0 = float(x0 @ P[0] @ x0)
-    R = v @ x0 + g - w[kappa] * terminal
-
-    diffs = S - R
-    gap_mean, gap_se, _ = _ensemble_stats(diffs)
-    gap = abs(gap_mean - quad0)
-    corrected = diffs - corr
-    cgap_mean, cgap_se, _ = _ensemble_stats(corrected)
-    lhs = float(S.mean())
-    rhs = quad0 + float(R.mean())
-    return {
-        "lhs": lhs,
-        "rhs": rhs,
-        "gap": gap,
-        "std_error": gap_se,
-        "z": gap / gap_se if gap_se > 0 else float("inf") if gap > 0 else 0.0,
-        "n_paths": n_ok,
-        "sign_noise_term": float(corr.mean()),
-        "corrected_gap": abs(cgap_mean - quad0),
-        "corrected_std_error": cgap_se,
-    }
+    Qm = as_weight(Q, ensemble.model.n)
+    check = RepresentationCheck(ensemble.model, ensemble.cfg, alpha, Qm, Phi, gamma)
+    return _replay(ensemble, Qm, check)
 
 
 def compare_overtaking(ensemble_a, ensemble_b, alpha, epsilon):
@@ -560,16 +696,23 @@ def check_decay(ensemble, alpha, Q=None, report=None):
     -------
     list of dict with keys k, energy, std_error, level, bound, violated.
     """
-    model, cfg = ensemble.model, ensemble.cfg
+    model = ensemble.model
     Qm = energy_weight(model, Q)
     if report is None:
         report = norm_report(model, alpha, Qm)
-    level = alpha * report.varpi_L
+    return decay_rows(report, alpha, ensemble.cfg.x0, *per_stage_energy(ensemble, Qm))
 
-    means, ses = per_stage_energy(ensemble, Qm)
+
+def decay_rows(report, alpha, x0, means, ses):
+    """check_decay's rows from the per-stage means and standard errors.
+
+    ``means`` and ``ses`` are what StageStats.result() returns, for
+    stages k = 0..kappa; ``report`` is norm_report(model, alpha, Q).
+    """
+    level = alpha * report.varpi_L
     rows = []
-    for k in range(cfg.horizon + 1):
-        bound = _decay_envelope(report, cfg.x0, k)
+    for k in range(means.shape[0]):
+        bound = _decay_envelope(report, x0, k)
         violated = bool(means[k] > level + bound + 3.0 * ses[k])
         rows.append(
             {
