@@ -57,7 +57,7 @@ from .sim import (
     decay_rows,
     simulate_paths,
 )
-from .solver import _require_finite, critical_alpha, solve_lyapunov
+from .solver import _require_finite, backward_recursion, critical_alpha, solve_lyapunov
 from .stability import check_detectability_with_G, check_stability, search_detectability
 
 #: Fraction of aborted paths above which a simulate run exits 3.
@@ -400,14 +400,33 @@ def cmd_norm(args):
     return 0
 
 
-def _against_closed_form(estimate, closed):
-    """The estimate's report block, with the closed form and z-score when one exists."""
+def _against_closed_form(estimate, closed, closed_horizon):
+    """The estimate's report block, with the closed forms that exist.
+
+    The z-score compares the estimate with ``closed_horizon``, the closed
+    form over the simulated horizon; ``closed`` is its infinite-horizon limit.
+    """
     block = _jsonable(estimate)
     if closed is not None:
-        se = estimate.std_error
         block["closed_form"] = closed
-        block["z_score"] = (estimate.value - closed) / se if se > 0 else None
+    if closed_horizon is not None:
+        se = estimate.std_error
+        block["closed_form_horizon"] = closed_horizon
+        block["z_score"] = (estimate.value - closed_horizon) / se if se > 0 else None
     return block
+
+
+def _closed_form_horizon(model, alpha, Q, kappa):
+    """From x0 = 0, the closed form of what a kappa-stage simulation estimates.
+
+    For alpha < 1 that is the Abel sum sum_{k<=kappa} alpha^k E||x_k||_Q^2,
+    g_0 of the backward recursion over kappa + 1 stages; at alpha = 1 the
+    Cesaro mean (1/kappa) sum_{k<kappa} E||x_k||_Q^2 = g_0 / kappa.  Like
+    the infinite-horizon forms, it leaves out the cross term of W_d.
+    """
+    if alpha < 1.0:
+        return float(backward_recursion(model, alpha, Q, kappa + 1).g_seq[0])
+    return float(backward_recursion(model, 1.0, Q, kappa).g_seq[0]) / kappa
 
 
 def cmd_simulate(args):
@@ -450,10 +469,16 @@ def cmd_simulate(args):
         abort_fraction = len(ensemble.aborted) / cfg.n_paths
 
         abel_closed = norms.h2_discounted if norms is not None and zero_start else None
-        estimates = {"abel": _against_closed_form(abel.result(), abel_closed)}
+        estimates = {"abel": _against_closed_form(
+            abel.result(), abel_closed,
+            _closed_form_horizon(model, args.alpha, Qm, cfg.horizon) if abel_closed is not None
+            else None)}
         if cesaro is not None:
+            power = norms.power_norm if norms is not None else None
             estimates["cesaro"] = _against_closed_form(
-                cesaro.result(), norms.power_norm if norms is not None else None)
+                cesaro.result(), power,
+                _closed_form_horizon(model, 1.0, Qm, cfg.horizon)
+                if power is not None and not np.any(x0) else None)
 
         report = {
             "command": "simulate",

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 from referencing import Registry, Resource
 
-from csviu import cli, norms
+from csviu import cli, load_model, norms
+from test_sim import exact_second_moments
 
 N3_MODEL = str(Path(__file__).parent / "golden" / "models" / "n3.json")
 
@@ -21,6 +22,8 @@ SCALAR_DOC = {
 }
 # sigma_x = 0 puts the model in the exact domain of the discounted closed form
 NO_SX_DOC = dict(SCALAR_DOC, sigma_x=[[0.0]])
+# sigma_bar_x = 0: additive noise only, where the closed forms are exact as well
+NO_SBAR_DOC = dict(SCALAR_DOC, sigma_bar_x=[[0.0]])
 # A = 0 with huge state-proportional noise overflows most paths within ~120 stages
 EXPLOSIVE_DOC = dict(SCALAR_DOC, A=[[0.0]], sigma_x=[[1.0]], sigma_bar_x=[[40.0]],
                      sigma=[[1.0]])
@@ -51,7 +54,7 @@ def _clear_thread_env(monkeypatch):
 def models(tmp_path_factory):
     base = tmp_path_factory.mktemp("cli_models")
     paths = {}
-    for name, doc in (("scalar", SCALAR_DOC), ("no_sx", NO_SX_DOC),
+    for name, doc in (("scalar", SCALAR_DOC), ("no_sx", NO_SX_DOC), ("no_sbar", NO_SBAR_DOC),
                       ("explosive", EXPLOSIVE_DOC), ("two_dim", TWO_DIM_DOC),
                       ("loud", LOUD_DOC), ("bool_a", BOOL_A_DOC)):
         path = base / f"{name}.json"
@@ -463,8 +466,10 @@ class TestSimulateReport:
         schema_validator("simulate").validate(report)
         abel = report["estimates"]["abel"]
         assert abel["closed_form"] == pytest.approx(H2_SCALAR_09)
+        # the z-score reads the closed form over the 20 simulated stages
+        assert abel["closed_form_horizon"] < abel["closed_form"]
         assert abel["z_score"] == pytest.approx(
-            (abel["value"] - abel["closed_form"]) / abel["std_error"]
+            (abel["value"] - abel["closed_form_horizon"]) / abel["std_error"]
         )
         # both noise channels active: the closed form undershoots the true energy
         assert 3.0 < abel["z_score"] < 10.0
@@ -477,6 +482,27 @@ class TestSimulateReport:
         assert code == 0
         abel = json.loads(out)["estimates"]["abel"]
         assert abs(abel["z_score"]) < 3.0
+
+    @pytest.mark.parametrize("name", ["no_sx", "no_sbar"])
+    def test_closed_form_horizon_sums_the_exact_moments(self, run, models, name):
+        # With one noise channel off the second-moment recursion closes.
+        m = exact_second_moments(load_model(models[name]), 0.0, 20)
+        argv = ["simulate", models[name], "--paths", "10", "--horizon", "20", "--seed", "3"]
+        _, out, _ = run(argv + ["--alpha", "0.9"])
+        abel = json.loads(out)["estimates"]["abel"]
+        assert abel["closed_form_horizon"] == pytest.approx(0.9 ** np.arange(21) @ m, rel=1e-12)
+        _, out, _ = run(argv + ["--alpha", "1.0"])
+        cesaro = json.loads(out)["estimates"]["cesaro"]
+        assert cesaro["closed_form_horizon"] == pytest.approx(m[:20].mean(), rel=1e-12)
+
+    def test_cesaro_from_nonzero_start_has_no_z_score(self, run, models):
+        # The start's transient has no closed form, so only the limit is shown.
+        _, out, _ = run(["simulate", models["scalar"], "--paths", "100", "--horizon", "10",
+                         "--seed", "3", "--alpha", "1.0", "--x0", "1.0"])
+        cesaro = json.loads(out)["estimates"]["cesaro"]
+        assert cesaro["closed_form"] == pytest.approx(POWER_SCALAR)
+        assert "closed_form_horizon" not in cesaro
+        assert "z_score" not in cesaro
 
     def test_no_closed_form_for_nonzero_start(self, run, models):
         _, out, _ = run(["simulate", models["scalar"], "--paths", "100",
