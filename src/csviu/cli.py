@@ -234,7 +234,9 @@ class _TrajectoryDump:
     """Block sink that writes trajectories.csv as the path blocks are simulated."""
 
     def __init__(self, out_dir, model, cfg):
+        self.made_dir = not os.path.isdir(out_dir)
         os.makedirs(out_dir, exist_ok=True)
+        self.out_dir = out_dir
         self.path = os.path.join(out_dir, "trajectories.csv")
         self.model, self.cfg = model, cfg
         self.fh = open(self.path, "w", encoding="utf-8", newline="")
@@ -260,9 +262,11 @@ class _TrajectoryDump:
         self.fh.close()
 
     def discard(self):
-        """Close and remove the file, for a run that fails after it was opened."""
+        """Remove the file, and the directory if it made it, for a run that fails."""
         self.fh.close()
         os.remove(self.path)
+        if self.made_dir:
+            os.rmdir(self.out_dir)
 
 
 def _emit(report, args, tables=None):
@@ -400,33 +404,31 @@ def cmd_norm(args):
     return 0
 
 
-def _against_closed_form(estimate, closed, closed_horizon):
-    """The estimate's report block, with the closed forms that exist.
+def _against_closed_form(estimate, closed, model, alpha, Q, cfg):
+    """The estimate's report block, with its closed forms when they exist.
 
-    The z-score compares the estimate with ``closed_horizon``, the closed
-    form over the simulated horizon; ``closed`` is its infinite-horizon limit.
+    ``closed`` is the infinite-horizon closed form.  From x0 = 0 the block
+    also carries ``closed_form_horizon``, the closed form of what the
+    kappa-stage simulation estimates, and the z-score against it: for
+    alpha < 1 the Abel sum sum_{k<=kappa} alpha^k E||x_k||_Q^2, g_0 of the
+    backward recursion over kappa + 1 stages; at alpha = 1 the Cesaro mean
+    (1/kappa) sum_{k<kappa} E||x_k||_Q^2 = g_0 / kappa.  Like ``closed``,
+    it leaves out the cross term of W_d.
     """
     block = _jsonable(estimate)
-    if closed is not None:
-        block["closed_form"] = closed
-    if closed_horizon is not None:
+    if closed is None:
+        return block
+    block["closed_form"] = closed
+    if not np.any(cfg.x0):
+        kappa = cfg.horizon
+        if alpha < 1.0:
+            horizon = float(backward_recursion(model, alpha, Q, kappa + 1).g_seq[0])
+        else:
+            horizon = float(backward_recursion(model, 1.0, Q, kappa).g_seq[0]) / kappa
         se = estimate.std_error
-        block["closed_form_horizon"] = closed_horizon
-        block["z_score"] = (estimate.value - closed_horizon) / se if se > 0 else None
+        block["closed_form_horizon"] = horizon
+        block["z_score"] = (estimate.value - horizon) / se if se > 0 else None
     return block
-
-
-def _closed_form_horizon(model, alpha, Q, kappa):
-    """From x0 = 0, the closed form of what a kappa-stage simulation estimates.
-
-    For alpha < 1 that is the Abel sum sum_{k<=kappa} alpha^k E||x_k||_Q^2,
-    g_0 of the backward recursion over kappa + 1 stages; at alpha = 1 the
-    Cesaro mean (1/kappa) sum_{k<kappa} E||x_k||_Q^2 = g_0 / kappa.  Like
-    the infinite-horizon forms, it leaves out the cross term of W_d.
-    """
-    if alpha < 1.0:
-        return float(backward_recursion(model, alpha, Q, kappa + 1).g_seq[0])
-    return float(backward_recursion(model, 1.0, Q, kappa).g_seq[0]) / kappa
 
 
 def cmd_simulate(args):
@@ -470,15 +472,11 @@ def cmd_simulate(args):
 
         abel_closed = norms.h2_discounted if norms is not None and zero_start else None
         estimates = {"abel": _against_closed_form(
-            abel.result(), abel_closed,
-            _closed_form_horizon(model, args.alpha, Qm, cfg.horizon) if abel_closed is not None
-            else None)}
+            abel.result(), abel_closed, model, args.alpha, Qm, cfg)}
         if cesaro is not None:
-            power = norms.power_norm if norms is not None else None
             estimates["cesaro"] = _against_closed_form(
-                cesaro.result(), power,
-                _closed_form_horizon(model, 1.0, Qm, cfg.horizon)
-                if power is not None and not np.any(x0) else None)
+                cesaro.result(), norms.power_norm if norms is not None else None,
+                model, 1.0, Qm, cfg)
 
         report = {
             "command": "simulate",

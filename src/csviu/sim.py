@@ -208,13 +208,21 @@ class Ensemble:
     def outputs(self):
         """Lazy outputs y_k = C x_k + D l_k with shape (n_paths, horizon+1, p)."""
         C, D = self.model.C, self.model.D
-        Y = np.einsum("pkj,ij->pki", self.X, C)
+        Y = np.einsum("pkj,ij->pki", _kept(self), C)
         if D is not None:
             for k in range(self.X.shape[1]):
                 ell = self.inputs_at(k)
                 if ell is not None:
                     Y[:, k, :] += ell @ D.T
         return Y
+
+
+def _kept(ensemble):
+    """The ensemble's X; a streamed ensemble has none to give."""
+    if ensemble.X is None:
+        raise ValueError("the ensemble was streamed and kept no trajectories; "
+                         "call simulate_paths without sinks to keep them")
+    return ensemble.X
 
 
 def _draw(gen, kind, out):
@@ -414,10 +422,11 @@ class PathFeed:
 
 def _replay(ensemble, Q, reducer):
     """Feed a kept ensemble's paths to one reducer block by block; return its result."""
+    X = _kept(ensemble)
     feed = PathFeed(as_weight(Q, ensemble.model.n), [reducer])
     for j0 in range(0, ensemble.n_paths, PATH_BLOCK):
         j1 = j0 + PATH_BLOCK
-        feed.add_block(j0, ensemble.X[j0:j1], ensemble.ok[j0:j1])
+        feed.add_block(j0, X[j0:j1], ensemble.ok[j0:j1])
     feed.close()
     return reducer.result()
 

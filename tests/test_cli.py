@@ -649,6 +649,17 @@ class TestArtifacts:
         assert decay[0] == "# manifest: manifest.json"
         assert decay[1] == "k,energy,std_error,level,bound,violated"
 
+    def test_failed_run_leaves_no_dump(self, run, models, tmp_path):
+        # The Abel mean overflows after the pass that wrote the dump.
+        outdir = tmp_path / "failed"
+        code, out, err = run(["simulate", models["scalar"], "--paths", "10", "--horizon", "5",
+                              "--seed", "1", "--alpha", "0.9", "--x0", "1.0",
+                              "--Q", models["matrix_huge"], "--dump",
+                              "--output-dir", str(outdir)])
+        assert (code, out) == (2, "")
+        assert "not a finite double" in err
+        assert not outdir.exists()
+
     def test_vector_columns_and_start_broadcast(self, run, models, tmp_path):
         outdir = tmp_path / "two_dim"
         _, out, _ = run(["simulate", models["two_dim"], "--paths", "10",

@@ -185,6 +185,13 @@ class TestStreamEqualsOracle:
         assert ensemble.aborted == kept.aborted
         assert (ensemble.n_paths, ensemble.horizon) == (kept.n_paths, kept.horizon)
 
+    def test_streamed_ensemble_refuses_the_estimators(self, case):
+        _, _, ensemble, _, Q, alpha = case
+        for estimate in (lambda: estimate_abel_energy(ensemble, Q, alpha),
+                         lambda: per_stage_energy(ensemble, Q), ensemble.outputs):
+            with pytest.raises(ValueError, match="without sinks"):
+                estimate()
+
     def test_explosive_case_aborts_in_every_block(self):
         make, kwargs, _ = CASES["explosive"]
         kept = simulate_paths(make(), SimConfig(seed=7, **kwargs))
