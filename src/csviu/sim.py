@@ -383,6 +383,7 @@ class PathFeed:
     after a block with aborts, survivors fill a chunk buffer across
     blocks.  Each chunk's quadratic forms q[p, k] = x_k^T Q x_k are
     evaluated once and every reducer's ``add_chunk(X, q)`` reads them.
+    Blocks must hold PATH_BLOCK paths, all but the last.
     """
 
     def __init__(self, Q, reducers):
@@ -392,7 +393,7 @@ class PathFeed:
         self._fill = 0
 
     def add_block(self, j0, X, ok):
-        if self._fill == 0 and X.shape[0] == PATH_BLOCK and ok.all():
+        if self._fill == 0 and ok.all():
             self._reduce(X)
             return
         if self._chunk is None:
