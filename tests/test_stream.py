@@ -23,6 +23,7 @@ import pytest
 import csviu.sim as sim
 from conftest import make_random_model, scalar_reference_model
 from csviu import (
+    ConstantInput,
     SimConfig,
     cli,
     estimate_abel_energy,
@@ -108,7 +109,8 @@ def oracle_representation(ensemble, alpha, Q):
     w = float(alpha) ** np.arange(kappa + 1)
     q = np.einsum("pki,ij,pkj->pk", okX, Qm, okX)
     S = q[:, :kappa] @ w[:kappa]
-    A = model.A
+    A, B = model.A, model.B
+    policy = cfg.input_policy
     v = np.zeros((n_ok, model.n))
     g = np.zeros(n_ok)
     corr = np.zeros(n_ok)
@@ -116,10 +118,23 @@ def oracle_representation(ensemble, alpha, Q):
         Pk1 = P[k + 1]
         wd = op_W_d(model, Pk1)
         s_k = np.sign(okX[:, k, :])
-        g = alpha * (g + op_varpi(model, Pk1))
-        noise = okX[:, k + 1, :] - okX[:, k, :] @ A.T
-        corr += w[k] * alpha * (v * noise).sum(axis=1)
-        v = alpha * (v @ A + wd * s_k)
+        ell = policy.inputs(k, okX[:, k, :]) if B is not None else None
+        if ell is not None:
+            Bl = ell @ B.T
+            g = alpha * (
+                g
+                + op_varpi(model, Pk1)
+                + np.einsum("pi,ij,pj->p", Bl, Pk1, Bl)
+                + (v * Bl).sum(axis=1)
+            )
+            noise = okX[:, k + 1, :] - okX[:, k, :] @ A.T - Bl
+            corr += w[k] * alpha * (v * noise).sum(axis=1)
+            v = alpha * ((v + 2.0 * (Bl @ Pk1)) @ A + wd * s_k)
+        else:
+            g = alpha * (g + op_varpi(model, Pk1))
+            noise = okX[:, k + 1, :] - okX[:, k, :] @ A.T
+            corr += w[k] * alpha * (v * noise).sum(axis=1)
+            v = alpha * (v @ A + wd * s_k)
     terminal = np.einsum("pi,ij,pj->p", okX[:, kappa, :], P[kappa], okX[:, kappa, :])
     quad0 = float(x0 @ P[0] @ x0)
     R = v @ x0 + g - w[kappa] * terminal
@@ -147,6 +162,10 @@ CASES = {
     "scalar": (scalar_reference_model, dict(n_paths=9000, horizon=20, x0=[1.0]), 0.9),
     "n3": (lambda: load_model(GOLDEN_MODELS / "n3.json"),
            dict(n_paths=9000, horizon=20, x0=[1.0, 1.0, 1.0], noise_kind="rademacher"), 0.9),
+    # the input branch of the backward loop: B l_k in g, the noise and v
+    "constant-input": (lambda: make_random_model(777, 3, target=0.75, alpha=0.9, m=2),
+                       dict(n_paths=9000, horizon=20, x0=[1.0, -0.5, 0.25],
+                            input_policy=ConstantInput([0.7, -0.3])), 0.9),
     # aborts in every block, so chunks of survivors straddle the block seams
     "explosive": (explosive_model,
                   dict(n_paths=3 * sim.PATH_BLOCK - 100, horizon=110, x0=[1.0]), 1e-4),
