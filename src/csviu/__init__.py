@@ -64,10 +64,8 @@ from .sim import (
     Ensemble,
     InputPolicy,
     SimConfig,
-    StateFeedbackInput,
     ZeroInput,
     check_decay,
-    compare_overtaking,
     estimate_abel_energy,
     estimate_cesaro_power,
     per_stage_energy,
@@ -131,12 +129,10 @@ __all__ = [
     "InputPolicy",
     "ZeroInput",
     "ConstantInput",
-    "StateFeedbackInput",
     "simulate_paths",
     "estimate_abel_energy",
     "estimate_cesaro_power",
     "per_stage_energy",
     "validate_representation",
-    "compare_overtaking",
     "check_decay",
 ]

@@ -49,7 +49,6 @@ from .sim import (
     NOISE_KINDS,
     AbelSums,
     CesaroMeans,
-    Ensemble,
     PathFeed,
     RepresentationCheck,
     SimConfig,
@@ -191,14 +190,8 @@ def _positive_alpha(text):
 
 
 def _check_threads(args):
-    """Validate CSVIU_THREADS (it wins when set) or --threads; no report depends on either."""
-    env = os.environ.get("CSVIU_THREADS")
-    if env is not None:
-        try:
-            int(env)
-        except ValueError:
-            raise ValueError(f"CSVIU_THREADS must be an integer, got {env!r}") from None
-    elif args.threads is not None and args.threads < 1:
+    """Validate --threads; no report depends on it."""
+    if args.threads is not None and args.threads < 1:
         raise ValueError("threads must be a positive integer")
 
 
@@ -233,12 +226,12 @@ def _csv_cell(value):
 class _TrajectoryDump:
     """Block sink that writes trajectories.csv as the path blocks are simulated."""
 
-    def __init__(self, out_dir, model, cfg):
+    def __init__(self, out_dir, model):
         self.made_dir = not os.path.isdir(out_dir)
         os.makedirs(out_dir, exist_ok=True)
         self.out_dir = out_dir
         self.path = os.path.join(out_dir, "trajectories.csv")
-        self.model, self.cfg = model, cfg
+        self.C = model.C
         self.fh = open(self.path, "w", encoding="utf-8", newline="")
         self.fh.write(f"# manifest: {MANIFEST}\n")
         self.writer = csv.writer(self.fh)
@@ -249,7 +242,8 @@ class _TrajectoryDump:
         )
 
     def add_block(self, j0, X, ok):
-        Y = Ensemble(model=self.model, cfg=self.cfg, X=X, ok=ok, aborted=[]).outputs()
+        # The CLI simulates under the zero input, so y_k = C x_k.
+        Y = np.einsum("pkj,ij->pki", X, self.C)
         for j in range(X.shape[0]):
             for k in range(X.shape[1]):
                 self.writer.writerow(
@@ -465,7 +459,7 @@ def cmd_simulate(args):
                       if args.validate_representation else None)
     stages = StageStats(cfg.horizon) if args.check_decay else None
     feed = PathFeed(Qm, [r for r in (abel, cesaro, representation, stages) if r is not None])
-    dump = _TrajectoryDump(args.output_dir, model, cfg) if args.dump else None
+    dump = _TrajectoryDump(args.output_dir, model) if args.dump else None
     try:
         ensemble = simulate_paths(model, cfg, [feed] if dump is None else [feed, dump])
         abort_fraction = len(ensemble.aborted) / cfg.n_paths
@@ -504,7 +498,7 @@ def cmd_simulate(args):
         if representation is not None:
             report["representation"] = _jsonable(representation.result())
         if stages is not None:
-            rows = decay_rows(norms, args.alpha, cfg.x0, *stages.result())
+            rows = decay_rows(norms, cfg.x0, *stages.result())
             report["decay"] = _jsonable(rows)
             tables["decay.csv"] = (DECAY_COLUMNS, report["decay"])
     except BaseException:
@@ -596,8 +590,7 @@ def build_parser():
         "--threads",
         type=int,
         default=None,
-        help="accepted and validated only; reports never depend on it "
-        "(CSVIU_THREADS overrides)",
+        help="accepted and validated only; reports never depend on it",
     )
     p_sim.add_argument(
         "--validate-representation",

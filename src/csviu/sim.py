@@ -1,8 +1,7 @@
 """Seeded Monte Carlo engine for CSVIU systems.
 
 Trajectory sampling, energy/power estimators, pathwise evaluation of the
-backward-recursion energy representation, overtaking comparison, and the
-per-stage decay check.
+backward-recursion energy representation, and the per-stage decay check.
 
 simulate_paths makes one pass over path blocks.  Each block is handed to
 sinks and dropped; a PathFeed sink evaluates the block's quadratic forms
@@ -42,7 +41,6 @@ __all__ = [
     "InputPolicy",
     "ZeroInput",
     "ConstantInput",
-    "StateFeedbackInput",
     "simulate_paths",
     "PathFeed",
     "AbelSums",
@@ -53,7 +51,6 @@ __all__ = [
     "estimate_cesaro_power",
     "per_stage_energy",
     "validate_representation",
-    "compare_overtaking",
     "check_decay",
     "decay_rows",
 ]
@@ -109,21 +106,6 @@ class ConstantInput(InputPolicy):
 
     def inputs(self, k, x):
         return np.broadcast_to(self.ell, (x.shape[0], self.ell.shape[0]))
-
-
-@dataclass(frozen=True)
-class StateFeedbackInput(InputPolicy):
-    """Linear state feedback l_k = K x_k."""
-
-    K: np.ndarray
-
-    def __post_init__(self):
-        arr = np.atleast_2d(np.asarray(self.K, dtype=float))
-        arr.setflags(write=False)
-        object.__setattr__(self, "K", arr)
-
-    def inputs(self, k, x):
-        return x @ self.K.T
 
 
 @dataclass
@@ -200,21 +182,6 @@ class Ensemble:
     @property
     def n_ok(self):
         return int(self.ok.sum())
-
-    def inputs_at(self, k):
-        """Stage-k inputs for all paths, or None under the zero policy."""
-        return self.cfg.input_policy.inputs(k, self.X[:, k, :])
-
-    def outputs(self):
-        """Lazy outputs y_k = C x_k + D l_k with shape (n_paths, horizon+1, p)."""
-        C, D = self.model.C, self.model.D
-        Y = np.einsum("pkj,ij->pki", _kept(self), C)
-        if D is not None:
-            for k in range(self.X.shape[1]):
-                ell = self.inputs_at(k)
-                if ell is not None:
-                    Y[:, k, :] += ell @ D.T
-        return Y
 
 
 def _kept(ensemble):
@@ -552,25 +519,19 @@ class RepresentationCheck:
         g = np.full(m, self.gamma)
         corr = np.zeros(m)
         for k in range(kappa - 1, -1, -1):
-            Pk1, wd = P[k + 1], self.W_d[k]
-            s_k = np.sign(X[:, k, :])
+            Pk1 = P[k + 1]
+            g = g + self.varpi[k]
+            noise = X[:, k + 1, :] - X[:, k, :] @ A.T
+            vin = v
             ell = policy.inputs(k, X[:, k, :]) if B is not None else None
             if ell is not None:
                 Bl = ell @ B.T
-                g = alpha * (
-                    g
-                    + self.varpi[k]
-                    + np.einsum("pi,ij,pj->p", Bl, Pk1, Bl)
-                    + (v * Bl).sum(axis=1)
-                )
-                noise = X[:, k + 1, :] - X[:, k, :] @ A.T - Bl
-                corr += w[k] * alpha * (v * noise).sum(axis=1)
-                v = alpha * ((v + 2.0 * (Bl @ Pk1)) @ A + wd * s_k)
-            else:
-                g = alpha * (g + self.varpi[k])
-                noise = X[:, k + 1, :] - X[:, k, :] @ A.T
-                corr += w[k] * alpha * (v * noise).sum(axis=1)
-                v = alpha * (v @ A + wd * s_k)
+                g = g + np.einsum("pi,ij,pj->p", Bl, Pk1, Bl) + (v * Bl).sum(axis=1)
+                noise -= Bl
+                vin = v + 2.0 * (Bl @ Pk1)
+            g = alpha * g
+            corr += w[k] * alpha * (v * noise).sum(axis=1)
+            v = alpha * (vin @ A + self.W_d[k] * np.sign(X[:, k, :]))
         terminal = np.einsum("pi,ij,pj->p", X[:, kappa, :], P[kappa], X[:, kappa, :]) + self.gamma
         self.S.append(q[:, :kappa] @ w[:kappa])
         self.R.append(v @ self.cfg.x0 + g - w[kappa] * terminal)
@@ -654,40 +615,6 @@ def validate_representation(ensemble, alpha, Q, Phi=None, gamma=0.0):
     return _replay(ensemble, Qm, check)
 
 
-def compare_overtaking(ensemble_a, ensemble_b, alpha, epsilon):
-    """Finite-horizon overtaking comparison of two output signals.
-
-    Evaluates the partial energies E(kappa) = sum_{k<=kappa} alpha^k
-    E||y_k||^2 for both ensembles and finds the smallest kappa_0 after
-    which E_a(kappa) <= E_b(kappa) + epsilon holds through the horizon.
-
-    Returns
-    -------
-    dict with keys overtakes (bool), crossing_kappa (int or None), and
-    margin (list of E_a(kappa) - E_b(kappa) - epsilon per kappa).
-    """
-    if ensemble_a.horizon != ensemble_b.horizon:
-        raise ValueError("ensembles must share the horizon")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    kappa = ensemble_a.horizon
-    w = float(alpha) ** np.arange(kappa + 1)
-
-    def partial_energies(ens):
-        Y = ens.outputs()[ens.ok]
-        stage = np.einsum("pki,pki->pk", Y, Y).mean(axis=0)
-        return np.cumsum(w * stage)
-
-    margin = partial_energies(ensemble_a) - partial_energies(ensemble_b) - epsilon
-    violations = np.flatnonzero(margin > 0)
-    if violations.size == 0:
-        return {"overtakes": True, "crossing_kappa": 0, "margin": margin.tolist()}
-    last = int(violations[-1])
-    if last >= kappa:
-        return {"overtakes": False, "crossing_kappa": None, "margin": margin.tolist()}
-    return {"overtakes": True, "crossing_kappa": last, "margin": margin.tolist()}
-
-
 def check_decay(ensemble, alpha, Q=None, report=None):
     """Per-stage comparison of E||x_k||_Q^2 against the geometric envelope.
 
@@ -699,8 +626,9 @@ def check_decay(ensemble, alpha, Q=None, report=None):
     exceeds level + bound by more than 3 standard errors.  Unlike
     decay_bound it also tabulates an alpha with r_sigma(alpha A) >= 1.
     ``report``, when given, must be norm_report(model, alpha, Q); the
-    check then solves nothing.  An envelope that is not a finite double
-    raises DomainError.
+    check then solves nothing, and a report at another alpha raises
+    ValueError.  An envelope that is not a finite double raises
+    DomainError.
 
     Returns
     -------
@@ -710,16 +638,19 @@ def check_decay(ensemble, alpha, Q=None, report=None):
     Qm = energy_weight(model, Q)
     if report is None:
         report = norm_report(model, alpha, Qm)
-    return decay_rows(report, alpha, ensemble.cfg.x0, *per_stage_energy(ensemble, Qm))
+    elif report.alpha != alpha:
+        raise ValueError(f"report is at alpha = {report.alpha}, not the check's {alpha}")
+    return decay_rows(report, ensemble.cfg.x0, *per_stage_energy(ensemble, Qm))
 
 
-def decay_rows(report, alpha, x0, means, ses):
+def decay_rows(report, x0, means, ses):
     """check_decay's rows from the per-stage means and standard errors.
 
     ``means`` and ``ses`` are what StageStats.result() returns, for
-    stages k = 0..kappa; ``report`` is norm_report(model, alpha, Q).
+    stages k = 0..kappa; ``report`` is norm_report(model, alpha, Q), and
+    its alpha is the discount of the level and of the bound.
     """
-    level = alpha * report.varpi_L
+    level = report.alpha * report.varpi_L
     rows = []
     for k in range(means.shape[0]):
         bound = _decay_envelope(report, x0, k)

@@ -45,11 +45,6 @@ VARPI_SCALAR_09 = 0.07204610951008648
 POWER_SCALAR = 0.05 / 0.66
 
 
-@pytest.fixture(autouse=True)
-def _clear_thread_env(monkeypatch):
-    monkeypatch.delenv("CSVIU_THREADS", raising=False)
-
-
 @pytest.fixture(scope="module")
 def models(tmp_path_factory):
     base = tmp_path_factory.mktemp("cli_models")
@@ -571,28 +566,21 @@ class TestDeterminismAndThreads:
         _, three, _ = run(["simulate", models["scalar"], *self.SIM, "--threads", "3"])
         assert three == one
 
-    def test_env_var_overrides_flag(self, run, models, monkeypatch):
-        _, baseline, _ = run(["simulate", models["scalar"], *self.SIM,
-                              "--threads", "1"])
-        monkeypatch.setenv("CSVIU_THREADS", "2")
-        code, overridden, _ = run(["simulate", models["scalar"], *self.SIM,
-                                   "--threads", "1"])
-        assert code == 0
-        assert overridden == baseline
-
-    def test_env_var_clamps_to_at_least_one_thread(self, run, models, monkeypatch):
-        _, baseline, _ = run(["simulate", models["scalar"], *self.SIM])
-        monkeypatch.setenv("CSVIU_THREADS", "0")
-        code, clamped, _ = run(["simulate", models["scalar"], *self.SIM])
-        assert code == 0
-        assert clamped == baseline
-
-    def test_env_var_must_be_an_integer(self, run, models, monkeypatch):
-        monkeypatch.setenv("CSVIU_THREADS", "abc")
-        code, out, err = run(["simulate", models["scalar"], *self.SIM])
+    def test_environment_does_not_waive_thread_validation(self, run, models,
+                                                          monkeypatch):
+        monkeypatch.setenv("CSVIU_THREADS", "4")
+        code, out, err = run(["simulate", models["scalar"], *self.SIM,
+                              "--threads", "0"])
         assert code == 2
         assert out == ""
-        assert "CSVIU_THREADS" in err
+        assert "threads" in err
+
+    def test_thread_environment_variable_is_ignored(self, run, models, monkeypatch):
+        _, baseline, _ = run(["simulate", models["scalar"], *self.SIM])
+        monkeypatch.setenv("CSVIU_THREADS", "abc")
+        code, out, _ = run(["simulate", models["scalar"], *self.SIM])
+        assert code == 0
+        assert out == baseline
 
     def test_thread_flag_must_be_positive(self, run, models):
         code, _, err = run(["simulate", models["scalar"], *self.SIM,

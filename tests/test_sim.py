@@ -1,6 +1,6 @@
 """Monte Carlo engine: reproducibility contract, noise validity, energy
-estimators, the pathwise energy-representation check, overtaking comparison,
-and the per-stage decay diagnostic."""
+estimators, the pathwise energy-representation check, and the per-stage
+decay diagnostic."""
 
 import numpy as np
 import pytest
@@ -12,10 +12,8 @@ from csviu import (
     DimensionError,
     NotStableError,
     SimConfig,
-    StateFeedbackInput,
     ZeroInput,
     check_decay,
-    compare_overtaking,
     decay_bound,
     estimate_abel_energy,
     estimate_cesaro_power,
@@ -313,45 +311,6 @@ class TestTrajectoryDynamics:
         assert np.array_equal(ens.X[:, :, 0], np.tile(expected, (2, 1)))
         assert abs(ens.X[0, -1, 0] - 1.4) < 1e-9
 
-    def test_state_feedback_closes_the_loop(self):
-        model = CsviuModel(
-            n=1, r=1, p=1, m=1, A=[[1.0]], B=[[1.0]],
-            sigma_x=[[0.0]], sigma_bar_x=[[0.0]], sigma=[[0.0]],
-            C=[[1.0]], D=[[0.0]],
-        )
-        cfg = SimConfig(n_paths=2, horizon=25, seed=0, x0=[1.0],
-                        input_policy=StateFeedbackInput([[-0.5]]))
-        ens = simulate_paths(model, cfg)
-        assert np.array_equal(ens.X[0, :, 0], 0.5 ** np.arange(26))
-
-    def test_outputs_are_affine_in_state_and_input(self):
-        model = CsviuModel(
-            n=1, r=1, p=1, m=1, A=[[0.5]], B=[[1.0]],
-            sigma_x=[[0.0]], sigma_bar_x=[[0.0]], sigma=[[0.0]],
-            C=[[2.0]], D=[[3.0]],
-        )
-        cfg = SimConfig(n_paths=2, horizon=5, seed=0, x0=[1.0],
-                        input_policy=ConstantInput([0.7]))
-        ens = simulate_paths(model, cfg)
-        Y = ens.outputs()
-        assert Y.shape == (2, 6, 1)
-        assert np.allclose(Y, 2.0 * ens.X + 0.7 * 3.0, rtol=1e-14)
-
-    def test_inputs_at_reflects_policy(self, scalar_model):
-        ens = simulate_paths(scalar_model,
-                             SimConfig(n_paths=4, horizon=2, seed=0, x0=[1.0]))
-        assert ens.inputs_at(0) is None
-        model = CsviuModel(
-            n=1, r=1, p=1, m=1, A=[[0.5]], B=[[1.0]],
-            sigma_x=[[0.0]], sigma_bar_x=[[0.0]], sigma=[[0.0]],
-            C=[[1.0]], D=[[0.0]],
-        )
-        cfg = SimConfig(n_paths=4, horizon=2, seed=0, x0=[1.0],
-                        input_policy=ConstantInput([0.7]))
-        ell = simulate_paths(model, cfg).inputs_at(1)
-        assert ell.shape == (4, 1)
-        assert np.all(ell == 0.7)
-
     def test_ensemble_shape_properties(self, scalar_model):
         ens = simulate_paths(scalar_model,
                              SimConfig(n_paths=7, horizon=9, seed=2, x0=[1.0]))
@@ -583,59 +542,6 @@ class TestRepresentationCheck:
         assert rep["corrected_gap"] <= 3 * rep["corrected_std_error"]
 
 
-class TestOvertakingComparison:
-    def test_identical_ensembles_overtake_trivially(self, scalar_model):
-        cfg = SimConfig(n_paths=200, horizon=20, seed=9, x0=[1.0])
-        a = simulate_paths(scalar_model, cfg)
-        b = simulate_paths(scalar_model, cfg)
-        res = compare_overtaking(a, b, 1.0, 1e-9)
-        assert res["overtakes"] is True
-        assert res["crossing_kappa"] == 0
-        assert len(res["margin"]) == 21
-        assert max(res["margin"]) == -1e-9
-
-    def test_pathwise_doubled_signal_never_overtaken(self):
-        model = zero_noise_scalar()
-        big = simulate_paths(model, SimConfig(n_paths=4, horizon=10, seed=0,
-                                              x0=[2.0]))
-        small = simulate_paths(model, SimConfig(n_paths=4, horizon=10, seed=0,
-                                                x0=[1.0]))
-        res = compare_overtaking(big, small, 1.0, 0.0)
-        assert res["overtakes"] is False
-        assert res["crossing_kappa"] is None
-        assert min(res["margin"]) > 0.0
-        reverse = compare_overtaking(small, big, 1.0, 0.0)
-        assert reverse["overtakes"] is True
-        assert reverse["crossing_kappa"] == 0
-
-    def test_lower_additive_noise_overtakes_at_alpha_above_one(self,
-                                                               scalar_model):
-        louder = scalar_variant(sg=0.2)
-        cfg = SimConfig(n_paths=4_000, horizon=50, seed=53, x0=[0.0])
-        quiet_ens = simulate_paths(scalar_model, cfg)
-        loud_ens = simulate_paths(louder, cfg)
-        res = compare_overtaking(quiet_ens, loud_ens, 1.1, 1e-6)
-        assert res["overtakes"] is True
-        assert res["crossing_kappa"] == 0
-        reverse = compare_overtaking(loud_ens, quiet_ens, 1.1, 1e-6)
-        assert reverse["overtakes"] is False
-        assert reverse["crossing_kappa"] is None
-
-    def test_mismatched_horizons_rejected(self, scalar_model):
-        a = simulate_paths(scalar_model,
-                           SimConfig(n_paths=4, horizon=3, seed=0, x0=[1.0]))
-        b = simulate_paths(scalar_model,
-                           SimConfig(n_paths=4, horizon=5, seed=0, x0=[1.0]))
-        with pytest.raises(ValueError, match="horizon"):
-            compare_overtaking(a, b, 1.0, 0.0)
-
-    def test_alpha_must_be_positive(self, scalar_model):
-        cfg = SimConfig(n_paths=4, horizon=3, seed=0, x0=[1.0])
-        ens = simulate_paths(scalar_model, cfg)
-        with pytest.raises(ValueError, match="alpha"):
-            compare_overtaking(ens, ens, 0.0, 0.0)
-
-
 class TestDecayCheck:
     ROW_KEYS = {"k", "energy", "std_error", "level", "bound", "violated"}
 
@@ -690,6 +596,17 @@ class TestDecayCheck:
         cfg = SimConfig(n_paths=4, horizon=3, seed=0, x0=[1.0])
         with pytest.raises(NotStableError):
             check_decay(simulate_paths(scalar_model, cfg), 3.0)
+
+    def test_report_at_another_alpha_is_refused(self, scalar_model):
+        # The level and the bound come from one discount: the report's.
+        cfg = SimConfig(n_paths=4, horizon=3, seed=0, x0=[1.0])
+        ens = simulate_paths(scalar_model, cfg)
+        report = norm_report(scalar_model, 0.9)
+        with pytest.raises(ValueError, match="alpha"):
+            check_decay(ens, 0.5, report=report)
+        rows = check_decay(ens, 0.9, report=report)
+        assert rows == check_decay(ens, 0.9)
+        assert rows[0]["level"] == 0.9 * report.varpi_L
 
 
 class TestSecondMomentBounds:

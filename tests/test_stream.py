@@ -207,7 +207,7 @@ class TestStreamEqualsOracle:
     def test_streamed_ensemble_refuses_the_estimators(self, case):
         _, _, ensemble, _, Q, alpha = case
         for estimate in (lambda: estimate_abel_energy(ensemble, Q, alpha),
-                         lambda: per_stage_energy(ensemble, Q), ensemble.outputs):
+                         lambda: per_stage_energy(ensemble, Q)):
             with pytest.raises(ValueError, match="without sinks"):
                 estimate()
 
