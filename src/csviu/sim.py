@@ -519,19 +519,20 @@ class RepresentationCheck:
         g = np.full(m, self.gamma)
         corr = np.zeros(m)
         for k in range(kappa - 1, -1, -1):
-            Pk1 = P[k + 1]
+            # Before the noise, which then reads X[:, k] while it is cached.
+            s_k = np.sign(X[:, k, :])
             g = g + self.varpi[k]
             noise = X[:, k + 1, :] - X[:, k, :] @ A.T
             vin = v
             ell = policy.inputs(k, X[:, k, :]) if B is not None else None
             if ell is not None:
-                Bl = ell @ B.T
+                Bl, Pk1 = ell @ B.T, P[k + 1]
                 g = g + np.einsum("pi,ij,pj->p", Bl, Pk1, Bl) + (v * Bl).sum(axis=1)
                 noise -= Bl
                 vin = v + 2.0 * (Bl @ Pk1)
             g = alpha * g
             corr += w[k] * alpha * (v * noise).sum(axis=1)
-            v = alpha * (vin @ A + self.W_d[k] * np.sign(X[:, k, :]))
+            v = alpha * (vin @ A + self.W_d[k] * s_k)
         terminal = np.einsum("pi,ij,pj->p", X[:, kappa, :], P[kappa], X[:, kappa, :]) + self.gamma
         self.S.append(q[:, :kappa] @ w[:kappa])
         self.R.append(v @ self.cfg.x0 + g - w[kappa] * terminal)
