@@ -7,9 +7,12 @@ simulate_paths makes one pass over path blocks.  Each block is handed to
 sinks and dropped; a PathFeed sink evaluates the block's quadratic forms
 x_k^T Q x_k once and passes them to every reducer (Abel sums, Cesaro
 means, per-stage statistics, the representation check), which keep only
-per-path scalars.  The whole ensemble X is kept only when it is asked
-for (no sinks); the Ensemble-taking estimators replay it through the
-same reducers, in the same chunks, so both routes give the same bits.
+per-path scalars.  The forms are evaluated stage by stage as
+(x_k Q) . x_k.  At n > 1 that rounds differently from the single einsum
+over the block that earlier versions used, so their Monte Carlo figures
+moved in the last digits.  The whole ensemble X is kept only when it is
+asked for (no sinks); the Ensemble-taking estimators replay it through
+the same reducers, in the same chunks, so both routes give the same bits.
 
 Reproducibility contract: path j draws its noise from a Philox stream
 keyed by (master seed, j), consumed in a stage-block partition that
@@ -72,6 +75,10 @@ STREAM_BLOCK_ARRAYS = 6
 #: and Cesaro values, and the representation's three per-path terms with
 #: their concatenations and differences.
 STREAM_PATH_DOUBLES = 12
+
+#: Elements of X per stage-major slab that the representation check's
+#: backward step reads from (a few stages of one chunk).
+SLAB_ELEMENTS = 2**18
 
 #: A path aborts once any state component exceeds this magnitude.
 OVERFLOW_LIMIT = 1e150
@@ -209,6 +216,19 @@ def _stage_block_size(horizon, width):
     return max(1, min(horizon, STAGE_BLOCK_ELEMENTS // (PATH_BLOCK * width)))
 
 
+def _matmul(a, b, out=None):
+    """a @ b, bit for bit, into ``out`` if given; by broadcasting when the inner dimension is 1.
+
+    A matrix product sums onto +0, so a product of -0 reads +0 there;
+    adding 0.0 does the same to the broadcast product.
+    """
+    if b.shape[0] != 1:
+        return np.matmul(a, b, out=out)
+    out = np.multiply(a, b, out=out)
+    out += 0.0
+    return out
+
+
 def _simulate_block(model, cfg, steps, X, buf, aborted, j0):
     """Simulate paths j0..j0+len(X)-1 into X, drawing into ``buf``; return their survival mask."""
     n = model.n
@@ -228,6 +248,8 @@ def _simulate_block(model, cfg, steps, X, buf, aborted, j0):
 
     x = np.tile(cfg.x0, (bp, 1))
     X[:, 0, :] = x
+    # The next state, a product and a scratch array, reused every stage.
+    xn, prod, tmp = (np.empty_like(x) for _ in range(3))
     alive = np.ones(bp, dtype=bool)
     all_alive = True
 
@@ -247,24 +269,29 @@ def _simulate_block(model, cfg, steps, X, buf, aborted, j0):
             for k in range(k0, k1):
                 eps = buf[:, k - k0, :n]
                 om = buf[:, k - k0, n:]
-                xn = x @ AT
+                _matmul(x, AT, out=xn)
                 if BT is not None:
                     ell = policy.inputs(k, x)
                     if ell is not None:
-                        xn += ell @ BT
-                xn += eps @ sxT
-                xn += (np.abs(x) * eps) @ sbxT
-                xn += om @ sgT
-                # NaN and inf both fail the comparison.
-                bad = ~(np.abs(xn) <= OVERFLOW_LIMIT).all(axis=1)
-                if not all_alive or bad.any():
-                    bad &= alive
+                        xn += _matmul(ell, BT, out=prod)
+                xn += _matmul(eps, sxT, out=prod)
+                np.abs(x, out=tmp)
+                tmp *= eps
+                xn += _matmul(tmp, sbxT, out=prod)
+                xn += _matmul(om, sgT, out=prod)
+                # NaN and inf both fail the comparisons; while every path
+                # is alive one reduction clears the whole block.
+                if not all_alive or not np.abs(xn, out=tmp).max() <= OVERFLOW_LIMIT:
+                    bad = ~(np.abs(xn) <= OVERFLOW_LIMIT).all(axis=1) & alive
                     aborted.extend((j0 + int(i), k + 1) for i in np.flatnonzero(bad))
                     alive &= ~bad
                     all_alive = False
                     xn[~alive] = np.nan
                 X[:, k + 1, :] = xn
-                x = xn if all_alive else np.where(alive[:, None], xn, 0.0)
+                if all_alive:
+                    x, xn = xn, x
+                else:
+                    x = np.where(alive[:, None], xn, 0.0)
     return alive
 
 
@@ -383,9 +410,30 @@ class PathFeed:
 
     @np.errstate(over="ignore", invalid="ignore")
     def _reduce(self, X):
-        q = np.einsum("pki,ij,pkj->pk", X, self.Q, X)
+        q = _quadratic_forms(X, self.Q)
         for reducer in self.reducers:
             reducer.add_chunk(X, q)
+
+
+def _quadratic_forms(X, Q):
+    """q[p, k] = x_k^T Q x_k for X of shape (paths, stages, n), stage by stage as (x_k Q) . x_k.
+
+    q is path-major and contiguous, as the reducers sum it.  No temporary
+    is larger than one stage's (paths, n).  At n = 1 one einsum over all
+    stages gives the same bits, several times faster.
+    """
+    paths, stages, n = X.shape
+    if n == 1:
+        return np.einsum("pki,ij,pkj->pk", X, Q, X)
+    q = np.empty((paths, stages))
+    xQ = np.empty((paths, n))
+    qk = np.empty(paths)
+    for k in range(stages):
+        xk = X[:, k, :]
+        np.matmul(xk, Q, out=xQ)
+        np.einsum("pi,pi->p", xQ, xk, out=qk)
+        q[:, k] = qk  # einsum writes a strided column far more slowly
+    return q
 
 
 def _replay(ensemble, Q, reducer):
@@ -514,25 +562,38 @@ class RepresentationCheck:
         kappa = self.cfg.horizon
         A, B = model.A, model.B
         policy = self.cfg.input_policy
-        m = X.shape[0]
-        v = np.zeros((m, model.n))
+        m, n = X.shape[0], model.n
+        v = np.zeros((m, n))
         g = np.full(m, self.gamma)
         corr = np.zeros(m)
-        for k in range(kappa - 1, -1, -1):
-            # Before the noise, which then reads X[:, k] while it is cached.
-            s_k = np.sign(X[:, k, :])
-            g = g + self.varpi[k]
-            noise = X[:, k + 1, :] - X[:, k, :] @ A.T
-            vin = v
-            ell = policy.inputs(k, X[:, k, :]) if B is not None else None
-            if ell is not None:
-                Bl, Pk1 = ell @ B.T, P[k + 1]
-                g = g + np.einsum("pi,ij,pj->p", Bl, Pk1, Bl) + (v * Bl).sum(axis=1)
-                noise -= Bl
-                vin = v + 2.0 * (Bl @ Pk1)
-            g = alpha * g
-            corr += w[k] * alpha * (v * noise).sum(axis=1)
-            v = alpha * (vin @ A + self.W_d[k] * s_k)
+        span = max(1, SLAB_ELEMENTS // (m * n))
+        slab = np.empty((min(span, kappa) + 1, m, n))
+        for k1 in range(kappa, 0, -span):
+            k0 = max(k1 - span, 0)
+            # Stages k0..k1 copied stage-major, so each step reads whole stages.
+            xs = slab[: k1 - k0 + 1]
+            np.copyto(xs, X[:, k0 : k1 + 1].transpose(1, 0, 2))
+            for k in range(k1 - 1, k0 - 1, -1):
+                x, x_next = xs[k - k0], xs[k + 1 - k0]
+                s_k = np.sign(x)
+                g = g + self.varpi[k]
+                # In place below: noise = x_next - x A^T and, at the end,
+                # v = alpha (vin A + W_d s_k), in the same operations.
+                noise = _matmul(x, A.T)
+                np.subtract(x_next, noise, out=noise)
+                vin = v
+                ell = policy.inputs(k, x) if B is not None else None
+                if ell is not None:
+                    Bl, Pk1 = _matmul(ell, B.T), P[k + 1]
+                    g = g + np.einsum("pi,ij,pj->p", Bl, Pk1, Bl) + (v * Bl).sum(axis=1)
+                    noise -= Bl
+                    vin = v + 2.0 * _matmul(Bl, Pk1)
+                g = alpha * g
+                corr += w[k] * alpha * (v * noise).sum(axis=1)
+                v = _matmul(vin, A)
+                s_k *= self.W_d[k]
+                v += s_k
+                v *= alpha
         terminal = np.einsum("pi,ij,pj->p", X[:, kappa, :], P[kappa], X[:, kappa, :]) + self.gamma
         self.S.append(q[:, :kappa] @ w[:kappa])
         self.R.append(v @ self.cfg.x0 + g - w[kappa] * terminal)

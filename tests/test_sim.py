@@ -10,6 +10,7 @@ from csviu import (
     ConstantInput,
     CsviuModel,
     DimensionError,
+    InputPolicy,
     NotStableError,
     SimConfig,
     ZeroInput,
@@ -488,6 +489,82 @@ class TestOverflowHandling:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match="all paths aborted"):
                 validate_representation(simulate_paths(explosive_model(), cfg), 0.01, Q1)
+
+
+class Spikes(InputPolicy):
+    """Zero inputs, but for the values set at chosen (stage, path) entries."""
+
+    def __init__(self, spikes):
+        self.spikes = spikes
+
+    def inputs(self, k, x):
+        ell = np.zeros((x.shape[0], 1))
+        for (stage, j), value in self.spikes.items():
+            if stage == k:
+                ell[j, 0] = value
+        return ell
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestStepProducts:
+    """The step loop's products and its overflow guard give the bits of the plain rules."""
+
+    @staticmethod
+    def operands(shape, seed):
+        # Signed zeros, infinities, NaN, subnormals and large values among normals.
+        values = np.random.default_rng(seed).standard_normal(shape)
+        specials = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -1e200, 1e150]
+        values.flat[: len(specials)] = specials
+        return values
+
+    @pytest.mark.parametrize("left, right", [
+        ((4096, 1), (1, 1)),  # n = 1: A, sigma_x, sigma_bar_x, and sigma with r = 1
+        ((4096, 1), (1, 3)),  # an m = 1 input into n = 3, or r = 1 into n = 3
+        # inner dimension above 1, where a broadcast would not even fit:
+        ((4096, 2), (2, 1)),  # n = 1 with r = 2
+        ((4096, 3), (3, 3)),
+    ])
+    @np.errstate(over="ignore", invalid="ignore")
+    def test_products_equal_matmul_bit_for_bit(self, left, right):
+        a, b = self.operands(left, 1), self.operands(right, 2)
+        assert np.array_equal(bits(sim._matmul(a, b)), bits(a @ b))
+        # the step's operands: a strided noise column and a broadcast input
+        wide = self.operands((left[0], 3, left[1] + 1), 3)[:, 1, : left[1]]
+        assert np.array_equal(bits(sim._matmul(wide, b)), bits(wide @ b))
+        row = np.broadcast_to(self.operands(left[1], 4), left)
+        assert np.array_equal(bits(sim._matmul(row, b)), bits(row @ b))
+
+    MODEL = CsviuModel(n=2, r=2, p=2, m=1, A=[[0.5, 0.1], [0.0, 0.4]],
+                       sigma_x=[[0.1, 0.0], [0.0, 0.1]], sigma_bar_x=[[0.2, 0.0], [0.1, 0.2]],
+                       sigma=[[0.1, 0.0], [0.0, 0.1]], C=np.eye(2), B=[[1.0], [0.0]],
+                       D=[[0.0], [0.0]])
+
+    @pytest.mark.parametrize("spikes", [
+        {(3, 17): np.nan},
+        {(3, 17): -np.inf},
+        {(3, 17): 1e151},
+        # all three in one step, then a fourth once paths have aborted
+        {(3, 5): np.nan, (3, 17): np.inf, (3, 30): -1e151, (6, 40): np.inf},
+    ], ids=["nan", "inf", "1e151", "together"])
+    def test_overflow_guard_follows_the_per_row_rule(self, spikes):
+        cfg = dict(n_paths=64, horizon=10, seed=11, x0=[1.0, -1.0])
+        ens = simulate_paths(self.MODEL, SimConfig(input_policy=Spikes(spikes), **cfg))
+        clean = simulate_paths(self.MODEL, SimConfig(input_policy=Spikes({}), **cfg))
+        assert clean.aborted == [] and np.isfinite(clean.X).all()
+        # Per row: a path aborts at the first stage with a component that
+        # is not within the limit, and is NaN from there on.
+        expect = sorted(((j, k + 1) for k, j in spikes), key=lambda a: (a[1], a[0]))
+        assert ens.aborted == expect
+        ok = np.ones(64, dtype=bool)
+        ok[[j for j, _ in expect]] = False
+        assert np.array_equal(ens.ok, ok)
+        for j, k in expect:
+            assert np.isnan(ens.X[j, k:]).all()
+            assert np.array_equal(bits(ens.X[j, :k]), bits(clean.X[j, :k]))
+        assert np.array_equal(bits(ens.X[ok]), bits(clean.X[ok]))
 
 
 class TestRepresentationCheck:

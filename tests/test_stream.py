@@ -3,12 +3,14 @@
 simulate_paths hands each path block to its sinks and drops it; PathFeed
 regroups the surviving paths into chunks of PATH_BLOCK and evaluates
 x_k^T Q x_k once per chunk for every reducer.  The oracles below are the
-whole-ensemble estimators the stream replaced, kept as they were.  The
-streamed results, and the Ensemble-taking estimators that replay a kept
-X through the same reducers, must equal them bit for bit; only the
-representation check at n >= 5 is compared to 1e-12 relative, because
-there BLAS matrix products over a chunk and over the whole ensemble may
-round differently in the last bit.
+whole-ensemble estimators the stream replaced, kept as they were but for
+x_k^T Q x_k, which they evaluate stage by stage as (x_k Q) . x_k, the
+form the stream uses, written out here.  The streamed results, and the
+Ensemble-taking estimators that replay a kept X through the same
+reducers, must equal them bit for bit; only the representation check at
+n >= 5 is compared to 1e-12 relative, because there BLAS matrix products
+over a chunk and over the whole ensemble may round differently in the
+last bit.
 """
 
 import contextlib
@@ -45,12 +47,19 @@ SCALAR_MODEL = str(GOLDEN_MODELS / "scalar.json")
 
 # --- the whole-ensemble oracles -------------------------------------------
 
+def oracle_quadratic_forms(X, Qm):
+    """q[p, k] = x_k^T Q x_k, stage by stage as (x_k Q) . x_k."""
+    q = np.empty(X.shape[:2])
+    for k in range(X.shape[1]):
+        q[:, k] = np.einsum("pi,pi->p", X[:, k, :] @ Qm, X[:, k, :])
+    return q
+
+
 def oracle_quad_per_stage(X, Qm, mask, chunk=sim.PATH_BLOCK):
     idx = np.flatnonzero(mask)
     for c0 in range(0, idx.size, chunk):
         sel = idx[c0 : c0 + chunk]
-        Xc = X[sel]
-        yield np.einsum("pki,ij,pkj->pk", Xc, Qm, Xc)
+        yield oracle_quadratic_forms(X[sel], Qm)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -107,7 +116,7 @@ def oracle_representation(ensemble, alpha, Q):
     n_ok = okX.shape[0]
     x0 = cfg.x0
     w = float(alpha) ** np.arange(kappa + 1)
-    q = np.einsum("pki,ij,pkj->pk", okX, Qm, okX)
+    q = oracle_quadratic_forms(okX, Qm)
     S = q[:, :kappa] @ w[:kappa]
     A, B = model.A, model.B
     policy = cfg.input_policy
@@ -265,20 +274,20 @@ def run_cli(argv):
     return code, out.getvalue()
 
 
-def test_quadratic_forms_are_evaluated_once_per_chunk(monkeypatch, tmp_path):
+@pytest.mark.parametrize("model", ["scalar", "n3"])
+def test_quadratic_forms_are_evaluated_once_per_chunk(model, monkeypatch, tmp_path):
     # Every check on, plus the dump: one x^T Q x evaluation per chunk of
     # 4096 surviving paths, shared by all four reducers.
-    einsum = np.einsum
+    quadratic_forms = sim._quadratic_forms
     chunks = []
 
-    def counting(subscripts, *operands, **kwargs):
-        if subscripts == "pki,ij,pkj->pk":
-            chunks.append(operands[0].shape[0])
-        return einsum(subscripts, *operands, **kwargs)
+    def counting(X, Q):
+        chunks.append(X.shape[0])
+        return quadratic_forms(X, Q)
 
-    monkeypatch.setattr(sim.np, "einsum", counting)
-    code, out = run_cli(["simulate", SCALAR_MODEL, "--paths", "9000", "--horizon", "5",
-                         "--seed", "7", "--alpha", "1.0", "--x0", "1.0",
+    monkeypatch.setattr(sim, "_quadratic_forms", counting)
+    code, out = run_cli(["simulate", str(GOLDEN_MODELS / f"{model}.json"), "--paths", "9000",
+                         "--horizon", "5", "--seed", "7", "--alpha", "1.0", "--x0", "1.0",
                          "--validate-representation", "--check-decay", "--dump",
                          "--output-dir", str(tmp_path)])
     assert code == 0
@@ -286,6 +295,46 @@ def test_quadratic_forms_are_evaluated_once_per_chunk(monkeypatch, tmp_path):
     assert {"abel", "cesaro"} <= report["estimates"].keys()
     assert {"representation", "decay"} <= report.keys()
     assert chunks == [4096, 4096, 808]
+
+
+@pytest.mark.parametrize("n", [1, 3, 10])
+def test_quadratic_forms_match_the_three_operand_einsum(n):
+    # The per-stage form rounds differently from einsum("pki,ij,pkj->pk")
+    # at n > 1; at n = 1 both are (x Q) x, down to the sign of zero.
+    rng = np.random.default_rng(n)
+    X = rng.standard_normal((500, 21, n))
+    X[:3, :4] = np.array([0.0, -0.0, 1e-300])[:, None, None]
+    G = rng.standard_normal((n, n))
+    for Q in (G @ G.T + np.eye(n), -np.eye(n)):
+        got = sim._quadratic_forms(X, Q)
+        expect = np.einsum("pki,ij,pkj->pk", X, Q, X)
+        assert got.flags.c_contiguous and got.shape == expect.shape
+        assert np.array_equal(got.view(np.uint64), oracle_quadratic_forms(X, Q).view(np.uint64))
+        if n == 1:
+            assert np.array_equal(got.view(np.uint64), expect.view(np.uint64))
+        else:
+            assert np.allclose(got, expect, rtol=1e-14, atol=0.0)
+
+
+def test_reduce_holds_no_chunk_sized_temporary():
+    # A 4096 x 101 x 10 chunk (the mc-checks shape) is 33 MB; beyond q the
+    # reduce may allocate less than an eighth of that.
+    X = np.random.default_rng(0).standard_normal((sim.PATH_BLOCK, 101, 10))
+    seen = []
+
+    class Keep:
+        def add_chunk(self, X, q):
+            seen.append(q.nbytes)
+
+    feed = sim.PathFeed(np.eye(10), [Keep()])
+    tracemalloc.start()
+    try:
+        feed.add_block(0, X, np.ones(sim.PATH_BLOCK, dtype=bool))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert seen == [sim.PATH_BLOCK * 101 * 8]
+    assert peak - seen[0] < X.nbytes / 8, peak
 
 
 def test_dump_rows_follow_the_kept_ensemble(tmp_path):
