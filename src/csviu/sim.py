@@ -22,6 +22,15 @@ fresh Philox(key=(seed, j)).  Path blocks have a fixed size and
 estimators reduce in fixed block order, so path j's trajectory does not
 change when the ensemble grows.  Blocks run serially: the CLI accepts
 and validates --threads, and no result depends on it.
+
+Gaussian draws come from Generator.standard_normal and uniform draws
+from Generator.uniform.  Rademacher draws are read straight from the raw
+64-bit Philox words: each word gives two draws, its low 32-bit half
+first, and a draw is +1 when bit 31 of its half is set and -1 otherwise.
+That is Generator.integers(0, 2) bit for bit, which takes one 32-bit
+half per draw, low half first, and keeps bit 31 (Lemire's bounded method
+never rejects for a range of 2).  A half word left over at the end of a
+stage block opens the next one, as it does in the Generator.
 """
 
 from __future__ import annotations
@@ -64,6 +73,10 @@ PATH_BLOCK = 4096
 
 #: Noise-buffer budget per path block, in array elements.
 STAGE_BLOCK_ELEMENTS = 2**25
+
+#: Paths whose raw Philox words are turned into Rademacher signs in one
+#: vectorised pass.
+SIGN_GROUP = 16
 
 #: Upper bound on the arrays of one path block's X size that a streamed run
 #: holds at once: the block buffer, the chunk buffer and the survivors being
@@ -200,14 +213,76 @@ def _kept(ensemble):
 
 
 def _draw(gen, kind, out):
-    """Fill ``out`` with the next draws of ``gen`` in C order."""
+    """Fill ``out`` with the next Gaussian or uniform draws of ``gen`` in C order."""
     if kind == "gaussian":
         gen.standard_normal(out=out)
-    elif kind == "rademacher":
-        np.multiply(gen.integers(0, 2, size=out.shape), 2.0, out=out)
-        out -= 1.0
     else:
         out[...] = gen.uniform(-_SQRT3, _SQRT3, size=out.shape)
+
+
+class _PathStreams:
+    """The noise streams of paths j0, j0+1, ..., drawn through one re-keyed Philox.
+
+    A fresh Philox(key=(seed, j)) has counter 0 and an empty output
+    buffer, so setting that state on one generator gives path j its
+    stream unchanged.  Between draws each path's state is saved and
+    restored; a Rademacher half word left over by an odd count is kept
+    in ``carry`` and opens the path's next draw.
+    """
+
+    def __init__(self, seed, j0, paths, kind, count):
+        self.bitgen = np.random.Philox(0)
+        self.gen = np.random.Generator(self.bitgen)
+        self.fresh = {"bit_generator": "Philox",
+                      "state": {"counter": [0] * 4, "key": [seed, 0]},
+                      "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        self.j0, self.kind = j0, kind
+        self.saved = [None] * paths
+        if kind == "rademacher":
+            # 32-bit halves of up to SIGN_GROUP paths' words, a carried half first.
+            self.halves = np.empty((min(paths, SIGN_GROUP), count + 1), dtype=np.uint32)
+            self.carry = np.empty(paths, dtype=np.uint32)
+            self.odd = 0
+
+    def _restore(self, i):
+        if self.saved[i] is None:
+            self.fresh["state"]["key"][1] = self.j0 + i
+            self.bitgen.state = self.fresh
+        else:
+            self.bitgen.state = self.saved[i]
+
+    def draw(self, out, last):
+        """Fill out[i] with path i's next draws in C order; ``last`` when none follow."""
+        paths = out.shape[0]
+        if self.kind != "rademacher":
+            for i in range(paths):
+                self._restore(i)
+                _draw(self.gen, self.kind, out[i])
+                if not last:
+                    self.saved[i] = self.bitgen.state
+            return
+        count, odd = out[0].size, self.odd
+        words = (count - odd + 1) // 2
+        for g0 in range(0, paths, SIGN_GROUP):
+            g1 = min(g0 + SIGN_GROUP, paths)
+            h = self.halves[: g1 - g0]
+            for i in range(g0, g1):
+                self._restore(i)
+                raw = self.bitgen.random_raw(words).astype("<u8", copy=False)
+                h[i - g0, odd : odd + 2 * words] = raw.view("<u4")
+                if not last:
+                    self.saved[i] = self.bitgen.state
+            if odd:
+                h[:, 0] = self.carry[g0:g1]
+            if odd + 2 * words > count:
+                self.carry[g0:g1] = h[:, count]
+            # Bit 31 as the sign of an int32: shifted to -1 when set, 0
+            # when clear; -2 s - 1 maps those to +1 and -1.
+            s = h[:, :count].view(np.int32)
+            np.right_shift(s, 31, out=s)
+            signs = np.multiply(s.reshape(out[g0:g1].shape), -2.0, out=out[g0:g1])
+            signs -= 1.0
+        self.odd = odd + 2 * words - count
 
 
 def _stage_block_size(horizon, width):
@@ -237,14 +312,8 @@ def _simulate_block(model, cfg, steps, X, buf, aborted, j0):
     horizon = cfg.horizon
     bp = X.shape[0]
 
-    # One generator re-keyed per path: a fresh Philox(key=(seed, j)) has
-    # counter 0 and an empty output buffer, so path j's stream is unchanged.
-    bitgen = np.random.Philox(0)
-    gen = np.random.Generator(bitgen)
-    fresh = {"bit_generator": "Philox", "state": {"counter": [0] * 4, "key": [cfg.seed, 0]},
-             "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    key = fresh["state"]["key"]
-    saved = [None] * bp
+    sb = buf.shape[1]
+    streams = _PathStreams(cfg.seed, j0, bp, cfg.noise_kind, sb * buf.shape[2])
 
     x = np.tile(cfg.x0, (bp, 1))
     X[:, 0, :] = x
@@ -253,19 +322,10 @@ def _simulate_block(model, cfg, steps, X, buf, aborted, j0):
     alive = np.ones(bp, dtype=bool)
     all_alive = True
 
-    sb = buf.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):
         for k0 in range(0, horizon, sb):
             k1 = min(k0 + sb, horizon)
-            for i in range(bp):
-                if k0:
-                    bitgen.state = saved[i]
-                else:
-                    key[1] = j0 + i
-                    bitgen.state = fresh
-                _draw(gen, cfg.noise_kind, buf[i, : k1 - k0])
-                if k1 < horizon:
-                    saved[i] = bitgen.state
+            streams.draw(buf[:, : k1 - k0], last=k1 == horizon)
             for k in range(k0, k1):
                 eps = buf[:, k - k0, :n]
                 om = buf[:, k - k0, n:]

@@ -123,18 +123,20 @@ class TestSimConfig:
 
 
 def oracle_path(model, cfg, j):
-    """Path j of a scalar model by the plain recursion of the stream contract.
+    """Path j of an n = 1 model by the plain recursion of the stream contract.
 
     Draws come from a fresh Generator(Philox(key=(seed, j))) in one call
     (the partition into stage blocks does not change them), and the scalar
-    operations run in the simulator's order.  Returns the trajectory, NaN
-    from an abort on, and the abort stage or None.
+    operations run in the simulator's order; the additive term sums onto
+    +0 as a matrix product does (exactly so at r > 1 only when its sum
+    is exact, as with dyadic sigma and Rademacher draws).  Returns the
+    trajectory, NaN from an abort on, and the abort stage or None.
     """
     a, sx = model.A[0, 0], model.sigma_x[0, 0]
-    sbar, sg = model.sigma_bar_x[0, 0], model.sigma[0, 0]
+    sbar, sg = model.sigma_bar_x[0, 0], model.sigma[0]
     gen = np.random.Generator(
         np.random.Philox(key=np.array([cfg.seed, j], dtype=np.uint64)))
-    shape = (cfg.horizon, 2)
+    shape = (cfg.horizon, 1 + model.r)
     if cfg.noise_kind == "gaussian":
         draws = gen.standard_normal(shape)
     elif cfg.noise_kind == "rademacher":
@@ -143,8 +145,8 @@ def oracle_path(model, cfg, j):
         draws = gen.uniform(-np.sqrt(3.0), np.sqrt(3.0), size=shape)
     path = np.full(cfg.horizon + 1, np.nan)
     x = path[0] = cfg.x0[0]
-    for k, (eps, om) in enumerate(draws):
-        x = x * a + eps * sx + (abs(x) * eps) * sbar + om * sg
+    for k, (eps, *om) in enumerate(draws):
+        x = x * a + eps * sx + (abs(x) * eps) * sbar + sum(o * s for o, s in zip(om, sg))
         if not abs(x) <= sim.OVERFLOW_LIMIT:
             return path, k + 1
         path[k + 1] = x
@@ -235,6 +237,70 @@ class TestReproducibility:
         }
         assert not np.array_equal(runs["gaussian"], runs["rademacher"])
         assert not np.array_equal(runs["gaussian"], runs["uniform"])
+
+
+def rademacher_oracle(seed, j, count):
+    """Path j's first ``count`` Rademacher draws: numpy's integers(0, 2) in one call."""
+    gen = np.random.Generator(np.random.Philox(key=np.array([seed, j], dtype=np.uint64)))
+    return gen.integers(0, 2, size=count) * 2.0 - 1.0
+
+
+class TestRademacherDraws:
+    """Rademacher signs read from the raw Philox words equal numpy's
+    Generator.integers(0, 2) bit for bit, however the draws are split."""
+
+    @pytest.mark.parametrize("j", [0, 2**40])
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    @pytest.mark.parametrize("count", [1, 2, 3, 1000, 1001])
+    def test_bulk_fill_matches_generator_integers(self, count, seed, j):
+        paths = sim.SIGN_GROUP + 3
+        out = np.empty((paths, count))
+        sim._PathStreams(seed, j, paths, "rademacher", count).draw(out, last=True)
+        for i in range(paths):
+            assert np.array_equal(out[i], rademacher_oracle(seed, j + i, count)), i
+
+    @pytest.mark.parametrize("pieces", [(1, 1, 1), (3, 4, 5), (2, 3, 3, 1), (7, 1000, 1001)])
+    def test_split_draws_carry_the_half_word(self, pieces):
+        paths, total = sim.SIGN_GROUP + 1, sum(pieces)
+        out = np.empty((paths, total))
+        streams = sim._PathStreams(2**64 - 1, 5, paths, "rademacher", max(pieces))
+        c = 0
+        for m, piece in enumerate(pieces):
+            streams.draw(out[:, c : c + piece], last=m == len(pieces) - 1)
+            c += piece
+        for i in range(paths):
+            assert np.array_equal(out[i], rademacher_oracle(2**64 - 1, 5 + i, total)), i
+
+    @pytest.mark.parametrize("sb", [1, 5])
+    def test_odd_width_odd_stage_blocks_follow_the_stream_contract(self, monkeypatch, sb):
+        # n + r = 3 and an odd number of stages per block: every other
+        # stage block starts on the half word its predecessor left.
+        model = CsviuModel(n=1, r=2, p=1, m=0, A=[[0.5]], sigma_x=[[0.25]],
+                           sigma_bar_x=[[0.375]], sigma=[[0.25, 0.5]], C=[[1.0]])
+        monkeypatch.setattr(sim, "STAGE_BLOCK_ELEMENTS", sim.PATH_BLOCK * 3 * sb)
+        cfg = SimConfig(n_paths=sim.PATH_BLOCK + 2, horizon=23, seed=2**64 - 5,
+                        noise_kind="rademacher", x0=[1.0])
+        assert sim._stage_block_size(cfg.horizon, 3) == sb
+        ens = simulate_paths(model, cfg)
+        for j in TestReproducibility.PATHS + (sim.SIGN_GROUP - 1, sim.SIGN_GROUP):
+            path, stage = oracle_path(model, cfg, j)
+            assert stage is None
+            assert np.array_equal(ens.X[j, :, 0], path), j
+
+    def test_rademacher_runs_never_call_generator_integers(self, scalar_model, monkeypatch):
+        cfg = SimConfig(n_paths=sim.PATH_BLOCK + 3, horizon=9, seed=4,
+                        noise_kind="rademacher", x0=[1.0])
+        expected = [oracle_path(scalar_model, cfg, j)[0] for j in TestReproducibility.PATHS]
+
+        class NoIntegers(np.random.Generator):
+            def integers(self, *args, **kwargs):
+                raise AssertionError("Rademacher draws went through Generator.integers")
+
+        monkeypatch.setattr(np.random, "Generator", NoIntegers)
+        monkeypatch.setattr(sim, "STAGE_BLOCK_ELEMENTS", sim.PATH_BLOCK * 2 * 4)
+        ens = simulate_paths(scalar_model, cfg)
+        for j, path in zip(TestReproducibility.PATHS, expected):
+            assert np.array_equal(ens.X[j, :, 0], path), j
 
 
 class TestNoiseValidity:
