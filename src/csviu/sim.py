@@ -649,7 +649,7 @@ class RepresentationCheck:
                     noise -= Bl
                     vin = v + 2.0 * _matmul(Bl, Pk1)
                 g = alpha * g
-                corr += w[k] * alpha * (v * noise).sum(axis=1)
+                corr += w[k] * alpha * np.einsum("pi,pi->p", v, noise)
                 v = _matmul(vin, A)
                 s_k *= self.W_d[k]
                 v += s_k

@@ -4,8 +4,10 @@ simulate_paths hands each path block to its sinks and drops it; PathFeed
 regroups the surviving paths into chunks of PATH_BLOCK and evaluates
 x_k^T Q x_k once per chunk for every reducer.  The oracles below are the
 whole-ensemble estimators the stream replaced, kept as they were but for
-x_k^T Q x_k, which they evaluate stage by stage as (x_k Q) . x_k, the
-form the stream uses, written out here.  The streamed results, and the
+two sums the stream forms differently, written out here in its form:
+x_k^T Q x_k, evaluated stage by stage as (x_k Q) . x_k, and the
+representation's cross term <v, noise>, summed per path by
+einsum("pi,pi->p").  The streamed results, and the
 Ensemble-taking estimators that replay a kept X through the same
 reducers, must equal them bit for bit; only the representation check at
 n >= 5 is compared to 1e-12 relative, because there BLAS matrix products
@@ -137,12 +139,12 @@ def oracle_representation(ensemble, alpha, Q):
                 + (v * Bl).sum(axis=1)
             )
             noise = okX[:, k + 1, :] - okX[:, k, :] @ A.T - Bl
-            corr += w[k] * alpha * (v * noise).sum(axis=1)
+            corr += w[k] * alpha * np.einsum("pi,pi->p", v, noise)
             v = alpha * ((v + 2.0 * (Bl @ Pk1)) @ A + wd * s_k)
         else:
             g = alpha * (g + op_varpi(model, Pk1))
             noise = okX[:, k + 1, :] - okX[:, k, :] @ A.T
-            corr += w[k] * alpha * (v * noise).sum(axis=1)
+            corr += w[k] * alpha * np.einsum("pi,pi->p", v, noise)
             v = alpha * (v @ A + wd * s_k)
     terminal = np.einsum("pi,ij,pj->p", okX[:, kappa, :], P[kappa], okX[:, kappa, :])
     quad0 = float(x0 @ P[0] @ x0)
