@@ -99,9 +99,12 @@ def _jsonable(value):
     """Recursively convert report values to JSON-safe types.
 
     Non-finite floats become None: the canonical reports must be valid
-    strict JSON.
+    strict JSON.  An array with nothing to replace goes out through
+    tolist() alone, which gives the same Python floats, ints and bools.
     """
     if isinstance(value, np.ndarray):
+        if value.dtype.kind in "biu" or (value.dtype.kind == "f" and np.isfinite(value).all()):
+            return value.tolist()
         return [_jsonable(v) for v in value.tolist()]
     if isinstance(value, (np.bool_, bool)):
         return bool(value)

@@ -657,3 +657,41 @@ class TestArtifacts:
         traj = (outdir / "trajectories.csv").read_text().splitlines()
         assert traj[1] == "path,k,x0,x1,y0"
         assert traj[2] == "0,0,1.0,1.0,2.0"
+
+
+def elementwise_jsonable(items):
+    """The per-element conversion of a tolist(): non-finite floats become None."""
+    if isinstance(items, list):
+        return [elementwise_jsonable(v) for v in items]
+    if isinstance(items, float):
+        return items if np.isfinite(items) else None
+    return items
+
+
+class TestJsonable:
+    ARRAYS = {
+        "float": np.arange(12.0).reshape(3, 4) / 7.0,
+        "float32": np.array([0.1, 2.5], dtype=np.float32),
+        "int": np.array([[-3, 0], [2**62, 7]]),
+        "uint": np.array([0, 2**64 - 1], dtype=np.uint64),
+        "bool": np.array([[True, False], [False, True]]),
+        "signed-zero": np.array([-0.0, 0.0, -0.0]),
+        "nan": np.array([[1.0, np.nan], [-0.0, 2.0]]),
+        "inf": np.array([np.inf, -1.0, -np.inf]),
+        "empty": np.empty((0, 3)),
+    }
+
+    @pytest.mark.parametrize("name", list(ARRAYS))
+    def test_arrays_convert_as_element_by_element(self, name):
+        arr = self.ARRAYS[name]
+        got = cli._jsonable(arr)
+        expect = elementwise_jsonable(arr.tolist())
+        # json.dumps tells -0.0 from 0.0, 1 from 1.0 and true from 1, and
+        # writes NaN or Infinity for a non-finite float that slipped through.
+        assert json.dumps(got) == json.dumps(expect)
+        assert got == expect
+
+    def test_non_finite_entries_become_null(self):
+        assert cli._jsonable(self.ARRAYS["nan"]) == [[1.0, None], [-0.0, 2.0]]
+        assert cli._jsonable(self.ARRAYS["inf"]) == [None, -1.0, None]
+        assert json.dumps(cli._jsonable({"v": self.ARRAYS["inf"]})) == '{"v": [null, -1.0, null]}'
