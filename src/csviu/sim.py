@@ -227,7 +227,8 @@ class _PathStreams:
     buffer, so setting that state on one generator gives path j its
     stream unchanged.  Between draws each path's state is saved and
     restored; a Rademacher half word left over by an odd count is kept
-    in ``carry`` and opens the path's next draw.
+    in ``carry`` and opens the path's next draw.  ``count`` bounds the
+    draws per path of one call.
     """
 
     def __init__(self, seed, j0, paths, kind, count):
@@ -252,7 +253,7 @@ class _PathStreams:
             self.bitgen.state = self.saved[i]
 
     def draw(self, out, last):
-        """Fill out[i] with path i's next draws in C order; ``last`` when none follow."""
+        """Fill out[i] with path i's next draws in C order; ``last``: no draw follows, save no state."""
         paths = out.shape[0]
         if self.kind != "rademacher":
             for i in range(paths):
@@ -311,7 +312,6 @@ def _simulate_block(model, cfg, steps, X, buf, aborted, j0):
     policy = cfg.input_policy
     horizon = cfg.horizon
     bp = X.shape[0]
-
     sb = buf.shape[1]
     streams = _PathStreams(cfg.seed, j0, bp, cfg.noise_kind, sb * buf.shape[2])
 
