@@ -8,8 +8,10 @@ All quantities here come from L, the solution of (I - L_alpha)(U) = Q:
   counter-discount bound (alpha >= 1):  c0 ||x0 - xi||^2 + kappa c1 alpha^kappa
   geometric decay bound:  2 alpha^{-k} (||x0||_L^2 + <v_bar, |x0|>)
 
-norm_report solves for L once per (model, alpha, Q); every other
-function here reads the NormReport it returns.
+norm_report solves for L once per (model, alpha, Q), and
+vanishing_discount_sweep solves at every alpha of its grid in one pass
+of the solver's Stein-SMW core; every other function here reads the
+NormReport or the rows they return.
 
 These formulas are exact for the second-moment recursion they are
 derived from; see csviu.sim for the Monte Carlo oracle that measures how
@@ -25,8 +27,15 @@ import numpy as np
 
 from .errors import DomainError, NotStableError, SingularOperatorError
 from .model import as_weight, energy_weight
-from .ops import op_W_d, op_varpi, spectral_radius
-from .solver import _require_finite, critical_alpha, max_abs, radius_below_one, solve_lyapunov
+from .ops import op_W_d, op_varpi, spectral_radius, unit_radius
+from .solver import (
+    _direct_solutions,
+    _require_finite,
+    critical_alpha,
+    max_abs,
+    radius_below_one,
+    solve_lyapunov,
+)
 
 __all__ = [
     "NormReport",
@@ -234,14 +243,6 @@ def default_sweep_grid(model):
     return [0.5, 0.9, 0.99, 0.999, 1.0, min(1.05, (1.0 + alpha_bar) / 2.0)]
 
 
-def _solve_or_radius(model, alpha, Q):
-    """(solution, None) at a solvable alpha, else (None, r_sigma(L_alpha))."""
-    try:
-        return _solve(model, alpha, Q), None
-    except NotStableError as exc:
-        return None, exc.spectral_radius
-
-
 @np.errstate(over="ignore", invalid="ignore")  # overflow ends in _require_finite instead
 def vanishing_discount_sweep(model, Q=None, alphas=None):
     """Tabulate varpi(L_alpha) and the Abel gap across an alpha grid.
@@ -251,8 +252,9 @@ def vanishing_discount_sweep(model, Q=None, alphas=None):
     gap (1-alpha)*[Abel sum] - varpi(L_1) = alpha varpi(L_alpha) -
     varpi(L_1), and the distance ||L_alpha - L_1||_inf.  Unsolvable
     entries are marked not_stable rather than aborting the sweep; a row
-    that overflows a double raises DomainError.  Grid points at alpha = 1
-    reuse the solve that gives L_1.
+    that overflows a double raises DomainError.  Every solvable alpha of
+    the grid, and alpha = 1 for L_1, is solved once, all in one pass;
+    each row is bit for bit what a solve at its alpha alone gives.
 
     Returns
     -------
@@ -262,20 +264,23 @@ def vanishing_discount_sweep(model, Q=None, alphas=None):
     """
     if alphas is None:
         alphas = default_sweep_grid(model)
-    at_one = _solve_or_radius(model, 1.0, Q)
-    L1 = None if at_one[0] is None else at_one[0].L
+    unit = unit_radius(model)
+    solvable = [alpha for alpha in dict.fromkeys([*alphas, 1.0])
+                if radius_below_one(alpha * unit)]
+    Qm = as_weight(energy_weight(model, Q), model.n)
+    solutions = dict(zip(solvable, _direct_solutions(model, solvable, Qm)))
+    L1 = solutions[1.0].L if 1.0 in solutions else None
     varpi_L1 = None if L1 is None else op_varpi(model, L1)
 
     columns = ("varpi_L", "h2_discounted", "abel_gap", "dist_to_L1")
     rows = []
     for alpha in alphas:
-        solution, radius = at_one if alpha == 1.0 else _solve_or_radius(model, alpha, Q)
-        row = {"alpha": float(alpha), "status": "not_stable", "spectral_radius": radius,
+        row = {"alpha": float(alpha), "status": "not_stable", "spectral_radius": alpha * unit,
                **dict.fromkeys(columns)}
+        solution = solutions.get(alpha)
         if solution is not None:
             Lm = solution.L
-            row.update(status="ok", spectral_radius=solution.spectral_radius,
-                       varpi_L=op_varpi(model, Lm))
+            row.update(status="ok", varpi_L=op_varpi(model, Lm))
             if alpha < 1.0:
                 row["h2_discounted"] = alpha / (1.0 - alpha) * row["varpi_L"]
             if varpi_L1 is not None:

@@ -15,9 +15,12 @@ representation preserves the Frobenius inner product and spectral radii
 are basis-independent.
 
 r_sigma(L_1) comes from a Collatz-Wielandt bracket, a power iteration on
-n-by-n matrices (:func:`radius_bracket`); the n(n+1)/2-square svec
-matrix M_1 is built only for dense solves and for the eigensolve the
-bracket falls back on when it cannot close.
+n-by-n matrices (:func:`radius_bracket`).  The Lyapunov solve and
+stability criteria (iii) and (v) work on n-by-n matrices as well (the
+Stein-SMW core of csviu.solver).  The n(n+1)/2-square svec matrix M_1
+is built only for the eigensolve the bracket falls back on when it
+cannot close, and for criteria (iii) and (v) where sqrt(alpha) r_sigma(A)
+>= 1 (the model is then not stable and the Stein series diverges).
 """
 
 from __future__ import annotations
@@ -265,10 +268,11 @@ def unit_radius(model):
 def unit_matrix(model):
     """M_1, the svec matrix of L_1, built once per model and kept on the model object.
 
-    L_alpha's matrix is alpha * M_1.  Only the dense solves (the
-    Lyapunov equation, stability criteria (iii) and (v)) and the
-    fallback of :func:`radius_from_bracket` need it; the model's arrays
-    are read-only, so the kept matrix stays valid.
+    L_alpha's matrix is alpha * M_1.  Only the fallback of
+    :func:`radius_from_bracket` and stability criteria (iii) and (v)
+    where sqrt(alpha) r_sigma(A) >= 1 need it; the Lyapunov solve never
+    does.  The model's arrays are read-only, so the kept matrix stays
+    valid.
     """
     M1 = vars(model).get("_unit_matrix")
     if M1 is None:

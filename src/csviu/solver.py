@@ -6,6 +6,21 @@ PSD Q exactly when the spectral radius of L_alpha is below one, and the
 solution is the limit of the fixed-point iteration
 U <- L_alpha(U) + Q as well as of the geometric series
 sum_k (L_alpha)^k (Q).
+
+The direct solve works on n-by-n matrices only.  L_alpha splits into
+the Stein operator U -> alpha A^T U A and the rank-n part alpha Z, so
+with S_alpha(C) = sum_k alpha^k (A^T)^k C A^k, the solution of the Stein
+equation U - alpha A^T U A = C, the Sherman-Morrison-Woodbury identity
+(Benner & Damm, SIAM J. Control Optim. 2011) gives
+
+    U = S_alpha(Q) + alpha sum_j d_j S_alpha(E_jj),
+    (I - alpha K(alpha)) d = diag(sigma_bar_x^T S_alpha(Q) sigma_bar_x),
+    K(alpha)_ij = (sigma_bar_x^T S_alpha(E_jj) sigma_bar_x)_ii.
+
+The Stein series is summed by Smith's squared iteration (Smith, SIAM J.
+Appl. Math. 1968), numpy matmuls alone.  K(alpha) is also the matrix
+whose radius stability criterion (v) tests, so csviu.stability reads it
+from the same pass.
 """
 
 from __future__ import annotations
@@ -14,9 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, NotStableError
+from .errors import ConvergenceError, DomainError, NotStableError, SingularOperatorError
 from .model import as_weight
-from .ops import op_L_alpha, op_varpi, smat, spectral_radius, svec, unit_matrix, unit_radius
+from .ops import op_L_alpha, op_varpi, spectral_radius, unit_radius
 
 __all__ = [
     "LyapunovSolution",
@@ -29,6 +44,10 @@ __all__ = [
 
 #: A spectral radius counts as "< 1" only when <= 1 - STRICT_RADIUS_MARGIN.
 STRICT_RADIUS_MARGIN = 1e-9
+#: Smith's iteration stops once ||P||_1^2 <= SMITH_TOL, P = (sqrt(alpha) A)^(2^k).
+SMITH_TOL = 2.0**-60
+#: Doublings (2^64 terms of the Stein series) after which the iteration gives up.
+SMITH_MAX_DOUBLINGS = 64
 
 
 def radius_below_one(radius):
@@ -76,69 +95,80 @@ def _require_finite(alpha, *values):
                           "not a finite double; scale down --Q or lower --alpha")
 
 
-@np.errstate(over="ignore", invalid="ignore")  # overflow ends in _require_finite instead
-def solve_lyapunov(model, alpha, Q, method="direct", tol=1e-12, max_iter=100000):
-    """Solve the perturbed Lyapunov equation (I - L_alpha)(U) = Q.
+@np.errstate(over="ignore", invalid="ignore")  # overflow ends in the callers' finiteness checks
+def _smw_solve(model, alphas, C):
+    """Solve (I - L_alpha)(U) = C_i for a stack of right-hand sides at every alpha.
+
+    The core of the direct solve (see the module docstring).  For each
+    alpha, Smith's iteration sums the Stein series over the stack
+    [C_1, ..., C_m, E_11, ..., E_nn] at once: X <- X + P^T X P, then
+    P <- P^2, from X = the stack and P = sqrt(alpha) A.  sqrt(alpha) goes
+    into P because alpha^(2^k) kept apart from A^(2^k) overflows while
+    A^(2^k) underflows.  Each C_i is divided by its largest absolute
+    entry first and the result scaled back, so a right-hand side near
+    the largest double does not overflow on the way.  Every alpha stops
+    on its own test, so a solve at one alpha gives the same bits in
+    any list.
+
+    The series converges only when sqrt(alpha) r_sigma(A) < 1; callers
+    make sure of that.  In the stable case every term is PSD and d >= 0,
+    so nothing cancels.
 
     Parameters
     ----------
     model : CsviuModel
-    alpha : float
-        Nonnegative discount/counter-discount parameter.
-    Q : array_like
-        PSD right-hand side.
-    method : {"direct", "fixed_point"}
-        ``direct`` solves (I - alpha M_1) svec(U) = svec(Q), M_1 the
-        representation of L_1, built only once the radius test has
-        passed; ``fixed_point`` iterates U <- L_alpha(U) + Q
-        from U = Q until the update falls below ``tol``.
-    tol, max_iter : float, int
-        Fixed-point stopping controls.
+    alphas : sequence of float
+    C : ndarray
+        Stack (m, n, n) of symmetric right-hand sides.
 
     Returns
     -------
-    LyapunovSolution
+    list of (ndarray or None, ndarray)
+        Per alpha, the symmetric solutions (m, n, n), or None when
+        I - alpha K(alpha) is singular, and K(alpha).
 
     Raises
     ------
-    NotStableError
-        If the spectral radius of L_alpha is not strictly below one
-        (no PSD solution exists); carries the computed radius.
     ConvergenceError
-        If the fixed point hits ``max_iter`` with a marginal radius.
-    DomainError
-        If the solution or its residual is not a finite double.
+        If the Stein series has not converged after SMITH_MAX_DOUBLINGS
+        doublings.
     """
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
-    Qm = as_weight(Q, model.n)
-    radius = alpha * unit_radius(model)
-    if not radius_below_one(radius):
-        raise NotStableError(
-            f"(I - L_alpha) has no PSD solution: r_sigma(L_alpha) = {radius:.6g} >= 1",
-            spectral_radius=radius,
-        )
+    n, m = model.n, len(C)
+    A, sbx = model.A, model.sigma_bar_x
+    scale = np.abs(C).max(axis=(1, 2), initial=0.0)
+    scale[scale == 0.0] = 1.0
+    eye = np.eye(n)
+    stack = np.concatenate([C / scale[:, None, None], eye[:, :, None] * eye[:, None, :]])
+    results = []
+    for alpha in alphas:
+        X, P = stack, np.sqrt(alpha) * A
+        doublings = 0
+        while not np.abs(P).sum(axis=0).max() ** 2 <= SMITH_TOL:  # a NaN P goes on to the cap
+            if doublings == SMITH_MAX_DOUBLINGS:
+                raise ConvergenceError(
+                    f"the Stein series at alpha = {alpha:.6g} did not converge in "
+                    f"{SMITH_MAX_DOUBLINGS} doublings"
+                )
+            X = X + P.T @ X @ P
+            P = P @ P
+            doublings += 1
+        S_C, S_E = X[:m], X[m:]
+        # K_ij = (sbx^T S_E[j] sbx)_ii and b_ri = (sbx^T S_C[r] sbx)_ii
+        K = np.einsum("ki,jki->ij", sbx, S_E @ sbx)
+        b = np.einsum("ki,rki->ir", sbx, S_C @ sbx)
+        try:
+            d = np.linalg.solve(eye - alpha * K, b)
+        except np.linalg.LinAlgError:
+            results.append((None, K))
+            continue
+        U = S_C + alpha * np.tensordot(d.T, S_E, axes=1)
+        results.append(((U + U.transpose(0, 2, 1)) * (scale[:, None, None] / 2.0), K))
+    return results
 
-    if method == "direct":
-        M1 = unit_matrix(model)
-        lhs = np.eye(M1.shape[0]) - alpha * M1
-        U = smat(np.linalg.solve(lhs, svec(Qm)), model.n)
-        iterations = 0
-    elif method == "fixed_point":
-        U, iterations = Qm, None
-        for it in range(1, max_iter + 1):
-            U, U_prev = op_L_alpha(model, alpha, U) + Qm, U
-            if not max_abs(U - U_prev) > tol:  # a NaN step also ends the loop
-                iterations = it
-                break
-        if iterations is None:
-            raise ConvergenceError(
-                f"fixed point did not converge in {max_iter} iterations "
-                f"(r_sigma = {radius:.6g})"
-            )
-    else:
-        raise ValueError(f"unknown method {method!r}")
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow ends in _require_finite instead
+def _checked_solution(model, alpha, Qm, U, method, iterations, radius):
+    """The LyapunovSolution for U, once U and its residual are finite and small."""
     residual = max_abs(U - op_L_alpha(model, alpha, U) - Qm)
     _require_finite(alpha, U, residual)
     if residual > 1e-9 * max(1.0, max_abs(Qm)):
@@ -155,6 +185,87 @@ def solve_lyapunov(model, alpha, Q, method="direct", tol=1e-12, max_iter=100000)
         iterations=iterations,
         spectral_radius=radius,
     )
+
+
+def _direct_solutions(model, alphas, Qm):
+    """The direct solve at every alpha of a list, all from one pass of :func:`_smw_solve`.
+
+    Every alpha must already pass the radius test, r_sigma(L_alpha) < 1;
+    then sqrt(alpha) r_sigma(A) < 1 as well, and the Stein series
+    converges.  Each solution carries the checks of :func:`solve_lyapunov`.
+    """
+    if any(alpha < 0 for alpha in alphas):
+        raise ValueError("alpha must be nonnegative")
+    unit = unit_radius(model)
+    solutions = []
+    for alpha, (U, _) in zip(alphas, _smw_solve(model, alphas, Qm[None])):
+        if U is None:
+            raise SingularOperatorError(f"(I - L_alpha) is singular at alpha = {alpha:.6g}")
+        solutions.append(_checked_solution(model, alpha, Qm, U[0], "direct", 0, alpha * unit))
+    return solutions
+
+
+@np.errstate(over="ignore", invalid="ignore")  # overflow ends in _require_finite instead
+def solve_lyapunov(model, alpha, Q, method="direct", tol=1e-12, max_iter=100000):
+    """Solve the perturbed Lyapunov equation (I - L_alpha)(U) = Q.
+
+    Parameters
+    ----------
+    model : CsviuModel
+    alpha : float
+        Nonnegative discount/counter-discount parameter.
+    Q : array_like
+        PSD right-hand side.
+    method : {"direct", "fixed_point"}
+        ``direct`` is the Stein-SMW solve on n-by-n matrices (see the
+        module docstring), run once the radius test has passed;
+        ``fixed_point`` iterates U <- L_alpha(U) + Q from U = Q until
+        the update falls below ``tol``.
+    tol, max_iter : float, int
+        Fixed-point stopping controls.
+
+    Returns
+    -------
+    LyapunovSolution
+
+    Raises
+    ------
+    NotStableError
+        If the spectral radius of L_alpha is not strictly below one
+        (no PSD solution exists); carries the computed radius.
+    ConvergenceError
+        If the fixed point hits ``max_iter`` with a marginal radius, or
+        the solution's residual exceeds 1e-9 max(1, max|Q|).
+    DomainError
+        If the solution or its residual is not a finite double.
+    """
+    if alpha < 0:
+        raise ValueError("alpha must be nonnegative")
+    Qm = as_weight(Q, model.n)
+    radius = alpha * unit_radius(model)
+    if not radius_below_one(radius):
+        raise NotStableError(
+            f"(I - L_alpha) has no PSD solution: r_sigma(L_alpha) = {radius:.6g} >= 1",
+            spectral_radius=radius,
+        )
+
+    if method == "direct":
+        return _direct_solutions(model, [alpha], Qm)[0]
+    elif method == "fixed_point":
+        U, iterations = Qm, None
+        for it in range(1, max_iter + 1):
+            U, U_prev = op_L_alpha(model, alpha, U) + Qm, U
+            if not max_abs(U - U_prev) > tol:  # a NaN step also ends the loop
+                iterations = it
+                break
+        if iterations is None:
+            raise ConvergenceError(
+                f"fixed point did not converge in {max_iter} iterations "
+                f"(r_sigma = {radius:.6g})"
+            )
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    return _checked_solution(model, alpha, Qm, U, method, iterations, radius)
 
 
 def critical_alpha(model, cap=1e6):

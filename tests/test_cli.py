@@ -1,6 +1,9 @@
 """Command-line interface: exit codes, report shapes, artifacts, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
 from importlib import resources
 from pathlib import Path
@@ -10,7 +13,8 @@ import numpy as np
 import pytest
 from referencing import Registry, Resource
 
-from csviu import cli, load_model, norms
+from csviu import cli, load_model, norms, ops
+from conftest import make_random_model
 from test_sim import exact_second_moments
 
 N3_MODEL = str(Path(__file__).parent / "golden" / "models" / "n3.json")
@@ -400,11 +404,72 @@ class TestSolveCounts:
         assert "closed_form" in json.loads(out)["estimates"]["abel" if alpha < 1 else "cesaro"]
         assert solves == [alpha]
 
-    def test_default_sweep_solves_each_alpha_once(self, run, models, solves):
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        alpha_lists = []
+        solve = norms._direct_solutions
+
+        def counting(model, alphas, Qm):
+            alpha_lists.append(list(alphas))
+            return solve(model, alphas, Qm)
+
+        monkeypatch.setattr(norms, "_direct_solutions", counting)
+        return alpha_lists
+
+    def test_default_sweep_solves_each_alpha_once(self, run, models, solves, passes):
         code, out, _ = run(["sweep", models["scalar"]])
         assert code == 0
         grid = [row["alpha"] for row in json.loads(out)["sweep"]]
-        assert sorted(solves) == sorted(set(grid))
+        # one pass of the Stein-SMW core, none through solve_lyapunov
+        assert solves == []
+        assert len(passes) == 1
+        assert sorted(passes[0]) == sorted(set(grid))
+
+
+#: The commands a stable model runs without the svec matrix M_1.
+STABLE_COMMANDS = {
+    "analyze": ["analyze", "{}", "--alpha", "0.9"],
+    "norm": ["norm", "{}", "--alpha", "0.9"],
+    "power": ["norm", "{}", "--power"],
+    "sweep": ["sweep", "{}"],
+    "simulate": ["simulate", "{}", "--paths", "200", "--horizon", "10", "--seed", "3",
+                 "--alpha", "0.9", "--check-decay"],
+}
+
+
+class TestSteinSMWFastPath:
+    """Stable models are analysed on n-by-n matrices, without M_1 and without scipy."""
+
+    @pytest.fixture(scope="class")
+    def stable_models(self, models, tmp_path_factory):
+        model = make_random_model(20, 20, target=0.8)
+        doc = {"n": 20, "r": 20, "p": 20, "A": model.A.tolist(),
+               "sigma_x": model.sigma_x.tolist(), "sigma_bar_x": model.sigma_bar_x.tolist(),
+               "sigma": model.sigma.tolist(), "C": model.C.tolist()}
+        path = tmp_path_factory.mktemp("n20") / "n20.json"
+        path.write_text(json.dumps(doc))
+        return {"scalar": models["scalar"], "n3": N3_MODEL, "n20": str(path)}
+
+    @pytest.mark.parametrize("command", sorted(STABLE_COMMANDS))
+    @pytest.mark.parametrize("name", ["scalar", "n3", "n20"])
+    def test_stable_commands_build_no_svec_matrix(self, run, stable_models, monkeypatch,
+                                                  name, command):
+        def refuse(*args):
+            raise AssertionError(f"operator_matrix{args[1:]} built")
+
+        monkeypatch.setattr(ops, "operator_matrix", refuse)
+        code, _, err = run([a.format(stable_models[name]) for a in STABLE_COMMANDS[command]])
+        assert code == 0, err
+
+    def test_analyze_imports_no_scipy(self):
+        # a scipy import would add its load time and memory to every command's set-up
+        script = ("import sys; from csviu.cli import main; code = main(sys.argv[1:]); "
+                  "print('scipy' in sys.modules, file=sys.stderr); sys.exit(code)")
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-c", script, "analyze", N3_MODEL, "--alpha", "0.9"],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines()[-1] == "False"
 
 
 class TestSweep:
@@ -422,6 +487,24 @@ class TestSweep:
         code, _, _ = run(["sweep", models["two_dim"]])
         assert code == 0
         assert shapes == [(2, 2)]
+
+    @pytest.mark.parametrize("model", ["scalar", "n3"])
+    def test_rows_are_bit_identical_to_norm_at_the_same_alpha(self, run, models, model):
+        path = N3_MODEL if model == "n3" else models["scalar"]
+        code, out, _ = run(["sweep", path, "--alphas", "0.5,0.9,0.99,0.999,1.0,1.2"])
+        assert code == 0
+        rows = json.loads(out)["sweep"]
+        reports = {}
+        for row in rows:
+            code, out, _ = run(["norm", path, "--alpha", repr(row["alpha"])])
+            assert code == 0
+            reports[row["alpha"]] = json.loads(out)["norms"]
+        L1 = np.array(reports[1.0]["L"])
+        for row in rows:
+            report = reports[row["alpha"]]
+            assert row["varpi_L"] == report["varpi_L"]
+            assert row["h2_discounted"] == report["h2_discounted"]
+            assert row["dist_to_L1"] == np.abs(np.array(report["L"]) - L1).max()
 
     def test_alias_stdout_is_identical(self, run, models):
         _, out_norm, _ = run(["norm", models["scalar"], "--sweep", "0.5,0.9,1.5"])

@@ -15,8 +15,15 @@ from csviu import (
     solve_lyapunov,
     spectral_radius,
 )
-from csviu.solver import STRICT_RADIUS_MARGIN, radius_below_one
+from csviu.solver import (
+    SMITH_MAX_DOUBLINGS,
+    STRICT_RADIUS_MARGIN,
+    _direct_solutions,
+    _smw_solve,
+    radius_below_one,
+)
 from conftest import make_random_model
+from test_ops import loop_operator_matrix, loop_smat, loop_svec, plain_model, random_psd
 
 Q1 = np.array([[1.0]])
 
@@ -100,6 +107,110 @@ class TestSolveLyapunov:
             total += term
         sol = solve_lyapunov(model, 0.9, Q)
         assert np.max(np.abs(total - np.asarray(sol.L))) <= 1e-9
+
+
+def dense_solution(model, alpha, C):
+    """Oracle: solve (I - L_alpha)(U) = C on the svec matrix built one basis matrix at a time."""
+    n = model.n
+    lhs = np.eye(n * (n + 1) // 2) - loop_operator_matrix(model, alpha, "L_alpha")
+    return loop_smat(np.linalg.solve(lhs, loop_svec(C)), n)
+
+
+def dense_capacitance(model, alpha):
+    """Oracle for K(alpha): Phi (I - alpha A_conj)^{-1} E with Z = E Phi, from the basis loops."""
+    n = model.n
+    lhs = np.eye(n * (n + 1) // 2) - alpha * loop_operator_matrix(model, alpha, "A_conj")
+    eye, sbx = np.eye(n), model.sigma_bar_x
+    E = np.array([loop_svec(np.outer(eye[j], eye[j])) for j in range(n)]).T
+    Phi = np.array([loop_svec(np.outer(sbx[:, i], sbx[:, i])) for i in range(n)])
+    return Phi @ np.linalg.solve(lhs, E)
+
+
+def rel_gap(got, expected):
+    return float(np.abs(got - expected).max() / np.abs(expected).max())
+
+
+#: Models whose A is defective, nilpotent, diagonal or zero, or whose sigma_bar_x is zero.
+HARD_MODELS = {
+    "jordan_block": plain_model([[0.9, 1.0], [0.0, 0.9]], 0.2 * np.eye(2)),
+    "nilpotent": plain_model([[0.0, 1.0], [0.0, 0.0]], 0.3 * np.ones((2, 2))),
+    "diagonal": plain_model(np.diag([0.9, 0.5, 0.3]), 0.2 * np.eye(3)),
+    "zero_A": plain_model(np.zeros((3, 3)), 0.4 * np.eye(3)[[1, 2, 0]]),
+    "zero_sigma_bar": make_random_model(4, 4, target=0.8, with_sigma_bar=False),
+}
+#: A quarter turn: r(A) = 1 and ||A^k||_1 = 1 for every k.
+ROTATION_2 = np.array([[0.0, -1.0], [1.0, 0.0]])
+
+
+class TestSteinSMWCore:
+    """The Smith-SMW core against the dense svec solve, the oracle built by basis loops."""
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.9, 1.0, 1.2])
+    def test_random_models_match_the_dense_oracle(self, alpha):
+        rng = np.random.default_rng(int(100 * alpha))
+        checked = 0
+        for trial in range(40):
+            n = int(rng.integers(1, 9))
+            # 1.3 is not stable; the core still solves there while sqrt(alpha) r(A) < 1
+            target = float(rng.choice([0.4, 0.8, 0.95, 1.3]))
+            model = make_random_model(int(rng.integers(2**31)), n, target=target, alpha=alpha)
+            C = random_psd(rng, n)
+            if not radius_below_one(np.sqrt(alpha) * spectral_radius(model.A)):
+                continue
+            [(U, K)] = _smw_solve(model, [alpha], C[None])
+            assert rel_gap(U[0], dense_solution(model, alpha, C)) <= 1e-11, (trial, n)
+            assert rel_gap(K, dense_capacitance(model, alpha)) <= 1e-11, (trial, n)
+            assert np.array_equal(U[0], U[0].T)
+            checked += 1
+        assert checked >= 30
+
+    @pytest.mark.parametrize("case", sorted(HARD_MODELS))
+    @pytest.mark.parametrize("alpha", [0.5, 0.9, 1.0])
+    def test_hard_cases_match_the_dense_oracle_and_the_fixed_point(self, case, alpha):
+        model = HARD_MODELS[case]
+        C = random_psd(np.random.default_rng(1), model.n)
+        [(U, K)] = _smw_solve(model, [alpha], C[None])
+        assert rel_gap(U[0], dense_solution(model, alpha, C)) <= 1e-14
+        assert np.allclose(K, dense_capacitance(model, alpha), rtol=1e-14, atol=1e-15)
+        # the fixed point stops at an update of 1e-12, some r/(1 - r) above its own error
+        fixed = solve_lyapunov(model, alpha, C, method="fixed_point").L
+        assert rel_gap(U[0], fixed) <= 1e-11
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
+    def test_many_small_grid_is_finite_and_matches_the_oracle(self, n):
+        # alpha^(2^k) kept apart from A^(2^k) overflows while A^(2^k) underflows
+        # on this grid; sqrt(alpha) inside P keeps every solve finite.
+        model = make_random_model(50 + n, n, target=0.8)
+        grid = [float(a) for a in np.linspace(0.05, 1.25, 64)]
+        solvable = [a for a in grid if radius_below_one(0.8 * a)]
+        assert len(solvable) == 63
+        Q = model.C.T @ model.C
+        for alpha, solution in zip(solvable, _direct_solutions(model, solvable, Q)):
+            assert np.isfinite(solution.L).all()
+            assert rel_gap(solution.L, dense_solution(model, alpha, Q)) <= 1e-11, alpha
+
+    def test_each_alpha_gives_the_same_bits_in_any_list(self):
+        model = make_random_model(8, 5, target=0.8)
+        C = np.stack([np.eye(5), random_psd(np.random.default_rng(2), 5)])
+        together = _smw_solve(model, [0.5, 1.0, 0.9], C)
+        for alpha, (U, K) in zip([0.5, 1.0, 0.9], together):
+            [(U_alone, K_alone)] = _smw_solve(model, [alpha], C)
+            assert np.array_equal(U, U_alone) and np.array_equal(K, K_alone)
+
+    def test_right_hand_side_near_the_double_limit_stays_finite(self, scalar_model):
+        [(U, _)] = _smw_solve(scalar_model, [0.9], np.array([[[8.9e307]]]))
+        assert U[0, 0, 0] == pytest.approx(8.9e307 / (1.0 - 0.9 * 0.34), rel=1e-14)
+
+    def test_zero_right_hand_side_gives_zero(self):
+        model = make_random_model(3, 3, target=0.8)
+        [(U, _)] = _smw_solve(model, [0.9], np.zeros((1, 3, 3)))
+        assert not U.any()
+
+    @pytest.mark.parametrize("radius", [1.0, 1.5])
+    def test_divergent_series_raises_at_the_doubling_cap(self, radius):
+        model = plain_model(radius * ROTATION_2)
+        with pytest.raises(ConvergenceError, match=f"{SMITH_MAX_DOUBLINGS} doublings"):
+            _smw_solve(model, [1.0], np.eye(2)[None])
 
 
 class TestCriticalAlpha:
