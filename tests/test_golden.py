@@ -30,6 +30,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 #: "OUT" stands for the --output-dir; it never appears in stdout.
 COMMANDS = {
     "analyze-0.9": ["analyze", "{model}", "--alpha", "0.9"],
+    # sqrt(alpha) r(A) >= 1 on both models: the not-stable branch of check_stability
+    "analyze-5": ["analyze", "{model}", "--alpha", "5"],
     "norm-0.9": ["norm", "{model}", "--alpha", "0.9"],
     "norm-0.99": ["norm", "{model}", "--alpha", "0.99"],
     "norm-power": ["norm", "{model}", "--power"],
