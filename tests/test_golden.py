@@ -10,7 +10,10 @@ purpose regenerates them with
 
 which first prints, for every file that changes, the number of changed
 leaves (JSON values, or CSV cells for decay.csv), the worst relative
-change with its leaf, and every non-numeric leaf that changed.
+change with its leaf, and every non-numeric leaf that changed.  It
+refuses to write, and exits non-zero, when a non-numeric leaf (a
+boolean, string or null: a verdict, status or flag) that both sides
+have changes; a new leaf is written.
 """
 
 import contextlib
@@ -101,6 +104,15 @@ def test_drift_report_summarizes_changed_leaves():
     )
 
 
+def test_fence_breaks_are_non_numeric_changes_on_both_sides():
+    old = json.dumps({"a": 2.0, "b": [1.0, "x"], "c": True, "e": None, "f": False})
+    new = json.dumps({"a": 3.0, "b": [1.0, "y"], "d": 0, "e": 0.5, "f": 0})
+    assert fence_breaks(old, new, "case.stdout") == [
+        "case.stdout: .b[1]: 'x' -> 'y'", "case.stdout: .e: None -> 0.5",
+        "case.stdout: .f: False -> 0",
+    ]
+
+
 #: Stands for a leaf that one side of a comparison does not have.
 ABSENT = "(absent)"
 
@@ -158,6 +170,15 @@ def drift(old_text, new_text, name):
     return line + "; non-numeric: " + (", ".join(other) if other else "none")
 
 
+def fence_breaks(old_text, new_text, name):
+    """The leaves both files have whose value changed where either side is not a number."""
+    old, new = leaves(old_text, name), leaves(new_text, name)
+    return [f"{name}: {key}: {old[key]!r} -> {new[key]!r}"
+            for key in sorted(old.keys() & new.keys())
+            if (old[key], type(old[key])) != (new[key], type(new[key]))
+            and not (_is_number(old[key]) and _is_number(new[key]))]
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -177,6 +198,10 @@ if __name__ == "__main__":
             print(f"{name}: new file")
         elif stored.read_text() != text:
             print(drift(stored.read_text(), text, name))
+    breaks = [line for name, text in outputs.items() if (GOLDEN / name).exists()
+              for line in fence_breaks((GOLDEN / name).read_text(), text, name)]
+    if breaks:
+        sys.exit("not written: verdicts, statuses and flags may not move\n" + "\n".join(breaks))
     for name, text in outputs.items():
         (GOLDEN / name).write_text(text)
     print(f"wrote {len(outputs)} files")
