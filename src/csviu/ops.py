@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConvergenceError, DimensionError
+from .errors import ConvergenceError, DimensionError, DomainError
 
 __all__ = [
     "op_Z",
@@ -238,16 +238,21 @@ def _misses_cap(widths, step, hi):
     return step + BRACKET_EVERY * reads_left > RADIUS_MAX_STEPS
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an L_1 that overflows ends in the DomainError
 def radius_from_bracket(model, floor=np.inf):
     """r_sigma(L_1): the upper end of :func:`radius_bracket`, or, when the
     bracket does not close, the dense eigensolve of :func:`unit_matrix`.
 
     A caller that only compares the radius with ``floor`` gets the
-    bracket's lower end instead as soon as that reaches floor.
+    bracket's lower end instead as soon as that reaches floor.  Raises
+    DomainError where M_1 is not a finite double.
     """
     bracket = radius_bracket(model, floor)
     if bracket is None:
-        return spectral_radius(unit_matrix(model))
+        M1 = unit_matrix(model)
+        if not np.isfinite(M1).all():
+            raise DomainError("r_sigma(L_1) is not a finite double; scale down A or sigma_bar_x")
+        return spectral_radius(M1)
     lo, hi = bracket
     return lo if lo >= floor else hi
 

@@ -35,6 +35,9 @@ EXPLOSIVE_DOC = dict(SCALAR_DOC, A=[[0.0]], sigma_x=[[1.0]], sigma_bar_x=[[40.0]
 LOUD_DOC = dict(SCALAR_DOC, sigma=[[10.0]])
 # a JSON boolean where a number belongs; numpy alone would read it as A = 1
 BOOL_A_DOC = dict(SCALAR_DOC, A=[[True]])
+# finite entries whose r_sigma(L_1) overflows a double
+HUGE_SBAR_DOC = dict(SCALAR_DOC, sigma_bar_x=[[1e200]])
+HUGE_A_DOC = dict(SCALAR_DOC, A=[[1e200]])
 TWO_DIM_DOC = {
     "n": 2, "r": 2, "p": 1,
     "A": [[0.5, 0.1], [0.0, 0.3]],
@@ -55,7 +58,8 @@ def models(tmp_path_factory):
     paths = {}
     for name, doc in (("scalar", SCALAR_DOC), ("no_sx", NO_SX_DOC), ("no_sbar", NO_SBAR_DOC),
                       ("explosive", EXPLOSIVE_DOC), ("two_dim", TWO_DIM_DOC),
-                      ("loud", LOUD_DOC), ("bool_a", BOOL_A_DOC)):
+                      ("loud", LOUD_DOC), ("bool_a", BOOL_A_DOC),
+                      ("huge_sbar", HUGE_SBAR_DOC), ("huge_a", HUGE_A_DOC)):
         path = base / f"{name}.json"
         path.write_text(json.dumps(doc))
         paths[name] = str(path)
@@ -207,6 +211,13 @@ class TestExitCodes:
             (["norm", scalar, "--alpha", "2.9", "--Q", m("near_limit")], "--alpha"),
             (["analyze", models["loud"], "--alpha", "0.9", "--Q", m("near_limit")], "--Q"),
             (["sweep", scalar, "--Q", m("near_limit")], "--Q"),
+        ]
+        # finite model entries whose r_sigma(L_1) overflows
+        cases += [
+            ([command, models[name], *flags], "scale down A or sigma_bar_x")
+            for name in ("huge_sbar", "huge_a")
+            for command, *flags in (["analyze", "--alpha", "0.9"], ["norm", "--alpha", "0.9"],
+                                    ["norm", "--power"], ["sweep"])
         ]
         for argv, message in cases:
             with warnings.catch_warnings():
