@@ -15,12 +15,12 @@ representation preserves the Frobenius inner product and spectral radii
 are basis-independent.
 
 r_sigma(L_1) comes from a Collatz-Wielandt bracket, a power iteration on
-n-by-n matrices (:func:`radius_bracket`).  The Lyapunov solve and
-stability criteria (iii) and (v) work on n-by-n matrices as well (the
-Stein-SMW core of csviu.solver).  The n(n+1)/2-square svec matrix M_1
-is built only for the eigensolve the bracket falls back on when it
-cannot close, and for criteria (iii) and (v) where sqrt(alpha) r_sigma(A)
->= 1 (the model is then not stable and the Stein series diverges).
+n-by-n matrices (:func:`radius_bracket`), and the Lyapunov solve and
+stability criteria (iii) and (v) from one Stein-SMW step (csviu.solver).
+The n(n+1)/2-square svec matrix M_1 serves only the eigensolve the
+bracket falls back on, and the Stein sums of criteria (iii) and (v)
+where sqrt(alpha) r_sigma(A) >= 1 (the model is then not stable and the
+Stein series diverges), one dense solve on M_1 - E Phi.
 """
 
 from __future__ import annotations
@@ -274,10 +274,9 @@ def unit_matrix(model):
     """M_1, the svec matrix of L_1, built once per model and kept on the model object.
 
     L_alpha's matrix is alpha * M_1.  Only the fallback of
-    :func:`radius_from_bracket` and stability criteria (iii) and (v)
-    where sqrt(alpha) r_sigma(A) >= 1 need it; the Lyapunov solve never
-    does.  The model's arrays are read-only, so the kept matrix stays
-    valid.
+    :func:`radius_from_bracket` and the dense Stein solve of stability
+    criteria (iii) and (v) need it; the Lyapunov solve never does.  The
+    model's arrays are read-only, so the kept matrix stays valid.
     """
     M1 = vars(model).get("_unit_matrix")
     if M1 is None:

@@ -17,10 +17,10 @@ equation U - alpha A^T U A = C, the Sherman-Morrison-Woodbury identity
     (I - alpha K(alpha)) d = diag(sigma_bar_x^T S_alpha(Q) sigma_bar_x),
     K(alpha)_ij = (sigma_bar_x^T S_alpha(E_jj) sigma_bar_x)_ii.
 
-The Stein series is summed by Smith's squared iteration (Smith, SIAM J.
-Appl. Math. 1968), numpy matmuls alone.  K(alpha) is also the matrix
-whose radius stability criterion (v) tests, so csviu.stability reads it
-from the same pass.
+Smith's squared iteration (Smith, SIAM J. Appl. Math. 1968) sums the
+Stein series, numpy matmuls alone, and one SMW step gives K(alpha) and
+U.  K(alpha) is also the matrix whose radius criterion (v) tests, so
+csviu.stability reads (iii) and (v) from the same step at every alpha.
 """
 
 from __future__ import annotations
@@ -95,24 +95,41 @@ def _require_finite(alpha, *values):
                           "not a finite double; scale down --Q or lower --alpha")
 
 
+def _smith_sums(model, alpha, stack):
+    """The Stein sums S_alpha of a stack by Smith's squared iteration.
+
+    X <- X + P^T X P, then P <- P^2, from X = the stack and P = sqrt(alpha) A
+    (alpha^(2^k) kept apart from A^(2^k) overflows while A^(2^k) underflows).
+    It needs sqrt(alpha) r_sigma(A) < 1, which callers make sure of, and
+    raises ConvergenceError after SMITH_MAX_DOUBLINGS doublings.
+    """
+    X, P = stack, np.sqrt(alpha) * model.A
+    doublings = 0
+    while not np.abs(P).sum(axis=0).max() ** 2 <= SMITH_TOL:  # a NaN P goes on to the cap
+        if doublings == SMITH_MAX_DOUBLINGS:
+            raise ConvergenceError(
+                f"the Stein series at alpha = {alpha:.6g} did not converge in "
+                f"{SMITH_MAX_DOUBLINGS} doublings"
+            )
+        X = X + P.T @ X @ P
+        P = P @ P
+        doublings += 1
+    return X
+
+
 @np.errstate(over="ignore", invalid="ignore")  # overflow ends in the callers' finiteness checks
-def _smw_solve(model, alphas, C):
+def _smw_solve(model, alphas, C, stein_sums=_smith_sums):
     """Solve (I - L_alpha)(U) = C_i for a stack of right-hand sides at every alpha.
 
     The core of the direct solve (see the module docstring).  For each
-    alpha, Smith's iteration sums the Stein series over the stack
-    [C_1, ..., C_m, E_11, ..., E_nn] at once: X <- X + P^T X P, then
-    P <- P^2, from X = the stack and P = sqrt(alpha) A.  sqrt(alpha) goes
-    into P because alpha^(2^k) kept apart from A^(2^k) overflows while
-    A^(2^k) underflows.  Each C_i is divided by its largest absolute
-    entry first and the result scaled back, so a right-hand side near
-    the largest double does not overflow on the way.  Every alpha stops
-    on its own test, so a solve at one alpha gives the same bits in
-    any list.
-
-    The series converges only when sqrt(alpha) r_sigma(A) < 1; callers
-    make sure of that.  In the stable case every term is PSD and d >= 0,
-    so nothing cancels.
+    alpha, ``stein_sums(model, alpha, stack)`` sums the Stein series over
+    the stack [C_1, ..., C_m, E_11, ..., E_nn] at once, or gives None
+    where I - alpha A_conj is singular; one SMW step then gives K(alpha)
+    and U.  Each C_i is divided by its largest absolute entry first and
+    the result scaled back, so a right-hand side near the largest double
+    does not overflow on the way.  Every alpha is summed on its own, so a
+    solve at one alpha gives the same bits in any list.  In the stable
+    case every term is PSD and d >= 0, so nothing cancels.
 
     Parameters
     ----------
@@ -120,38 +137,27 @@ def _smw_solve(model, alphas, C):
     alphas : sequence of float
     C : ndarray
         Stack (m, n, n) of symmetric right-hand sides.
+    stein_sums : callable
+        :func:`_smith_sums` or csviu.stability's dense solve.
 
     Returns
     -------
-    list of (ndarray or None, ndarray)
+    list of (ndarray or None, ndarray or None)
         Per alpha, the symmetric solutions (m, n, n), or None when
-        I - alpha K(alpha) is singular, and K(alpha).
-
-    Raises
-    ------
-    ConvergenceError
-        If the Stein series has not converged after SMITH_MAX_DOUBLINGS
-        doublings.
+        I - alpha K(alpha) or I - alpha A_conj is singular, and K(alpha),
+        or None when I - alpha A_conj is singular.
     """
-    n, m = model.n, len(C)
-    A, sbx = model.A, model.sigma_bar_x
+    n, m, sbx = model.n, len(C), model.sigma_bar_x
     scale = np.abs(C).max(axis=(1, 2), initial=0.0)
     scale[scale == 0.0] = 1.0
     eye = np.eye(n)
     stack = np.concatenate([C / scale[:, None, None], eye[:, :, None] * eye[:, None, :]])
     results = []
     for alpha in alphas:
-        X, P = stack, np.sqrt(alpha) * A
-        doublings = 0
-        while not np.abs(P).sum(axis=0).max() ** 2 <= SMITH_TOL:  # a NaN P goes on to the cap
-            if doublings == SMITH_MAX_DOUBLINGS:
-                raise ConvergenceError(
-                    f"the Stein series at alpha = {alpha:.6g} did not converge in "
-                    f"{SMITH_MAX_DOUBLINGS} doublings"
-                )
-            X = X + P.T @ X @ P
-            P = P @ P
-            doublings += 1
+        X = stein_sums(model, alpha, stack)
+        if X is None:
+            results.append((None, None))
+            continue
         S_C, S_E = X[:m], X[m:]
         # K_ij = (sbx^T S_E[j] sbx)_ii and b_ri = (sbx^T S_C[r] sbx)_ii
         K = np.einsum("ki,jki->ij", sbx, S_E @ sbx)

@@ -10,16 +10,15 @@ are provably equivalent:
 
 where A_conj(U) = A^T U A.  L_alpha = alpha L_1, so (ii) reads the one
 radius r_sigma(L_1) of ops.unit_radius, a Collatz-Wielandt bracket on
-n-by-n matrices.  Where (v) part 1 holds, the Stein series
-(I - alpha A_conj)^{-1} converges, and one pass of the solver's
-Stein-SMW core (csviu.solver) gives both the rest: (iii) is its solve
-with right-hand side I, and (v) part 2 reads r_sigma(K(alpha)), K the
-n-by-n capacitance matrix K_ij = (sigma_bar_x^T S_alpha(E_jj)
+n-by-n matrices.  (iii) and (v) part 2 come from one Stein-SMW step of
+csviu.solver: (iii) is its solve with right-hand side I, and (v) part 2
+reads r_sigma(K(alpha)), K_ij = (sigma_bar_x^T S_alpha(E_jj)
 sigma_bar_x)_ii, which is Phi (I - alpha A_conj)^{-1} E for Z's rank-n
 factor Z = E Phi (E's columns svec(E_ii), Phi's rows svec(s_i s_i^T)
-for the columns s_i of sigma_bar_x).  Where part 1 fails the model is
-not stable and the series diverges; there (iii) and (v) part 2 are
-dense solves with the svec matrix M_1 of L_1, and only they build it.
+for the columns s_i of sigma_bar_x).  Where (v) part 1 holds, Smith's
+iteration sums the Stein series (I - alpha A_conj)^{-1}; where it fails,
+the series diverges, the model is not stable, and one dense solve with
+the svec matrix M_1 - E Phi of A_conj gives the sums instead.
 
 For alpha >= 1 the verdict additionally requires all eigenvalues of
 alpha*A inside the open unit disk.  Any disagreement among the criteria
@@ -34,9 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, InternalInconsistencyError, SingularOperatorError
+from .errors import DimensionError, InternalInconsistencyError
 from .ops import radius_from_bracket, smat, spectral_radius, svec, unit_matrix, unit_radius
-from .solver import _smw_solve, radius_below_one
+from .solver import _smith_sums, _smw_solve, radius_below_one
 
 __all__ = [
     "StabilityReport",
@@ -86,26 +85,19 @@ class DetectabilityResult:
     closed_loop_radius: float
 
 
-def _solve_identity_witness(M1, n, alpha):
-    """Criterion (iii) from M_1: solve (I - alpha L_1)(U) = I and test U > 0."""
-    lhs = np.eye(M1.shape[0]) - alpha * M1
-    try:
-        u_vec = np.linalg.solve(lhs, svec(np.eye(n)))
-    except np.linalg.LinAlgError:
-        return False
-    return float(np.linalg.eigvalsh(smat(u_vec, n))[0]) > 0.0
-
-
-def _dense_resolvent_gain(M1, model, alpha):
-    """r_sigma(Phi (I - alpha A_conj)^{-1} E) from M_1, or None where I - alpha A_conj is singular."""
-    eye_n, sbx_cols = np.eye(model.n), model.sigma_bar_x.T
-    E = svec(eye_n[:, :, None] * eye_n[:, None, :]).T
+def _dense_stein_sums(model, alpha, stack):
+    """The Stein sums S_alpha of a stack from one solve on the svec matrix
+    of alpha A_conj = alpha (M_1 - E Phi), or None where I - alpha A_conj is
+    singular.  The stack ends in E_11, ..., E_nn, whose svecs are E's columns.
+    """
+    rhs, sbx_cols = svec(stack).T, model.sigma_bar_x.T
     Phi = svec(sbx_cols[:, :, None] * sbx_cols[:, None, :])
+    A_conj = unit_matrix(model) - rhs[:, -model.n:] @ Phi
     try:
-        X = np.linalg.solve(np.eye(M1.shape[0]) - alpha * (M1 - E @ Phi), E)
+        X = np.linalg.solve(np.eye(len(rhs)) - alpha * A_conj, rhs)
     except np.linalg.LinAlgError:
-        return None  # (I - alpha A_conj) singular: criterion (v) indeterminate.
-    return spectral_radius(Phi @ X)
+        return None
+    return smat(X.T, model.n)
 
 
 def check_stability(model, alpha):
@@ -137,14 +129,11 @@ def check_stability(model, alpha):
     crit_ii = radius_below_one(r_L)
     r_sqrt_alpha_A = np.sqrt(alpha) * r_A
     crit_v_part1 = radius_below_one(r_sqrt_alpha_A)
-    if crit_v_part1:
-        [(U, K)] = _smw_solve(model, [alpha], np.eye(model.n)[None])
-        crit_iii = U is not None and float(np.linalg.eigvalsh(U[0])[0]) > 0.0
-        resolvent_gain = spectral_radius(K)
-    else:  # the Stein series diverges: the dense svec solves
-        M1 = unit_matrix(model)
-        crit_iii = _solve_identity_witness(M1, model.n, alpha)
-        resolvent_gain = _dense_resolvent_gain(M1, model, alpha)
+    # Past sqrt(alpha) r_sigma(A) < 1 the Stein series diverges: sum it by the dense solve.
+    stein_sums = _smith_sums if crit_v_part1 else _dense_stein_sums
+    [(U, K)] = _smw_solve(model, [alpha], np.eye(model.n)[None], stein_sums)
+    crit_iii = U is not None and float(np.linalg.eigvalsh(U[0])[0]) > 0.0
+    resolvent_gain = None if K is None else spectral_radius(K)
     # r < 1/alpha, i.e. alpha * r strictly below one; alpha = 0 is trivially true.
     crit_v_part2 = None if resolvent_gain is None else radius_below_one(alpha * resolvent_gain)
 

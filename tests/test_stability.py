@@ -20,8 +20,25 @@ from csviu import (
 from csviu import ops, stability
 from conftest import make_random_model
 from test_ops import loop_operator_matrix
+from test_solver import dense_capacitance, dense_solution
 
-N3_MODEL = Path(__file__).resolve().parent / "golden" / "models" / "n3.json"
+GOLDEN_MODELS = Path(__file__).resolve().parent / "golden" / "models"
+N3_MODEL = GOLDEN_MODELS / "n3.json"
+
+
+def diverging_stein_cases():
+    """(model, alpha) pairs with sqrt(alpha) r(A) >= 1, where the Stein series diverges:
+    both golden models at alpha = 5 and random models with n = 1..6."""
+    cases = [(load_model(GOLDEN_MODELS / f"{name}.json"), 5.0) for name in ("scalar", "n3")]
+    rng = np.random.default_rng(2024)
+    while len(cases) < 40:
+        n = int(rng.integers(1, 7))
+        alpha = float(rng.choice([1.0, 1.2, 5.0]))
+        target = float(rng.choice([1.3, 2.0, 4.0]))
+        model = make_random_model(int(rng.integers(2**31)), n, target=target, alpha=alpha)
+        if np.sqrt(alpha) * spectral_radius(model.A) >= 1.0:
+            cases.append((model, alpha))
+    return cases
 
 
 class TestCheckStability:
@@ -101,6 +118,32 @@ class TestCheckStability:
             expected = float(np.abs(np.linalg.eigvals(resolvent)).max())
             got = check_stability(model, alpha).spectral_radii["resolvent_Z"]
             assert got == pytest.approx(expected, rel=1e-10, abs=0.0), (n, alpha)
+
+    def test_diverging_stein_series_takes_one_svec_solve(self, monkeypatch):
+        solves = []
+        solve = np.linalg.solve
+
+        def recording(a, b):
+            solves.append((np.shape(a), np.shape(b)))
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", recording)
+        for model, alpha in diverging_stein_cases():
+            solves.clear()
+            check_stability(model, alpha)
+            n, dim = model.n, model.n * (model.n + 1) // 2
+            # one LU of the svec matrix for the stack [I, E_11..E_nn], then the
+            # n-by-n capacitance solve of the SMW step
+            assert solves == [((dim, dim), (dim, n + 1)), ((n, n), (n, 1))], (n, alpha)
+
+    def test_diverging_stein_series_matches_dense_oracle(self):
+        for model, alpha in diverging_stein_cases():
+            report = check_stability(model, alpha)
+            witness = dense_solution(model, alpha, np.eye(model.n))
+            assert report.crit_iii == (float(np.linalg.eigvalsh(witness)[0]) > 0.0)
+            expected = spectral_radius(dense_capacitance(model, alpha))
+            got = report.spectral_radii["resolvent_Z"]
+            assert got == pytest.approx(expected, rel=1e-10, abs=0.0), (model.n, alpha)
 
     def test_no_svec_sized_eigensolve(self, monkeypatch):
         model = load_model(N3_MODEL)
