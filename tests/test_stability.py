@@ -296,3 +296,47 @@ class TestSearchDetectability:
         assert a.detectable == b.detectable
         if a.G is not None:
             assert np.array_equal(a.G, b.G)
+
+
+#: The witness fence: case k is model k // 3 of fence_models() at FENCE_ALPHAS[k % 3].
+FENCE_ALPHAS = (0.5, 0.9, 1.3)
+#: The fence cases where the search of pole placement and seeded random gains found a witness.
+FENCE_WITNESSES = [
+    0, 1, 2, 3, 9, 12, 13, 14, 15, 18, 19, 20, 21, 24, 25, 26, 27, 30, 33, 34, 35, 36, 37,
+    38, 39, 42, 51, 52, 60, 61, 62, 63, 66, 67, 68, 69, 70, 71, 72, 75, 78, 79, 80, 81, 84,
+    87, 90, 93, 94, 96, 97, 98, 99, 102, 103, 104, 105, 108, 109, 110, 111, 114, 126, 127,
+    129, 130, 138, 141, 142, 144, 147, 150, 151, 156, 157, 158, 159, 162, 163, 164, 165,
+    166, 171, 177, 180, 183, 184, 185, 186, 187, 189, 190, 192, 193, 195, 198, 201, 204,
+    207, 208, 210, 211, 212, 213, 214, 215, 219, 222, 223, 225, 228, 231, 232, 233, 234,
+    235, 236, 237, 238, 240, 241, 243, 244, 245, 246, 249, 250, 251, 252, 253, 254, 255,
+    256, 258, 259, 261, 262, 264, 265, 266, 267, 270, 271, 272, 273, 274, 279, 280, 281,
+    282, 285, 286, 288, 291, 292, 293, 294, 300, 301, 303, 304, 306, 309, 310, 312, 313,
+    315, 316, 317, 318, 324, 325, 327, 330, 331, 332, 333, 339, 342, 345, 348, 349, 351,
+    354, 357, 358
+]
+
+
+def fence_models():
+    """120 random models: n = 1..6, p = 1..n outputs, r_sigma(L_1) uniform in [0.5, 4]."""
+    rng = np.random.default_rng(2016)
+    models = []
+    for _ in range(120):
+        n = int(rng.integers(1, 7))
+        p = int(rng.integers(1, n + 1))
+        target = float(rng.uniform(0.5, 4.0))
+        models.append(make_random_model(int(rng.integers(2**31)), n, target=target, p=p))
+    return models
+
+
+class TestWitnessFence:
+    def test_search_keeps_every_witness(self):
+        found = []
+        for i, model in enumerate(fence_models()):
+            for j, alpha in enumerate(FENCE_ALPHAS):
+                result = search_detectability(model, alpha)
+                if result.detectable:
+                    # The dense oracle: the svec matrix of the closed-loop L_alpha.
+                    closed = model.with_dynamics(model.A + result.G @ model.C)
+                    assert spectral_radius(operator_matrix(closed, alpha, "L_alpha")) < 1.0
+                    found.append(3 * i + j)
+        assert sorted(set(FENCE_WITNESSES) - set(found)) == []
