@@ -555,7 +555,7 @@ def build_parser():
     p_analyze.add_argument("--alpha", type=float, required=True)
     p_analyze.add_argument("--G", help="path to a JSON output-injection gain (n x p)")
     p_analyze.add_argument(
-        "--budget", type=int, default=100, help="random candidates for the G search"
+        "--budget", type=int, default=100, help="steps of the Riccati gain iteration"
     )
     p_analyze.set_defaults(func=cmd_analyze)
 

@@ -25,6 +25,13 @@ alpha*A inside the open unit disk.  Any disagreement among the criteria
 beyond tolerance is an implementation bug and raises
 InternalInconsistencyError rather than returning a silently wrong
 report.
+
+Detectability asks for a gain G with alpha r_sigma(L^G) < 1, where
+L^G(U) = (A + G C)^T U (A + G C) + Z(U).  Both terms are positive and Z
+does not depend on G, so alpha r(sigma_bar_x o sigma_bar_x) = alpha
+r_sigma(Z) bounds it from below for every G.  The search needs numpy
+alone: its last gain comes from the dual Riccati value iteration (Costa,
+Fragoso & Marques, Discrete-Time MJLS, 2005, ch. 3-5; Damm, LNCIS 297).
 """
 
 from __future__ import annotations
@@ -47,6 +54,8 @@ __all__ = [
 
 #: |radius - 1| below this marks the instance as marginal.
 MARGINAL_TOL = 1e-6
+#: The Riccati gain iteration stops at a relative step below RTOL, or where V passes HUGE.
+RICCATI_RTOL, RICCATI_HUGE = 1e-12, 1e12
 
 
 @dataclass(frozen=True)
@@ -223,46 +232,44 @@ def check_detectability_with_G(model, alpha, G):
     )
 
 
-def _deadbeat_candidates(model):
-    """Phase (b): deterministic gains aiming the closed-loop poles at zero."""
-    A, C = model.A, model.C
-    n = model.n
-    candidates = [-A @ np.linalg.pinv(C)]
-    # Output injection is state feedback on the dual pair (A^T, C^T).
-    ctrb = np.hstack([np.linalg.matrix_power(A.T, k) @ C.T for k in range(n)])
-    if np.linalg.matrix_rank(ctrb) == n and n > 1:
-        try:
-            from scipy.signal import place_poles
+def _riccati_gain(model, alpha, steps):
+    """G = -A V C^T (C V C^T + I)^{-1} after at most ``steps`` steps, from V = I, of
+    V <- I + alpha ((A + G C) V (A + G C)^T + G G^T + Z*(V)), Z*(V) = sigma_bar_x Diag(V)
+    sigma_bar_x^T.  V stays bounded exactly when some gain stabilises; G comes from a finite V.
+    """
+    A, C, sbx = model.A, model.C, model.sigma_bar_x
+    I_n, I_p = np.eye(model.n), np.eye(model.p)
+    V = I_n
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(steps):
+            VCt = V @ C.T
+            G = -A @ np.linalg.solve(C @ VCt + I_p, VCt.T).T
+            F = A + G @ C
+            V_next = I_n + alpha * (F @ V @ F.T + G @ G.T + (sbx * np.diag(V)) @ sbx.T)
+            size = np.abs(V_next).max()
+            if not size < RICCATI_HUGE or np.abs(V_next - V).max() <= RICCATI_RTOL * size:
+                break
+            V = V_next
+    return G
 
-            poles = np.linspace(-0.05, 0.05, n)
-            placed = place_poles(A.T, C.T, poles)
-            candidates.append(-placed.gain_matrix.T)
-        except Exception:
-            # Placement can reject ill-conditioned pairs; the search
-            # falls through to the random phase.
-            pass
-    return candidates
 
+def search_detectability(model, alpha, budget=100):
+    """Deterministic search for a detectability witness.
 
-def search_detectability(model, alpha, budget=100, seed=0):
-    """Best-effort search for a detectability witness.
+    Tries, in order: (a) G = 0; (b) G = -A C^+; (c) the exact bound: where
+    alpha r(sigma_bar_x o sigma_bar_x) >= 1 - STRICT_RADIUS_MARGIN no gain
+    passes, and the search stops; (d) the dual Riccati gain.  Each gain is
+    judged by its closed-loop radius alone.
 
-    Tries, in order: (a) G = 0; (b) deterministic output-injection
-    candidates placing the eigenvalues of A + G C at (or near) zero;
-    (c) ``budget`` random Gaussian gains scaled over a log-grid, drawn
-    from a generator seeded for reproducibility.
-
-    ``detectable=False`` means only that no witness was found within the
-    budget; it is not a certificate of undetectability.
+    ``detectable=False`` certifies undetectability when the bound (c)
+    holds; otherwise it is undecided.
 
     Parameters
     ----------
     model : CsviuModel
     alpha : float
     budget : int
-        Number of random candidates in phase (c).
-    seed : int
-        Seed for the phase-(c) generator.
+        Cap on the steps of the Riccati gain iteration in phase (d).
 
     Returns
     -------
@@ -270,7 +277,6 @@ def search_detectability(model, alpha, budget=100, seed=0):
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    n, p = model.n, model.p
     best_radius = np.inf
 
     def attempt(G):
@@ -283,18 +289,8 @@ def search_detectability(model, alpha, budget=100, seed=0):
             return DetectabilityResult(True, np.asarray(G, dtype=float), radius)
         return None
 
-    found = attempt(np.zeros((n, p)))
-    if found:
-        return found
-    for G in _deadbeat_candidates(model):
-        found = attempt(G)
-        if found:
-            return found
-    rng = np.random.default_rng(seed)
-    scales = np.logspace(-2, 2, 5)
-    for trial in range(budget):
-        G = scales[trial % len(scales)] * rng.standard_normal((n, p))
-        found = attempt(G)
-        if found:
-            return found
-    return DetectabilityResult(False, None, float(best_radius))
+    found = attempt(np.zeros((model.n, model.p))) or attempt(-model.A @ np.linalg.pinv(model.C))
+    sbx = model.sigma_bar_x
+    if not found and radius_below_one(alpha * spectral_radius(sbx * sbx)):
+        found = attempt(_riccati_gain(model, alpha, budget))
+    return found or DetectabilityResult(False, None, float(best_radius))

@@ -52,6 +52,14 @@ VARPI_SCALAR_09 = 0.07204610951008648
 POWER_SCALAR = 0.05 / 0.66
 
 
+def model_doc(model):
+    """The JSON document of a model without inputs."""
+    doc = {"n": model.n, "r": model.r, "p": model.p}
+    for name in ("A", "sigma_x", "sigma_bar_x", "sigma", "C"):
+        doc[name] = getattr(model, name).tolist()
+    return doc
+
+
 @pytest.fixture(scope="module")
 def models(tmp_path_factory):
     base = tmp_path_factory.mktemp("cli_models")
@@ -453,12 +461,8 @@ class TestSteinSMWFastPath:
 
     @pytest.fixture(scope="class")
     def stable_models(self, models, tmp_path_factory):
-        model = make_random_model(20, 20, target=0.8)
-        doc = {"n": 20, "r": 20, "p": 20, "A": model.A.tolist(),
-               "sigma_x": model.sigma_x.tolist(), "sigma_bar_x": model.sigma_bar_x.tolist(),
-               "sigma": model.sigma.tolist(), "C": model.C.tolist()}
         path = tmp_path_factory.mktemp("n20") / "n20.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(model_doc(make_random_model(20, 20, target=0.8))))
         return {"scalar": models["scalar"], "n3": N3_MODEL, "n20": str(path)}
 
     @pytest.mark.parametrize("command", sorted(STABLE_COMMANDS))
@@ -473,14 +477,32 @@ class TestSteinSMWFastPath:
         assert code == 0, err
 
     def test_analyze_imports_no_scipy(self):
-        # a scipy import would add its load time and memory to every command's set-up
+        # a scipy import would add its load time and memory to every command's set-up;
+        # at alpha = 5 n3 is not stable, so the detectability search runs past G = 0
         script = ("import sys; from csviu.cli import main; code = main(sys.argv[1:]); "
                   "print('scipy' in sys.modules, file=sys.stderr); sys.exit(code)")
         env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
-        proc = subprocess.run([sys.executable, "-c", script, "analyze", N3_MODEL, "--alpha", "0.9"],
-                              capture_output=True, text=True, env=env, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stderr.splitlines()[-1] == "False"
+        for alpha in ("0.9", "5"):
+            proc = subprocess.run([sys.executable, "-c", script, "analyze", N3_MODEL,
+                                   "--alpha", alpha], capture_output=True, text=True, env=env,
+                                  timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stderr.splitlines()[-1] == "False", alpha
+
+
+class TestDetectabilitySearch:
+    def test_search_warns_nothing(self, run, tmp_path):
+        # Not stable at alpha = 0.9 with two outputs: the search runs past -A C^+.
+        # A pole-placement gain printed a convergence UserWarning here on an exit-0 run.
+        path = tmp_path / "n6.json"
+        model = make_random_model(907550023, 6, target=1.9394404097101847, p=2)
+        path.write_text(json.dumps(model_doc(model)))
+        for action in ("error", "always"):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter(action)
+                code, out, err = run(["analyze", str(path), "--alpha", "0.9"])
+            assert (code, err, caught) == (0, "", []), action
+            assert json.loads(out)["stability"]["verdict"] == "not_stable"
 
 
 class TestSweep:
