@@ -28,8 +28,8 @@ report.
 
 Detectability asks for a gain G with alpha r_sigma(L^G) < 1, where
 L^G(U) = (A + G C)^T U (A + G C) + Z(U).  Both terms are positive and Z
-does not depend on G, so alpha r(sigma_bar_x o sigma_bar_x) = alpha
-r_sigma(Z) bounds it from below for every G.  The search needs numpy
+does not depend on G, so alpha r_sigma(Z) = alpha r(sigma_bar_x o
+sigma_bar_x) bounds alpha r_sigma(L^G) below for every G.  The search needs numpy
 alone: its last gain comes from the dual Riccati value iteration (Costa,
 Fragoso & Marques, Discrete-Time MJLS, 2005, ch. 3-5; Damm, LNCIS 297).
 """
