@@ -56,8 +56,8 @@ from .sim import (
     decay_rows,
     simulate_paths,
 )
-from .solver import _require_finite, backward_recursion, critical_alpha, solve_lyapunov
-from .stability import check_detectability_with_G, check_stability, search_detectability
+from .solver import _require_finite, backward_recursion, critical_alpha
+from .stability import _analysis, check_detectability_with_G, search_detectability
 
 #: Fraction of aborted paths above which a simulate run exits 3.
 ABORT_FRACTION_LIMIT = 0.01
@@ -198,13 +198,16 @@ def _check_threads(args):
         raise ValueError("threads must be a positive integer")
 
 
-def _manifest(command, args, config):
-    return {
+def _report(command, args, config, Q, **body):
+    """The JSON-safe report: the command, its manifest (config plus the weight Q,
+    or "C^T C" for the default) and the body's blocks."""
+    manifest = {
         "command": command,
         "model_path": args.model,
-        "config": _jsonable(config),
+        "config": dict(config, Q="C^T C" if Q is None else Q),
         "tool_version": __version__,
     }
+    return _jsonable({"command": command, "manifest": manifest, **body})
 
 
 def _write_csv(path, manifest_name, columns, rows):
@@ -293,7 +296,9 @@ def cmd_analyze(args):
     _check_alpha(args.alpha)
     Q = _load_weight(args.Q, model.n) if args.Q else None
 
-    stability = check_stability(model, args.alpha)
+    # One Stein-SMW step gives the verdict and, where it passes, L.
+    Qm = as_weight(energy_weight(model, Q), model.n)
+    stability, solution = _analysis(model, args.alpha, Qm)
     if args.G:
         G = _load_gain(args.G, model.n, model.p)
         detect = check_detectability_with_G(model, args.alpha, G)
@@ -301,8 +306,7 @@ def cmd_analyze(args):
         detect = search_detectability(model, args.alpha, budget=args.budget)
 
     lyapunov = None
-    if stability.verdict != "not_stable":
-        solution = solve_lyapunov(model, args.alpha, energy_weight(model, Q))
+    if solution is not None:
         with np.errstate(over="ignore", invalid="ignore"):
             varpi_L = op_varpi(model, solution.L)
         _require_finite(args.alpha, varpi_L)
@@ -313,20 +317,8 @@ def cmd_analyze(args):
             "varpi_L": varpi_L,
         }
 
-    report = _jsonable(
-        {
-            "command": "analyze",
-            "manifest": _manifest(
-                "analyze",
-                args,
-                {"alpha": args.alpha, "Q": Q if Q is not None else "C^T C"},
-            ),
-            "stability": stability,
-            "detectability": detect,
-            "alpha_bar": critical_alpha(model),
-            "lyapunov": lyapunov,
-        }
-    )
+    report = _report("analyze", args, {"alpha": args.alpha}, Q, stability=stability,
+                     detectability=detect, alpha_bar=critical_alpha(model), lyapunov=lyapunov)
     _emit(report, args)
     return 0
 
@@ -342,34 +334,12 @@ def cmd_norm(args):
     if args.sweep is not None:
         alphas = _parse_alpha_list(args.sweep) if args.sweep != "" else None
         rows = vanishing_discount_sweep(model, Q, alphas)
-        report = _jsonable(
-            {
-                "command": "norm",
-                "manifest": _manifest(
-                    "norm",
-                    args,
-                    {
-                        "sweep": [r["alpha"] for r in rows],
-                        "Q": Q if Q is not None else "C^T C",
-                    },
-                ),
-                "sweep": rows,
-            }
-        )
+        report = _report("norm", args, {"sweep": [r["alpha"] for r in rows]}, Q, sweep=rows)
         _emit(report, args, tables={"sweep.csv": (SWEEP_COLUMNS, report["sweep"])})
         return 0
 
     if args.power:
-        value = power_norm(model, Q)
-        report = _jsonable(
-            {
-                "command": "norm",
-                "manifest": _manifest(
-                    "norm", args, {"power": True, "Q": Q if Q is not None else "C^T C"}
-                ),
-                "power_norm": value,
-            }
-        )
+        report = _report("norm", args, {"power": True}, Q, power_norm=power_norm(model, Q))
         _emit(report, args)
         return 0
 
@@ -378,25 +348,11 @@ def cmd_norm(args):
         x0 = _parse_vector(args.x0, model.n) if args.x0 else np.zeros(model.n)
         check_counter_domain(args.alpha, args.kappa)
     norms = norm_report(model, args.alpha, Q)
-    body = _jsonable(norms)
+    body = dict(vars(norms))
     if args.kappa is not None:
         body["counter_bound_value"] = counter_discount_bound(norms, x0, args.kappa)
-    report = {
-        "command": "norm",
-        "manifest": _jsonable(
-            _manifest(
-                "norm",
-                args,
-                {
-                    "alpha": args.alpha,
-                    "Q": Q if Q is not None else "C^T C",
-                    "x0": args.x0,
-                    "kappa": args.kappa,
-                },
-            )
-        ),
-        "norms": body,
-    }
+    config = {"alpha": args.alpha, "x0": args.x0, "kappa": args.kappa}
+    report = _report("norm", args, config, Q, norms=body)
     _emit(report, args)
     return 0
 
@@ -412,7 +368,7 @@ def _against_closed_form(estimate, closed, model, alpha, Q, cfg):
     (1/kappa) sum_{k<kappa} E||x_k||_Q^2 = g_0 / kappa.  Like ``closed``,
     it leaves out the cross term of W_d.
     """
-    block = _jsonable(estimate)
+    block = dict(vars(estimate))
     if closed is None:
         return block
     block["closed_form"] = closed
@@ -475,35 +431,17 @@ def cmd_simulate(args):
                 cesaro.result(), norms.power_norm if norms is not None else None,
                 model, 1.0, Qm, cfg)
 
-        report = {
-            "command": "simulate",
-            "manifest": _jsonable(
-                _manifest(
-                    "simulate",
-                    args,
-                    {
-                        "alpha": args.alpha,
-                        "paths": cfg.n_paths,
-                        "horizon": cfg.horizon,
-                        "seed": cfg.seed,
-                        "noise_kind": cfg.noise_kind,
-                        "x0": cfg.x0,
-                        "Q": Q if Q is not None else "C^T C",
-                    },
-                )
-            ),
-            "estimates": estimates,
-            "aborted_paths": len(ensemble.aborted),
-            "abort_fraction": abort_fraction,
-        }
-
-        tables = {}
+        diagnostics = {}
         if representation is not None:
-            report["representation"] = _jsonable(representation.result())
+            diagnostics["representation"] = representation.result()
         if stages is not None:
-            rows = decay_rows(norms, cfg.x0, *stages.result())
-            report["decay"] = _jsonable(rows)
-            tables["decay.csv"] = (DECAY_COLUMNS, report["decay"])
+            diagnostics["decay"] = decay_rows(norms, cfg.x0, *stages.result())
+        config = {"alpha": args.alpha, "paths": cfg.n_paths, "horizon": cfg.horizon,
+                  "seed": cfg.seed, "noise_kind": cfg.noise_kind, "x0": cfg.x0}
+        report = _report("simulate", args, config, Q, estimates=estimates,
+                         aborted_paths=len(ensemble.aborted), abort_fraction=abort_fraction,
+                         **diagnostics)
+        tables = {"decay.csv": (DECAY_COLUMNS, report["decay"])} if stages is not None else {}
     except BaseException:
         if dump is not None:
             dump.discard()
@@ -518,15 +456,6 @@ def cmd_simulate(args):
         )
         return 3
     return 0
-
-
-def cmd_sweep(args):
-    args.sweep = args.alphas if args.alphas is not None else ""
-    args.power = False
-    args.alpha = None
-    args.x0 = None
-    args.kappa = None
-    return cmd_norm(args)
 
 
 def _add_common(sub):
@@ -615,9 +544,10 @@ def build_parser():
     p_sweep = subparsers.add_parser("sweep", help="alias of norm --sweep")
     _add_common(p_sweep)
     p_sweep.add_argument(
-        "--alphas", help="comma-separated alpha grid (default: built-in grid)"
+        "--alphas", dest="sweep", default="",
+        help="comma-separated alpha grid (default: built-in grid)",
     )
-    p_sweep.set_defaults(func=cmd_sweep)
+    p_sweep.set_defaults(func=cmd_norm, power=False, alpha=None, x0=None, kappa=None)
     return parser
 
 

@@ -32,9 +32,10 @@ PSD_TOL = 1e-10
 
 
 def _holds_bool(value):
-    """Whether a JSON value is, or nests, a boolean."""
+    """Whether a JSON value is, or nests, a boolean; each list's types are scanned once."""
     if isinstance(value, list):
-        return any(map(_holds_bool, value))
+        types = set(map(type, value))
+        return bool in types or (list in types and any(map(_holds_bool, value)))
     return isinstance(value, bool)
 
 

@@ -20,7 +20,9 @@ equation U - alpha A^T U A = C, the Sherman-Morrison-Woodbury identity
 Smith's squared iteration (Smith, SIAM J. Appl. Math. 1968) sums the
 Stein series, numpy matmuls alone, and one SMW step gives K(alpha) and
 U.  K(alpha) is also the matrix whose radius criterion (v) tests, so
-csviu.stability reads (iii) and (v) from the same step at every alpha.
+csviu.stability reads (iii) and (v) from the same step at every alpha;
+for the CLI's analyze at a passing verdict, that one step over
+[I, Q, E_11, ..., E_nn] also gives the solution L.
 """
 
 from __future__ import annotations

@@ -18,7 +18,10 @@ factor Z = E Phi (E's columns svec(E_ii), Phi's rows svec(s_i s_i^T)
 for the columns s_i of sigma_bar_x).  Where (v) part 1 holds, Smith's
 iteration sums the Stein series (I - alpha A_conj)^{-1}; where it fails,
 the series diverges, the model is not stable, and one dense solve with
-the svec matrix M_1 - E Phi of A_conj gives the sums instead.
+the svec matrix M_1 - E Phi of A_conj gives the sums instead.  Where
+the verdict passes, the CLI's analyze puts its weight Q into the same
+step, so one pass over [I, Q, E_11, ..., E_nn] gives (iii), (v) and the
+Lyapunov solution L.
 
 For alpha >= 1 the verdict additionally requires all eigenvalues of
 alpha*A inside the open unit disk.  Any disagreement among the criteria
@@ -40,9 +43,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, InternalInconsistencyError
+from .errors import DimensionError, InternalInconsistencyError, SingularOperatorError
 from .ops import radius_from_bracket, smat, spectral_radius, svec, unit_matrix, unit_radius
-from .solver import _smith_sums, _smw_solve, radius_below_one
+from .solver import _checked_solution, _smith_sums, _smw_solve, radius_below_one
 
 __all__ = [
     "StabilityReport",
@@ -130,6 +133,17 @@ def check_stability(model, alpha):
     InternalInconsistencyError
         If the equivalent criteria disagree away from the marginal zone.
     """
+    return _analysis(model, alpha)[0]
+
+
+def _analysis(model, alpha, Qm=None):
+    """The StabilityReport at alpha and, given a weight Qm, the LyapunovSolution
+    of (I - L_alpha)(U) = Qm, both from one Stein-SMW step over [I, Qm, E_11..E_nn].
+
+    Qm joins the step only where the verdict passes; elsewhere the solution
+    is None.  A passing verdict with I - alpha K(alpha) singular raises
+    SingularOperatorError.
+    """
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
     r_L = alpha * unit_radius(model)
@@ -138,16 +152,18 @@ def check_stability(model, alpha):
     crit_ii = radius_below_one(r_L)
     r_sqrt_alpha_A = np.sqrt(alpha) * r_A
     crit_v_part1 = radius_below_one(r_sqrt_alpha_A)
+    r_alpha_A = alpha * r_A
+    eig_clause = radius_below_one(r_alpha_A)
+    passing = crit_ii and (alpha < 1.0 or eig_clause)
     # Past sqrt(alpha) r_sigma(A) < 1 the Stein series diverges: sum it by the dense solve.
     stein_sums = _smith_sums if crit_v_part1 else _dense_stein_sums
-    [(U, K)] = _smw_solve(model, [alpha], np.eye(model.n)[None], stein_sums)
+    solve_Q = Qm is not None and passing
+    stack = np.stack([np.eye(model.n), Qm]) if solve_Q else np.eye(model.n)[None]
+    [(U, K)] = _smw_solve(model, [alpha], stack, stein_sums)
     crit_iii = U is not None and float(np.linalg.eigvalsh(U[0])[0]) > 0.0
     resolvent_gain = None if K is None else spectral_radius(K)
     # r < 1/alpha, i.e. alpha * r strictly below one; alpha = 0 is trivially true.
     crit_v_part2 = None if resolvent_gain is None else radius_below_one(alpha * resolvent_gain)
-
-    r_alpha_A = alpha * r_A
-    eig_clause = radius_below_one(r_alpha_A)
 
     radii = {
         "L_alpha": r_L,
@@ -172,14 +188,13 @@ def check_stability(model, alpha):
                 f"(v)={crit_v} at alpha={alpha} with radii {radii}"
             )
 
-    passing = crit_ii and (alpha < 1.0 or eig_clause)
     if not passing:
         verdict = "not_stable"
     elif alpha == 1.0:
         verdict = "stable"
     else:
         verdict = "alpha_stable"
-    return StabilityReport(
+    report = StabilityReport(
         alpha=float(alpha),
         crit_ii=crit_ii,
         crit_iii=crit_iii,
@@ -190,6 +205,11 @@ def check_stability(model, alpha):
         spectral_radii=radii,
         marginal=marginal,
     )
+    if not solve_Q:
+        return report, None
+    if U is None:
+        raise SingularOperatorError(f"(I - L_alpha) is singular at alpha = {alpha:.6g}")
+    return report, _checked_solution(model, alpha, Qm, U[1], "direct", 0, r_L)
 
 
 def _closed_loop_radius(model, alpha, G, floor=np.inf):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from referencing import Registry, Resource
 
-from csviu import cli, load_model, norms, ops
+from csviu import check_stability, cli, load_model, norms, ops, solve_lyapunov, solver, stability
 from conftest import make_random_model
 from test_sim import exact_second_moments
 
@@ -444,6 +444,27 @@ class TestSolveCounts:
         assert len(passes) == 1
         assert sorted(passes[0]) == sorted(set(grid))
 
+    @pytest.fixture
+    def smw_calls(self, monkeypatch):
+        calls = []
+        smw_solve = solver._smw_solve
+
+        def counting(model, alphas, C, *args):
+            calls.append(len(C))
+            return smw_solve(model, alphas, C, *args)
+
+        for module in (solver, stability):
+            monkeypatch.setattr(module, "_smw_solve", counting)
+        return calls
+
+    @pytest.mark.parametrize("alpha", ["0.9", "5"])
+    def test_analyze_reads_verdict_and_solution_from_one_step(self, run, smw_calls, alpha):
+        code, out, _ = run(["analyze", N3_MODEL, "--alpha", alpha])
+        assert code == 0
+        # one step: over [I, Q, E_11..E_nn] where stable, over [I, E_11..E_nn] where not
+        assert smw_calls == [1 if alpha == "5" else 2]
+        assert (json.loads(out)["lyapunov"] is None) == (alpha == "5")
+
 
 #: The commands a stable model runs without the svec matrix M_1.
 STABLE_COMMANDS = {
@@ -488,6 +509,47 @@ class TestSteinSMWFastPath:
                                   timeout=300)
             assert proc.returncode == 0, proc.stderr
             assert proc.stderr.splitlines()[-1] == "False", alpha
+
+
+class TestAnalyzeAgreement:
+    """analyze's one Stein-SMW step reads as check_stability and solve_lyapunov do."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12, 20])
+    def test_matches_check_stability_and_solve_lyapunov(self, run, tmp_path, n):
+        path = tmp_path / f"n{n}.json"
+        path.write_text(json.dumps(model_doc(make_random_model(300 + n, n, target=0.8))))
+        model = load_model(str(path))
+        for alpha in (0.5, 0.9, 0.99, 1.0, 1.3, 3.0):
+            code, out, err = run(["analyze", str(path), "--alpha", str(alpha)])
+            assert code == 0, err
+            report = json.loads(out)
+            got, expected = report["stability"], check_stability(model, alpha)
+            for name in ("crit_ii", "crit_iii", "crit_v_part1", "crit_v_part2",
+                         "eig_clause", "verdict", "marginal"):
+                assert got[name] == getattr(expected, name), (n, alpha, name)
+            for name, radius in expected.spectral_radii.items():
+                assert got["spectral_radii"][name] == (
+                    None if radius is None else pytest.approx(radius, rel=1e-12, abs=0.0)
+                ), (n, alpha, name)
+            if expected.verdict == "not_stable":
+                assert report["lyapunov"] is None
+                continue
+            L = solve_lyapunov(model, alpha, model.C.T @ model.C).L
+            gap = np.abs(np.asarray(report["lyapunov"]["L"]) - L).max()
+            assert gap <= 1e-13 * np.abs(L).max(), (n, alpha)
+
+    def test_singular_capacitance_under_a_passing_verdict_exits_3(self, run, monkeypatch):
+        smw_solve = solver._smw_solve
+
+        def singular(model, alphas, C, *args):
+            return [(None, K) for _, K in smw_solve(model, alphas, C, *args)]
+
+        # only a marginal verdict can pass without the witness of (iii)
+        monkeypatch.setattr(stability, "_smw_solve", singular)
+        monkeypatch.setattr(stability, "MARGINAL_TOL", 10.0)
+        code, out, err = run(["analyze", N3_MODEL, "--alpha", "0.9"])
+        assert (code, out) == (3, "")
+        assert "singular" in err
 
 
 class TestDetectabilitySearch:
@@ -718,6 +780,11 @@ class TestArtifacts:
                                  "tool_version", "output_dir", "timestamp"}
         assert manifest["command"] == "analyze"
         assert manifest["model_path"] == models["scalar"]
+        common = json.loads((resources.files("csviu") / "schemas" / "common.schema.json")
+                            .read_text())
+        jsonschema.Draft202012Validator(
+            {"$ref": "#/$defs/manifest", "$defs": common["$defs"]}).validate(manifest)
+        assert set(manifest) == set(common["$defs"]["manifest"]["properties"])
         filed = json.loads((outdir / "report.json").read_text())
         printed = json.loads(out)
         assert filed.pop("manifest_file") == "manifest.json"
