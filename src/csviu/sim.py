@@ -30,7 +30,9 @@ first, and a draw is +1 when bit 31 of its half is set and -1 otherwise.
 That is Generator.integers(0, 2) bit for bit, which takes one 32-bit
 half per draw, low half first, and keeps bit 31 (Lemire's bounded method
 never rejects for a range of 2).  A half word left over at the end of a
-stage block opens the next one, as it does in the Generator.
+stage block opens the next one, as it does in the Generator.  The noise
+buffer keeps one sign byte per Rademacher draw, bit 31 itself (0 or 1),
+and the step loop turns one stage of it at a time into -1.0 and +1.0.
 """
 
 from __future__ import annotations
@@ -253,7 +255,11 @@ class _PathStreams:
             self.bitgen.state = self.saved[i]
 
     def draw(self, out, last):
-        """Fill out[i] with path i's next draws in C order; ``last``: no draw follows, save no state."""
+        """Fill out[i] with path i's next draws in C order; ``last``: no draw follows, save no state.
+
+        Rademacher draws are written as sign bytes into a uint8 ``out``:
+        1 for +1 and 0 for -1.
+        """
         paths = out.shape[0]
         if self.kind != "rademacher":
             for i in range(paths):
@@ -277,12 +283,8 @@ class _PathStreams:
                 h[:, 0] = self.carry[g0:g1]
             if odd + 2 * words > count:
                 self.carry[g0:g1] = h[:, count]
-            # Bit 31 as the sign of an int32: shifted to -1 when set, 0
-            # when clear; -2 s - 1 maps those to +1 and -1.
-            s = h[:, :count].view(np.int32)
-            np.right_shift(s, 31, out=s)
-            signs = np.multiply(s.reshape(out[g0:g1].shape), -2.0, out=out[g0:g1])
-            signs -= 1.0
+            np.right_shift(h[:, :count].reshape(out[g0:g1].shape), 31,
+                           out=out[g0:g1], casting="unsafe")
         self.odd = odd + 2 * words - count
 
 
@@ -319,6 +321,8 @@ def _simulate_block(model, cfg, steps, X, buf, aborted, j0):
     X[:, 0, :] = x
     # The next state, a product and a scratch array, reused every stage.
     xn, prod, tmp = (np.empty_like(x) for _ in range(3))
+    # One stage of sign bytes as doubles, reused every stage.
+    row = np.empty((bp, buf.shape[2])) if buf.dtype == np.uint8 else None
     alive = np.ones(bp, dtype=bool)
     all_alive = True
 
@@ -327,8 +331,13 @@ def _simulate_block(model, cfg, steps, X, buf, aborted, j0):
             k1 = min(k0 + sb, horizon)
             streams.draw(buf[:, : k1 - k0], last=k1 == horizon)
             for k in range(k0, k1):
-                eps = buf[:, k - k0, :n]
-                om = buf[:, k - k0, n:]
+                if row is None:
+                    z = buf[:, k - k0]
+                else:
+                    # Sign bytes 0 and 1 to -1.0 and +1.0.
+                    z = np.multiply(buf[:, k - k0], 2.0, out=row)
+                    z -= 1.0
+                eps, om = z[:, :n], z[:, n:]
                 _matmul(x, AT, out=xn)
                 if BT is not None:
                     ell = policy.inputs(k, x)
@@ -398,13 +407,15 @@ def simulate_paths(model, cfg, sinks=()):
     width = n + model.r
     block = min(n_paths, PATH_BLOCK)
     sb = _stage_block_size(horizon, width)
-    noise = block * sb * width
+    # One sign byte per Rademacher draw, one double per other draw.
+    noise_type = np.dtype(np.uint8 if cfg.noise_kind == "rademacher" else np.float64)
+    noise = block * sb * width * noise_type.itemsize
     if sinks:
-        need = 8 * (noise + STREAM_BLOCK_ARRAYS * block * (horizon + 1) * n
-                    + STREAM_PATH_DOUBLES * n_paths)
+        need = noise + 8 * (STREAM_BLOCK_ARRAYS * block * (horizon + 1) * n
+                            + STREAM_PATH_DOUBLES * n_paths)
         held = "the path-block buffers and per-path results"
     else:
-        need = 8 * (n_paths * (horizon + 1) * n + noise)
+        need = noise + 8 * n_paths * (horizon + 1) * n
         held = "the ensemble and its noise buffer"
     physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > physical:
@@ -413,7 +424,7 @@ def simulate_paths(model, cfg, sinks=()):
                          "lower --paths or --horizon")
     steps = tuple(None if M is None else np.ascontiguousarray(M.T)
                   for M in (model.A, model.B, model.sigma_x, model.sigma_bar_x, model.sigma))
-    buf = np.empty((block, sb, width))
+    buf = np.empty((block, sb, width), dtype=noise_type)
     X = None if sinks else np.empty((n_paths, horizon + 1, n))
     Xb = np.empty((block, horizon + 1, n)) if sinks else None
     ok = np.ones(n_paths, dtype=bool)

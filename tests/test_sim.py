@@ -121,6 +121,30 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="--paths or --horizon"):
             simulate_paths(scalar_model, cfg)
 
+    def test_rademacher_buffer_counts_one_byte_per_draw(self, scalar_model, monkeypatch):
+        # The same run with Rademacher noise: at 8 bytes a draw its buffer
+        # would not fit, but it holds one sign byte per draw (33.5 MB).
+        paths, horizon, width = sim.PATH_BLOCK, 5000, 2
+        ensemble = paths * (horizon + 1) * 8
+        draws = paths * sim._stage_block_size(horizon, width) * width
+        pages = (ensemble + 8 * draws // 2) // 4096
+        assert ensemble + draws <= pages * 4096 < ensemble + 8 * draws
+        monkeypatch.setattr(sim.os, "sysconf",
+                            {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": pages}.__getitem__)
+
+        class Accepted(Exception):
+            pass
+
+        def accepted(model, cfg, steps, X, buf, aborted, j0):
+            assert buf.dtype == np.uint8 and buf.nbytes == draws
+            raise Accepted
+
+        monkeypatch.setattr(sim, "_simulate_block", accepted)
+        cfg = SimConfig(n_paths=paths, horizon=horizon, seed=0,
+                        noise_kind="rademacher", x0=[0.0])
+        with pytest.raises(Accepted):
+            simulate_paths(scalar_model, cfg)
+
 
 def oracle_path(model, cfg, j):
     """Path j of an n = 1 model by the plain recursion of the stream contract.
@@ -226,6 +250,22 @@ class TestReproducibility:
         split = simulate_paths(scalar_model, cfg).X
         assert np.array_equal(reference, split)
 
+    @pytest.mark.parametrize("kind", ["gaussian", "rademacher", "uniform"])
+    def test_stage_block_partition_does_not_affect_draws_at_n3(self, monkeypatch, kind):
+        # n + r = 5 and three stages per block: 15 draws, an odd count, so
+        # every other Rademacher stage block opens on a carried half word.
+        model = CsviuModel(n=3, r=2, p=1, m=0,
+                           A=[[0.5, 0.125, 0.0], [0.0, 0.25, 0.125], [0.125, 0.0, 0.375]],
+                           sigma_x=0.125 * np.eye(3), sigma_bar_x=0.25 * np.eye(3),
+                           sigma=[[0.25, 0.0], [0.0, 0.5], [0.125, 0.25]], C=[[1.0, 0.0, 0.0]])
+        cfg = SimConfig(n_paths=sim.PATH_BLOCK + 7, horizon=37, seed=11, noise_kind=kind,
+                        x0=[1.0, -0.5, 0.25])
+        reference = simulate_paths(model, cfg).X
+        monkeypatch.setattr(sim, "STAGE_BLOCK_ELEMENTS", sim.PATH_BLOCK * 5 * 3)
+        assert sim._stage_block_size(cfg.horizon, 5) == 3
+        split = simulate_paths(model, cfg).X
+        assert np.array_equal(reference, split)
+
     def test_noise_kinds_produce_distinct_ensembles(self, scalar_model):
         runs = {
             kind: simulate_paths(
@@ -240,13 +280,13 @@ class TestReproducibility:
 
 
 def rademacher_oracle(seed, j, count):
-    """Path j's first ``count`` Rademacher draws: numpy's integers(0, 2) in one call."""
+    """Path j's first ``count`` sign bytes: numpy's integers(0, 2) in one call."""
     gen = np.random.Generator(np.random.Philox(key=np.array([seed, j], dtype=np.uint64)))
-    return gen.integers(0, 2, size=count) * 2.0 - 1.0
+    return gen.integers(0, 2, size=count)
 
 
 class TestRademacherDraws:
-    """Rademacher signs read from the raw Philox words equal numpy's
+    """Rademacher sign bytes read from the raw Philox words equal numpy's
     Generator.integers(0, 2) bit for bit, however the draws are split."""
 
     @pytest.mark.parametrize("j", [0, 2**40])
@@ -254,7 +294,7 @@ class TestRademacherDraws:
     @pytest.mark.parametrize("count", [1, 2, 3, 1000, 1001])
     def test_bulk_fill_matches_generator_integers(self, count, seed, j):
         paths = sim.SIGN_GROUP + 3
-        out = np.empty((paths, count))
+        out = np.empty((paths, count), dtype=np.uint8)
         sim._PathStreams(seed, j, paths, "rademacher", count).draw(out, last=True)
         for i in range(paths):
             assert np.array_equal(out[i], rademacher_oracle(seed, j + i, count)), i
@@ -262,7 +302,7 @@ class TestRademacherDraws:
     @pytest.mark.parametrize("pieces", [(1, 1, 1), (3, 4, 5), (2, 3, 3, 1), (7, 1000, 1001)])
     def test_split_draws_carry_the_half_word(self, pieces):
         paths, total = sim.SIGN_GROUP + 1, sum(pieces)
-        out = np.empty((paths, total))
+        out = np.empty((paths, total), dtype=np.uint8)
         streams = sim._PathStreams(2**64 - 1, 5, paths, "rademacher", max(pieces))
         c = 0
         for m, piece in enumerate(pieces):

@@ -370,6 +370,25 @@ def test_streamed_simulate_peaks_below_half_of_the_ensemble():
     assert peak < ensemble_bytes / 2, peak
 
 
+def test_streamed_rademacher_block_holds_sign_bytes():
+    # One path block at n = r = 10, 4096 paths x 100 stages (the mc-checks
+    # shape): the block X takes 33 MB, and the noise 8.2 MB as sign bytes
+    # where it took 65.5 MB as doubles.
+    model = make_random_model(4, 10)
+    cfg = SimConfig(n_paths=sim.PATH_BLOCK, horizon=100, seed=6, noise_kind="rademacher",
+                    x0=np.ones(10))
+    abel = sim.AbelSums(0.9, cfg.horizon)
+    tracemalloc.start()
+    try:
+        ens = simulate_paths(model, cfg, [sim.PathFeed(np.eye(10), [abel])])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ens.n_ok == sim.PATH_BLOCK
+    assert abel.result().n_paths == sim.PATH_BLOCK
+    assert peak < 60e6, peak
+
+
 def test_memory_check_counts_what_the_stream_holds(monkeypatch):
     # Physical memory holds X but not X plus one noise buffer, so the
     # X-keeping simulation is refused while the streamed command runs.
