@@ -58,7 +58,7 @@ COMMANDS = {
                         "--noise", "rademacher", "--validate-representation",
                         "--check-decay", "--output-dir", "OUT"],
 }
-MODELS = ("scalar", "n3")
+MODELS = ("scalar", "n3", "n10")
 CASES = [f"{model}-{command}" for model in MODELS for command in COMMANDS]
 
 
