@@ -249,13 +249,13 @@ class _TrajectoryDump:
 
     def add_block(self, j0, X, ok):
         # The CLI simulates under the zero input, so y_k = C x_k.
-        Y = np.einsum("pkj,ij->pki", X, self.C)
-        for j in range(X.shape[0]):
-            for k in range(X.shape[1]):
+        Y = np.einsum("kpj,ij->kpi", X, self.C)
+        for j in range(X.shape[1]):
+            for k in range(X.shape[0]):
                 self.writer.writerow(
                     [j0 + j, k]
-                    + [repr(float(v)) for v in X[j, k]]
-                    + [repr(float(v)) for v in Y[j, k]]
+                    + [repr(float(v)) for v in X[k, j]]
+                    + [repr(float(v)) for v in Y[k, j]]
                 )
 
     def close(self):

@@ -3,16 +3,18 @@
 Trajectory sampling, energy/power estimators, pathwise evaluation of the
 backward-recursion energy representation, and the per-stage decay check.
 
-simulate_paths makes one pass over path blocks.  Each block is handed to
-sinks and dropped; a PathFeed sink evaluates the block's quadratic forms
-x_k^T Q x_k once and passes them to every reducer (Abel sums, Cesaro
-means, per-stage statistics, the representation check), which keep only
-per-path scalars.  The forms are evaluated stage by stage as
-(x_k Q) . x_k.  At n > 1 that rounds differently from the single einsum
-over the block that earlier versions used, so their Monte Carlo figures
-moved in the last digits.  The whole ensemble X is kept only when it is
-asked for (no sinks); the Ensemble-taking estimators replay it through
-the same reducers, in the same chunks, so both routes give the same bits.
+simulate_paths makes one pass over path blocks, each stage-major, of
+shape (horizon+1, paths, n): the step loop writes stage k of every path
+as one row X[k], and the reducers read it whole.  Each block is handed
+to sinks and dropped; a PathFeed sink evaluates the block's quadratic
+forms x_k^T Q x_k once, as (x_k Q) . x_k in chunks of Q_CHUNK paths, and
+passes them to every reducer (Abel sums, Cesaro means, per-stage
+statistics, the representation check), which keep only per-path
+scalars.  At n > 1 that rounds differently from the single einsum over
+the block that earlier versions used, so their Monte Carlo figures moved
+in the last digits.  The whole ensemble X is kept only when it is asked
+for (no sinks); the Ensemble-taking estimators replay it through the
+same reducers, in the same chunks, so both routes give the same bits.
 
 Reproducibility contract: path j draws its noise from a Philox stream
 keyed by (master seed, j), consumed in a stage-block partition that
@@ -31,8 +33,9 @@ That is Generator.integers(0, 2) bit for bit, which takes one 32-bit
 half per draw, low half first, and keeps bit 31 (Lemire's bounded method
 never rejects for a range of 2).  A half word left over at the end of a
 stage block opens the next one, as it does in the Generator.  The noise
-buffer keeps one sign byte per Rademacher draw, bit 31 itself (0 or 1),
-and the step loop turns one stage of it at a time into -1.0 and +1.0.
+buffer keeps one sign byte per Rademacher draw, bit 31 itself (0 or 1);
+the step loop copies TILE_STAGES stages at a time stage-major into a
+tile and turns one stage of it at a time into -1.0 and +1.0.
 """
 
 from __future__ import annotations
@@ -80,20 +83,22 @@ STAGE_BLOCK_ELEMENTS = 2**25
 #: vectorised pass.
 SIGN_GROUP = 16
 
+#: Stages of sign bytes copied stage-major into one tile.
+TILE_STAGES = 8
+
+#: Paths per chunk of the quadratic forms, which bounds their temporary.
+Q_CHUNK = 256
+
 #: Upper bound on the arrays of one path block's X size that a streamed run
 #: holds at once: the block buffer, the chunk buffer and the survivors being
-#: copied into it, and q with the two per-stage temporaries (each at most
-#: one block's X).
+#: copied into it, q, one q chunk's X Q, and the sign tile with the per-stage
+#: buffers of the step loop and the backward step (a dozen stages together).
 STREAM_BLOCK_ARRAYS = 6
 
 #: Upper bound on the doubles per path that a streamed run keeps: the Abel
 #: and Cesaro values, and the representation's three per-path terms with
 #: their concatenations and differences.
 STREAM_PATH_DOUBLES = 12
-
-#: Elements of X per stage-major slab that the representation check's
-#: backward step reads from (a few stages of one chunk).
-SLAB_ELEMENTS = 2**18
 
 #: A path aborts once any state component exceeds this magnitude.
 OVERFLOW_LIMIT = 1e150
@@ -178,13 +183,14 @@ class EnergyEstimate:
 class Ensemble:
     """Sampled trajectories plus abort diagnostics.
 
-    X has shape (n_paths, horizon+1, n) and is kept only when it is asked
-    for, that is when simulate_paths streams into no sinks; otherwise it
-    is None and the run kept only per-path results.  Aborted paths hold
-    NaN from their abort stage onward and are excluded from every
-    estimator.  ``ok`` marks the surviving paths; ``aborted`` lists
-    (path index, stage) for each overflow, ordered by path block, then
-    stage, then path.
+    X has shape (n_paths, horizon+1, n), a transposed view of the
+    stage-major (horizon+1, n_paths, n) that the run fills.  It is kept
+    only when it is asked for, that is when simulate_paths streams into
+    no sinks; otherwise it is None and the run kept only per-path results.
+    Aborted paths hold NaN from their abort stage onward and are excluded
+    from every estimator.  ``ok`` marks the surviving paths; ``aborted``
+    lists (path index, stage) for each overflow, ordered by path block,
+    then stage, then path.
     """
 
     model: object
@@ -294,60 +300,68 @@ def _stage_block_size(horizon, width):
     return max(1, min(horizon, STAGE_BLOCK_ELEMENTS // (PATH_BLOCK * width)))
 
 
-def _matmul(a, b, out=None):
+def _matmul(a, b, out=None, plus_zero=True):
     """a @ b, bit for bit, into ``out`` if given; by broadcasting when the inner dimension is 1.
 
     A matrix product sums onto +0, so a product of -0 reads +0 there;
-    adding 0.0 does the same to the broadcast product.
+    adding 0.0 does the same to the broadcast product, unless plus_zero
+    is False: a sum that is not -0 reads the same either way.
     """
     if b.shape[0] != 1:
         return np.matmul(a, b, out=out)
     out = np.multiply(a, b, out=out)
-    out += 0.0
+    if plus_zero:
+        out += 0.0
     return out
 
 
 def _simulate_block(model, cfg, steps, X, buf, aborted, j0):
-    """Simulate paths j0..j0+len(X)-1 into X, drawing into ``buf``; return their survival mask."""
+    """Simulate paths j0, j0+1, ... into the stage-major X, drawing into ``buf``; return who survives."""
     n = model.n
     AT, BT, sxT, sbxT, sgT = steps
     policy = cfg.input_policy
     horizon = cfg.horizon
-    bp = X.shape[0]
-    sb = buf.shape[1]
-    streams = _PathStreams(cfg.seed, j0, bp, cfg.noise_kind, sb * buf.shape[2])
+    bp, sb, width = buf.shape
+    streams = _PathStreams(cfg.seed, j0, bp, cfg.noise_kind, sb * width)
 
-    x = np.tile(cfg.x0, (bp, 1))
-    X[:, 0, :] = x
-    # The next state, a product and a scratch array, reused every stage.
-    xn, prod, tmp = (np.empty_like(x) for _ in range(3))
-    # One stage of sign bytes as doubles, reused every stage.
-    row = np.empty((bp, buf.shape[2])) if buf.dtype == np.uint8 else None
+    x = X[0]
+    x[...] = cfg.x0
+    # A product and a scratch array, reused every stage.
+    prod, tmp = np.empty_like(x), np.empty_like(x)
+    # Sign bytes: a tile of stages copied stage-major, and one stage as doubles.
+    row = np.empty((bp, width)) if buf.dtype == np.uint8 else None
+    tile = None if row is None else np.empty((TILE_STAGES, bp, width), dtype=np.uint8)
     alive = np.ones(bp, dtype=bool)
     all_alive = True
 
     with np.errstate(over="ignore", invalid="ignore"):
         for k0 in range(0, horizon, sb):
             k1 = min(k0 + sb, horizon)
-            streams.draw(buf[:, : k1 - k0], last=k1 == horizon)
+            draws = buf[:, : k1 - k0]
+            streams.draw(draws, last=k1 == horizon)
             for k in range(k0, k1):
+                ks = k - k0
                 if row is None:
-                    z = buf[:, k - k0]
+                    z = draws[:, ks]
                 else:
+                    if ks % TILE_STAGES == 0:
+                        t = draws[:, ks : ks + TILE_STAGES].transpose(1, 0, 2)
+                        np.copyto(tile[: t.shape[0]], t)
                     # Sign bytes 0 and 1 to -1.0 and +1.0.
-                    z = np.multiply(buf[:, k - k0], 2.0, out=row)
+                    z = np.multiply(tile[ks % TILE_STAGES], 2.0, out=row)
                     z -= 1.0
                 eps, om = z[:, :n], z[:, n:]
-                _matmul(x, AT, out=xn)
+                # x_{k+1} in place; at n = 1 the first product leaves it never -0.
+                xn = _matmul(x, AT, out=X[k + 1])
                 if BT is not None:
                     ell = policy.inputs(k, x)
                     if ell is not None:
-                        xn += _matmul(ell, BT, out=prod)
-                xn += _matmul(eps, sxT, out=prod)
+                        xn += _matmul(ell, BT, out=prod, plus_zero=n > 1)
+                xn += _matmul(eps, sxT, out=prod, plus_zero=n > 1)
                 np.abs(x, out=tmp)
                 tmp *= eps
-                xn += _matmul(tmp, sbxT, out=prod)
-                xn += _matmul(om, sgT, out=prod)
+                xn += _matmul(tmp, sbxT, out=prod, plus_zero=n > 1)
+                xn += _matmul(om, sgT, out=prod, plus_zero=n > 1)
                 # NaN and inf both fail the comparisons; while every path
                 # is alive one reduction clears the whole block.
                 if not all_alive or not np.abs(xn, out=tmp).max() <= OVERFLOW_LIMIT:
@@ -356,11 +370,7 @@ def _simulate_block(model, cfg, steps, X, buf, aborted, j0):
                     alive &= ~bad
                     all_alive = False
                     xn[~alive] = np.nan
-                X[:, k + 1, :] = xn
-                if all_alive:
-                    x, xn = xn, x
-                else:
-                    x = np.where(alive[:, None], xn, 0.0)
+                x = xn if all_alive else np.where(alive[:, None], xn, 0.0)
     return alive
 
 
@@ -378,10 +388,11 @@ def simulate_paths(model, cfg, sinks=()):
     sinks : sequence, optional
         Objects with ``add_block(j0, X, ok)`` and ``close()``.  Each block
         of PATH_BLOCK paths from j0 on is simulated into a buffer reused
-        for the next block and handed to every sink in turn (X of shape
-        (paths, horizon+1, n), ok its survival mask; neither outlives the
-        call), and ``close()`` runs after the last block.  With no sinks
-        the whole ensemble X is kept instead.
+        for the next block and handed to every sink in turn (X stage-major,
+        of shape (horizon+1, paths, n), so that X[:, j] is path j0 + j;
+        ok its survival mask; neither outlives the call), and ``close()``
+        runs after the last block.  With no sinks the whole ensemble X is
+        kept instead.
 
     Raises
     ------
@@ -425,19 +436,19 @@ def simulate_paths(model, cfg, sinks=()):
     steps = tuple(None if M is None else np.ascontiguousarray(M.T)
                   for M in (model.A, model.B, model.sigma_x, model.sigma_bar_x, model.sigma))
     buf = np.empty((block, sb, width), dtype=noise_type)
-    X = None if sinks else np.empty((n_paths, horizon + 1, n))
-    Xb = np.empty((block, horizon + 1, n)) if sinks else None
+    X = np.empty((horizon + 1, block if sinks else n_paths, n))
     ok = np.ones(n_paths, dtype=bool)
     aborted = []
     for j0 in range(0, n_paths, PATH_BLOCK):
         j1 = min(j0 + PATH_BLOCK, n_paths)
-        Xj = Xb[: j1 - j0] if X is None else X[j0:j1]
+        Xj = X[:, : j1 - j0] if sinks else X[:, j0:j1]
         ok[j0:j1] = _simulate_block(model, cfg, steps, Xj, buf[: j1 - j0], aborted, j0)
         for sink in sinks:
             sink.add_block(j0, Xj, ok[j0:j1])
     for sink in sinks:
         sink.close()
-    return Ensemble(model=model, cfg=cfg, X=X, ok=ok, aborted=aborted)
+    kept = None if sinks else X.transpose(1, 0, 2)
+    return Ensemble(model=model, cfg=cfg, X=kept, ok=ok, aborted=aborted)
 
 
 class PathFeed:
@@ -446,9 +457,10 @@ class PathFeed:
     A chunk is the next PATH_BLOCK surviving paths in path order (fewer
     for the last), so the reductions do not depend on where aborts fall:
     after a block with aborts, survivors fill a chunk buffer across
-    blocks.  Each chunk's quadratic forms q[p, k] = x_k^T Q x_k are
-    evaluated once and every reducer's ``add_chunk(X, q)`` reads them.
-    Blocks must hold PATH_BLOCK paths, all but the last.
+    blocks.  Blocks and chunks are stage-major, (stages, paths, n).  Each
+    chunk's quadratic forms q[p, k] = x_k^T Q x_k are evaluated once and
+    every reducer's ``add_chunk(X, q)`` reads them.  Blocks must hold
+    PATH_BLOCK paths, all but the last.
     """
 
     def __init__(self, Q, reducers):
@@ -462,12 +474,12 @@ class PathFeed:
             self._reduce(X)
             return
         if self._chunk is None:
-            self._chunk = np.empty((PATH_BLOCK,) + X.shape[1:])
+            self._chunk = np.empty((X.shape[0], PATH_BLOCK, X.shape[2]))
         idx = np.flatnonzero(ok)
         i = 0
         while i < idx.size:
             take = idx[i : i + PATH_BLOCK - self._fill]
-            self._chunk[self._fill : self._fill + take.size] = X[take]
+            self._chunk[:, self._fill : self._fill + take.size] = X[:, take]
             self._fill += take.size
             i += take.size
             if self._fill == PATH_BLOCK:
@@ -476,7 +488,7 @@ class PathFeed:
 
     def close(self):
         if self._fill:
-            self._reduce(self._chunk[: self._fill])
+            self._reduce(self._chunk[:, : self._fill])
         self._chunk, self._fill = None, 0
 
     @np.errstate(over="ignore", invalid="ignore")
@@ -487,33 +499,26 @@ class PathFeed:
 
 
 def _quadratic_forms(X, Q):
-    """q[p, k] = x_k^T Q x_k for X of shape (paths, stages, n), stage by stage as (x_k Q) . x_k.
+    """q[p, k] = x_k^T Q x_k for a stage-major X of shape (stages, paths, n), as (x_k Q) . x_k.
 
-    q is path-major and contiguous, as the reducers sum it.  No temporary
-    is larger than one stage's (paths, n).  At n = 1 one einsum over all
-    stages gives the same bits, several times faster.
+    Evaluated Q_CHUNK paths at a time, so no temporary is larger than
+    (stages, Q_CHUNK, n); each chunk is transposed into q, which is
+    path-major and contiguous, as the reducers sum it.
     """
-    paths, stages, n = X.shape
-    if n == 1:
-        return np.einsum("pki,ij,pkj->pk", X, Q, X)
-    q = np.empty((paths, stages))
-    xQ = np.empty((paths, n))
-    qk = np.empty(paths)
-    for k in range(stages):
-        xk = X[:, k, :]
-        np.matmul(xk, Q, out=xQ)
-        np.einsum("pi,pi->p", xQ, xk, out=qk)
-        q[:, k] = qk  # einsum writes a strided column far more slowly
+    q = np.empty(X.shape[1::-1])
+    for p0 in range(0, X.shape[1], Q_CHUNK):
+        Xc = X[:, p0 : p0 + Q_CHUNK]
+        q[p0 : p0 + Q_CHUNK] = np.einsum("kpi,kpi->kp", _matmul(Xc, Q), Xc).T
     return q
 
 
 def _replay(ensemble, Q, reducer):
     """Feed a kept ensemble's paths to one reducer block by block; return its result."""
-    X = _kept(ensemble)
+    X = _kept(ensemble).transpose(1, 0, 2)
     feed = PathFeed(as_weight(Q, ensemble.model.n), [reducer])
     for j0 in range(0, ensemble.n_paths, PATH_BLOCK):
         j1 = j0 + PATH_BLOCK
-        feed.add_block(j0, X[j0:j1], ensemble.ok[j0:j1])
+        feed.add_block(j0, X[:, j0:j1], ensemble.ok[j0:j1])
     feed.close()
     return reducer.result()
 
@@ -633,39 +638,34 @@ class RepresentationCheck:
         kappa = self.cfg.horizon
         A, B = model.A, model.B
         policy = self.cfg.input_policy
-        m, n = X.shape[0], model.n
-        v = np.zeros((m, n))
+        m, n = X.shape[1], model.n
+        # v, the next v, s_k and the noise, reused every step.
+        v, vA, s_k, noise = (np.zeros((m, n)) for _ in range(4))
         g = np.full(m, self.gamma)
         corr = np.zeros(m)
-        span = max(1, SLAB_ELEMENTS // (m * n))
-        slab = np.empty((min(span, kappa) + 1, m, n))
-        for k1 in range(kappa, 0, -span):
-            k0 = max(k1 - span, 0)
-            # Stages k0..k1 copied stage-major, so each step reads whole stages.
-            xs = slab[: k1 - k0 + 1]
-            np.copyto(xs, X[:, k0 : k1 + 1].transpose(1, 0, 2))
-            for k in range(k1 - 1, k0 - 1, -1):
-                x, x_next = xs[k - k0], xs[k + 1 - k0]
-                s_k = np.sign(x)
-                g = g + self.varpi[k]
-                # In place below: noise = x_next - x A^T and, at the end,
-                # v = alpha (vin A + W_d s_k), in the same operations.
-                noise = _matmul(x, A.T)
-                np.subtract(x_next, noise, out=noise)
-                vin = v
-                ell = policy.inputs(k, x) if B is not None else None
-                if ell is not None:
-                    Bl, Pk1 = _matmul(ell, B.T), P[k + 1]
-                    g = g + np.einsum("pi,ij,pj->p", Bl, Pk1, Bl) + (v * Bl).sum(axis=1)
-                    noise -= Bl
-                    vin = v + 2.0 * _matmul(Bl, Pk1)
-                g = alpha * g
-                corr += w[k] * alpha * np.einsum("pi,pi->p", v, noise)
-                v = _matmul(vin, A)
-                s_k *= self.W_d[k]
-                v += s_k
-                v *= alpha
-        terminal = np.einsum("pi,ij,pj->p", X[:, kappa, :], P[kappa], X[:, kappa, :]) + self.gamma
+        for k in range(kappa - 1, -1, -1):
+            x = X[k]
+            np.sign(x, out=s_k)
+            g += self.varpi[k]
+            # noise = x_{k+1} - x A^T and, at the end, v = alpha (vin A + W_d s_k).
+            _matmul(x, A.T, out=noise)
+            np.subtract(X[k + 1], noise, out=noise)
+            vin = v
+            ell = policy.inputs(k, x) if B is not None else None
+            if ell is not None:
+                Bl, Pk1 = _matmul(ell, B.T), P[k + 1]
+                g += np.einsum("pi,ij,pj->p", Bl, Pk1, Bl)
+                g += (v * Bl).sum(axis=1)
+                noise -= Bl
+                vin = v + 2.0 * _matmul(Bl, Pk1)
+            g *= alpha
+            corr += w[k] * alpha * np.einsum("pi,pi->p", v, noise)
+            _matmul(vin, A, out=vA)
+            s_k *= self.W_d[k]
+            vA += s_k
+            vA *= alpha
+            v, vA = vA, v
+        terminal = np.einsum("pi,ij,pj->p", X[kappa], P[kappa], X[kappa]) + self.gamma
         self.S.append(q[:, :kappa] @ w[:kappa])
         self.R.append(v @ self.cfg.x0 + g - w[kappa] * terminal)
         self.corr.append(corr)

@@ -284,7 +284,7 @@ def test_quadratic_forms_are_evaluated_once_per_chunk(model, monkeypatch, tmp_pa
     chunks = []
 
     def counting(X, Q):
-        chunks.append(X.shape[0])
+        chunks.append(X.shape[1])
         return quadratic_forms(X, Q)
 
     monkeypatch.setattr(sim, "_quadratic_forms", counting)
@@ -302,13 +302,14 @@ def test_quadratic_forms_are_evaluated_once_per_chunk(model, monkeypatch, tmp_pa
 @pytest.mark.parametrize("n", [1, 3, 10])
 def test_quadratic_forms_match_the_three_operand_einsum(n):
     # The per-stage form rounds differently from einsum("pki,ij,pkj->pk")
-    # at n > 1; at n = 1 both are (x Q) x, down to the sign of zero.
+    # at n > 1; at n = 1 both are (x Q) x, down to the sign of zero.  The
+    # forms read the stage-major block; 500 paths span two q chunks.
     rng = np.random.default_rng(n)
     X = rng.standard_normal((500, 21, n))
     X[:3, :4] = np.array([0.0, -0.0, 1e-300])[:, None, None]
     G = rng.standard_normal((n, n))
     for Q in (G @ G.T + np.eye(n), -np.eye(n)):
-        got = sim._quadratic_forms(X, Q)
+        got = sim._quadratic_forms(np.ascontiguousarray(X.transpose(1, 0, 2)), Q)
         expect = np.einsum("pki,ij,pkj->pk", X, Q, X)
         assert got.flags.c_contiguous and got.shape == expect.shape
         assert np.array_equal(got.view(np.uint64), oracle_quadratic_forms(X, Q).view(np.uint64))
@@ -319,9 +320,9 @@ def test_quadratic_forms_match_the_three_operand_einsum(n):
 
 
 def test_reduce_holds_no_chunk_sized_temporary():
-    # A 4096 x 101 x 10 chunk (the mc-checks shape) is 33 MB; beyond q the
-    # reduce may allocate less than an eighth of that.
-    X = np.random.default_rng(0).standard_normal((sim.PATH_BLOCK, 101, 10))
+    # A stage-major 101 x 4096 x 10 chunk (the mc-checks shape) is 33 MB;
+    # beyond q the reduce may allocate less than an eighth of that.
+    X = np.random.default_rng(0).standard_normal((101, sim.PATH_BLOCK, 10))
     seen = []
 
     class Keep:
@@ -387,6 +388,61 @@ def test_streamed_rademacher_block_holds_sign_bytes():
     assert ens.n_ok == sim.PATH_BLOCK
     assert abel.result().n_paths == sim.PATH_BLOCK
     assert peak < 60e6, peak
+
+
+def test_streamed_checks_peak_below_the_memory_check(monkeypatch):
+    # The mc-checks shape with all four reducers: what the run holds at
+    # its peak must stay below what simulate_paths counts before it
+    # starts.  With physical memory set to that peak, the run is refused.
+    model = make_random_model(4, 10)
+    cfg = SimConfig(n_paths=sim.PATH_BLOCK, horizon=100, seed=6, noise_kind="rademacher",
+                    x0=np.ones(10))
+    tracemalloc.start()
+    try:
+        ensemble, reducers = streamed(model, cfg, np.eye(10), 0.9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ensemble.n_ok == sim.PATH_BLOCK
+    assert reducers["representation"].result()["n_paths"] == sim.PATH_BLOCK
+    monkeypatch.setattr(sim.os, "sysconf", {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": peak}.__getitem__)
+    with pytest.raises(ValueError, match="--paths or --horizon"):
+        simulate_paths(model, cfg, [sim.PathFeed(np.eye(10), [])])
+
+
+@pytest.mark.parametrize("make, n_paths, horizon, noise", [
+    (lambda: load_model(GOLDEN_MODELS / "n3.json"), sim.PATH_BLOCK + 50, 6, "rademacher"),
+    (explosive_model, sim.PATH_BLOCK + 50, 110, "gaussian"),
+])
+def test_sinks_see_stage_major_blocks_of_the_kept_paths(make, n_paths, horizon, noise):
+    # A sink sees each block stage-major, (horizon+1, paths, n), and its
+    # column j is path j0 + j of the kept ensemble, bit for bit, across
+    # the block seam and through aborts.
+    model = make()
+    cfg = SimConfig(n_paths=n_paths, horizon=horizon, seed=7, noise_kind=noise,
+                    x0=np.ones(model.n))
+    seen = []
+
+    class Copy:
+        def add_block(self, j0, X, ok):
+            seen.append((j0, X.copy(), ok.copy()))
+
+        def close(self):
+            seen.append(None)
+
+    streamed_run = simulate_paths(model, cfg, [Copy()])
+    kept = simulate_paths(model, cfg)
+    assert kept.X.shape == (n_paths, horizon + 1, model.n)
+    assert [block[0] for block in seen[:-1]] == [0, sim.PATH_BLOCK] and seen[-1] is None
+    for j0, X, ok in seen[:-1]:
+        paths = min(sim.PATH_BLOCK, n_paths - j0)
+        assert X.shape == (horizon + 1, paths, model.n)
+        assert np.array_equal(ok, kept.ok[j0 : j0 + paths])
+        for j in range(paths):
+            assert np.array_equal(X[:, j].view(np.uint64), kept.X[j0 + j].view(np.uint64)), j0 + j
+    assert np.array_equal(streamed_run.ok, kept.ok)
+    if make is explosive_model:
+        assert not kept.ok[: sim.PATH_BLOCK].all() and not kept.ok[sim.PATH_BLOCK :].all()
 
 
 def test_memory_check_counts_what_the_stream_holds(monkeypatch):
