@@ -193,8 +193,8 @@ def _positive_alpha(text):
 
 
 def _check_threads(args):
-    """Validate --threads; no report depends on it."""
-    if args.threads is not None and args.threads < 1:
+    """Validate --threads before anything is solved; no report depends on it."""
+    if args.threads < 1:
         raise ValueError("threads must be a positive integer")
 
 
@@ -420,7 +420,8 @@ def cmd_simulate(args):
     feed = PathFeed(Qm, [r for r in (abel, cesaro, representation, stages) if r is not None])
     dump = _TrajectoryDump(args.output_dir, model) if args.dump else None
     try:
-        ensemble = simulate_paths(model, cfg, [feed] if dump is None else [feed, dump])
+        ensemble = simulate_paths(model, cfg, [feed] if dump is None else [feed, dump],
+                                  threads=args.threads)
         abort_fraction = len(ensemble.aborted) / cfg.n_paths
 
         abel_closed = norms.h2_discounted if norms is not None and zero_start else None
@@ -521,8 +522,9 @@ def build_parser():
     p_sim.add_argument(
         "--threads",
         type=int,
-        default=None,
-        help="accepted and validated only; reports never depend on it",
+        default=1,
+        help="processes that draw the noise (default 1; at most one per CPU); "
+             "reports never depend on it",
     )
     p_sim.add_argument(
         "--validate-representation",

@@ -22,8 +22,15 @@ depends only on the model dimensions and the horizon.  Each path block
 re-keys one generator per path, which gives every path the stream of a
 fresh Philox(key=(seed, j)).  Path blocks have a fixed size and
 estimators reduce in fixed block order, so path j's trajectory does not
-change when the ensemble grows.  Blocks run serially: the CLI accepts
-and validates --threads, and no result depends on it.
+change when the ensemble grows.
+
+simulate_paths(threads=N) splits each stage block's noise fill over up
+to N processes, at most one per CPU and one per path of a block: N - 1
+forked children each fill a contiguous slice of the block's rows in one
+shared buffer through their own re-keyed streams, and the calling
+process fills the first slice.  The step loop, the reducers and every
+BLAS call stay in the calling process, and path j's stream is fixed by
+(seed, j) alone, so no result depends on N.
 
 Gaussian draws come from Generator.standard_normal and uniform draws
 from Generator.uniform.  Rademacher draws are read straight from the raw
@@ -40,7 +47,9 @@ tile and turns one stage of it at a time into -1.0 and +1.0.
 
 from __future__ import annotations
 
+import mmap
 import os
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,8 +81,8 @@ __all__ = [
     "decay_rows",
 ]
 
-#: Paths per block (one generator, one noise buffer); fixed, so no result
-#: depends on the ensemble size or on --threads.
+#: Paths per block (one noise buffer); fixed, so no result depends on the
+#: ensemble size or on the number of drawing processes.
 PATH_BLOCK = 4096
 
 #: Noise-buffer budget per path block, in array elements.
@@ -294,6 +303,123 @@ class _PathStreams:
         self.odd = odd + 2 * words - count
 
 
+def _draw_processes(threads, rows):
+    """Processes that fill a path block's noise: at most ``threads``, one per CPU and one per row."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return max(1, min(threads, cpus, rows))
+
+
+class _NoiseBlocks:
+    """The noise buffer of a path block, filled a stage block at a time by ``workers`` processes.
+
+    The rows of each path block are cut into ``workers`` contiguous
+    slices.  Slice i > 0 is filled by a forked child through its own
+    _PathStreams, which keep that slice's saved states and Rademacher
+    carry; this process fills slice 0.  With more than one worker the
+    buffer is one anonymous shared mapping, and each fill is a command
+    on a child's pipe answered by one byte on another.  A child runs
+    only this RNG code and leaves through os._exit, when its command
+    pipe closes or anything fails; ``close()`` closes the pipes and
+    reaps every child.  With one worker nothing is forked and the
+    buffer is an ordinary array.
+    """
+
+    _COMMAND = struct.Struct("4q")  # j0, paths, stages, last
+
+    def __init__(self, cfg, shape, dtype, workers):
+        self.seed, self.kind, self.workers = cfg.seed, cfg.noise_kind, workers
+        self.count = shape[1] * shape[2]
+        if workers == 1:
+            self.buf = np.empty(shape, dtype)
+        else:
+            nbytes = shape[0] * shape[1] * shape[2] * dtype.itemsize
+            self.buf = np.frombuffer(mmap.mmap(-1, nbytes), dtype).reshape(shape)
+        self.streams = None
+        # [pid, command write end, ack read end] per child.
+        self.children = []
+        try:
+            for i in range(1, workers):
+                self._fork(i)
+        except BaseException:
+            self.close()
+            raise
+
+    def _fork(self, i):
+        cmd_r, cmd_w = os.pipe()
+        ack_r, ack_w = os.pipe()
+        self.children.append([None, cmd_w, ack_r])
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(cmd_r)
+            os.close(ack_w)
+            raise
+        if pid == 0:
+            code = 1
+            try:
+                for _, cmd, ack in self.children:
+                    os.close(cmd)
+                    os.close(ack)
+                self._serve(i, cmd_r, ack_w)
+                code = 0
+            finally:
+                os._exit(code)
+        self.children[-1][0] = pid
+        os.close(cmd_r)
+        os.close(ack_w)
+
+    def _serve(self, i, cmd, ack):
+        """A child's loop: fill slice i on each command until the pipe closes."""
+        size = self._COMMAND.size
+        while len(command := os.read(cmd, size)) == size:
+            self._fill(i, *self._COMMAND.unpack(command))
+            os.write(ack, b"\x01")
+
+    def _fill(self, i, j0, paths, stages, last):
+        """Draw the next ``stages`` stages of slice i of the block of ``paths`` paths from j0."""
+        lo, hi = i * paths // self.workers, (i + 1) * paths // self.workers
+        if lo == hi:
+            return
+        if self.streams is None or self.streams.j0 != j0 + lo:
+            self.streams = _PathStreams(self.seed, j0 + lo, hi - lo, self.kind, self.count)
+        self.streams.draw(self.buf[lo:hi, :stages], bool(last))
+
+    def draw(self, j0, paths, stages, last):
+        """The next ``stages`` stages of paths j0 ... j0+paths-1, as buf[:paths, :stages].
+
+        ``last``: no draw follows for these paths.
+        """
+        command = self._COMMAND.pack(j0, paths, stages, last)
+        try:
+            for _, cmd, _ in self.children:
+                os.write(cmd, command)
+            self._fill(0, j0, paths, stages, last)
+            died = any(os.read(ack, 1) != b"\x01" for _, _, ack in self.children)
+        except BrokenPipeError:
+            died = True
+        if died:
+            raise ChildProcessError("a noise-drawing child process exited mid-run")
+        return self.buf[:paths, :stages]
+
+    def close(self):
+        """Close every child's pipes, which ends it, and reap it."""
+        children, self.children = self.children, []
+        for _, cmd, ack in children:
+            os.close(cmd)
+            os.close(ack)
+        for pid, _, _ in children:
+            if pid is not None:
+                try:
+                    os.waitpid(pid, 0)
+                except ChildProcessError:
+                    pass
+
+
 def _stage_block_size(horizon, width):
     # Depends only on (horizon, n + r): the draw partition is part of the
     # reproducibility contract and must not vary with ensemble size.
@@ -315,21 +441,21 @@ def _matmul(a, b, out=None, plus_zero=True):
     return out
 
 
-def _simulate_block(model, cfg, steps, X, buf, aborted, j0):
-    """Simulate paths j0, j0+1, ... into the stage-major X, drawing into ``buf``; return who survives."""
+def _simulate_block(model, cfg, steps, X, noise, aborted, j0):
+    """Simulate paths j0, j0+1, ... into the stage-major X, drawing through ``noise``; return who survives."""
     n = model.n
     AT, BT, sxT, sbxT, sgT = steps
     policy = cfg.input_policy
     horizon = cfg.horizon
-    bp, sb, width = buf.shape
-    streams = _PathStreams(cfg.seed, j0, bp, cfg.noise_kind, sb * width)
+    bp = X.shape[1]
+    _, sb, width = noise.buf.shape
 
     x = X[0]
     x[...] = cfg.x0
     # A product and a scratch array, reused every stage.
     prod, tmp = np.empty_like(x), np.empty_like(x)
     # Sign bytes: a tile of stages copied stage-major, and one stage as doubles.
-    row = np.empty((bp, width)) if buf.dtype == np.uint8 else None
+    row = np.empty((bp, width)) if noise.buf.dtype == np.uint8 else None
     tile = None if row is None else np.empty((TILE_STAGES, bp, width), dtype=np.uint8)
     alive = np.ones(bp, dtype=bool)
     all_alive = True
@@ -337,8 +463,7 @@ def _simulate_block(model, cfg, steps, X, buf, aborted, j0):
     with np.errstate(over="ignore", invalid="ignore"):
         for k0 in range(0, horizon, sb):
             k1 = min(k0 + sb, horizon)
-            draws = buf[:, : k1 - k0]
-            streams.draw(draws, last=k1 == horizon)
+            draws = noise.draw(j0, bp, k1 - k0, last=k1 == horizon)
             for k in range(k0, k1):
                 ks = k - k0
                 if row is None:
@@ -374,7 +499,7 @@ def _simulate_block(model, cfg, steps, X, buf, aborted, j0):
     return alive
 
 
-def simulate_paths(model, cfg, sinks=()):
+def simulate_paths(model, cfg, sinks=(), threads=1):
     """Sample an ensemble of CSVIU trajectories, one path block at a time.
 
     x_{k+1} = A x_k + B l_k + (sigma_x + sigma_bar_x diag(|x_k|)) eps_k
@@ -393,13 +518,21 @@ def simulate_paths(model, cfg, sinks=()):
         ok its survival mask; neither outlives the call), and ``close()``
         runs after the last block.  With no sinks the whole ensemble X is
         kept instead.
+    threads : int, optional
+        Processes that draw each block's noise: the calling process and
+        up to threads - 1 forked children, at most one per CPU and one
+        per path of a block.  Every child is reaped before the call
+        returns or raises.  No result depends on it.
 
     Raises
     ------
     ValueError
-        If what the run holds would not fit in physical memory (nothing
-        is allocated): the ensemble X and one noise buffer without sinks;
-        the block buffers and per-path results with them.
+        If threads is not a positive integer, or if what the run holds
+        would not fit in physical memory (nothing is allocated and
+        nothing forked): the ensemble X and one noise buffer without
+        sinks; the block buffers and per-path results with them.
+    ChildProcessError
+        If a drawing child exits before the run ends.
 
     Returns
     -------
@@ -413,6 +546,8 @@ def simulate_paths(model, cfg, sinks=()):
         raise DimensionError(f"x0 must have length n={model.n}, got {cfg.x0.shape}")
     if model.B is None and not isinstance(cfg.input_policy, ZeroInput):
         raise ValueError("input_policy requires a model with m > 0")
+    if int(threads) != threads or threads < 1:
+        raise ValueError("threads must be a positive integer")
 
     n_paths, horizon, n = cfg.n_paths, cfg.horizon, model.n
     width = n + model.r
@@ -435,16 +570,19 @@ def simulate_paths(model, cfg, sinks=()):
                          "lower --paths or --horizon")
     steps = tuple(None if M is None else np.ascontiguousarray(M.T)
                   for M in (model.A, model.B, model.sigma_x, model.sigma_bar_x, model.sigma))
-    buf = np.empty((block, sb, width), dtype=noise_type)
     X = np.empty((horizon + 1, block if sinks else n_paths, n))
     ok = np.ones(n_paths, dtype=bool)
     aborted = []
-    for j0 in range(0, n_paths, PATH_BLOCK):
-        j1 = min(j0 + PATH_BLOCK, n_paths)
-        Xj = X[:, : j1 - j0] if sinks else X[:, j0:j1]
-        ok[j0:j1] = _simulate_block(model, cfg, steps, Xj, buf[: j1 - j0], aborted, j0)
-        for sink in sinks:
-            sink.add_block(j0, Xj, ok[j0:j1])
+    noise = _NoiseBlocks(cfg, (block, sb, width), noise_type, _draw_processes(threads, block))
+    try:
+        for j0 in range(0, n_paths, PATH_BLOCK):
+            j1 = min(j0 + PATH_BLOCK, n_paths)
+            Xj = X[:, : j1 - j0] if sinks else X[:, j0:j1]
+            ok[j0:j1] = _simulate_block(model, cfg, steps, Xj, noise, aborted, j0)
+            for sink in sinks:
+                sink.add_block(j0, Xj, ok[j0:j1])
+    finally:
+        noise.close()
     for sink in sinks:
         sink.close()
     kept = None if sinks else X.transpose(1, 0, 2)

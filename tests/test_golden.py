@@ -62,13 +62,13 @@ MODELS = ("scalar", "n3", "n10")
 CASES = [f"{model}-{command}" for model in MODELS for command in COMMANDS]
 
 
-def replay(case, out_dir):
-    """Run one case from inside GOLDEN; return (exit code, stdout, decay.csv or None)."""
+def replay(case, out_dir, extra=()):
+    """Run one case, its argv followed by ``extra``, from inside GOLDEN; return (exit code, stdout, decay.csv or None)."""
     model, command = case.split("-", 1)
     argv = [
         str(out_dir) if a == "OUT" else a.format(model=f"models/{model}.json")
         for a in COMMANDS[command]
-    ]
+    ] + list(extra)
     stdout = io.StringIO()
     cwd = os.getcwd()
     os.chdir(GOLDEN)
@@ -85,6 +85,16 @@ def replay(case, out_dir):
 def test_report_is_byte_identical(case, tmp_path, monkeypatch):
     monkeypatch.delenv("CSVIU_THREADS", raising=False)
     code, stdout, decay = replay(case, tmp_path)
+    assert code == 0
+    assert stdout == (GOLDEN / f"{case}.stdout").read_text()
+    stored_decay = GOLDEN / f"{case}.decay.csv"
+    assert decay == (stored_decay.read_text() if stored_decay.exists() else None)
+
+
+@pytest.mark.parametrize("case", [case for case in CASES if "-simulate-" in case])
+def test_drawing_processes_leave_reports_byte_identical(case, tmp_path):
+    # Two processes draw the noise; the stored files, written by one, still match.
+    code, stdout, decay = replay(case, tmp_path, ["--threads", "2"])
     assert code == 0
     assert stdout == (GOLDEN / f"{case}.stdout").read_text()
     stored_decay = GOLDEN / f"{case}.decay.csv"

@@ -2,6 +2,9 @@
 estimators, the pathwise energy-representation check, and the per-stage
 decay diagnostic."""
 
+import os
+import signal
+
 import numpy as np
 import pytest
 
@@ -135,8 +138,8 @@ class TestSimConfig:
         class Accepted(Exception):
             pass
 
-        def accepted(model, cfg, steps, X, buf, aborted, j0):
-            assert buf.dtype == np.uint8 and buf.nbytes == draws
+        def accepted(model, cfg, steps, X, noise, aborted, j0):
+            assert noise.buf.dtype == np.uint8 and noise.buf.nbytes == draws
             raise Accepted
 
         monkeypatch.setattr(sim, "_simulate_block", accepted)
@@ -341,6 +344,176 @@ class TestRademacherDraws:
         ens = simulate_paths(scalar_model, cfg)
         for j, path in zip(TestReproducibility.PATHS, expected):
             assert np.array_equal(ens.X[j, :, 0], path), j
+
+
+def odd_width_model():
+    # n + r = 3: an odd stage count per stage block gives an odd draw count.
+    return CsviuModel(n=1, r=2, p=1, m=0, A=[[0.5]], sigma_x=[[0.25]],
+                      sigma_bar_x=[[0.375]], sigma=[[0.25, 0.5]], C=[[1.0]])
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children simulate_paths forks in this test, oldest first."""
+    pids = []
+    fork = os.fork
+
+    def recording():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(sim.os, "fork", recording)
+    return pids
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set the number of CPUs this process may run on."""
+    def set_cpus(count):
+        monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: set(range(count)))
+    return set_cpus
+
+
+class TestDrawProcesses:
+    """simulate_paths(threads=N) fills each stage block's rows in up to N
+    processes: X, ok and the aborts are the same bits for every N, and no
+    child outlives the call."""
+
+    @pytest.mark.parametrize("make, sb, n_paths, horizon, kind", [
+        # Five stages of three draws per stage block: the Rademacher half
+        # word carries across stage blocks on both sides of every slice
+        # seam; the last path block's two paths leave one slice empty.
+        (odd_width_model, 5, sim.PATH_BLOCK + 2, 23, "gaussian"),
+        (odd_width_model, 5, sim.PATH_BLOCK + 2, 23, "rademacher"),
+        (odd_width_model, 5, sim.PATH_BLOCK + 2, 23, "uniform"),
+        (explosive_model, 7, sim.PATH_BLOCK + 50, 110, "gaussian"),
+    ])
+    def test_split_keeps_every_bit(self, monkeypatch, cpus, forks, make, sb, n_paths,
+                                   horizon, kind):
+        model = make()
+        width = model.n + model.r
+        monkeypatch.setattr(sim, "STAGE_BLOCK_ELEMENTS", sim.PATH_BLOCK * width * sb)
+        assert sim._stage_block_size(horizon, width) == sb < horizon
+        cpus(4)
+        cfg = SimConfig(n_paths=n_paths, horizon=horizon, seed=2**64 - 5, noise_kind=kind,
+                        x0=[1.0])
+        runs = {threads: simulate_paths(model, cfg, threads=threads) for threads in (1, 2, 3)}
+        assert len(forks) == 0 + 1 + 2
+        reference = runs[1]
+        for threads in (2, 3):
+            run = runs[threads]
+            assert np.array_equal(run.X.view(np.uint64), reference.X.view(np.uint64)), threads
+            assert np.array_equal(run.ok, reference.ok), threads
+            assert run.aborted == reference.aborted, threads
+        if make is explosive_model:
+            assert not reference.ok[: sim.PATH_BLOCK].all()
+            assert not reference.ok[sim.PATH_BLOCK :].all()
+        assert_no_children()
+
+    @pytest.mark.parametrize("count, threads, n_paths, children", [
+        (3, 1000, 50, 2),  # one process per CPU
+        (3, 1000, 2, 1),  # one per path of a block
+        (3, 1000, 1, 0),  # one path: nothing to split
+        (1, 2, 50, 0),
+        (3, 1, 50, 0),
+    ])
+    def test_processes_are_capped(self, scalar_model, cpus, forks, count, threads,
+                                  n_paths, children):
+        cpus(count)
+        cfg = SimConfig(n_paths=n_paths, horizon=3, seed=1, x0=[1.0])
+        reference = simulate_paths(scalar_model, cfg).X
+        assert forks == []
+        assert np.array_equal(simulate_paths(scalar_model, cfg, threads=threads).X, reference)
+        assert len(forks) == children
+        assert_no_children()
+
+    def test_without_fork_the_run_is_serial(self, scalar_model, monkeypatch):
+        cfg = SimConfig(n_paths=300, horizon=5, seed=2, x0=[1.0])
+        reference = simulate_paths(scalar_model, cfg).X
+        monkeypatch.delattr(sim.os, "fork")
+        assert np.array_equal(simulate_paths(scalar_model, cfg, threads=2).X, reference)
+
+    @pytest.mark.parametrize("threads", [0, -1, 1.5])
+    def test_threads_must_be_a_positive_integer(self, scalar_model, threads):
+        cfg = SimConfig(n_paths=4, horizon=2, seed=0)
+        with pytest.raises(ValueError, match="threads"):
+            simulate_paths(scalar_model, cfg, threads=threads)
+
+    def test_refused_run_forks_nothing(self, scalar_model, monkeypatch, cpus):
+        # As test_noise_buffer_counts_toward_the_memory_check, at threads=2:
+        # the shared noise buffer counts, and nothing is forked before the
+        # check refuses the run.
+        paths, horizon, width = sim.PATH_BLOCK, 5000, 2
+        ensemble = paths * (horizon + 1) * 8
+        buffer = paths * sim._stage_block_size(horizon, width) * width * 8
+        pages = (ensemble + buffer // 2) // 4096
+        monkeypatch.setattr(sim.os, "sysconf",
+                            {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": pages}.__getitem__)
+
+        def forbidden():
+            raise AssertionError("forked before the memory check")
+
+        monkeypatch.setattr(sim.os, "fork", forbidden)
+        cpus(2)
+        cfg = SimConfig(n_paths=paths, horizon=horizon, seed=0, x0=[0.0])
+        with pytest.raises(ValueError, match="--paths or --horizon"):
+            simulate_paths(scalar_model, cfg, threads=2)
+
+    def test_no_child_outlives_a_run(self, scalar_model, cpus, forks):
+        cpus(2)
+        feed = sim.PathFeed(np.eye(1), [sim.AbelSums(0.9, 4)])
+        simulate_paths(scalar_model, SimConfig(n_paths=sim.PATH_BLOCK + 1, horizon=4, seed=3),
+                       [feed], threads=2)
+        assert len(forks) == 1
+        assert_no_children()
+
+    def test_no_child_outlives_a_failing_sink(self, scalar_model, cpus, forks):
+        class Failing:
+            def add_block(self, j0, X, ok):
+                raise RuntimeError("the sink failed")
+
+            def close(self):
+                pass
+
+        cpus(2)
+        cfg = SimConfig(n_paths=2 * sim.PATH_BLOCK, horizon=4, seed=3)
+        with pytest.raises(RuntimeError, match="the sink failed"):
+            simulate_paths(scalar_model, cfg, [Failing()], threads=2)
+        assert len(forks) == 1
+        assert_no_children()
+
+    def test_a_killed_child_fails_the_run(self, scalar_model, cpus, forks):
+        # The child dies after the first path block; drawing the second
+        # must raise, not wait, and the dead child is reaped.
+        class Killer:
+            def add_block(self, j0, X, ok):
+                os.kill(forks[0], signal.SIGKILL)
+
+            def close(self):
+                pass
+
+        def hung(signum, frame):
+            raise AssertionError("simulate_paths waited on a dead child")
+
+        cpus(2)
+        cfg = SimConfig(n_paths=3 * sim.PATH_BLOCK, horizon=4, seed=3)
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        try:
+            with pytest.raises(ChildProcessError, match="exited mid-run"):
+                simulate_paths(scalar_model, cfg, [Killer()], threads=2)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert len(forks) == 1
+        assert_no_children()
 
 
 class TestNoiseValidity:
