@@ -314,6 +314,13 @@ def _draw_processes(threads, rows):
     return max(1, min(threads, cpus, rows))
 
 
+def _mapped(shape, dtype, flags):
+    """A fresh anonymous mapping as an array, its pages faulted in at once where the system can."""
+    nbytes = int(np.prod(shape)) * dtype.itemsize
+    flags |= getattr(mmap, "MAP_POPULATE", 0)
+    return np.frombuffer(mmap.mmap(-1, nbytes, flags=flags), dtype).reshape(shape)
+
+
 class _NoiseBlocks:
     """The noise buffer of a path block, filled a stage block at a time by ``workers`` processes.
 
@@ -321,8 +328,9 @@ class _NoiseBlocks:
     slices.  Slice i > 0 is filled by a forked child through its own
     _PathStreams, which keep that slice's saved states and Rademacher
     carry; this process fills slice 0.  With more than one worker the
-    buffer is one anonymous shared mapping, and each fill is a command
-    on a child's pipe answered by one byte on another.  A child runs
+    buffer is one anonymous shared mapping, each fill is a command on a
+    child's pipe answered by one byte on another, and private() makes
+    the arrays the children must not share.  A child runs
     only this RNG code and leaves through os._exit, when its command
     pipe closes or anything fails; ``close()`` closes the pipes and
     reaps every child.  With one worker nothing is forked and the
@@ -337,8 +345,7 @@ class _NoiseBlocks:
         if workers == 1:
             self.buf = np.empty(shape, dtype)
         else:
-            nbytes = shape[0] * shape[1] * shape[2] * dtype.itemsize
-            self.buf = np.frombuffer(mmap.mmap(-1, nbytes), dtype).reshape(shape)
+            self.buf = _mapped(shape, dtype, mmap.MAP_SHARED)
         self.streams = None
         # [pid, command write end, ack read end] per child.
         self.children = []
@@ -348,6 +355,17 @@ class _NoiseBlocks:
         except BaseException:
             self.close()
             raise
+
+    def private(self, shape):
+        """An uninitialised array of doubles for this process alone.
+
+        With children it is a fresh private mapping made after they were
+        forked.  They never map it, so writing it copies no page, as
+        writing memory that was resident at the fork would.
+        """
+        if self.workers == 1:
+            return np.empty(shape)
+        return _mapped(shape, np.dtype(np.float64), mmap.MAP_PRIVATE)
 
     def _fork(self, i):
         cmd_r, cmd_w = os.pipe()
@@ -570,11 +588,11 @@ def simulate_paths(model, cfg, sinks=(), threads=1):
                          "lower --paths or --horizon")
     steps = tuple(None if M is None else np.ascontiguousarray(M.T)
                   for M in (model.A, model.B, model.sigma_x, model.sigma_bar_x, model.sigma))
-    X = np.empty((horizon + 1, block if sinks else n_paths, n))
     ok = np.ones(n_paths, dtype=bool)
     aborted = []
     noise = _NoiseBlocks(cfg, (block, sb, width), noise_type, _draw_processes(threads, block))
     try:
+        X = noise.private((horizon + 1, block if sinks else n_paths, n))
         for j0 in range(0, n_paths, PATH_BLOCK):
             j1 = min(j0 + PATH_BLOCK, n_paths)
             Xj = X[:, : j1 - j0] if sinks else X[:, j0:j1]
