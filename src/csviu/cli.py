@@ -416,7 +416,7 @@ def cmd_simulate(args):
     cesaro = CesaroMeans(cfg.horizon) if args.alpha == 1.0 else None
     representation = (RepresentationCheck(model, cfg, args.alpha, Qm)
                       if args.validate_representation else None)
-    stages = StageStats(cfg.horizon) if args.check_decay else None
+    stages = StageStats(cfg.horizon, cfg.x0, Qm) if args.check_decay else None
     feed = PathFeed(Qm, [r for r in (abel, cesaro, representation, stages) if r is not None])
     dump = _TrajectoryDump(args.output_dir, model) if args.dump else None
     try:

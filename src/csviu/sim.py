@@ -744,9 +744,14 @@ class CesaroMeans:
 
 
 class StageStats:
-    """Reducer: stagewise ensemble means and standard errors of ||x_k||_Q^2."""
+    """Reducer: stagewise ensemble means and standard errors of ||x_k||_Q^2.
 
-    def __init__(self, kappa):
+    Stage 0 is exact: every path starts at x0, so its mean is x0^T Q x0
+    and its standard error 0.
+    """
+
+    def __init__(self, kappa, x0, Q):
+        self.q0 = float(x0 @ Q @ x0)
         self.total = np.zeros(kappa + 1)
         self.sq_dev = np.zeros(kappa + 1)
         self.n = 0
@@ -773,6 +778,7 @@ class StageStats:
         means = self.total / n
         _require_finite_means(means)
         ses = np.sqrt(self.sq_dev / (n - 1) / n) if n > 1 else np.zeros(self.total.shape)
+        means[0], ses[0] = self.q0, 0.0
         return means, ses
 
 
@@ -872,7 +878,8 @@ def per_stage_energy(ensemble, Q):
     -------
     (means, std_errors) : ndarray of shape (horizon+1,), each
     """
-    return _replay(ensemble, Q, StageStats(ensemble.horizon))
+    Qm = as_weight(Q, ensemble.model.n)
+    return _replay(ensemble, Qm, StageStats(ensemble.horizon, ensemble.cfg.x0, Qm))
 
 
 def validate_representation(ensemble, alpha, Q, Phi=None, gamma=0.0):

@@ -679,6 +679,21 @@ class TestEstimatorAccuracy:
         assert ses[1:] == pytest.approx(expect[1:], rel=1e-12)
         assert ses[0] == 0.0
 
+    def test_stage_zero_is_exact(self):
+        # Every path starts at x0: the stage-0 mean is x0^T Q x0 itself, not
+        # a sum of 4101 equal values that rounds, and its standard error 0.
+        model = CsviuModel(n=3, r=2, p=1, m=0,
+                           A=[[0.5, 0.125, 0.0], [0.0, 0.25, 0.125], [0.125, 0.0, 0.375]],
+                           sigma_x=0.125 * np.eye(3), sigma_bar_x=0.25 * np.eye(3),
+                           sigma=[[0.25, 0.0], [0.0, 0.5], [0.125, 0.25]], C=[[1.0, 0.0, 0.0]])
+        x0 = np.array([0.1, -0.7, 0.3])
+        Q = [[2.0, 0.3, 0.0], [0.3, 1.1, 0.2], [0.0, 0.2, 0.7]]
+        cfg = SimConfig(n_paths=sim.PATH_BLOCK + 5, horizon=2, seed=5, x0=x0)
+        means, ses = per_stage_energy(simulate_paths(model, cfg), Q)
+        assert means[0] == x0 @ np.array(Q) @ x0
+        assert ses[0] == 0.0
+        assert ses[1] > 0.0
+
     def test_iid_unit_variance_long_run_average(self):
         model = scalar_variant(a=0.0, sx=0.0, sbar=0.0, sg=1.0)
         cfg = SimConfig(n_paths=20_000, horizon=20, seed=83, x0=[0.0])

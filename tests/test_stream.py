@@ -7,7 +7,9 @@ whole-ensemble estimators the stream replaced, kept as they were but for
 two sums the stream forms differently, written out here in its form:
 x_k^T Q x_k, evaluated stage by stage as (x_k Q) . x_k, and the
 representation's cross term <v, noise>, summed per path by
-einsum("pi,pi->p").  The streamed results, and the
+einsum("pi,pi->p").  The per-stage oracle also reports stage 0 exactly,
+x0^T Q x0 with standard error 0, as the reducer does.  The streamed
+results, and the
 Ensemble-taking estimators that replay a kept X through the same
 reducers, must equal them bit for bit; only the representation check at
 n >= 5 is compared to 1e-12 relative, because there BLAS matrix products
@@ -105,6 +107,8 @@ def oracle_per_stage(ensemble, Q):
         n += m
     means = total / n
     ses = np.sqrt(sq_dev / (n - 1) / n)
+    x0 = ensemble.cfg.x0
+    means[0], ses[0] = x0 @ Qm @ x0, 0.0
     return means, ses
 
 
@@ -188,7 +192,7 @@ def streamed(model, cfg, Q, alpha):
     reducers = {
         "abel": sim.AbelSums(alpha, cfg.horizon),
         "cesaro": sim.CesaroMeans(cfg.horizon),
-        "stages": sim.StageStats(cfg.horizon),
+        "stages": sim.StageStats(cfg.horizon, cfg.x0, as_weight(Q, model.n)),
         "representation": sim.RepresentationCheck(model, cfg, alpha, as_weight(Q, model.n)),
     }
     ensemble = simulate_paths(model, cfg, [sim.PathFeed(as_weight(Q, model.n),
