@@ -330,11 +330,11 @@ class _NoiseBlocks:
     carry; this process fills slice 0.  With more than one worker the
     buffer is one anonymous shared mapping, each fill is a command on a
     child's pipe answered by one byte on another, and private() makes
-    the arrays the children must not share.  A child runs
-    only this RNG code and leaves through os._exit, when its command
-    pipe closes or anything fails; ``close()`` closes the pipes and
-    reaps every child.  With one worker nothing is forked and the
-    buffer is an ordinary array.
+    the arrays the children must not share.  A child runs only this RNG
+    code and leaves through os._exit, when its command pipe closes or
+    anything fails; ``close()`` closes the pipes and reaps every child.
+    With one worker nothing is forked and the buffer is an ordinary
+    array.
     """
 
     _COMMAND = struct.Struct("4q")  # j0, paths, stages, last
@@ -405,7 +405,7 @@ class _NoiseBlocks:
             return
         if self.streams is None or self.streams.j0 != j0 + lo:
             self.streams = _PathStreams(self.seed, j0 + lo, hi - lo, self.kind, self.count)
-        self.streams.draw(self.buf[lo:hi, :stages], bool(last))
+        self.streams.draw(self.buf[lo:hi, :stages], last)
 
     def draw(self, j0, paths, stages, last):
         """The next ``stages`` stages of paths j0 ... j0+paths-1, as buf[:paths, :stages].
