@@ -78,6 +78,7 @@ _NUMERICAL_ERRORS = (
     SingularOperatorError,
     InternalInconsistencyError,
     np.linalg.LinAlgError,
+    ChildProcessError,
 )
 
 SWEEP_COLUMNS = [
@@ -467,8 +468,16 @@ def _add_common(sub):
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors are one line, like every other error."""
+
+    def error(self, message):
+        print(f"error: {message}", file=sys.stderr)
+        raise SystemExit(2)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="csviu",
         description=(
             "Stability verdicts, discounted/long-run quadratic norms, and "

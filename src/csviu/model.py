@@ -71,8 +71,18 @@ def as_weight(Q, n, what="Q"):
 
 
 def energy_weight(model, Q=None):
-    """The energy weight as a symmetric (n, n) ndarray: Q, or C^T C when Q is None."""
-    return as_weight(Q, model.n) if Q is not None else model.C.T @ model.C
+    """The energy weight as a symmetric (n, n) ndarray: Q, or C^T C when Q is None.
+
+    Raises ValueError naming C when C^T C is not a finite double.
+    """
+    if Q is not None:
+        return as_weight(Q, model.n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        CtC = model.C.T @ model.C
+    if not np.isfinite(CtC).all():
+        raise ValueError("the default weight C^T C is not a finite double; "
+                         "scale down C or give --Q")
+    return CtC
 
 
 def _dimension(doc, key):

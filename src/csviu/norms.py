@@ -9,8 +9,8 @@ All quantities here come from L, the solution of (I - L_alpha)(U) = Q:
   geometric decay bound:  2 alpha^{-k} (||x0||_L^2 + <v_bar, |x0|>)
 
 norm_report solves for L once per (model, alpha, Q), and
-vanishing_discount_sweep solves at every alpha of its grid in one pass
-of the solver's Stein-SMW core; every other function here reads the
+vanishing_discount_sweep once per distinct solvable alpha of its grid,
+each through solve_lyapunov; every other function here reads the
 NormReport or the rows they return.
 
 These formulas are exact for the second-moment recursion they are
@@ -29,7 +29,6 @@ from .errors import DomainError, NotStableError, SingularOperatorError
 from .model import as_weight, energy_weight
 from .ops import op_W_d, op_varpi, spectral_radius, unit_radius
 from .solver import (
-    _direct_solutions,
     _require_finite,
     critical_alpha,
     max_abs,
@@ -79,10 +78,6 @@ class NormReport:
     v_bar_conservative: np.ndarray
     energy_offset_g0: float | None
     counter_bound: dict | None
-
-
-def _solve(model, alpha, Q):
-    return solve_lyapunov(model, alpha, energy_weight(model, Q), method="direct")
 
 
 def _require_alpha_A_stable(report, quantity):
@@ -252,9 +247,9 @@ def vanishing_discount_sweep(model, Q=None, alphas=None):
     gap (1-alpha)*[Abel sum] - varpi(L_1) = alpha varpi(L_alpha) -
     varpi(L_1), and the distance ||L_alpha - L_1||_inf.  Unsolvable
     entries are marked not_stable rather than aborting the sweep; a row
-    that overflows a double raises DomainError.  Every solvable alpha of
-    the grid, and alpha = 1 for L_1, is solved once, all in one pass;
-    each row is bit for bit what a solve at its alpha alone gives.
+    that overflows a double raises DomainError.  Every distinct solvable
+    alpha of the grid, and alpha = 1 for L_1, is solved once through
+    solve_lyapunov.
 
     Returns
     -------
@@ -267,8 +262,8 @@ def vanishing_discount_sweep(model, Q=None, alphas=None):
     unit = unit_radius(model)
     solvable = [alpha for alpha in dict.fromkeys([*alphas, 1.0])
                 if radius_below_one(alpha * unit)]
-    Qm = as_weight(energy_weight(model, Q), model.n)
-    solutions = dict(zip(solvable, _direct_solutions(model, solvable, Qm)))
+    Qm = energy_weight(model, Q)
+    solutions = {alpha: solve_lyapunov(model, alpha, Qm) for alpha in solvable}
     L1 = solutions[1.0].L if 1.0 in solutions else None
     varpi_L1 = None if L1 is None else op_varpi(model, L1)
 
@@ -307,8 +302,7 @@ def norm_report(model, alpha, Q=None):
     alpha : float
     Q : array_like, optional
     """
-    solution = _solve(model, alpha, Q)
-    Lm = solution.L
+    Lm = solve_lyapunov(model, alpha, energy_weight(model, Q)).L
     varpi_L = op_varpi(model, Lm)
     vb = v_bar_bound(model, alpha, Lm)
 

@@ -18,11 +18,12 @@ equation U - alpha A^T U A = C, the Sherman-Morrison-Woodbury identity
     K(alpha)_ij = (sigma_bar_x^T S_alpha(E_jj) sigma_bar_x)_ii.
 
 Smith's squared iteration (Smith, SIAM J. Appl. Math. 1968) sums the
-Stein series, numpy matmuls alone, and one SMW step gives K(alpha) and
-U.  K(alpha) is also the matrix whose radius criterion (v) tests, so
-csviu.stability reads (iii) and (v) from the same step at every alpha;
-for the CLI's analyze at a passing verdict, that one step over
-[I, Q, E_11, ..., E_nn] also gives the solution L.
+Stein series, numpy matmuls alone, and one SMW step at one alpha gives
+K(alpha) and U for a stack of right-hand sides.  That core has two
+callers: solve_lyapunov, once per alpha, and csviu.stability, which
+reads criteria (iii) and (v) from the same step (K(alpha) is the matrix
+whose radius (v) tests) and, for the CLI's analyze at a passing verdict,
+the solution L as well.
 """
 
 from __future__ import annotations
@@ -120,23 +121,22 @@ def _smith_sums(model, alpha, stack):
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow ends in the callers' finiteness checks
-def _smw_solve(model, alphas, C, stein_sums=_smith_sums):
-    """Solve (I - L_alpha)(U) = C_i for a stack of right-hand sides at every alpha.
+def _smw_solve(model, alpha, C, stein_sums=_smith_sums):
+    """Solve (I - L_alpha)(U) = C_i at one alpha for a stack of right-hand sides.
 
-    The core of the direct solve (see the module docstring).  For each
-    alpha, ``stein_sums(model, alpha, stack)`` sums the Stein series over
-    the stack [C_1, ..., C_m, E_11, ..., E_nn] at once, or gives None
-    where I - alpha A_conj is singular; one SMW step then gives K(alpha)
-    and U.  Each C_i is divided by its largest absolute entry first and
-    the result scaled back, so a right-hand side near the largest double
-    does not overflow on the way.  Every alpha is summed on its own, so a
-    solve at one alpha gives the same bits in any list.  In the stable
-    case every term is PSD and d >= 0, so nothing cancels.
+    The core of the direct solve (see the module docstring).
+    ``stein_sums(model, alpha, stack)`` sums the Stein series over the
+    stack [C_1, ..., C_m, E_11, ..., E_nn] at once, or gives None where
+    I - alpha A_conj is singular; one SMW step then gives K(alpha) and U.
+    Each C_i is divided by its largest absolute entry first and the
+    result scaled back, so a right-hand side near the largest double does
+    not overflow on the way.  In the stable case every term is PSD and
+    d >= 0, so nothing cancels.
 
     Parameters
     ----------
     model : CsviuModel
-    alphas : sequence of float
+    alpha : float
     C : ndarray
         Stack (m, n, n) of symmetric right-hand sides.
     stein_sums : callable
@@ -144,34 +144,29 @@ def _smw_solve(model, alphas, C, stein_sums=_smith_sums):
 
     Returns
     -------
-    list of (ndarray or None, ndarray or None)
-        Per alpha, the symmetric solutions (m, n, n), or None when
-        I - alpha K(alpha) or I - alpha A_conj is singular, and K(alpha),
-        or None when I - alpha A_conj is singular.
+    (ndarray or None, ndarray or None)
+        The symmetric solutions (m, n, n), or None when I - alpha K(alpha)
+        or I - alpha A_conj is singular, and K(alpha), or None when
+        I - alpha A_conj is singular.
     """
     n, m, sbx = model.n, len(C), model.sigma_bar_x
     scale = np.abs(C).max(axis=(1, 2), initial=0.0)
     scale[scale == 0.0] = 1.0
     eye = np.eye(n)
-    stack = np.concatenate([C / scale[:, None, None], eye[:, :, None] * eye[:, None, :]])
-    results = []
-    for alpha in alphas:
-        X = stein_sums(model, alpha, stack)
-        if X is None:
-            results.append((None, None))
-            continue
-        S_C, S_E = X[:m], X[m:]
-        # K_ij = (sbx^T S_E[j] sbx)_ii and b_ri = (sbx^T S_C[r] sbx)_ii
-        K = np.einsum("ki,jki->ij", sbx, S_E @ sbx)
-        b = np.einsum("ki,rki->ir", sbx, S_C @ sbx)
-        try:
-            d = np.linalg.solve(eye - alpha * K, b)
-        except np.linalg.LinAlgError:
-            results.append((None, K))
-            continue
-        U = S_C + alpha * np.tensordot(d.T, S_E, axes=1)
-        results.append(((U + U.transpose(0, 2, 1)) * (scale[:, None, None] / 2.0), K))
-    return results
+    X = stein_sums(model, alpha, np.concatenate([C / scale[:, None, None],
+                                                 eye[:, :, None] * eye[:, None, :]]))
+    if X is None:
+        return None, None
+    S_C, S_E = X[:m], X[m:]
+    # K_ij = (sbx^T S_E[j] sbx)_ii and b_ri = (sbx^T S_C[r] sbx)_ii
+    K = np.einsum("ki,jki->ij", sbx, S_E @ sbx)
+    b = np.einsum("ki,rki->ir", sbx, S_C @ sbx)
+    try:
+        d = np.linalg.solve(eye - alpha * K, b)
+    except np.linalg.LinAlgError:
+        return None, K
+    U = S_C + alpha * np.tensordot(d.T, S_E, axes=1)
+    return (U + U.transpose(0, 2, 1)) * (scale[:, None, None] / 2.0), K
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow ends in _require_finite instead
@@ -193,24 +188,6 @@ def _checked_solution(model, alpha, Qm, U, method, iterations, radius):
         iterations=iterations,
         spectral_radius=radius,
     )
-
-
-def _direct_solutions(model, alphas, Qm):
-    """The direct solve at every alpha of a list, all from one pass of :func:`_smw_solve`.
-
-    Every alpha must already pass the radius test, r_sigma(L_alpha) < 1;
-    then sqrt(alpha) r_sigma(A) < 1 as well, and the Stein series
-    converges.  Each solution carries the checks of :func:`solve_lyapunov`.
-    """
-    if any(alpha < 0 for alpha in alphas):
-        raise ValueError("alpha must be nonnegative")
-    unit = unit_radius(model)
-    solutions = []
-    for alpha, (U, _) in zip(alphas, _smw_solve(model, alphas, Qm[None])):
-        if U is None:
-            raise SingularOperatorError(f"(I - L_alpha) is singular at alpha = {alpha:.6g}")
-        solutions.append(_checked_solution(model, alpha, Qm, U[0], "direct", 0, alpha * unit))
-    return solutions
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow ends in _require_finite instead
@@ -258,7 +235,10 @@ def solve_lyapunov(model, alpha, Q, method="direct", tol=1e-12, max_iter=100000)
         )
 
     if method == "direct":
-        return _direct_solutions(model, [alpha], Qm)[0]
+        U, _ = _smw_solve(model, alpha, Qm[None])
+        if U is None:
+            raise SingularOperatorError(f"(I - L_alpha) is singular at alpha = {alpha:.6g}")
+        U, iterations = U[0], 0
     elif method == "fixed_point":
         U, iterations = Qm, None
         for it in range(1, max_iter + 1):

@@ -159,7 +159,7 @@ def _analysis(model, alpha, Qm=None):
     stein_sums = _smith_sums if crit_v_part1 else _dense_stein_sums
     solve_Q = Qm is not None and passing
     stack = np.stack([np.eye(model.n), Qm]) if solve_Q else np.eye(model.n)[None]
-    [(U, K)] = _smw_solve(model, [alpha], stack, stein_sums)
+    U, K = _smw_solve(model, alpha, stack, stein_sums)
     crit_iii = U is not None and float(np.linalg.eigvalsh(U[0])[0]) > 0.0
     resolvent_gain = None if K is None else spectral_radius(K)
     # r < 1/alpha, i.e. alpha * r strictly below one; alpha = 0 is trivially true.

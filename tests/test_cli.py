@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 from referencing import Registry, Resource
 
-from csviu import check_stability, cli, load_model, norms, ops, solve_lyapunov, solver, stability
+from csviu import (check_stability, cli, load_model, norms, ops, sim, solve_lyapunov, solver,
+                   stability)
 from conftest import make_random_model
-from test_sim import exact_second_moments
+from test_sim import assert_no_children, cpus, forks, exact_second_moments  # noqa: F401
 
 N3_MODEL = str(Path(__file__).parent / "golden" / "models" / "n3.json")
 
@@ -38,6 +39,8 @@ BOOL_A_DOC = dict(SCALAR_DOC, A=[[True]])
 # finite entries whose r_sigma(L_1) overflows a double
 HUGE_SBAR_DOC = dict(SCALAR_DOC, sigma_bar_x=[[1e200]])
 HUGE_A_DOC = dict(SCALAR_DOC, A=[[1e200]])
+# a finite C whose default weight C^T C overflows
+HUGE_C_DOC = dict(SCALAR_DOC, C=[[1e200]])
 TWO_DIM_DOC = {
     "n": 2, "r": 2, "p": 1,
     "A": [[0.5, 0.1], [0.0, 0.3]],
@@ -67,7 +70,8 @@ def models(tmp_path_factory):
     for name, doc in (("scalar", SCALAR_DOC), ("no_sx", NO_SX_DOC), ("no_sbar", NO_SBAR_DOC),
                       ("explosive", EXPLOSIVE_DOC), ("two_dim", TWO_DIM_DOC),
                       ("loud", LOUD_DOC), ("bool_a", BOOL_A_DOC),
-                      ("huge_sbar", HUGE_SBAR_DOC), ("huge_a", HUGE_A_DOC)):
+                      ("huge_sbar", HUGE_SBAR_DOC), ("huge_a", HUGE_A_DOC),
+                      ("huge_c", HUGE_C_DOC)):
         path = base / f"{name}.json"
         path.write_text(json.dumps(doc))
         paths[name] = str(path)
@@ -237,6 +241,20 @@ class TestExitCodes:
             assert err.count("\n") == 1, (argv, err)
             assert message in err, argv
 
+    @pytest.mark.parametrize("flags", [
+        ["analyze", "--alpha", "0.9"],
+        ["norm", "--alpha", "0.9"],
+        ["sweep"],
+        ["simulate", "--paths", "10", "--horizon", "5", "--seed", "1", "--alpha", "0.9"],
+    ], ids=["analyze", "norm", "sweep", "simulate"])
+    def test_overflowing_default_weight_names_c(self, run, models, flags):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run([flags[0], models["huge_c"], *flags[1:]])
+        assert (code, out, caught) == (2, "", [])
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert "C^T C" in err and "--Q" in err
+
     def test_near_limit_weight_gives_a_finite_report(self, run, models):
         # L = 8.9e307 / 0.694 is finite; every number that --Q = I prints stays finite
         def leaves(value, path=()):
@@ -319,7 +337,17 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2
-        capsys.readouterr()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [["--help"], ["norm", "--help"], ["--version"]])
+    def test_help_and_version_exit_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: csviu") or out == f"csviu {cli.__version__}\n"
 
 
 class TestAnalyzeReport:
@@ -423,35 +451,34 @@ class TestSolveCounts:
         assert "closed_form" in json.loads(out)["estimates"]["abel" if alpha < 1 else "cesaro"]
         assert solves == [alpha]
 
-    @pytest.fixture
-    def passes(self, monkeypatch):
-        alpha_lists = []
-        solve = norms._direct_solutions
-
-        def counting(model, alphas, Qm):
-            alpha_lists.append(list(alphas))
-            return solve(model, alphas, Qm)
-
-        monkeypatch.setattr(norms, "_direct_solutions", counting)
-        return alpha_lists
-
-    def test_default_sweep_solves_each_alpha_once(self, run, models, solves, passes):
-        code, out, _ = run(["sweep", models["scalar"]])
+    def sweep_solvable(self, run, argv):
+        code, out, _ = run(argv)
         assert code == 0
-        grid = [row["alpha"] for row in json.loads(out)["sweep"]]
-        # one pass of the Stein-SMW core, none through solve_lyapunov
-        assert solves == []
-        assert len(passes) == 1
-        assert sorted(passes[0]) == sorted(set(grid))
+        return {row["alpha"] for row in json.loads(out)["sweep"] if row["status"] == "ok"}
+
+    def test_default_sweep_solves_each_alpha_once(self, run, models, solves, smw_calls):
+        solvable = self.sweep_solvable(run, ["sweep", models["scalar"]])
+        assert len(solvable) == 6
+        # through solve_lyapunov, one Stein-SMW step each
+        assert sorted(solves) == sorted(solvable)
+        assert smw_calls == [1] * 6
+
+    def test_sweep_solves_each_distinct_solvable_alpha_once(self, run, models, solves,
+                                                             smw_calls):
+        argv = ["sweep", models["scalar"], "--alphas", "0.9,0.5,0.9,3.0"]
+        assert self.sweep_solvable(run, argv) == {0.5, 0.9}
+        # 3.0 is not stable; alpha = 1 gives L_1
+        assert sorted(solves) == [0.5, 0.9, 1.0]
+        assert smw_calls == [1] * 3
 
     @pytest.fixture
     def smw_calls(self, monkeypatch):
         calls = []
         smw_solve = solver._smw_solve
 
-        def counting(model, alphas, C, *args):
+        def counting(model, alpha, C, *args):
             calls.append(len(C))
-            return smw_solve(model, alphas, C, *args)
+            return smw_solve(model, alpha, C, *args)
 
         for module in (solver, stability):
             monkeypatch.setattr(module, "_smw_solve", counting)
@@ -541,8 +568,8 @@ class TestAnalyzeAgreement:
     def test_singular_capacitance_under_a_passing_verdict_exits_3(self, run, monkeypatch):
         smw_solve = solver._smw_solve
 
-        def singular(model, alphas, C, *args):
-            return [(None, K) for _, K in smw_solve(model, alphas, C, *args)]
+        def singular(model, alpha, C, *args):
+            return None, smw_solve(model, alpha, C, *args)[1]
 
         # only a marginal verdict can pass without the witness of (iii)
         monkeypatch.setattr(stability, "_smw_solve", singular)
@@ -759,6 +786,20 @@ class TestDeterminismAndThreads:
         code, out, _ = run(["simulate", models["scalar"], *self.SIM])
         assert code == 0
         assert out == baseline
+
+    def test_a_dead_drawing_child_exits_3_with_one_line(self, run, models, tmp_path,
+                                                        monkeypatch, cpus, forks):
+        # the child leaves at once, so the first draw finds it gone
+        monkeypatch.setattr(sim._NoiseBlocks, "_serve", lambda self, i, cmd, ack: None)
+        cpus(2)
+        out_dir = tmp_path / "out"
+        code, out, err = run(["simulate", models["scalar"], *self.SIM, "--threads", "2",
+                              "--dump", "--output-dir", str(out_dir)])
+        assert (code, out) == (3, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+        assert len(forks) == 1
+        assert_no_children()
+        assert not (out_dir / "trajectories.csv").exists()
 
     def test_thread_flag_must_be_positive(self, run, models):
         code, _, err = run(["simulate", models["scalar"], *self.SIM,

@@ -1,5 +1,7 @@
 """Closed-form norm quantities: discounted/long-run energies and bounds."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from csviu import (
     counter_discount_bound,
     decay_bound,
     h2_discounted_norm,
+    load_model,
     norm_report,
     op_varpi,
     power_norm,
@@ -18,7 +21,10 @@ from csviu import (
     v_bar_bound,
     vanishing_discount_sweep,
 )
+from csviu.solver import max_abs
 from conftest import make_random_model
+
+GOLDEN_MODELS = Path(__file__).parent / "golden" / "models"
 
 Q1 = np.array([[1.0]])
 SCALAR_H2_09 = 0.6484149855907785
@@ -239,6 +245,19 @@ class TestVanishingDiscountSweep:
         rows = vanishing_discount_sweep(scalar_model)
         alphas = [row["alpha"] for row in rows]
         assert 1.0 in alphas and len(alphas) >= 5
+
+    @pytest.mark.parametrize("name", ["n3", "n10"])
+    def test_rows_carry_the_bits_of_solves_at_one_alpha(self, name):
+        model = load_model(str(GOLDEN_MODELS / f"{name}.json"))
+        rows = vanishing_discount_sweep(model)
+        ok = [row for row in rows if row["status"] == "ok"]
+        assert len(ok) >= 5
+        Q = model.C.T @ model.C
+        L1 = solve_lyapunov(model, 1.0, Q).L
+        for row in ok:
+            L = solve_lyapunov(model, row["alpha"], Q).L
+            assert row["varpi_L"] == op_varpi(model, L), row["alpha"]
+            assert row["dist_to_L1"] == max_abs(L - L1), row["alpha"]
 
 
 class TestNormReport:

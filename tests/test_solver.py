@@ -18,7 +18,6 @@ from csviu import (
 from csviu.solver import (
     SMITH_MAX_DOUBLINGS,
     STRICT_RADIUS_MARGIN,
-    _direct_solutions,
     _smw_solve,
     radius_below_one,
 )
@@ -157,7 +156,7 @@ class TestSteinSMWCore:
             C = random_psd(rng, n)
             if not radius_below_one(np.sqrt(alpha) * spectral_radius(model.A)):
                 continue
-            [(U, K)] = _smw_solve(model, [alpha], C[None])
+            U, K = _smw_solve(model, alpha, C[None])
             assert rel_gap(U[0], dense_solution(model, alpha, C)) <= 1e-11, (trial, n)
             assert rel_gap(K, dense_capacitance(model, alpha)) <= 1e-11, (trial, n)
             assert np.array_equal(U[0], U[0].T)
@@ -169,7 +168,7 @@ class TestSteinSMWCore:
     def test_hard_cases_match_the_dense_oracle_and_the_fixed_point(self, case, alpha):
         model = HARD_MODELS[case]
         C = random_psd(np.random.default_rng(1), model.n)
-        [(U, K)] = _smw_solve(model, [alpha], C[None])
+        U, K = _smw_solve(model, alpha, C[None])
         assert rel_gap(U[0], dense_solution(model, alpha, C)) <= 1e-14
         assert np.allclose(K, dense_capacitance(model, alpha), rtol=1e-14, atol=1e-15)
         # the fixed point stops at an update of 1e-12, some r/(1 - r) above its own error
@@ -185,32 +184,25 @@ class TestSteinSMWCore:
         solvable = [a for a in grid if radius_below_one(0.8 * a)]
         assert len(solvable) == 63
         Q = model.C.T @ model.C
-        for alpha, solution in zip(solvable, _direct_solutions(model, solvable, Q)):
-            assert np.isfinite(solution.L).all()
-            assert rel_gap(solution.L, dense_solution(model, alpha, Q)) <= 1e-11, alpha
-
-    def test_each_alpha_gives_the_same_bits_in_any_list(self):
-        model = make_random_model(8, 5, target=0.8)
-        C = np.stack([np.eye(5), random_psd(np.random.default_rng(2), 5)])
-        together = _smw_solve(model, [0.5, 1.0, 0.9], C)
-        for alpha, (U, K) in zip([0.5, 1.0, 0.9], together):
-            [(U_alone, K_alone)] = _smw_solve(model, [alpha], C)
-            assert np.array_equal(U, U_alone) and np.array_equal(K, K_alone)
+        for alpha in solvable:
+            L = solve_lyapunov(model, alpha, Q).L
+            assert np.isfinite(L).all()
+            assert rel_gap(L, dense_solution(model, alpha, Q)) <= 1e-11, alpha
 
     def test_right_hand_side_near_the_double_limit_stays_finite(self, scalar_model):
-        [(U, _)] = _smw_solve(scalar_model, [0.9], np.array([[[8.9e307]]]))
+        U, _ = _smw_solve(scalar_model, 0.9, np.array([[[8.9e307]]]))
         assert U[0, 0, 0] == pytest.approx(8.9e307 / (1.0 - 0.9 * 0.34), rel=1e-14)
 
     def test_zero_right_hand_side_gives_zero(self):
         model = make_random_model(3, 3, target=0.8)
-        [(U, _)] = _smw_solve(model, [0.9], np.zeros((1, 3, 3)))
+        U, _ = _smw_solve(model, 0.9, np.zeros((1, 3, 3)))
         assert not U.any()
 
     @pytest.mark.parametrize("radius", [1.0, 1.5])
     def test_divergent_series_raises_at_the_doubling_cap(self, radius):
         model = plain_model(radius * ROTATION_2)
         with pytest.raises(ConvergenceError, match=f"{SMITH_MAX_DOUBLINGS} doublings"):
-            _smw_solve(model, [1.0], np.eye(2)[None])
+            _smw_solve(model, 1.0, np.eye(2)[None])
 
 
 class TestCriticalAlpha:
