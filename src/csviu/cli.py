@@ -298,7 +298,7 @@ def cmd_analyze(args):
     Q = _load_weight(args.Q, model.n) if args.Q else None
 
     # One Stein-SMW step gives the verdict and, where it passes, L.
-    Qm = as_weight(energy_weight(model, Q), model.n)
+    Qm = energy_weight(model, Q)
     stability, solution = _analysis(model, args.alpha, Qm)
     if args.G:
         G = _load_gain(args.G, model.n, model.p)

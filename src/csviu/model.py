@@ -184,59 +184,59 @@ def validate(model):
     -------
     list of str
     """
-    violations = []
     n, r, p, m = model.n, model.r, model.p, model.m
-    if n < 1:
-        violations.append("n must be a positive integer")
-    if r < 1:
-        violations.append("r must be a positive integer")
-    if p < 1:
-        violations.append("p must be a positive integer")
+    # A shape rule is checked only where its dimensions are valid, so a
+    # bad dimension is reported once, not as impossible shapes.
+    bad = {d for d in "nrp" if getattr(model, d) < 1}
+    violations = [f"{d} must be a positive integer" for d in "nrp" if d in bad]
     if m < 0:
         violations.append("m must be nonnegative")
 
     expected = {
-        "A": (n, n),
-        "sigma_x": (n, n),
-        "sigma_bar_x": (n, n),
-        "sigma": (n, r),
-        "C": (p, n),
+        "A": ("nn", (n, n)),
+        "sigma_x": ("nn", (n, n)),
+        "sigma_bar_x": ("nn", (n, n)),
+        "sigma": ("nr", (n, r)),
+        "C": ("pn", (p, n)),
     }
-    for name, shape in expected.items():
+    for name, (dims, shape) in expected.items():
         arr = getattr(model, name)
         if arr is None:
             violations.append(f"{name} is required")
             continue
-        if arr.ndim != 2 or arr.shape != shape:
+        if bad.intersection(dims):
+            continue
+        if arr.shape != shape:
             label = "C row count != p" if name == "C" and arr.ndim == 2 and arr.shape[1] == n else None
-            violations.append(
-                label
-                or f"{name} must be {shape[0]}x{shape[1]}, got "
-                + "x".join(str(s) for s in arr.shape)
-            )
+            violations.append(label or f"{name} must be {shape[0]}x{shape[1]}, got {_shape_text(arr)}")
             continue
         if not np.all(np.isfinite(arr)):
             violations.append(f"{name} has non-finite entries")
 
     if m > 0:
-        if model.B is None:
-            violations.append("B required when m>0")
-        elif model.B.shape != (n, m):
-            violations.append(f"B must be {n}x{m}, got {model.B.shape}")
-        elif not np.all(np.isfinite(model.B)):
-            violations.append("B has non-finite entries")
-        if model.D is None:
-            violations.append("D required when m>0")
-        elif model.D.shape != (p, m):
-            violations.append(f"D must be {p}x{m}, got {model.D.shape}")
-        elif not np.all(np.isfinite(model.D)):
-            violations.append("D has non-finite entries")
+        for name, dims, shape in (("B", "nm", (n, m)), ("D", "pm", (p, m))):
+            arr = getattr(model, name)
+            if arr is None:
+                violations.append(f"{name} required when m>0")
+            elif bad.intersection(dims):
+                continue
+            elif arr.shape != shape:
+                violations.append(f"{name} must be {shape[0]}x{shape[1]}, got {_shape_text(arr)}")
+            elif not np.all(np.isfinite(arr)):
+                violations.append(f"{name} has non-finite entries")
     else:
         if model.B is not None:
             violations.append("B present but m=0")
         if model.D is not None:
             violations.append("D present but m=0")
     return violations
+
+
+def _shape_text(arr):
+    """An array's shape as a violation names it: "3x2", "an empty array" or "a 1-D array"."""
+    if arr.ndim == 2:
+        return f"{arr.shape[0]}x{arr.shape[1]}"
+    return "an empty array" if arr.size == 0 else f"a {arr.ndim}-D array"
 
 
 def _raise_for_violations(violations):

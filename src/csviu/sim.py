@@ -24,13 +24,18 @@ fresh Philox(key=(seed, j)).  Path blocks have a fixed size and
 estimators reduce in fixed block order, so path j's trajectory does not
 change when the ensemble grows.
 
-simulate_paths(threads=N) splits each stage block's noise fill over up
-to N processes, at most one per CPU and one per path of a block: N - 1
-forked children each fill a contiguous slice of the block's rows in one
-shared buffer through their own re-keyed streams, and the calling
-process fills the first slice.  The step loop, the reducers and every
-BLAS call stay in the calling process, and path j's stream is fixed by
-(seed, j) alone, so no result depends on N.
+simulate_paths(threads=N) draws the noise in up to N processes, at most
+one per CPU and one per path of a block.  A path block's noise sits in
+two half-block groups of a ring in one shared mapping, and each process
+draws its rows through its own re-keyed streams.  While the calling
+process steps one stage block, the N - 1 forked children draw the first
+half of the next one into a third group; its second half is then split
+over all N processes.  The first path block is not drawn ahead: both of
+its halves are split.  So a run with children holds 1.5 path blocks of
+noise, not one.  The step loop, the reducers and every BLAS call stay in
+the calling process, and path j's stream is fixed by (seed, j) alone,
+so no result depends on N.  Beside children, the sinks run BLAS on one
+thread.
 
 Gaussian draws come from Generator.standard_normal and uniform draws
 from Generator.uniform.  Rademacher draws are read straight from the raw
@@ -40,13 +45,19 @@ That is Generator.integers(0, 2) bit for bit, which takes one 32-bit
 half per draw, low half first, and keeps bit 31 (Lemire's bounded method
 never rejects for a range of 2).  A half word left over at the end of a
 stage block opens the next one, as it does in the Generator.  The noise
-buffer keeps one sign byte per Rademacher draw, bit 31 itself (0 or 1);
-the step loop copies TILE_STAGES stages at a time stage-major into a
-tile and turns one stage of it at a time into -1.0 and +1.0.
+buffer keeps one sign byte per Rademacher draw, bit 31 itself (0 or 1).
+For every noise kind the step loop copies TILE_STAGES stages at a time
+stage-major from both halves into one tile; sign bytes are turned one
+stage at a time into -1.0 and +1.0.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import glob
+import itertools
 import mmap
 import os
 import struct
@@ -100,7 +111,7 @@ Q_CHUNK = 256
 
 #: Upper bound on the arrays of one path block's X size that a streamed run
 #: holds at once: the block buffer, the chunk buffer and the survivors being
-#: copied into it, q, one q chunk's X Q, and the sign tile with the per-stage
+#: copied into it, q, one q chunk's X Q, and the noise tile with the per-stage
 #: buffers of the step loop and the backward step (a dozen stages together).
 STREAM_BLOCK_ARRAYS = 6
 
@@ -245,12 +256,13 @@ class _PathStreams:
     stream unchanged.  Between draws each path's state is saved and
     restored; a Rademacher half word left over by an odd count is kept
     in ``carry`` and opens the path's next draw.  ``count`` bounds the
-    draws per path of one call.
+    draws per path of one call.  ``gen``, a Generator over a Philox, may
+    be shared by the streams of one process, as each draw sets its state.
     """
 
-    def __init__(self, seed, j0, paths, kind, count):
-        self.bitgen = np.random.Philox(0)
-        self.gen = np.random.Generator(self.bitgen)
+    def __init__(self, seed, j0, paths, kind, count, gen=None):
+        self.gen = np.random.Generator(np.random.Philox(0)) if gen is None else gen
+        self.bitgen = self.gen.bit_generator
         self.fresh = {"bit_generator": "Philox",
                       "state": {"counter": [0] * 4, "key": [seed, 0]},
                       "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
@@ -314,6 +326,35 @@ def _draw_processes(threads, rows):
     return max(1, min(threads, cpus, rows))
 
 
+@functools.cache
+def _openblas():
+    """numpy's bundled OpenBLAS thread controls (set, get), or None where they are not found."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas*")):
+        try:
+            lib = ctypes.CDLL(path)
+            return lib.scipy_openblas_set_num_threads64_, lib.scipy_openblas_get_num_threads64_
+        except (OSError, AttributeError):
+            continue
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run BLAS on one thread inside the block, where numpy's OpenBLAS can be told to."""
+    controls = _openblas()
+    if controls is None:
+        yield
+        return
+    set_threads, get_threads = controls
+    threads = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(threads)
+
+
 def _mapped(shape, dtype, flags):
     """A fresh anonymous mapping as an array, its pages faulted in at once where the system can."""
     nbytes = int(np.prod(shape)) * dtype.itemsize
@@ -322,36 +363,45 @@ def _mapped(shape, dtype, flags):
 
 
 class _NoiseBlocks:
-    """The noise buffer of a path block, filled a stage block at a time by ``workers`` processes.
+    """The noise of every path block, in a ring of half-block groups, filled by ``workers`` processes.
 
-    The rows of each path block are cut into ``workers`` contiguous
-    slices.  Slice i > 0 is filled by a forked child through its own
-    _PathStreams, which keep that slice's saved states and Rademacher
-    carry; this process fills slice 0.  With more than one worker the
-    buffer is one anonymous shared mapping, each fill is a command on a
-    child's pipe answered by one byte on another, and private() makes
-    the arrays the children must not share.  A child runs only this RNG
-    code and leaves through os._exit, when its command pipe closes or
-    anything fails; ``close()`` closes the pipes and reaps every child.
-    With one worker nothing is forked and the buffer is an ordinary
-    array.
+    ``shape`` is (groups, rows, stages, n + r).  A path block's first
+    bp // 2 rows sit in one group and the rest in another, and blocks()
+    yields the two for each stage block in turn.  Without children the
+    ring holds two groups and this process fills both.  With children it
+    holds three in one anonymous shared mapping: while the caller steps
+    a stage block from two groups, the children fill the next one's
+    first half into the third, then the caller and the children split
+    its second half.  The stage blocks of the first path block are not
+    drawn ahead; both halves are split over every process.  A process
+    fills the same rows in every stage block of a path block, so its own
+    _PathStreams keep their saved states and Rademacher carry.  Each
+    fill is a command on a child's pipe answered by one byte on another,
+    and private() makes the arrays the children must not share.  A child
+    runs only this RNG code and leaves through os._exit, when its command
+    pipe closes or anything fails; ``close()`` closes the pipes and reaps
+    every child.
     """
 
-    _COMMAND = struct.Struct("4q")  # j0, paths, stages, last
+    _COMMAND = struct.Struct("6q")  # group, first row, end row, first path, stages, last
 
     def __init__(self, cfg, shape, dtype, workers):
         self.seed, self.kind, self.workers = cfg.seed, cfg.noise_kind, workers
-        self.count = shape[1] * shape[2]
+        self.count = shape[2] * shape[3]
         if workers == 1:
             self.buf = np.empty(shape, dtype)
         else:
             self.buf = _mapped(shape, dtype, mmap.MAP_SHARED)
-        self.streams = None
-        # [pid, command write end, ack read end] per child.
+        # The _PathStreams of this process, by their first path, and the
+        # generator they share.
+        self.streams = {}
+        self.gen = np.random.Generator(np.random.Philox(0))
+        # [pid, command write end, ack read end] per child; acks owed by each.
         self.children = []
+        self.pending = 0
         try:
-            for i in range(1, workers):
-                self._fork(i)
+            for _ in range(1, workers):
+                self._fork()
         except BaseException:
             self.close()
             raise
@@ -367,7 +417,7 @@ class _NoiseBlocks:
             return np.empty(shape)
         return _mapped(shape, np.dtype(np.float64), mmap.MAP_PRIVATE)
 
-    def _fork(self, i):
+    def _fork(self):
         cmd_r, cmd_w = os.pipe()
         ack_r, ack_w = os.pipe()
         self.children.append([None, cmd_w, ack_r])
@@ -383,7 +433,7 @@ class _NoiseBlocks:
                 for _, cmd, ack in self.children:
                     os.close(cmd)
                     os.close(ack)
-                self._serve(i, cmd_r, ack_w)
+                self._serve(cmd_r, ack_w)
                 code = 0
             finally:
                 os._exit(code)
@@ -391,38 +441,82 @@ class _NoiseBlocks:
         os.close(cmd_r)
         os.close(ack_w)
 
-    def _serve(self, i, cmd, ack):
-        """A child's loop: fill slice i on each command until the pipe closes."""
+    def _serve(self, cmd, ack):
+        """A child's loop: fill the rows of each command until the pipe closes."""
         size = self._COMMAND.size
         while len(command := os.read(cmd, size)) == size:
-            self._fill(i, *self._COMMAND.unpack(command))
+            self._fill(*self._COMMAND.unpack(command))
             os.write(ack, b"\x01")
 
-    def _fill(self, i, j0, paths, stages, last):
-        """Draw the next ``stages`` stages of slice i of the block of ``paths`` paths from j0."""
-        lo, hi = i * paths // self.workers, (i + 1) * paths // self.workers
+    def _fill(self, g, lo, hi, j, stages, last):
+        """Draw the next ``stages`` stages of paths j, j+1, ... into rows lo ... hi-1 of group g."""
         if lo == hi:
             return
-        if self.streams is None or self.streams.j0 != j0 + lo:
-            self.streams = _PathStreams(self.seed, j0 + lo, hi - lo, self.kind, self.count)
-        self.streams.draw(self.buf[lo:hi, :stages], last)
+        streams = self.streams.pop(j, None) or _PathStreams(self.seed, j, hi - lo, self.kind,
+                                                            self.count, self.gen)
+        streams.draw(self.buf[g, lo:hi, :stages], last)
+        if not last:
+            self.streams[j] = streams
 
-    def draw(self, j0, paths, stages, last):
-        """The next ``stages`` stages of paths j0 ... j0+paths-1, as buf[:paths, :stages].
-
-        ``last``: no draw follows for these paths.
-        """
-        command = self._COMMAND.pack(j0, paths, stages, last)
+    def _send(self, parts, stages, last, caller):
+        """Split each part, (group, rows, first path), over the children and, if ``caller``, this
+        process; command the children's slices and return this process's."""
+        mine = []
+        shares = len(self.children) + caller
         try:
-            for _, cmd, _ in self.children:
-                os.write(cmd, command)
-            self._fill(0, j0, paths, stages, last)
-            died = any(os.read(ack, 1) != b"\x01" for _, _, ack in self.children)
+            for g, rows, j in parts:
+                for i in range(shares):
+                    lo, hi = i * rows // shares, (i + 1) * rows // shares
+                    command = (g, lo, hi, j + lo, stages, last)
+                    if caller and i == 0:
+                        mine.append(command)
+                    else:
+                        os.write(self.children[i - caller][1], self._COMMAND.pack(*command))
         except BrokenPipeError:
-            died = True
-        if died:
-            raise ChildProcessError("a noise-drawing child process exited mid-run")
-        return self.buf[:paths, :stages]
+            self._died()
+        self.pending += len(parts)
+        return mine
+
+    def _wait(self):
+        """Read every ack the children owe."""
+        for _, _, ack in self.children:
+            owed = self.pending
+            while owed:
+                got = os.read(ack, owed)
+                if not got:
+                    self._died()
+                owed -= len(got)
+        self.pending = 0
+
+    @staticmethod
+    def _died():
+        raise ChildProcessError("a noise-drawing child process exited mid-run")
+
+    def blocks(self, n_paths, horizon):
+        """Yield (first half, second half) of each stage block of paths 0 ... n_paths-1.
+
+        Path blocks of PATH_BLOCK paths come in order, each in its stage
+        blocks; a half is a view (rows, stages, n + r) valid until the
+        next stage block is asked for.
+        """
+        sb = self.buf.shape[2]
+        units = ((j0, min(PATH_BLOCK, n_paths - j0), k0, min(k0 + sb, horizon))
+                 for j0 in range(0, n_paths, PATH_BLOCK) for k0 in range(0, horizon, sb))
+        ring = list(range(self.buf.shape[0]))
+        for unit, following in itertools.pairwise(itertools.chain(units, [None])):
+            j0, bp, k0, k1 = unit
+            h = bp // 2
+            parts = [(ring[1], bp - h, j0 + h)]
+            if not (self.children and j0):
+                parts.insert(0, (ring[0], h, j0))
+            for command in self._send(parts, k1 - k0, k1 == horizon, caller=True):
+                self._fill(*command)
+            self._wait()
+            if self.children and following is not None and following[0]:
+                j0n, bpn, k0n, k1n = following
+                self._send([(ring[2], bpn // 2, j0n)], k1n - k0n, k1n == horizon, caller=False)
+            yield self.buf[ring[0], :h, : k1 - k0], self.buf[ring[1], : bp - h, : k1 - k0]
+            ring = ring[2:] + ring[:2]
 
     def close(self):
         """Close every child's pipes, which ends it, and reap it."""
@@ -459,39 +553,45 @@ def _matmul(a, b, out=None, plus_zero=True):
     return out
 
 
-def _simulate_block(model, cfg, steps, X, noise, aborted, j0):
-    """Simulate paths j0, j0+1, ... into the stage-major X, drawing through ``noise``; return who survives."""
+def _simulate_block(model, cfg, steps, X, halves, aborted, j0):
+    """Simulate paths j0, j0+1, ... into the stage-major X, taking each stage block's noise
+    halves from the iterator ``halves``; return who survives."""
     n = model.n
     AT, BT, sxT, sbxT, sgT = steps
     policy = cfg.input_policy
     horizon = cfg.horizon
     bp = X.shape[1]
-    _, sb, width = noise.buf.shape
 
     x = X[0]
     x[...] = cfg.x0
     # A product and a scratch array, reused every stage.
     prod, tmp = np.empty_like(x), np.empty_like(x)
-    # Sign bytes: a tile of stages copied stage-major, and one stage as doubles.
-    row = np.empty((bp, width)) if noise.buf.dtype == np.uint8 else None
-    tile = None if row is None else np.empty((TILE_STAGES, bp, width), dtype=np.uint8)
+    tile = row = None
     alive = np.ones(bp, dtype=bool)
     all_alive = True
 
     with np.errstate(over="ignore", invalid="ignore"):
-        for k0 in range(0, horizon, sb):
-            k1 = min(k0 + sb, horizon)
-            draws = noise.draw(j0, bp, k1 - k0, last=k1 == horizon)
+        k0 = 0
+        while k0 < horizon:
+            first, second = next(halves)
+            k1 = k0 + second.shape[1]
+            if tile is None:
+                # A tile of stages copied stage-major from both halves; sign
+                # bytes are turned one stage at a time into doubles in row.
+                tile = np.empty((TILE_STAGES, bp, second.shape[2]), dtype=second.dtype)
+                if second.dtype == np.uint8:
+                    row = np.empty(tile.shape[1:])
             for k in range(k0, k1):
                 ks = k - k0
-                if row is None:
-                    z = draws[:, ks]
-                else:
-                    if ks % TILE_STAGES == 0:
-                        t = draws[:, ks : ks + TILE_STAGES].transpose(1, 0, 2)
-                        np.copyto(tile[: t.shape[0]], t)
+                if ks % TILE_STAGES == 0:
+                    t = min(TILE_STAGES, k1 - k)
+                    h = first.shape[0]
+                    np.copyto(tile[:t, :h], first[:, ks : ks + t].transpose(1, 0, 2))
+                    np.copyto(tile[:t, h:], second[:, ks : ks + t].transpose(1, 0, 2))
+                z = tile[ks % TILE_STAGES]
+                if row is not None:
                     # Sign bytes 0 and 1 to -1.0 and +1.0.
-                    z = np.multiply(tile[ks % TILE_STAGES], 2.0, out=row)
+                    z = np.multiply(z, 2.0, out=row)
                     z -= 1.0
                 eps, om = z[:, :n], z[:, n:]
                 # x_{k+1} in place; at n = 1 the first product leaves it never -0.
@@ -514,6 +614,7 @@ def _simulate_block(model, cfg, steps, X, noise, aborted, j0):
                     all_alive = False
                     xn[~alive] = np.nan
                 x = xn if all_alive else np.where(alive[:, None], xn, 0.0)
+            k0 = k1
     return alive
 
 
@@ -537,18 +638,20 @@ def simulate_paths(model, cfg, sinks=(), threads=1):
         runs after the last block.  With no sinks the whole ensemble X is
         kept instead.
     threads : int, optional
-        Processes that draw each block's noise: the calling process and
-        up to threads - 1 forked children, at most one per CPU and one
-        per path of a block.  Every child is reaped before the call
-        returns or raises.  No result depends on it.
+        Processes that draw the noise: the calling process and up to
+        threads - 1 forked children, at most one per CPU and one per path
+        of a block.  The children draw each path block's first half
+        ahead, so the noise held grows from one path block to 1.5.  Every
+        child is reaped before the call returns or raises.  No result
+        depends on it.
 
     Raises
     ------
     ValueError
         If threads is not a positive integer, or if what the run holds
         would not fit in physical memory (nothing is allocated and
-        nothing forked): the ensemble X and one noise buffer without
-        sinks; the block buffers and per-path results with them.
+        nothing forked): the ensemble X and the noise without sinks; the
+        block buffers, per-path results and noise with them.
     ChildProcessError
         If a drawing child exits before the run ends.
 
@@ -570,10 +673,13 @@ def simulate_paths(model, cfg, sinks=(), threads=1):
     n_paths, horizon, n = cfg.n_paths, cfg.horizon, model.n
     width = n + model.r
     block = min(n_paths, PATH_BLOCK)
-    sb = _stage_block_size(horizon, width)
-    # One sign byte per Rademacher draw, one double per other draw.
+    workers = _draw_processes(threads, block)
+    # The ring of half-block groups: two, and with children a third that
+    # they draw ahead into.  One sign byte per Rademacher draw, one double
+    # per other draw.
+    ring = (2 if workers == 1 else 3, (block + 1) // 2, _stage_block_size(horizon, width), width)
     noise_type = np.dtype(np.uint8 if cfg.noise_kind == "rademacher" else np.float64)
-    noise = block * sb * width * noise_type.itemsize
+    noise = int(np.prod(ring)) * noise_type.itemsize
     if sinks:
         need = noise + 8 * (STREAM_BLOCK_ARRAYS * block * (horizon + 1) * n
                             + STREAM_PATH_DOUBLES * n_paths)
@@ -590,15 +696,21 @@ def simulate_paths(model, cfg, sinks=(), threads=1):
                   for M in (model.A, model.B, model.sigma_x, model.sigma_bar_x, model.sigma))
     ok = np.ones(n_paths, dtype=bool)
     aborted = []
-    noise = _NoiseBlocks(cfg, (block, sb, width), noise_type, _draw_processes(threads, block))
+    noise = _NoiseBlocks(cfg, ring, noise_type, workers)
+    # Beside children the sinks' small products run on one BLAS thread:
+    # idle OpenBLAS workers spin after each one, on the CPUs the children
+    # draw on.  The step's products keep theirs, which pay for it at n = 10.
+    reducing = _one_blas_thread if noise.children else contextlib.nullcontext
     try:
         X = noise.private((horizon + 1, block if sinks else n_paths, n))
+        halves = noise.blocks(n_paths, horizon)
         for j0 in range(0, n_paths, PATH_BLOCK):
             j1 = min(j0 + PATH_BLOCK, n_paths)
             Xj = X[:, : j1 - j0] if sinks else X[:, j0:j1]
-            ok[j0:j1] = _simulate_block(model, cfg, steps, Xj, noise, aborted, j0)
-            for sink in sinks:
-                sink.add_block(j0, Xj, ok[j0:j1])
+            ok[j0:j1] = _simulate_block(model, cfg, steps, Xj, halves, aborted, j0)
+            with reducing():
+                for sink in sinks:
+                    sink.add_block(j0, Xj, ok[j0:j1])
     finally:
         noise.close()
     for sink in sinks:

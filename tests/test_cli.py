@@ -2,6 +2,7 @@
 
 import json
 import os
+import signal
 import subprocess
 import sys
 import warnings
@@ -16,7 +17,8 @@ from referencing import Registry, Resource
 from csviu import (check_stability, cli, load_model, norms, ops, sim, solve_lyapunov, solver,
                    stability)
 from conftest import make_random_model
-from test_sim import assert_no_children, cpus, forks, exact_second_moments  # noqa: F401
+from test_sim import (assert_no_children, cpus, exact_second_moments, forks,  # noqa: F401
+                      hang_guard)
 
 N3_MODEL = str(Path(__file__).parent / "golden" / "models" / "n3.json")
 
@@ -790,7 +792,7 @@ class TestDeterminismAndThreads:
     def test_a_dead_drawing_child_exits_3_with_one_line(self, run, models, tmp_path,
                                                         monkeypatch, cpus, forks):
         # the child leaves at once, so the first draw finds it gone
-        monkeypatch.setattr(sim._NoiseBlocks, "_serve", lambda self, i, cmd, ack: None)
+        monkeypatch.setattr(sim._NoiseBlocks, "_serve", lambda self, cmd, ack: None)
         cpus(2)
         out_dir = tmp_path / "out"
         code, out, err = run(["simulate", models["scalar"], *self.SIM, "--threads", "2",
@@ -800,6 +802,28 @@ class TestDeterminismAndThreads:
         assert len(forks) == 1
         assert_no_children()
         assert not (out_dir / "trajectories.csv").exists()
+
+    @pytest.mark.usefixtures("hang_guard")
+    def test_a_child_killed_drawing_ahead_exits_3_with_one_line(self, run, models, monkeypatch,
+                                                                cpus, forks):
+        # The child dies while it draws the second path block's first half
+        # ahead, as the caller steps the first block.
+        caller, fill = os.getpid(), sim._NoiseBlocks._fill
+
+        def dying(self, g, lo, hi, j, stages, last):
+            if os.getpid() != caller and j == sim.PATH_BLOCK:
+                os.kill(os.getpid(), signal.SIGKILL)
+            fill(self, g, lo, hi, j, stages, last)
+
+        monkeypatch.setattr(sim._NoiseBlocks, "_fill", dying)
+        cpus(2)
+        code, out, err = run(["simulate", models["scalar"], "--paths", str(3 * sim.PATH_BLOCK),
+                              "--horizon", "15", "--seed", "11", "--alpha", "0.9",
+                              "--threads", "2"])
+        assert (code, out) == (3, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+        assert len(forks) == 1
+        assert_no_children()
 
     def test_thread_flag_must_be_positive(self, run, models):
         code, _, err = run(["simulate", models["scalar"], *self.SIM,

@@ -26,7 +26,8 @@ from pathlib import Path
 
 import pytest
 
-from csviu import cli
+from csviu import cli, sim
+from test_sim import hang_guard  # noqa: F401
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -91,14 +92,18 @@ def test_report_is_byte_identical(case, tmp_path, monkeypatch):
     assert decay == (stored_decay.read_text() if stored_decay.exists() else None)
 
 
+@pytest.mark.usefixtures("hang_guard")
 @pytest.mark.parametrize("case", [case for case in CASES if "-simulate-" in case])
-def test_drawing_processes_leave_reports_byte_identical(case, tmp_path):
-    # Two processes draw the noise; the stored files, written by one, still match.
-    code, stdout, decay = replay(case, tmp_path, ["--threads", "2"])
-    assert code == 0
-    assert stdout == (GOLDEN / f"{case}.stdout").read_text()
+def test_drawing_processes_leave_reports_byte_identical(case, tmp_path, monkeypatch):
+    # Two and three processes draw the noise, the third on a CPU the
+    # affinity is made to show; the stored files, written by one, still match.
+    monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: set(range(4)))
     stored_decay = GOLDEN / f"{case}.decay.csv"
-    assert decay == (stored_decay.read_text() if stored_decay.exists() else None)
+    for threads in ("2", "3"):
+        code, stdout, decay = replay(case, tmp_path / threads, ["--threads", threads])
+        assert code == 0
+        assert stdout == (GOLDEN / f"{case}.stdout").read_text()
+        assert decay == (stored_decay.read_text() if stored_decay.exists() else None)
 
 
 def test_drift_report_summarizes_changed_leaves():

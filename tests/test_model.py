@@ -177,6 +177,17 @@ class TestValidate:
         )
         assert "C row count != p" in validate(broken)
 
+    def test_bad_dimension_is_named_once(self):
+        # r = -1: no shape rule on sigma is checked, so none names "3x-1".
+        broken = CsviuModel(n=3, r=-1, p=1, m=0, A=np.eye(3), sigma_x=np.eye(3),
+                            sigma_bar_x=np.eye(3), sigma=np.eye(3), C=np.ones((1, 3)))
+        assert validate(broken) == ["r must be a positive integer"]
+
+    def test_empty_matrix_is_named_empty(self):
+        broken = CsviuModel(n=4, r=1, p=1, m=0, A=np.eye(4), sigma_x=[],
+                            sigma_bar_x=np.eye(4), sigma=np.ones((4, 1)), C=np.ones((1, 4)))
+        assert validate(broken) == ["sigma_x must be 4x4, got an empty array"]
+
     def test_clean_validation_means_downstream_acceptance(self, random_model_factory):
         import csviu
 

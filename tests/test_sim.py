@@ -138,11 +138,11 @@ class TestSimConfig:
         class Accepted(Exception):
             pass
 
-        def accepted(model, cfg, steps, X, noise, aborted, j0):
+        def accepted(noise, n_paths, horizon):
             assert noise.buf.dtype == np.uint8 and noise.buf.nbytes == draws
             raise Accepted
 
-        monkeypatch.setattr(sim, "_simulate_block", accepted)
+        monkeypatch.setattr(sim._NoiseBlocks, "blocks", accepted)
         cfg = SimConfig(n_paths=paths, horizon=horizon, seed=0,
                         noise_kind="rademacher", x0=[0.0])
         with pytest.raises(Accepted):
@@ -215,7 +215,7 @@ class TestReproducibility:
         assert np.array_equal(ens.ok, again.ok)
         assert ens.aborted == again.aborted
 
-    def test_one_generator_per_path_block(self, scalar_model, monkeypatch):
+    def test_one_generator_per_run(self, scalar_model, monkeypatch):
         built = []
         philox = np.random.Philox
 
@@ -226,7 +226,7 @@ class TestReproducibility:
         monkeypatch.setattr(np.random, "Philox", counting)
         simulate_paths(scalar_model, SimConfig(n_paths=2 * sim.PATH_BLOCK + 5,
                                                horizon=3, seed=1))
-        assert len(built) == 3
+        assert len(built) == 1
 
     def test_identical_configs_give_identical_ensembles(self, scalar_model):
         cfg = SimConfig(n_paths=500, horizon=25, seed=3, x0=[1.0])
@@ -381,6 +381,34 @@ def cpus(monkeypatch):
     return set_cpus
 
 
+@pytest.fixture
+def hang_guard():
+    """Fail a test that waits 60 s, as on a dead or hung child, instead of hanging."""
+    def hung(signum, frame):
+        raise AssertionError("the run waited 60 s, on a dead or hung child")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def assert_same_bits_at_1_2_3(model, cfg, forks):
+    """simulate_paths at threads 1, 2 and 3 gives the same X, ok and aborts; return the run at 1."""
+    runs = {threads: simulate_paths(model, cfg, threads=threads) for threads in (1, 2, 3)}
+    assert len(forks) == 0 + 1 + 2
+    reference = runs[1]
+    for threads in (2, 3):
+        run = runs[threads]
+        assert np.array_equal(run.X.view(np.uint64), reference.X.view(np.uint64)), threads
+        assert np.array_equal(run.ok, reference.ok), threads
+        assert run.aborted == reference.aborted, threads
+    assert_no_children()
+    return reference
+
+
+@pytest.mark.usefixtures("hang_guard")
 class TestDrawProcesses:
     """simulate_paths(threads=N) fills each stage block's rows in up to N
     processes: X, ok and the aborts are the same bits for every N, and no
@@ -404,18 +432,34 @@ class TestDrawProcesses:
         cpus(4)
         cfg = SimConfig(n_paths=n_paths, horizon=horizon, seed=2**64 - 5, noise_kind=kind,
                         x0=[1.0])
-        runs = {threads: simulate_paths(model, cfg, threads=threads) for threads in (1, 2, 3)}
-        assert len(forks) == 0 + 1 + 2
-        reference = runs[1]
-        for threads in (2, 3):
-            run = runs[threads]
-            assert np.array_equal(run.X.view(np.uint64), reference.X.view(np.uint64)), threads
-            assert np.array_equal(run.ok, reference.ok), threads
-            assert run.aborted == reference.aborted, threads
+        reference = assert_same_bits_at_1_2_3(model, cfg, forks)
         if make is explosive_model:
             assert not reference.ok[: sim.PATH_BLOCK].all()
             assert not reference.ok[sim.PATH_BLOCK :].all()
-        assert_no_children()
+
+    @pytest.mark.parametrize("kind", ["gaussian", "rademacher", "uniform"])
+    @pytest.mark.parametrize("case", ["stage-blocks", "short-last-block", "aborts"])
+    def test_drawing_ahead_keeps_every_bit(self, monkeypatch, cpus, forks, case, kind):
+        # Every path block after the first has its first half drawn ahead,
+        # while the one before it is stepped: across several stage blocks
+        # of odd draw counts, into a last block smaller than half a block,
+        # and with aborts in both halves of blocks that were drawn ahead.
+        block, half = sim.PATH_BLOCK, sim.PATH_BLOCK // 2
+        model, sb, n_paths, horizon = {
+            "stage-blocks": (odd_width_model(), 5, 3 * block + 2, 23),
+            "short-last-block": (odd_width_model(), None, 2 * block + half - 1, 23),
+            "aborts": (explosive_model(), 7, 3 * block, 110),
+        }[case]
+        width = model.n + model.r
+        if sb is not None:
+            monkeypatch.setattr(sim, "STAGE_BLOCK_ELEMENTS", block * width * sb)
+        assert (sim._stage_block_size(horizon, width) < horizon) == (sb is not None)
+        cpus(4)
+        cfg = SimConfig(n_paths=n_paths, horizon=horizon, seed=17, noise_kind=kind, x0=[1.0])
+        reference = assert_same_bits_at_1_2_3(model, cfg, forks)
+        if case == "aborts":
+            rows = {(j // block, j % block < half) for j, _ in reference.aborted}
+            assert {(1, True), (1, False), (2, True), (2, False)} <= rows
 
     @pytest.mark.parametrize("count, threads, n_paths, children", [
         (3, 1000, 50, 2),  # one process per CPU
@@ -445,6 +489,57 @@ class TestDrawProcesses:
         cfg = SimConfig(n_paths=4, horizon=2, seed=0)
         with pytest.raises(ValueError, match="threads"):
             simulate_paths(scalar_model, cfg, threads=threads)
+
+    @pytest.mark.parametrize("threads, children", [(1, 0), (2, 1)])
+    def test_sinks_run_blas_on_one_thread_beside_children(self, scalar_model, monkeypatch,
+                                                          cpus, forks, threads, children):
+        counts = [4]
+
+        class Probe:
+            seen = []
+
+            def add_block(self, j0, X, ok):
+                self.seen.append(counts[-1])
+
+            def close(self):
+                self.seen.append(counts[-1])
+
+        monkeypatch.setattr(sim, "_openblas", lambda: (counts.append, lambda: counts[-1]))
+        cpus(2)
+        cfg = SimConfig(n_paths=2 * sim.PATH_BLOCK, horizon=4, seed=3)
+        simulate_paths(scalar_model, cfg, [Probe()], threads=threads)
+        assert len(forks) == children
+        assert Probe.seen == ([1, 1, 4] if children else [4, 4, 4])
+        assert counts[-1] == 4
+
+    def test_blas_without_thread_controls(self, scalar_model, monkeypatch, cpus, forks):
+        cfg = SimConfig(n_paths=300, horizon=5, seed=2, x0=[1.0])
+        reference = simulate_paths(scalar_model, cfg).X
+        monkeypatch.setattr(sim, "_openblas", lambda: None)
+        cpus(2)
+        assert np.array_equal(simulate_paths(scalar_model, cfg, threads=2).X, reference)
+        assert len(forks) == 1
+
+    def test_children_hold_half_a_noise_block_more(self, scalar_model, monkeypatch, cpus):
+        # One noise block fits beside X and 1.5 do not: the serial run goes
+        # ahead, and the run with a child, whose ring holds the next block's
+        # first half too, is refused before anything is forked.
+        paths, horizon, width = sim.PATH_BLOCK, 200, 2
+        ensemble = paths * (horizon + 1) * 8
+        buffer = paths * sim._stage_block_size(horizon, width) * width * 8
+        pages = (ensemble + buffer * 5 // 4) // 4096
+        monkeypatch.setattr(sim.os, "sysconf",
+                            {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": pages}.__getitem__)
+
+        def forbidden():
+            raise AssertionError("forked before the memory check")
+
+        monkeypatch.setattr(sim.os, "fork", forbidden)
+        cpus(2)
+        cfg = SimConfig(n_paths=paths, horizon=horizon, seed=0, x0=[1.0])
+        assert simulate_paths(scalar_model, cfg, threads=1).n_ok == paths
+        with pytest.raises(ValueError, match="--paths or --horizon"):
+            simulate_paths(scalar_model, cfg, threads=2)
 
     def test_refused_run_forks_nothing(self, scalar_model, monkeypatch, cpus):
         # As test_noise_buffer_counts_toward_the_memory_check, at threads=2:
@@ -499,19 +594,10 @@ class TestDrawProcesses:
             def close(self):
                 pass
 
-        def hung(signum, frame):
-            raise AssertionError("simulate_paths waited on a dead child")
-
         cpus(2)
         cfg = SimConfig(n_paths=3 * sim.PATH_BLOCK, horizon=4, seed=3)
-        previous = signal.signal(signal.SIGALRM, hung)
-        signal.alarm(60)
-        try:
-            with pytest.raises(ChildProcessError, match="exited mid-run"):
-                simulate_paths(scalar_model, cfg, [Killer()], threads=2)
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
+        with pytest.raises(ChildProcessError, match="exited mid-run"):
+            simulate_paths(scalar_model, cfg, [Killer()], threads=2)
         assert len(forks) == 1
         assert_no_children()
 
