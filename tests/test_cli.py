@@ -768,6 +768,7 @@ class TestDeterminismAndThreads:
         _, second, _ = run(["simulate", models["scalar"], *self.SIM])
         assert second == first
 
+    @pytest.mark.usefixtures("hang_guard")
     def test_thread_count_does_not_change_output(self, run, models):
         _, one, _ = run(["simulate", models["scalar"], *self.SIM, "--threads", "1"])
         _, three, _ = run(["simulate", models["scalar"], *self.SIM, "--threads", "3"])
@@ -789,6 +790,7 @@ class TestDeterminismAndThreads:
         assert code == 0
         assert out == baseline
 
+    @pytest.mark.usefixtures("hang_guard")
     def test_a_dead_drawing_child_exits_3_with_one_line(self, run, models, tmp_path,
                                                         monkeypatch, cpus, forks):
         # the child leaves at once, so the first draw finds it gone
