@@ -304,7 +304,7 @@ def cmd_analyze(args):
         G = _load_gain(args.G, model.n, model.p)
         detect = check_detectability_with_G(model, args.alpha, G)
     else:
-        detect = search_detectability(model, args.alpha, budget=args.budget)
+        detect = search_detectability(model, args.alpha)
 
     lyapunov = None
     if solution is not None:
@@ -493,9 +493,6 @@ def build_parser():
     _add_common(p_analyze)
     p_analyze.add_argument("--alpha", type=float, required=True)
     p_analyze.add_argument("--G", help="path to a JSON output-injection gain (n x p)")
-    p_analyze.add_argument(
-        "--budget", type=int, default=100, help="steps of the Riccati gain iteration"
-    )
     p_analyze.set_defaults(func=cmd_analyze)
 
     p_norm = subparsers.add_parser(

@@ -897,11 +897,11 @@ class StageStats:
 class RepresentationCheck:
     """Reducer behind validate_representation; the backward recursion runs once, here."""
 
-    def __init__(self, model, cfg, alpha, Q, Phi=None, gamma=0.0):
+    def __init__(self, model, cfg, alpha, Q):
         kappa = cfg.horizon
-        self.model, self.cfg, self.alpha, self.gamma = model, cfg, alpha, float(gamma)
-        self.P = backward_recursion(model, alpha, Q, kappa, Phi, gamma).P_seq
+        self.model, self.cfg, self.alpha = model, cfg, alpha
         with np.errstate(over="ignore", invalid="ignore"):
+            self.P = backward_recursion(model, alpha, Q, kappa).P_seq
             self.w = float(alpha) ** np.arange(kappa + 1)
             self.W_d = [op_W_d(model, Pk) for Pk in self.P[1:]]
             self.varpi = [op_varpi(model, Pk) for Pk in self.P[1:]]
@@ -915,7 +915,7 @@ class RepresentationCheck:
         m, n = X.shape[1], model.n
         # v, the next v, s_k and the noise, reused every step.
         v, vA, s_k, noise = (np.zeros((m, n)) for _ in range(4))
-        g = np.full(m, self.gamma)
+        g = np.zeros(m)
         corr = np.zeros(m)
         for k in range(kappa - 1, -1, -1):
             x = X[k]
@@ -939,16 +939,17 @@ class RepresentationCheck:
             vA += s_k
             vA *= alpha
             v, vA = vA, v
-        terminal = np.einsum("pi,ij,pj->p", X[kappa], P[kappa], X[kappa]) + self.gamma
         self.S.append(q[:, :kappa] @ w[:kappa])
-        self.R.append(v @ self.cfg.x0 + g - w[kappa] * terminal)
+        self.R.append(v @ self.cfg.x0 + g)
         self.corr.append(corr)
 
     @np.errstate(over="ignore", invalid="ignore")
     def result(self):
-        """The record validate_representation returns."""
+        """The record validate_representation returns; with no survivors its figures are NaN."""
         if not self.S:
-            raise ValueError("all paths aborted; representation check impossible")
+            nan = float("nan")
+            return dict.fromkeys(("lhs", "rhs", "gap", "std_error", "z", "sign_noise_term",
+                                  "corrected_gap", "corrected_std_error"), nan) | {"n_paths": 0}
         S, R, corr = (np.concatenate(parts) for parts in (self.S, self.R, self.corr))
         x0 = self.cfg.x0
         quad0 = float(x0 @ self.P[0] @ x0)
@@ -994,15 +995,15 @@ def per_stage_energy(ensemble, Q):
     return _replay(ensemble, Qm, StageStats(ensemble.horizon, ensemble.cfg.x0, Qm))
 
 
-def validate_representation(ensemble, alpha, Q, Phi=None, gamma=0.0):
+def validate_representation(ensemble, alpha, Q):
     """Monte Carlo check of the backward-recursion energy representation.
 
     Evaluated on the paths of ``ensemble``, whose model and config it uses.
 
     lhs is the MC estimate of E[sum_{k<kappa} alpha^k ||x_k||_Q^2]; rhs is
-    ||x0||_{P_0}^2 + <E[v_0], x0> + E[g_0] - alpha^kappa E[||x_kappa||_Phi^2
-    + gamma], with v_0 and the input-dependent part of g_0 evaluated per
-    path along the sampled sign sequence.
+    ||x0||_{P_0}^2 + <E[v_0], x0> + E[g_0] for the recursion with zero
+    terminal weight, with v_0 and the input-dependent part of g_0
+    evaluated per path along the sampled sign sequence.
 
     The representation's derivation treats the sign sequence as
     uncorrelated with same-stage noise.  That cross term is generally
@@ -1017,13 +1018,20 @@ def validate_representation(ensemble, alpha, Q, Phi=None, gamma=0.0):
     -------
     dict with keys lhs, rhs, gap, std_error, z, n_paths,
     sign_noise_term, corrected_gap, corrected_std_error.
+
+    Raises
+    ------
+    ValueError
+        If no path of the ensemble survived.
     """
+    if not ensemble.n_ok:
+        raise ValueError("all paths aborted; representation check impossible")
     Qm = as_weight(Q, ensemble.model.n)
-    check = RepresentationCheck(ensemble.model, ensemble.cfg, alpha, Qm, Phi, gamma)
+    check = RepresentationCheck(ensemble.model, ensemble.cfg, alpha, Qm)
     return _replay(ensemble, Qm, check)
 
 
-def check_decay(ensemble, alpha, Q=None, report=None):
+def check_decay(ensemble, alpha, Q=None):
     """Per-stage comparison of E||x_k||_Q^2 against the geometric envelope.
 
     Evaluated on the paths of ``ensemble``, whose model and config it uses.
@@ -1033,10 +1041,9 @@ def check_decay(ensemble, alpha, Q=None, report=None):
     alpha varpi(L), both read from norm_report, and whether the mean
     exceeds level + bound by more than 3 standard errors.  Unlike
     decay_bound it also tabulates an alpha with r_sigma(alpha A) >= 1.
-    ``report``, when given, must be norm_report(model, alpha, Q); the
-    check then solves nothing, and a report at another alpha raises
-    ValueError.  An envelope that is not a finite double raises
-    DomainError.
+    It solves once, through norm_report; the CLI, which has that report
+    already, calls decay_rows instead.  An envelope that is not a finite
+    double raises DomainError.
 
     Returns
     -------
@@ -1044,10 +1051,7 @@ def check_decay(ensemble, alpha, Q=None, report=None):
     """
     model = ensemble.model
     Qm = energy_weight(model, Q)
-    if report is None:
-        report = norm_report(model, alpha, Qm)
-    elif report.alpha != alpha:
-        raise ValueError(f"report is at alpha = {report.alpha}, not the check's {alpha}")
+    report = norm_report(model, alpha, Qm)
     return decay_rows(report, ensemble.cfg.x0, *per_stage_energy(ensemble, Qm))
 
 

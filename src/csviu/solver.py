@@ -51,6 +51,10 @@ STRICT_RADIUS_MARGIN = 1e-9
 SMITH_TOL = 2.0**-60
 #: Doublings (2^64 terms of the Stein series) after which the iteration gives up.
 SMITH_MAX_DOUBLINGS = 64
+#: The fixed-point solve stops at an update below the TOL; it fails after MAX_ITER iterations.
+FIXED_POINT_TOL, FIXED_POINT_MAX_ITER = 1e-12, 100000
+#: critical_alpha's value where both radii are zero and the supremum is infinite.
+ALPHA_BAR_CAP = 1e6
 
 
 def radius_below_one(radius):
@@ -79,9 +83,9 @@ class LyapunovSolution:
 class RecursionTriple:
     """Backward sequences P_k and g_k on the horizon 0..kappa.
 
-    P_seq[k] solves P_k = L_alpha(P_{k+1}) + Q down from P_kappa = Phi.
+    P_seq[k] solves P_k = L_alpha(P_{k+1}) + Q down from P_kappa = 0.
     g_seq[k] is the zero-input constant term, g_k = alpha (g_{k+1} +
-    varpi(P_{k+1})) down from g_kappa = gamma.  The sign-dependent linear
+    varpi(P_{k+1})) down from g_kappa = 0.  The sign-dependent linear
     term v_k is trajectory-valued and is evaluated pathwise in csviu.sim.
     """
 
@@ -191,7 +195,7 @@ def _checked_solution(model, alpha, Qm, U, method, iterations, radius):
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow ends in _require_finite instead
-def solve_lyapunov(model, alpha, Q, method="direct", tol=1e-12, max_iter=100000):
+def solve_lyapunov(model, alpha, Q, method="direct"):
     """Solve the perturbed Lyapunov equation (I - L_alpha)(U) = Q.
 
     Parameters
@@ -205,9 +209,8 @@ def solve_lyapunov(model, alpha, Q, method="direct", tol=1e-12, max_iter=100000)
         ``direct`` is the Stein-SMW solve on n-by-n matrices (see the
         module docstring), run once the radius test has passed;
         ``fixed_point`` iterates U <- L_alpha(U) + Q from U = Q until
-        the update falls below ``tol``.
-    tol, max_iter : float, int
-        Fixed-point stopping controls.
+        the update falls below FIXED_POINT_TOL; it is the reference the
+        direct solve is tested against.
 
     Returns
     -------
@@ -219,7 +222,7 @@ def solve_lyapunov(model, alpha, Q, method="direct", tol=1e-12, max_iter=100000)
         If the spectral radius of L_alpha is not strictly below one
         (no PSD solution exists); carries the computed radius.
     ConvergenceError
-        If the fixed point hits ``max_iter`` with a marginal radius, or
+        If the fixed point takes FIXED_POINT_MAX_ITER iterations, or
         the solution's residual exceeds 1e-9 max(1, max|Q|).
     DomainError
         If the solution or its residual is not a finite double.
@@ -241,14 +244,14 @@ def solve_lyapunov(model, alpha, Q, method="direct", tol=1e-12, max_iter=100000)
         U, iterations = U[0], 0
     elif method == "fixed_point":
         U, iterations = Qm, None
-        for it in range(1, max_iter + 1):
+        for it in range(1, FIXED_POINT_MAX_ITER + 1):
             U, U_prev = op_L_alpha(model, alpha, U) + Qm, U
-            if not max_abs(U - U_prev) > tol:  # a NaN step also ends the loop
+            if not max_abs(U - U_prev) > FIXED_POINT_TOL:  # a NaN step also ends the loop
                 iterations = it
                 break
         if iterations is None:
             raise ConvergenceError(
-                f"fixed point did not converge in {max_iter} iterations "
+                f"fixed point did not converge in {FIXED_POINT_MAX_ITER} iterations "
                 f"(r_sigma = {radius:.6g})"
             )
     else:
@@ -256,7 +259,7 @@ def solve_lyapunov(model, alpha, Q, method="direct", tol=1e-12, max_iter=100000)
     return _checked_solution(model, alpha, Qm, U, method, iterations, radius)
 
 
-def critical_alpha(model, cap=1e6):
+def critical_alpha(model):
     """The supremum of alpha for which the analysis is well posed.
 
     Returns sup{alpha : r_sigma(L_alpha) < 1 and r_sigma(A) < 1/alpha}
@@ -264,24 +267,19 @@ def critical_alpha(model, cap=1e6):
     are alpha times an alpha-free radius, and under the package's strict
     test the supremum is (1 - STRICT_RADIUS_MARGIN) / max(r_sigma(L_1),
     r_sigma(A)).  r_sigma(L_1) is :func:`csviu.ops.unit_radius`, which
-    builds the svec matrix M_1 only when its bracket cannot close.
-
-    Parameters
-    ----------
-    model : CsviuModel
-    cap : float
-        Upper bound on the result; it stands in for an infinite supremum
-        when both radii are zero.
+    builds the svec matrix M_1 only when its bracket cannot close.  The
+    result is at most ALPHA_BAR_CAP, which stands in for an infinite
+    supremum when both radii are zero.
     """
     r = max(unit_radius(model), spectral_radius(model.A))
-    return float(cap) if r == 0.0 else min(float(cap), (1.0 - STRICT_RADIUS_MARGIN) / r)
+    return ALPHA_BAR_CAP if r == 0.0 else min(ALPHA_BAR_CAP, (1.0 - STRICT_RADIUS_MARGIN) / r)
 
 
-def backward_recursion(model, alpha, Q, kappa, Phi=None, gamma=0.0):
+def backward_recursion(model, alpha, Q, kappa):
     """Run the backward matrix/constant recursions over a finite horizon.
 
-    P_kappa = Phi (default 0); P_k = L_alpha(P_{k+1}) + Q.
-    g_kappa = gamma; g_k = alpha (g_{k+1} + varpi(P_{k+1}))  (zero-input
+    P_kappa = 0; P_k = L_alpha(P_{k+1}) + Q.
+    g_kappa = 0; g_k = alpha (g_{k+1} + varpi(P_{k+1}))  (zero-input
     form; input-dependent terms are handled pathwise in csviu.sim).
 
     Parameters
@@ -291,10 +289,6 @@ def backward_recursion(model, alpha, Q, kappa, Phi=None, gamma=0.0):
     Q : array_like
     kappa : int
         Horizon, >= 1.
-    Phi : array_like, optional
-        PSD terminal weight (default zero).
-    gamma : float
-        Terminal constant.
 
     Returns
     -------
@@ -306,12 +300,9 @@ def backward_recursion(model, alpha, Q, kappa, Phi=None, gamma=0.0):
         raise ValueError("alpha must be nonnegative")
     n = model.n
     Qm = as_weight(Q, n)
-    Phim = np.zeros((n, n)) if Phi is None else as_weight(Phi, n, "Phi")
-
     P = [None] * (kappa + 1)
     g = np.zeros(kappa + 1)
-    P[kappa] = Phim
-    g[kappa] = float(gamma)
+    P[kappa] = np.zeros((n, n))
     for k in range(kappa - 1, -1, -1):
         P[k] = op_L_alpha(model, alpha, P[k + 1]) + Qm
         g[k] = alpha * (g[k + 1] + op_varpi(model, P[k + 1]))

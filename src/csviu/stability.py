@@ -33,8 +33,9 @@ Detectability asks for a gain G with alpha r_sigma(L^G) < 1, where
 L^G(U) = (A + G C)^T U (A + G C) + Z(U).  Both terms are positive and Z
 does not depend on G, so alpha r_sigma(Z) = alpha r(sigma_bar_x o
 sigma_bar_x) bounds alpha r_sigma(L^G) below for every G.  The search needs numpy
-alone: its last gain comes from the dual Riccati value iteration (Costa,
-Fragoso & Marques, Discrete-Time MJLS, 2005, ch. 3-5; Damm, LNCIS 297).
+alone: its last gain comes from RICCATI_STEPS steps at most of the dual Riccati
+value iteration (Costa, Fragoso & Marques, Discrete-Time MJLS, 2005, ch. 3-5;
+Damm, LNCIS 297); the fixed cap bounds its cost on every input.
 """
 
 from __future__ import annotations
@@ -59,6 +60,8 @@ __all__ = [
 MARGINAL_TOL = 1e-6
 #: The Riccati gain iteration stops at a relative step below RTOL, or where V passes HUGE.
 RICCATI_RTOL, RICCATI_HUGE = 1e-12, 1e12
+#: Steps after which the Riccati gain iteration stops in any case.
+RICCATI_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -252,8 +255,8 @@ def check_detectability_with_G(model, alpha, G):
     )
 
 
-def _riccati_gain(model, alpha, steps):
-    """G = -A V C^T (C V C^T + I)^{-1} after at most ``steps`` steps, from V = I, of
+def _riccati_gain(model, alpha):
+    """G = -A V C^T (C V C^T + I)^{-1} after at most RICCATI_STEPS steps, from V = I, of
     V <- I + alpha ((A + G C) V (A + G C)^T + G G^T + Z*(V)), Z*(V) = sigma_bar_x Diag(V)
     sigma_bar_x^T.  V stays bounded exactly when some gain stabilises; G comes from a finite V.
     """
@@ -261,7 +264,7 @@ def _riccati_gain(model, alpha, steps):
     I_n, I_p = np.eye(model.n), np.eye(model.p)
     V = I_n
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(steps):
+        for _ in range(RICCATI_STEPS):
             VCt = V @ C.T
             G = -A @ np.linalg.solve(C @ VCt + I_p, VCt.T).T
             F = A + G @ C
@@ -273,13 +276,13 @@ def _riccati_gain(model, alpha, steps):
     return G
 
 
-def search_detectability(model, alpha, budget=100):
+def search_detectability(model, alpha):
     """Deterministic search for a detectability witness.
 
     Tries, in order: (a) G = 0; (b) G = -A C^+; (c) the exact bound: where
     alpha r(sigma_bar_x o sigma_bar_x) >= 1 - STRICT_RADIUS_MARGIN no gain
-    passes, and the search stops; (d) the dual Riccati gain.  Each gain is
-    judged by its closed-loop radius alone.
+    passes, and the search stops; (d) the dual Riccati gain after at most
+    RICCATI_STEPS steps.  Each gain is judged by its closed-loop radius alone.
 
     ``detectable=False`` certifies undetectability when the bound (c)
     holds; otherwise it is undecided.
@@ -288,15 +291,11 @@ def search_detectability(model, alpha, budget=100):
     ----------
     model : CsviuModel
     alpha : float
-    budget : int
-        Cap on the steps of the Riccati gain iteration in phase (d).
 
     Returns
     -------
     DetectabilityResult
     """
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
     best_radius = np.inf
 
     def attempt(G):
@@ -312,5 +311,5 @@ def search_detectability(model, alpha, budget=100):
     found = attempt(np.zeros((model.n, model.p))) or attempt(-model.A @ np.linalg.pinv(model.C))
     sbx = model.sigma_bar_x
     if not found and radius_below_one(alpha * spectral_radius(sbx * sbx)):
-        found = attempt(_riccati_gain(model, alpha, budget))
+        found = attempt(_riccati_gain(model, alpha))
     return found or DetectabilityResult(False, None, float(best_radius))

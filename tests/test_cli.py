@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, report shapes, artifacts, determinism."""
 
+import argparse
 import json
 import os
 import signal
@@ -43,6 +44,18 @@ HUGE_SBAR_DOC = dict(SCALAR_DOC, sigma_bar_x=[[1e200]])
 HUGE_A_DOC = dict(SCALAR_DOC, A=[[1e200]])
 # a finite C whose default weight C^T C overflows
 HUGE_C_DOC = dict(SCALAR_DOC, C=[[1e200]])
+# input matrices that contradict the input dimension m
+B_M0_DOC = dict(SCALAR_DOC, m=0, B=[[1.0]])
+D_M0_DOC = dict(SCALAR_DOC, m=0, D=[[1.0]])
+WIDE_B_DOC = dict(SCALAR_DOC, m=1, B=[[1.0, 2.0]], D=[[0.0]])
+NAN_B_DOC = dict(SCALAR_DOC, m=1, B=[[float("nan")]], D=[[0.0]])
+NEGATIVE_M_DOC = dict(SCALAR_DOC, m=-1)
+# n = 0 leaves B's shape rule unchecked: only the bad dimension is named
+NO_STATE_B_DOC = dict(SCALAR_DOC, n=0, m=1, B=[[1.0]], D=[[0.0]])
+# C = 0 makes the weight C^T C and so L zero
+BLIND_DOC = dict(SCALAR_DOC, C=[[0.0]])
+# A = 50 overflows every path within a few stages
+RUNAWAY_DOC = dict(SCALAR_DOC, A=[[50.0]], sigma_x=[[0.1]], sigma_bar_x=[[0.1]])
 TWO_DIM_DOC = {
     "n": 2, "r": 2, "p": 1,
     "A": [[0.5, 0.1], [0.0, 0.3]],
@@ -73,7 +86,10 @@ def models(tmp_path_factory):
                       ("explosive", EXPLOSIVE_DOC), ("two_dim", TWO_DIM_DOC),
                       ("loud", LOUD_DOC), ("bool_a", BOOL_A_DOC),
                       ("huge_sbar", HUGE_SBAR_DOC), ("huge_a", HUGE_A_DOC),
-                      ("huge_c", HUGE_C_DOC)):
+                      ("huge_c", HUGE_C_DOC), ("b_m0", B_M0_DOC), ("d_m0", D_M0_DOC),
+                      ("wide_b", WIDE_B_DOC), ("nan_b", NAN_B_DOC),
+                      ("negative_m", NEGATIVE_M_DOC), ("no_state_b", NO_STATE_B_DOC),
+                      ("blind", BLIND_DOC), ("runaway", RUNAWAY_DOC)):
         path = base / f"{name}.json"
         path.write_text(json.dumps(doc))
         paths[name] = str(path)
@@ -158,6 +174,21 @@ class TestExitCodes:
         assert report["abort_fraction"] == pytest.approx(0.92)
         assert "276 of 300 paths aborted" in err
 
+    def test_representation_check_with_no_survivors_reports_nulls(self, run, models,
+                                                                   schema_validator):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run(["simulate", models["runaway"], "--paths", "50",
+                                  "--horizon", "200", "--seed", "1", "--alpha", "0.5",
+                                  "--x0", "1", "--validate-representation"])
+        assert code == 3
+        assert err == "error: 50 of 50 paths aborted (100.00% > 1%)\n"
+        report = json.loads(out)
+        schema_validator("simulate").validate(report)
+        representation = report["representation"]
+        assert representation.pop("n_paths") == 0
+        assert set(representation.values()) == {None}
+
     def test_input_errors_exit_two(self, run, models):
         cases = [
             (["analyze", models["scalar"], "--alpha", "-1.0"], "alpha must be"),
@@ -225,6 +256,16 @@ class TestExitCodes:
             (["norm", scalar, "--alpha", "2.9", "--Q", m("near_limit")], "--alpha"),
             (["analyze", models["loud"], "--alpha", "0.9", "--Q", m("near_limit")], "--Q"),
             (["sweep", scalar, "--Q", m("near_limit")], "--Q"),
+        ]
+        # input matrices that contradict m
+        cases += [
+            (["analyze", models["b_m0"], "--alpha", "0.9"], "B present but m=0"),
+            (["analyze", models["d_m0"], "--alpha", "0.9"], "D present but m=0"),
+            (["analyze", models["wide_b"], "--alpha", "0.9"], "B must be 1x1, got 1x2"),
+            (["analyze", models["nan_b"], "--alpha", "0.9"], "B has non-finite entries"),
+            (["analyze", models["negative_m"], "--alpha", "0.9"], "m must be nonnegative"),
+            (["analyze", models["no_state_b"], "--alpha", "0.9"],
+             "error: n must be a positive integer\n"),
         ]
         # finite model entries whose r_sigma(L_1) overflows
         cases += [
@@ -316,6 +357,19 @@ class TestExitCodes:
         assert out == ""
         assert "r_sigma(alpha A) < 1" in err
 
+    @pytest.mark.parametrize("name, flags, message", [
+        ("no_sbar", ["--alpha", "2"], "I - alpha A^T is singular"),
+        ("blind", ["--alpha", "1.2", "--kappa", "5"], "L is singular; "),
+    ], ids=["singular-v-bar-resolvent", "singular-L"])
+    def test_singular_bound_operators_are_numerical_failures(self, run, models, name, flags,
+                                                             message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run(["norm", models[name], *flags])
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert message in err
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -331,9 +385,10 @@ class TestExitCodes:
             ["simulate", "model.json", "--paths", "10", "--horizon", "5",
              "--seed", "3", "--alpha", "nan"],
             ["sweep", "model.json", "--kappa", "3"],
+            ["analyze", "model.json", "--alpha", "0.9", "--budget", "5"],
         ],
         ids=["negative-alpha", "no-mode", "missing-alpha", "bad-noise", "unknown",
-             "nan-alpha", "inf-alpha", "simulate-nan-alpha", "sweep-kappa"],
+             "nan-alpha", "inf-alpha", "simulate-nan-alpha", "sweep-kappa", "analyze-budget"],
     )
     def test_usage_errors_raise_parser_exit(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -350,6 +405,32 @@ class TestExitCodes:
         assert exc.value.code == 0
         out = capsys.readouterr().out
         assert out.startswith("usage: csviu") or out == f"csviu {cli.__version__}\n"
+
+
+#: Every option string and positional of the parser and each subcommand.
+OPTION_SET = {
+    "csviu": ["--help", "--version", "-h", "subcommand"],
+    "analyze": ["--G", "--Q", "--alpha", "--help", "--output-dir", "-h", "model"],
+    "norm": ["--Q", "--alpha", "--help", "--kappa", "--output-dir", "--power", "--sweep",
+             "--x0", "-h", "model"],
+    "simulate": ["--Q", "--alpha", "--check-decay", "--dump", "--help", "--horizon", "--noise",
+                 "--output-dir", "--paths", "--seed", "--threads",
+                 "--validate-representation", "--x0", "-h", "model"],
+    "sweep": ["--Q", "--alphas", "--help", "--output-dir", "-h", "model"],
+}
+
+
+def test_option_set_is_the_listed_one():
+    # A knob added or dropped shows up as a diff of OPTION_SET.
+    def names(parser):
+        return sorted(s for action in parser._actions for s in action.option_strings or
+                      [action.dest])
+
+    parser = cli.build_parser()
+    subcommands = next(action.choices for action in parser._actions
+                       if isinstance(action, argparse._SubParsersAction))
+    got = {"csviu": names(parser), **{name: names(sub) for name, sub in subcommands.items()}}
+    assert got == OPTION_SET
 
 
 class TestAnalyzeReport:

@@ -169,6 +169,8 @@ def workspace(tmp_path_factory):
 HUGE_C = json.dumps({"n": 1, "r": 1, "p": 1, "A": [[0.5]], "sigma_x": [[0.2]],
                      "sigma_bar_x": [[0.3]], "sigma": [[0.1]], "C": [[1e200]]})
 SHORT_SIM = ["--paths", "10", "--horizon", "5", "--seed", "1", "--alpha", "0.9"]
+#: The golden scalar model, whose backward recursion overflows at alpha = 1e300.
+SCALAR = (Path(__file__).parent / "golden" / "models" / "scalar.json").read_text()
 
 
 @settings(derandomize=True, deadline=None, max_examples=400, database=None,
@@ -176,6 +178,8 @@ SHORT_SIM = ["--paths", "10", "--horizon", "5", "--seed", "1", "--alpha", "0.9"]
 @given(case=invocations())
 @example(case=(["analyze", "model.json", "--alpha", "0.9"], {"model.json": HUGE_C}))
 @example(case=(["simulate", "model.json", *SHORT_SIM], {"model.json": HUGE_C}))
+@example(case=(["simulate", "model.json", "--paths", "60", "--horizon", "40", "--seed", "7",
+                "--alpha", "1e300", "--validate-representation"], {"model.json": SCALAR}))
 def test_every_input_ends_in_a_report_or_one_line(workspace, case):
     argv, files = case
     workdir = Path(tempfile.mkdtemp(dir=workspace))

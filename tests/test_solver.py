@@ -7,6 +7,7 @@ from csviu import (
     ConvergenceError,
     CsviuModel,
     NotStableError,
+    SingularOperatorError,
     backward_recursion,
     check_stability,
     critical_alpha,
@@ -15,6 +16,7 @@ from csviu import (
     solve_lyapunov,
     spectral_radius,
 )
+from csviu import solver
 from csviu.solver import (
     SMITH_MAX_DOUBLINGS,
     STRICT_RADIUS_MARGIN,
@@ -85,9 +87,16 @@ class TestSolveLyapunov:
             assert np.max(np.abs(np.asarray(d.L) - np.asarray(f.L))) <= 1e-9
             assert f.iterations > 0
 
-    def test_fixed_point_convergence_error_on_tiny_budget(self, scalar_model):
-        with pytest.raises(ConvergenceError):
-            solve_lyapunov(scalar_model, 0.9, Q1, method="fixed_point", max_iter=2)
+    def test_fixed_point_convergence_error_on_tiny_budget(self, scalar_model, monkeypatch):
+        monkeypatch.setattr(solver, "FIXED_POINT_MAX_ITER", 2)
+        with pytest.raises(ConvergenceError, match="in 2 iterations"):
+            solve_lyapunov(scalar_model, 0.9, Q1, method="fixed_point")
+
+    def test_singular_smw_step_is_an_error(self, scalar_model, monkeypatch):
+        # I - L_alpha is invertible below radius one, so only rounding makes the step singular.
+        monkeypatch.setattr(solver, "_smw_solve", lambda model, alpha, C: (None, None))
+        with pytest.raises(SingularOperatorError, match="singular at alpha = 0.9"):
+            solve_lyapunov(scalar_model, 0.9, Q1)
 
     def test_unknown_method_rejected(self, scalar_model):
         with pytest.raises(ValueError):
@@ -211,10 +220,11 @@ class TestCriticalAlpha:
         expect = (1.0 - STRICT_RADIUS_MARGIN) / 0.5
         assert critical_alpha(scalar_model) == pytest.approx(expect, rel=1e-12)
 
-    def test_cap_when_unbounded(self):
+    def test_cap_when_unbounded(self, monkeypatch):
         model = diag_model([0.0, 0.0])
         assert critical_alpha(model) == 1e6
-        assert critical_alpha(model, cap=123.0) == 123.0
+        monkeypatch.setattr(solver, "ALPHA_BAR_CAP", 123.0)
+        assert critical_alpha(model) == 123.0
 
     def test_spectral_radius_clause_binds(self):
         model = diag_model([0.9, 0.0])
@@ -300,11 +310,6 @@ class TestBackwardRecursion:
         for k in range(2, -1, -1):
             g[k] = 0.9 * (g[k + 1] + op_varpi(scalar_model, np.asarray(tri.P_seq[k + 1])))
         assert np.allclose(tri.g_seq, g, atol=1e-14)
-
-    def test_terminal_phi_and_gamma(self, scalar_model):
-        tri = backward_recursion(scalar_model, 0.9, Q1, kappa=2, Phi=[[2.0]], gamma=0.5)
-        assert np.asarray(tri.P_seq[2])[0, 0] == 2.0
-        assert tri.g_seq[2] == 0.5
 
     def test_alpha_limit_monotone_convergence(self, scalar_model):
         sol1 = np.asarray(solve_lyapunov(scalar_model, 1.0, Q1).L)

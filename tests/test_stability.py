@@ -173,7 +173,7 @@ class TestCheckStability:
                 solve_lyapunov(model, alpha, model.C.T @ model.C)
             except NotStableError:
                 continue
-            witness = search_detectability(model, alpha, budget=20)
+            witness = search_detectability(model, alpha)
             report = check_stability(model, alpha)
             if witness.detectable and (alpha < 1 or report.eig_clause):
                 assert report.verdict in ("alpha_stable", "stable")
@@ -231,7 +231,7 @@ class TestSearchDetectability:
             sigma_bar_x=0.05 * np.eye(3), sigma=0.1 * np.eye(3), C=np.eye(3),
         )
         assert not check_stability(model, 0.9).crit_ii
-        result = search_detectability(model, 0.9, budget=5)
+        result = search_detectability(model, 0.9)
         assert result.detectable
         assert result.closed_loop_radius < 1.0
 
@@ -241,7 +241,7 @@ class TestSearchDetectability:
             A=[[2.0]], sigma_x=[[0.1]], sigma_bar_x=[[0.0]],
             sigma=[[0.1]], C=[[0.0]],
         )
-        result = search_detectability(model, 1.0, budget=30)
+        result = search_detectability(model, 1.0)
         assert not result.detectable
         assert result.closed_loop_radius >= 1.0
 
@@ -258,12 +258,13 @@ class TestSearchDetectability:
         assert builds == []
 
     def test_floor_leaves_the_search_unchanged(self, monkeypatch):
-        # Not stable with one output: some searches find a gain, some exhaust the budget.
+        # Not stable with one output: some searches find a gain, some exhaust the steps.
+        monkeypatch.setattr(stability, "RICCATI_STEPS", 30)
         models = [make_random_model(seed, 1 + seed % 4, target=1.3, p=1) for seed in range(8)]
-        with_floor = [search_detectability(m, 0.9, budget=30) for m in models]
+        with_floor = [search_detectability(m, 0.9) for m in models]
         monkeypatch.setattr(stability, "radius_from_bracket",
                             lambda model, floor: ops.radius_from_bracket(model))
-        without = [search_detectability(m, 0.9, budget=30) for m in models]
+        without = [search_detectability(m, 0.9) for m in models]
         assert {a.detectable for a in with_floor} == {True, False}
         for a, b in zip(with_floor, without):
             assert a.detectable == b.detectable
@@ -299,17 +300,13 @@ class TestSearchDetectability:
         assert not result.detectable
         assert result.closed_loop_radius == 2.3379720823191086
 
-    def test_budget_validation(self, scalar_model):
-        with pytest.raises(ValueError):
-            search_detectability(scalar_model, 0.9, budget=0)
-
     def test_monotone_in_alpha_with_same_witness(self):
         rng = np.random.default_rng(99)
         confirmed = 0
         for trial in range(20):
             n = int(rng.integers(1, 5))
             model = make_random_model(int(rng.integers(2**31)), n, target=1.3)
-            result = search_detectability(model, 1.1, budget=40)
+            result = search_detectability(model, 1.1)
             if not result.detectable:
                 continue
             for smaller in (0.9, 0.5, 0.25):
@@ -320,8 +317,8 @@ class TestSearchDetectability:
 
     def test_search_is_reproducible(self):
         model = make_random_model(44, 2, target=1.8, sigma_x_scale=0.6)
-        a = search_detectability(model, 0.8, budget=50)
-        b = search_detectability(model, 0.8, budget=50)
+        a = search_detectability(model, 0.8)
+        b = search_detectability(model, 0.8)
         assert a.detectable == b.detectable
         if a.G is not None:
             assert np.array_equal(a.G, b.G)
