@@ -9,7 +9,7 @@ operators built from the model matrices:
     L_alpha(U) = alpha (A^T U A + Z(U))
 
 Z and L_alpha are linear-positive (they map the PSD cone into itself);
-W is not.  Matrix representations act on the symmetric-vectorization
+W is not.  Z and L_alpha map one matrix (n, n) or each of a stack (k, n, n).  Matrix representations act on the symmetric-vectorization
 (svec) of U, with off-diagonal entries weighted by sqrt(2) so the
 representation preserves the Frobenius inner product and spectral radii
 are basis-independent.
@@ -17,10 +17,11 @@ are basis-independent.
 r_sigma(L_1) comes from a Collatz-Wielandt bracket, a power iteration on
 n-by-n matrices (:func:`radius_bracket`), and the Lyapunov solve and
 stability criteria (iii) and (v) from one Stein-SMW step (csviu.solver).
-The n(n+1)/2-square svec matrix M_1 serves only the eigensolve the
-bracket falls back on, and the Stein sums of criteria (iii) and (v)
-where sqrt(alpha) r_sigma(A) >= 1 (the model is then not stable and the
-Stein series diverges), one dense solve on M_1 - E Phi.
+The n(n+1)/2-square svec matrix M_1 of L_1 is built, and not kept, for
+only the eigensolve the bracket falls back on, and the Stein sums of
+criteria (iii) and (v) where sqrt(alpha) r_sigma(A) >= 1 (the model is
+then not stable and the Stein series diverges), one dense solve on
+M_1 - E Phi.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ __all__ = [
     "op_L_alpha",
     "operator_matrix",
     "unit_radius",
-    "unit_matrix",
     "spectral_radius",
     "svec",
     "smat",
@@ -85,18 +85,22 @@ def smat(v, n):
     return U
 
 
-def _as_square(U, n, what="U"):
+def _as_square(U, n, stack=False):
     arr = np.asarray(U, dtype=float)
-    if arr.shape != (n, n):
-        raise DimensionError(f"{what} must be {n}x{n}, got {arr.shape}")
+    if arr.shape[-2:] != (n, n) or arr.ndim > 2 + stack:
+        raise DimensionError(f"U must be {n}x{n}, got {arr.shape}")
     return arr
 
 
 def op_Z(model, U):
     """Z(U) = Diag(sigma_bar_x^T U sigma_bar_x); PSD whenever U is PSD."""
-    U = _as_square(U, model.n)
+    U = _as_square(U, model.n, stack=True)
     sbx = model.sigma_bar_x
-    return np.diag(np.diag(sbx.T @ U @ sbx))
+    d = np.arange(model.n)
+    diagonal = (sbx.T @ U @ sbx)[..., d, d]
+    Z = np.zeros(U.shape)
+    Z[..., d, d] = diagonal
+    return Z
 
 
 def op_W(model, U):
@@ -132,10 +136,11 @@ def op_L_alpha(model, alpha, U):
     """
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
-    U = _as_square(U, model.n)
+    U = _as_square(U, model.n, stack=True)
     A = model.A
-    X = alpha * (A.T @ U @ A + op_Z(model, U))
-    return (X + X.T) / 2.0
+    X = A.T @ U @ A + op_Z(model, U)
+    X *= alpha
+    return (X + X.swapaxes(-1, -2)) / 2.0
 
 
 def operator_matrix(model, alpha, which):
@@ -143,8 +148,8 @@ def operator_matrix(model, alpha, which):
 
     The returned M satisfies ``M @ svec(U) == svec(op(U))`` for every
     symmetric U.  Column j of M is the svec of the image of basis matrix
-    j; all dim images are computed at once on a (dim, n, n) stack, and
-    L_alpha's are symmetrized as (X + X^T)/2, as :func:`op_L_alpha` does.
+    j under :func:`op_L_alpha` or :func:`op_Z`, which map the whole
+    (dim, n, n) basis stack at once.
 
     Parameters
     ----------
@@ -160,17 +165,9 @@ def operator_matrix(model, alpha, which):
     """
     if which not in ("L_alpha", "Z"):
         raise ValueError(f"unknown operator {which!r}")
-    if which == "L_alpha" and alpha < 0:
-        raise ValueError("alpha must be nonnegative")
     n = model.n
-    A, sbx = model.A, model.sigma_bar_x
     basis = smat(np.eye(sym_dim(n)), n)  # the orthonormal basis, one matrix per svec entry
-    d = np.arange(n)
-    images = np.zeros_like(basis)
-    images[:, d, d] = (sbx.T @ basis @ sbx)[:, d, d]
-    if which == "L_alpha":
-        X = alpha * (A.T @ basis @ A + images)
-        images = (X + X.transpose(0, 2, 1)) / 2.0
+    images = op_L_alpha(model, alpha, basis) if which == "L_alpha" else op_Z(model, basis)
     M = np.ascontiguousarray(svec(images).T)
     M.setflags(write=False)
     return M
@@ -241,7 +238,8 @@ def _misses_cap(widths, step, hi):
 @np.errstate(over="ignore", invalid="ignore")  # an L_1 that overflows ends in the DomainError
 def radius_from_bracket(model, floor=np.inf):
     """r_sigma(L_1): the upper end of :func:`radius_bracket`, or, when the
-    bracket does not close, the dense eigensolve of :func:`unit_matrix`.
+    bracket does not close, the dense eigensolve of M_1, the svec matrix
+    of L_1, built here by :func:`operator_matrix` and dropped after.
 
     A caller that only compares the radius with ``floor`` gets the
     bracket's lower end instead as soon as that reaches floor.  Raises
@@ -249,7 +247,7 @@ def radius_from_bracket(model, floor=np.inf):
     """
     bracket = radius_bracket(model, floor)
     if bracket is None:
-        M1 = unit_matrix(model)
+        M1 = operator_matrix(model, 1.0, "L_alpha")
         if not np.isfinite(M1).all():
             raise DomainError("r_sigma(L_1) is not a finite double; scale down A or sigma_bar_x")
         return spectral_radius(M1)
@@ -268,21 +266,6 @@ def unit_radius(model):
         radius = radius_from_bracket(model)
         object.__setattr__(model, "_unit_radius", radius)
     return radius
-
-
-def unit_matrix(model):
-    """M_1, the svec matrix of L_1, built once per model and kept on the model object.
-
-    L_alpha's matrix is alpha * M_1.  Only the fallback of
-    :func:`radius_from_bracket` and the dense Stein solve of stability
-    criteria (iii) and (v) need it; the Lyapunov solve never does.  The
-    model's arrays are read-only, so the kept matrix stays valid.
-    """
-    M1 = vars(model).get("_unit_matrix")
-    if M1 is None:
-        M1 = operator_matrix(model, 1.0, "L_alpha")
-        object.__setattr__(model, "_unit_matrix", M1)
-    return M1
 
 
 def spectral_radius(M):

@@ -6,15 +6,16 @@ backward-recursion energy representation, and the per-stage decay check.
 simulate_paths makes one pass over path blocks, each stage-major, of
 shape (horizon+1, paths, n): the step loop writes stage k of every path
 as one row X[k], and the reducers read it whole.  Each block is handed
-to sinks and dropped; a PathFeed sink evaluates the block's quadratic
-forms x_k^T Q x_k once, as (x_k Q) . x_k in chunks of Q_CHUNK paths, and
+to sinks and dropped; a PathFeed sink takes the block's surviving paths
+(the block itself when none aborted), evaluates their quadratic forms
+x_k^T Q x_k once, as (x_k Q) . x_k in chunks of Q_CHUNK paths, and
 passes them to every reducer (Abel sums, Cesaro means, per-stage
 statistics, the representation check), which keep only per-path
 scalars.  At n > 1 that rounds differently from the single einsum over
 the block that earlier versions used, so their Monte Carlo figures moved
 in the last digits.  The whole ensemble X is kept only when it is asked
 for (no sinks); the Ensemble-taking estimators replay it through the
-same reducers, in the same chunks, so both routes give the same bits.
+same reducers, block by block, so both routes give the same bits.
 
 Reproducibility contract: path j draws its noise from a Philox stream
 keyed by (master seed, j), consumed in a stage-block partition that
@@ -110,10 +111,10 @@ TILE_STAGES = 8
 Q_CHUNK = 256
 
 #: Upper bound on the arrays of one path block's X size that a streamed run
-#: holds at once: the block buffer, the chunk buffer and the survivors being
-#: copied into it, q, one q chunk's X Q, and the noise tile with the per-stage
-#: buffers of the step loop and the backward step (a dozen stages together).
-STREAM_BLOCK_ARRAYS = 6
+#: holds at once: the block buffer, the copy of its survivors after aborts,
+#: q, one q chunk's X Q, and the noise tile with the per-stage buffers of the
+#: step loop and the backward step (a dozen stages together).
+STREAM_BLOCK_ARRAYS = 5
 
 #: Upper bound on the doubles per path that a streamed run keeps: the Abel
 #: and Cesaro values, and the representation's three per-path terms with
@@ -720,50 +721,32 @@ def simulate_paths(model, cfg, sinks=(), threads=1):
 
 
 class PathFeed:
-    """Block sink that hands surviving paths to reducers, PATH_BLOCK at a time.
+    """Block sink that hands each path block's surviving paths to reducers.
 
-    A chunk is the next PATH_BLOCK surviving paths in path order (fewer
-    for the last), so the reductions do not depend on where aborts fall:
-    after a block with aborts, survivors fill a chunk buffer across
-    blocks.  Blocks and chunks are stage-major, (stages, paths, n).  Each
-    chunk's quadratic forms q[p, k] = x_k^T Q x_k are evaluated once and
-    every reducer's ``add_chunk(X, q)`` reads them.  Blocks must hold
-    PATH_BLOCK paths, all but the last.
+    A block with aborts is reduced as the copy X[:, ok] of its
+    survivors, one without as it lies; nothing is kept between blocks.
+    Blocks are stage-major, (stages, paths, n).  Their quadratic forms
+    q[p, k] = x_k^T Q x_k are evaluated once and every reducer's
+    ``add_chunk(X, q)`` reads them; a block with no survivors reaches no
+    reducer.
     """
 
     def __init__(self, Q, reducers):
         self.Q = Q
         self.reducers = reducers
-        self._chunk = None
-        self._fill = 0
-
-    def add_block(self, j0, X, ok):
-        if self._fill == 0 and ok.all():
-            self._reduce(X)
-            return
-        if self._chunk is None:
-            self._chunk = np.empty((X.shape[0], PATH_BLOCK, X.shape[2]))
-        idx = np.flatnonzero(ok)
-        i = 0
-        while i < idx.size:
-            take = idx[i : i + PATH_BLOCK - self._fill]
-            self._chunk[:, self._fill : self._fill + take.size] = X[:, take]
-            self._fill += take.size
-            i += take.size
-            if self._fill == PATH_BLOCK:
-                self._reduce(self._chunk)
-                self._fill = 0
-
-    def close(self):
-        if self._fill:
-            self._reduce(self._chunk[:, : self._fill])
-        self._chunk, self._fill = None, 0
 
     @np.errstate(over="ignore", invalid="ignore")
-    def _reduce(self, X):
+    def add_block(self, j0, X, ok):
+        if not ok.all():
+            if not ok.any():
+                return
+            X = X[:, ok]
         q = _quadratic_forms(X, self.Q)
         for reducer in self.reducers:
             reducer.add_chunk(X, q)
+
+    def close(self):
+        """Nothing is held between blocks, so nothing is left to reduce."""
 
 
 def _quadratic_forms(X, Q):
@@ -787,7 +770,6 @@ def _replay(ensemble, Q, reducer):
     for j0 in range(0, ensemble.n_paths, PATH_BLOCK):
         j1 = j0 + PATH_BLOCK
         feed.add_block(j0, X[:, j0:j1], ensemble.ok[j0:j1])
-    feed.close()
     return reducer.result()
 
 

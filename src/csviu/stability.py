@@ -44,8 +44,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import ops
 from .errors import DimensionError, InternalInconsistencyError, SingularOperatorError
-from .ops import radius_from_bracket, smat, spectral_radius, svec, unit_matrix, unit_radius
+from .ops import radius_from_bracket, smat, spectral_radius, svec, unit_radius
 from .solver import _checked_solution, _smith_sums, _smw_solve, radius_below_one
 
 __all__ = [
@@ -107,7 +108,7 @@ def _dense_stein_sums(model, alpha, stack):
     """
     rhs, sbx_cols = svec(stack).T, model.sigma_bar_x.T
     Phi = svec(sbx_cols[:, :, None] * sbx_cols[:, None, :])
-    A_conj = unit_matrix(model) - rhs[:, -model.n:] @ Phi
+    A_conj = ops.operator_matrix(model, 1.0, "L_alpha") - rhs[:, -model.n:] @ Phi
     try:
         X = np.linalg.solve(np.eye(len(rhs)) - alpha * A_conj, rhs)
     except np.linalg.LinAlgError:

@@ -10,7 +10,7 @@ import csviu
 MODULES = ["csviu"] + [f"csviu.{m.name}" for m in pkgutil.iter_modules(csviu.__path__)]
 
 #: Names deleted from the package; no module may export or define them.
-REMOVED = {"compare_overtaking", "StateFeedbackInput"}
+REMOVED = {"compare_overtaking", "StateFeedbackInput", "unit_matrix"}
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -237,6 +237,22 @@ class TestOperatorMatrix:
         with pytest.raises(ValueError):
             operator_matrix(SCALAR, 0.9, "bogus")
 
+    def test_a_stack_maps_as_its_matrices_bit_for_bit(self):
+        # Signed zeros and non-finite entries included; Z's off-diagonal reads +0.
+        model = make_random_model(7, 3, target=0.8)
+        sbx = model.sigma_bar_x
+        stack = np.random.default_rng(1).standard_normal((4, 3, 3))
+        stack[1] = -0.0
+        stack[2, 0, 1] = np.nan
+        stack[3, 2, 2] = np.inf
+        with np.errstate(invalid="ignore"):
+            for op in (lambda U: op_Z(model, U), lambda U: op_L_alpha(model, 0.9, U)):
+                for U, image in zip(stack, op(stack)):
+                    assert np.array_equal(image.view(np.uint64), op(U).view(np.uint64))
+            for U in stack:
+                diag = np.diag(np.diag(sbx.T @ U @ sbx))
+                assert np.array_equal(op_Z(model, U).view(np.uint64), diag.view(np.uint64))
+
 
 class TestSpectralRadius:
     def test_scalar_L(self):

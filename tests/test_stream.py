@@ -1,8 +1,8 @@
 """The streamed Monte Carlo pass against the whole-ensemble estimators.
 
 simulate_paths hands each path block to its sinks and drops it; PathFeed
-regroups the surviving paths into chunks of PATH_BLOCK and evaluates
-x_k^T Q x_k once per chunk for every reducer.  The oracles below are the
+reduces each block's surviving paths as one chunk, evaluating x_k^T Q x_k
+once per chunk for every reducer.  The oracles below are the
 whole-ensemble estimators the stream replaced, kept as they were but for
 two sums the stream forms differently, written out here in its form:
 x_k^T Q x_k, evaluated stage by stage as (x_k Q) . x_k, and the
@@ -59,11 +59,11 @@ def oracle_quadratic_forms(X, Qm):
     return q
 
 
-def oracle_quad_per_stage(X, Qm, mask, chunk=sim.PATH_BLOCK):
-    idx = np.flatnonzero(mask)
-    for c0 in range(0, idx.size, chunk):
-        sel = idx[c0 : c0 + chunk]
-        yield oracle_quadratic_forms(X[sel], Qm)
+def oracle_quad_per_stage(X, Qm, mask, block=sim.PATH_BLOCK):
+    for j0 in range(0, mask.size, block):
+        sel = j0 + np.flatnonzero(mask[j0 : j0 + block])
+        if sel.size:
+            yield oracle_quadratic_forms(X[sel], Qm)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -181,7 +181,7 @@ CASES = {
     "constant-input": (lambda: make_random_model(777, 3, target=0.75, alpha=0.9, m=2),
                        dict(n_paths=9000, horizon=20, x0=[1.0, -0.5, 0.25],
                             input_policy=ConstantInput([0.7, -0.3])), 0.9),
-    # aborts in every block, so chunks of survivors straddle the block seams
+    # aborts in every block, so every chunk is a copy of one block's survivors
     "explosive": (explosive_model,
                   dict(n_paths=3 * sim.PATH_BLOCK - 100, horizon=110, x0=[1.0]), 1e-4),
 }
@@ -256,6 +256,26 @@ class TestStreamEqualsOracle:
         expect = oracle_representation(kept, alpha, Q)
         assert reducers["representation"].result() == expect
         assert validate_representation(kept, alpha, Q) == expect
+
+
+def test_each_block_reduces_its_own_survivors():
+    # The explosive case aborts in all three path blocks: each reaches the
+    # reducers once, as exactly its surviving paths in path order.
+    make, kwargs, _ = CASES["explosive"]
+    model, cfg = make(), SimConfig(seed=7, **kwargs)
+    chunks = []
+
+    class Record:
+        def add_chunk(self, X, q):
+            chunks.append(X.copy())
+
+    simulate_paths(model, cfg, [sim.PathFeed(np.eye(1), [Record()])])
+    kept = simulate_paths(model, cfg)
+    assert len(chunks) == 3
+    for j0, X in zip(range(0, kept.n_paths, sim.PATH_BLOCK), chunks):
+        block = slice(j0, j0 + sim.PATH_BLOCK)
+        survivors = kept.X[block][kept.ok[block]].transpose(1, 0, 2)
+        assert np.array_equal(X.view(np.uint64), survivors.view(np.uint64)), j0
 
 
 @pytest.mark.parametrize("n", [5, 10])
