@@ -68,6 +68,7 @@ _INPUT_ERRORS = (
     DomainError,
     ValueError,
     FileNotFoundError,
+    FileExistsError,
     IsADirectoryError,
     NotADirectoryError,
     PermissionError,
@@ -165,6 +166,8 @@ def _load_matrix(path, flag):
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed JSON in {path}: {exc}") from None
+    except RecursionError:
+        raise ParseError(f"{flag}: JSON nested too deeply in {path}") from None
     return _as_float_array(data, flag)
 
 

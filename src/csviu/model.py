@@ -32,11 +32,17 @@ PSD_TOL = 1e-10
 
 
 def _holds_bool(value):
-    """Whether a JSON value is, or nests, a boolean; each list's types are scanned once."""
-    if isinstance(value, list):
-        types = set(map(type, value))
-        return bool in types or (list in types and any(map(_holds_bool, value)))
-    return isinstance(value, bool)
+    """Whether a JSON value is, or nests, a boolean; each list's types are scanned once,
+    without recursion, so no nesting depth overflows the stack."""
+    pending = [[value]]
+    while pending:
+        values = pending.pop()
+        types = set(map(type, values))
+        if bool in types:
+            return True
+        if list in types:
+            pending.extend(v for v in values if isinstance(v, list))
+    return False
 
 
 def _as_float_array(value, name):
@@ -274,6 +280,8 @@ def load_model(path):
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: malformed JSON: {exc}") from None
+        except RecursionError:
+            raise ParseError(f"{path}: JSON nested too deeply") from None
     model = CsviuModel.from_dict(doc)
     violations = validate(model)
     if violations:

@@ -26,6 +26,8 @@ M_1 - E Phi.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 from .errors import ConvergenceError, DimensionError, DomainError
@@ -54,6 +56,10 @@ RADIUS_MAX_STEPS = 400
 BRACKET_EVERY = 4
 #: Reads over which the bracket's shrink rate is measured to foresee the cap.
 STALL_WINDOW = 4
+#: Upper bound on the arrays of the (dim, n, n) basis stack's size held at
+#: once by operator_matrix and by the dense Stein solve on its M_1 after it:
+#: tracemalloc measured 4.0 and 4.1-4.5 of them at n = 10-60.
+BUILD_STACK_ARRAYS = 5
 
 
 def sym_dim(n):
@@ -161,11 +167,18 @@ def operator_matrix(model, alpha, which):
     Returns
     -------
     numpy.ndarray
-        The read-only (dim, dim) matrix M, dim = n(n+1)/2.
+        The read-only (dim, dim) matrix M, dim = n(n+1)/2.  Where
+        BUILD_STACK_ARRAYS stacks would not fit in physical memory it
+        raises ValueError instead, before it allocates.
     """
     if which not in ("L_alpha", "Z"):
         raise ValueError(f"unknown operator {which!r}")
     n = model.n
+    need = 8 * BUILD_STACK_ARRAYS * sym_dim(n) * n * n
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > physical:
+        raise ValueError(f"the svec matrix of {which} at n = {n} needs {need / 1e9:.3g} GB, "
+                         f"more than the {physical / 1e9:.3g} GB of memory")
     basis = smat(np.eye(sym_dim(n)), n)  # the orthonormal basis, one matrix per svec entry
     images = op_L_alpha(model, alpha, basis) if which == "L_alpha" else op_Z(model, basis)
     M = np.ascontiguousarray(svec(images).T)

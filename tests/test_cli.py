@@ -274,6 +274,13 @@ class TestExitCodes:
             for command, *flags in (["analyze", "--alpha", "0.9"], ["norm", "--alpha", "0.9"],
                                     ["norm", "--power"], ["sweep"])
         ]
+        # an --output-dir that names an existing file
+        cases += [
+            ([command, scalar, *flags, "--output-dir", models["gain"]], "File exists")
+            for command, *flags in (["analyze", "--alpha", "0.9"], ["norm", "--alpha", "0.9"],
+                                    ["sweep"], ["simulate", *short_sim],
+                                    ["simulate", *short_sim, "--dump"])
+        ]
         for argv, message in cases:
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
@@ -283,6 +290,35 @@ class TestExitCodes:
             assert err.startswith("error:")
             assert err.count("\n") == 1, (argv, err)
             assert message in err, argv
+
+    @pytest.mark.parametrize("depth, message", [(500, "not a numeric array"),
+                                                (100_000, "nested too deeply")])
+    @pytest.mark.parametrize("flag", ["model", "--Q", "--G"])
+    def test_deeply_nested_json_is_a_parse_error(self, run, models, tmp_path, flag, depth,
+                                                 message):
+        nested = "[" * depth + "0.5" + "]" * depth
+        path = tmp_path / "deep.json"
+        if flag == "model":
+            path.write_text(json.dumps(dict(SCALAR_DOC, A=None)).replace("null", nested))
+            argv = ["analyze", str(path), "--alpha", "0.9"]
+        else:
+            path.write_text(nested)
+            argv = ["analyze", models["scalar"], "--alpha", "0.9", flag, str(path)]
+        code, out, err = run(argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1, err[:200]
+        assert message in err and (flag == "model" or flag in err)
+
+    def test_svec_build_beyond_physical_memory_exits_two(self, run, monkeypatch):
+        # At alpha = 5 the n = 3 model takes the dense Stein solve, whose
+        # M_1 build is refused from its shapes before anything is allocated.
+        monkeypatch.setattr(ops.os, "sysconf",
+                            {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 1000}.__getitem__)
+        monkeypatch.setattr(ops, "smat", lambda *args: pytest.fail("the basis was built"))
+        code, out, err = run(["analyze", N3_MODEL, "--alpha", "5"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert "at n = 3" in err
 
     @pytest.mark.parametrize("flags", [
         ["analyze", "--alpha", "0.9"],

@@ -180,6 +180,11 @@ SCALAR = (Path(__file__).parent / "golden" / "models" / "scalar.json").read_text
 @example(case=(["simulate", "model.json", *SHORT_SIM], {"model.json": HUGE_C}))
 @example(case=(["simulate", "model.json", "--paths", "60", "--horizon", "40", "--seed", "7",
                 "--alpha", "1e300", "--validate-representation"], {"model.json": SCALAR}))
+# an --output-dir that names an existing file
+@example(case=(["analyze", "model.json", "--alpha", "0.9", "--output-dir", "out"],
+               {"model.json": SCALAR, "out": ""}))
+@example(case=(["simulate", "model.json", *SHORT_SIM, "--dump", "--output-dir", "out"],
+               {"model.json": SCALAR, "out": ""}))
 def test_every_input_ends_in_a_report_or_one_line(workspace, case):
     argv, files = case
     workdir = Path(tempfile.mkdtemp(dir=workspace))

@@ -1,5 +1,7 @@
 """Operator algebra: Z, W, varpi, L_alpha, sign vector, matrix representations."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from csviu import (
     CsviuModel,
     DimensionError,
+    check_stability,
     op_L_alpha,
     op_varpi,
     op_W,
@@ -252,6 +255,28 @@ class TestOperatorMatrix:
             for U in stack:
                 diag = np.diag(np.diag(sbx.T @ U @ sbx))
                 assert np.array_equal(op_Z(model, U).view(np.uint64), diag.view(np.uint64))
+
+    @pytest.mark.parametrize("n", [10, 20])
+    def test_dense_stein_solve_peaks_below_the_memory_check(self, n, monkeypatch):
+        # sqrt(5) r(A) = 1.34 takes the verdict to the dense solve on M_1: what
+        # the build and the solve hold at their peak stays below what
+        # operator_matrix counts before it allocates.  With physical memory
+        # set to that peak, the build is refused.
+        A = np.random.default_rng(n).standard_normal((n, n))
+        model = plain_model(0.6 * A / spectral_radius(A), 0.1 * np.eye(n))
+        unit_radius(model)
+        tracemalloc.start()
+        try:
+            report = check_stability(model, 5.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not report.crit_v_part1
+        assert peak < 8 * ops.BUILD_STACK_ARRAYS * ops.sym_dim(n) * n * n
+        monkeypatch.setattr(ops.os, "sysconf",
+                            {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": peak}.__getitem__)
+        with pytest.raises(ValueError, match=f"at n = {n} needs"):
+            operator_matrix(model, 1.0, "L_alpha")
 
 
 class TestSpectralRadius:
