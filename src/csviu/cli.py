@@ -166,6 +166,8 @@ def _load_matrix(path, flag):
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed JSON in {path}: {exc}") from None
+    except ValueError:  # an integer beyond Python's limit on digits to convert
+        raise ParseError(f"{flag}: an integer has too many digits in {path}") from None
     except RecursionError:
         raise ParseError(f"{flag}: JSON nested too deeply in {path}") from None
     return _as_float_array(data, flag)
@@ -296,8 +298,8 @@ def _emit(report, args, tables=None):
 
 
 def cmd_analyze(args):
-    model = load_model(args.model)
     _check_alpha(args.alpha)
+    model = load_model(args.model)
     Q = _load_weight(args.Q, model.n) if args.Q else None
 
     # One Stein-SMW step gives the verdict and, where it passes, L.

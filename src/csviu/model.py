@@ -15,6 +15,7 @@ class.  ``m = 0`` means there is no exogenous input (B and D absent).
 from __future__ import annotations
 
 import json
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,7 +98,7 @@ def _dimension(doc, key):
     if isinstance(value, float) and value.is_integer():
         value = int(value)
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ParseError(f"{key} must be an integer, got {value!r}")
+        raise ParseError(f"{key} must be an integer, got {reprlib.repr(value)}")
     return value
 
 
@@ -214,7 +215,7 @@ def validate(model):
             continue
         if arr.shape != shape:
             label = "C row count != p" if name == "C" and arr.ndim == 2 and arr.shape[1] == n else None
-            violations.append(label or f"{name} must be {shape[0]}x{shape[1]}, got {_shape_text(arr)}")
+            violations.append(label or f"{name} must be {_dims(shape)}, got {_shape_text(arr)}")
             continue
         if not np.all(np.isfinite(arr)):
             violations.append(f"{name} has non-finite entries")
@@ -227,7 +228,7 @@ def validate(model):
             elif bad.intersection(dims):
                 continue
             elif arr.shape != shape:
-                violations.append(f"{name} must be {shape[0]}x{shape[1]}, got {_shape_text(arr)}")
+                violations.append(f"{name} must be {_dims(shape)}, got {_shape_text(arr)}")
             elif not np.all(np.isfinite(arr)):
                 violations.append(f"{name} has non-finite entries")
     else:
@@ -236,6 +237,11 @@ def validate(model):
         if model.D is not None:
             violations.append("D present but m=0")
     return violations
+
+
+def _dims(shape):
+    """An expected shape as "3x2", each dimension through a bounded repr."""
+    return "x".join(map(reprlib.repr, shape))
 
 
 def _shape_text(arr):
@@ -280,6 +286,8 @@ def load_model(path):
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: malformed JSON: {exc}") from None
+        except ValueError:  # an integer beyond Python's limit on digits to convert
+            raise ParseError(f"{path}: an integer has too many digits") from None
         except RecursionError:
             raise ParseError(f"{path}: JSON nested too deeply") from None
     model = CsviuModel.from_dict(doc)

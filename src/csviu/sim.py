@@ -11,11 +11,9 @@ to sinks and dropped; a PathFeed sink takes the block's surviving paths
 x_k^T Q x_k once, as (x_k Q) . x_k in chunks of Q_CHUNK paths, and
 passes them to every reducer (Abel sums, Cesaro means, per-stage
 statistics, the representation check), which keep only per-path
-scalars.  At n > 1 that rounds differently from the single einsum over
-the block that earlier versions used, so their Monte Carlo figures moved
-in the last digits.  The whole ensemble X is kept only when it is asked
-for (no sinks); the Ensemble-taking estimators replay it through the
-same reducers, block by block, so both routes give the same bits.
+scalars.  The whole ensemble X is kept only when it is asked for (no
+sinks); the Ensemble-taking estimators replay it through the same
+reducers, block by block, so both routes give the same bits.
 
 Reproducibility contract: path j draws its noise from a Philox stream
 keyed by (master seed, j), consumed in a stage-block partition that
@@ -25,19 +23,6 @@ fresh Philox(key=(seed, j)).  Path blocks have a fixed size and
 estimators reduce in fixed block order, so path j's trajectory does not
 change when the ensemble grows.
 
-simulate_paths(threads=N) draws the noise in up to N processes, at most
-one per CPU and one per path of a block.  A path block's noise sits in
-two half-block groups of a ring in one shared mapping, and each process
-draws its rows through its own re-keyed streams.  While the calling
-process steps one stage block, the N - 1 forked children draw the first
-half of the next one into a third group; its second half is then split
-over all N processes.  The first path block is not drawn ahead: both of
-its halves are split.  So a run with children holds 1.5 path blocks of
-noise, not one.  The step loop, the reducers and every BLAS call stay in
-the calling process, and path j's stream is fixed by (seed, j) alone,
-so no result depends on N.  Beside children, the sinks run BLAS on one
-thread.
-
 Gaussian draws come from Generator.standard_normal and uniform draws
 from Generator.uniform.  Rademacher draws are read straight from the raw
 64-bit Philox words: each word gives two draws, its low 32-bit half
@@ -45,11 +30,12 @@ first, and a draw is +1 when bit 31 of its half is set and -1 otherwise.
 That is Generator.integers(0, 2) bit for bit, which takes one 32-bit
 half per draw, low half first, and keeps bit 31 (Lemire's bounded method
 never rejects for a range of 2).  A half word left over at the end of a
-stage block opens the next one, as it does in the Generator.  The noise
-buffer keeps one sign byte per Rademacher draw, bit 31 itself (0 or 1).
-For every noise kind the step loop copies TILE_STAGES stages at a time
-stage-major from both halves into one tile; sign bytes are turned one
-stage at a time into -1.0 and +1.0.
+stage block opens the next one, as it does in the Generator.
+
+_NoiseBlocks alone knows how the noise is laid out and drawn, in how
+many processes, and how it reaches the step loop; its docstring
+describes the ring.  The step loop reads one row of doubles per stage,
+and no result depends on the number of drawing processes.
 """
 
 from __future__ import annotations
@@ -241,14 +227,6 @@ def _kept(ensemble):
     return ensemble.X
 
 
-def _draw(gen, kind, out):
-    """Fill ``out`` with the next Gaussian or uniform draws of ``gen`` in C order."""
-    if kind == "gaussian":
-        gen.standard_normal(out=out)
-    else:
-        out[...] = gen.uniform(-_SQRT3, _SQRT3, size=out.shape)
-
-
 class _PathStreams:
     """The noise streams of paths j0, j0+1, ..., drawn through one re-keyed Philox.
 
@@ -292,7 +270,10 @@ class _PathStreams:
         if self.kind != "rademacher":
             for i in range(paths):
                 self._restore(i)
-                _draw(self.gen, self.kind, out[i])
+                if self.kind == "gaussian":
+                    self.gen.standard_normal(out=out[i])
+                else:
+                    out[i] = self.gen.uniform(-_SQRT3, _SQRT3, size=out[i].shape)
                 if not last:
                     self.saved[i] = self.bitgen.state
             return
@@ -316,17 +297,6 @@ class _PathStreams:
         self.odd = odd + 2 * words - count
 
 
-def _draw_processes(threads, rows):
-    """Processes that fill a path block's noise: at most ``threads``, one per CPU and one per row."""
-    if not hasattr(os, "fork"):
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return max(1, min(threads, cpus, rows))
-
-
 @functools.cache
 def _openblas():
     """numpy's bundled OpenBLAS thread controls (set, get), or None where they are not found."""
@@ -340,22 +310,6 @@ def _openblas():
     return None
 
 
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run BLAS on one thread inside the block, where numpy's OpenBLAS can be told to."""
-    controls = _openblas()
-    if controls is None:
-        yield
-        return
-    set_threads, get_threads = controls
-    threads = get_threads()
-    set_threads(1)
-    try:
-        yield
-    finally:
-        set_threads(threads)
-
-
 def _mapped(shape, dtype, flags):
     """A fresh anonymous mapping as an array, its pages faulted in at once where the system can."""
     nbytes = int(np.prod(shape)) * dtype.itemsize
@@ -364,48 +318,73 @@ def _mapped(shape, dtype, flags):
 
 
 class _NoiseBlocks:
-    """The noise of every path block, in a ring of half-block groups, filled by ``workers`` processes.
+    """A run's noise: the one place that knows how it is laid out and drawn.
 
-    ``shape`` is (groups, rows, stages, n + r).  A path block's first
-    bp // 2 rows sit in one group and the rest in another, and blocks()
-    yields the two for each stage block in turn.  Without children the
-    ring holds two groups and this process fills both.  With children it
-    holds three in one anonymous shared mapping: while the caller steps
-    a stage block from two groups, the children fill the next one's
-    first half into the third, then the caller and the children split
-    its second half.  The stage blocks of the first path block are not
-    drawn ahead; both halves are split over every process.  A process
-    fills the same rows in every stage block of a path block, so its own
-    _PathStreams keep their saved states and Rademacher carry.  Each
-    fill is a command on a child's pipe answered by one byte on another,
-    and private() makes the arrays the children must not share.  A child
-    runs only this RNG code and leaves through os._exit, when its command
-    pipe closes or anything fails; ``close()`` closes the pipes and reaps
-    every child.
+    Built from (model, cfg, threads), it works out its layout and
+    allocates nothing: ``workers``, the processes that draw (at most
+    threads, one per CPU and one per path of a block, and one where
+    os.fork does not exist); ``shape``, the ring (groups, rows, stages,
+    n + r); ``dtype``, one sign byte per Rademacher draw and one double
+    per other draw; and ``nbytes``, which the memory check counts.
+    Entering it allocates the ring and forks workers - 1 children;
+    leaving it closes their pipes, which ends them, and reaps them.
+
+    The ring holds a path block's noise for one stage block in two
+    half-block groups: its first bp // 2 rows in one and the rest in the
+    other.  Without children it has two groups and this process fills
+    both.  With children it has three, in one anonymous shared mapping:
+    while the caller steps a stage block from two groups, the children
+    fill the first half of the next one into the third, then the caller
+    and the children split its second half.  The stage blocks of the
+    first path block are not drawn ahead; both halves are split over
+    every process.  So a run with children holds 1.5 path blocks of
+    noise, not one.  A process fills the same rows in every stage block
+    of a path block, so its own _PathStreams keep their saved states and
+    Rademacher carry.  Each fill is a command on a child's pipe answered
+    by one byte on another, and private() makes the arrays the children
+    must not share.  A child runs only this RNG code and leaves through
+    os._exit, when its command pipe closes or anything fails.
+
+    stage_rows() hands the step loop one (paths, n + r) row of doubles
+    per stage: it copies TILE_STAGES stages at a time stage-major from
+    both halves into one tile, and turns sign bytes one stage at a time
+    into -1.0 and +1.0.  The step loop, the sinks and every BLAS call
+    stay in the calling process; beside children, sinks_blas() runs the
+    sinks' BLAS on one thread.
     """
 
     _COMMAND = struct.Struct("6q")  # group, first row, end row, first path, stages, last
 
-    def __init__(self, cfg, shape, dtype, workers):
-        self.seed, self.kind, self.workers = cfg.seed, cfg.noise_kind, workers
-        self.count = shape[2] * shape[3]
-        if workers == 1:
-            self.buf = np.empty(shape, dtype)
-        else:
-            self.buf = _mapped(shape, dtype, mmap.MAP_SHARED)
+    def __init__(self, model, cfg, threads):
+        self.seed, self.kind = cfg.seed, cfg.noise_kind
+        self.n_paths, self.horizon = cfg.n_paths, cfg.horizon
+        block, width = min(cfg.n_paths, PATH_BLOCK), model.n + model.r
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        self.workers = max(1, min(threads, cpus or 1, block)) if hasattr(os, "fork") else 1
+        self.shape = (2 if self.workers == 1 else 3, (block + 1) // 2,
+                      _stage_block_size(cfg.horizon, width), width)
+        self.dtype = np.dtype(np.uint8 if self.kind == "rademacher" else np.float64)
+        self.nbytes = int(np.prod(self.shape)) * self.dtype.itemsize
+        # [pid, command write end, ack read end] per child; acks owed by each.
+        self.children, self.pending = [], 0
+
+    def __enter__(self):
+        self.buf = (np.empty(self.shape, self.dtype) if self.workers == 1
+                    else _mapped(self.shape, self.dtype, mmap.MAP_SHARED))
         # The _PathStreams of this process, by their first path, and the
         # generator they share.
         self.streams = {}
         self.gen = np.random.Generator(np.random.Philox(0))
-        # [pid, command write end, ack read end] per child; acks owed by each.
-        self.children = []
-        self.pending = 0
         try:
-            for _ in range(1, workers):
+            for _ in range(1, self.workers):
                 self._fork()
         except BaseException:
             self.close()
             raise
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
 
     def private(self, shape):
         """An uninitialised array of doubles for this process alone.
@@ -454,7 +433,7 @@ class _NoiseBlocks:
         if lo == hi:
             return
         streams = self.streams.pop(j, None) or _PathStreams(self.seed, j, hi - lo, self.kind,
-                                                            self.count, self.gen)
+                                                            self.buf[g, lo].size, self.gen)
         streams.draw(self.buf[g, lo:hi, :stages], last)
         if not last:
             self.streams[j] = streams
@@ -493,14 +472,46 @@ class _NoiseBlocks:
     def _died():
         raise ChildProcessError("a noise-drawing child process exited mid-run")
 
-    def blocks(self, n_paths, horizon):
-        """Yield (first half, second half) of each stage block of paths 0 ... n_paths-1.
+    def stage_rows(self):
+        """Yield (j0, rows) for each path block in turn; rows yields its stages' noise in order.
+
+        A row is one (paths, n + r) array of doubles, valid until the next
+        is asked for.  Each path block's rows must be run to their end
+        before the next block's: that frees the block's tile and sign row.
+        """
+        halves = self._halves()
+        for j0 in range(0, self.n_paths, PATH_BLOCK):
+            yield j0, self._rows(halves, min(PATH_BLOCK, self.n_paths - j0))
+
+    def _rows(self, halves, bp):
+        """One path block's stage rows: each stage block's halves are copied stage-major into a
+        tile, and sign bytes are turned one stage at a time into doubles in row."""
+        tile = None
+        for first, second in itertools.islice(halves, -(-self.horizon // self.shape[2])):
+            h, stages = first.shape[0], second.shape[1]
+            if tile is None:
+                tile = np.empty((TILE_STAGES, bp, self.shape[3]), self.dtype)
+                row = np.empty(tile.shape[1:]) if self.dtype == np.uint8 else None
+            for ks in range(stages):
+                if ks % TILE_STAGES == 0:
+                    t = min(TILE_STAGES, stages - ks)
+                    np.copyto(tile[:t, :h], first[:, ks : ks + t].transpose(1, 0, 2))
+                    np.copyto(tile[:t, h:], second[:, ks : ks + t].transpose(1, 0, 2))
+                z = tile[ks % TILE_STAGES]
+                if row is not None:
+                    # Sign bytes 0 and 1 to -1.0 and +1.0.
+                    z = np.multiply(z, 2.0, out=row)
+                    z -= 1.0
+                yield z
+
+    def _halves(self):
+        """Yield (first half, second half) of each stage block of every path block.
 
         Path blocks of PATH_BLOCK paths come in order, each in its stage
         blocks; a half is a view (rows, stages, n + r) valid until the
         next stage block is asked for.
         """
-        sb = self.buf.shape[2]
+        n_paths, horizon, sb = self.n_paths, self.horizon, self.shape[2]
         units = ((j0, min(PATH_BLOCK, n_paths - j0), k0, min(k0 + sb, horizon))
                  for j0 in range(0, n_paths, PATH_BLOCK) for k0 in range(0, horizon, sb))
         ring = list(range(self.buf.shape[0]))
@@ -532,6 +543,26 @@ class _NoiseBlocks:
                 except ChildProcessError:
                     pass
 
+    @contextlib.contextmanager
+    def sinks_blas(self):
+        """Run the sinks' BLAS on one thread beside children, where numpy's OpenBLAS can be told to.
+
+        Idle OpenBLAS workers spin after each of the sinks' small products,
+        on the CPUs the children draw on.  The step's products keep their
+        threads, which pay for it at n = 10.
+        """
+        controls = _openblas() if self.children else None
+        if controls is None:
+            yield
+            return
+        set_threads, get_threads = controls
+        threads = get_threads()
+        set_threads(1)
+        try:
+            yield
+        finally:
+            set_threads(threads)
+
 
 def _stage_block_size(horizon, width):
     # Depends only on (horizon, n + r): the draw partition is part of the
@@ -554,68 +585,43 @@ def _matmul(a, b, out=None, plus_zero=True):
     return out
 
 
-def _simulate_block(model, cfg, steps, X, halves, aborted, j0):
-    """Simulate paths j0, j0+1, ... into the stage-major X, taking each stage block's noise
-    halves from the iterator ``halves``; return who survives."""
+def _simulate_block(model, cfg, X, rows, aborted, j0):
+    """Simulate paths j0, j0+1, ... into the stage-major X; stage k's noise (eps_k, w_k) is the
+    k-th (paths, n + r) row of doubles that ``rows`` yields.  Return who survives."""
     n = model.n
-    AT, BT, sxT, sbxT, sgT = steps
+    AT, BT, sxT, sbxT, sgT = (None if M is None else np.ascontiguousarray(M.T) for M in (
+        model.A, model.B, model.sigma_x, model.sigma_bar_x, model.sigma))
     policy = cfg.input_policy
-    horizon = cfg.horizon
-    bp = X.shape[1]
-
     x = X[0]
     x[...] = cfg.x0
     # A product and a scratch array, reused every stage.
     prod, tmp = np.empty_like(x), np.empty_like(x)
-    tile = row = None
-    alive = np.ones(bp, dtype=bool)
+    alive = np.ones(X.shape[1], dtype=bool)
     all_alive = True
 
     with np.errstate(over="ignore", invalid="ignore"):
-        k0 = 0
-        while k0 < horizon:
-            first, second = next(halves)
-            k1 = k0 + second.shape[1]
-            if tile is None:
-                # A tile of stages copied stage-major from both halves; sign
-                # bytes are turned one stage at a time into doubles in row.
-                tile = np.empty((TILE_STAGES, bp, second.shape[2]), dtype=second.dtype)
-                if second.dtype == np.uint8:
-                    row = np.empty(tile.shape[1:])
-            for k in range(k0, k1):
-                ks = k - k0
-                if ks % TILE_STAGES == 0:
-                    t = min(TILE_STAGES, k1 - k)
-                    h = first.shape[0]
-                    np.copyto(tile[:t, :h], first[:, ks : ks + t].transpose(1, 0, 2))
-                    np.copyto(tile[:t, h:], second[:, ks : ks + t].transpose(1, 0, 2))
-                z = tile[ks % TILE_STAGES]
-                if row is not None:
-                    # Sign bytes 0 and 1 to -1.0 and +1.0.
-                    z = np.multiply(z, 2.0, out=row)
-                    z -= 1.0
-                eps, om = z[:, :n], z[:, n:]
-                # x_{k+1} in place; at n = 1 the first product leaves it never -0.
-                xn = _matmul(x, AT, out=X[k + 1])
-                if BT is not None:
-                    ell = policy.inputs(k, x)
-                    if ell is not None:
-                        xn += _matmul(ell, BT, out=prod, plus_zero=n > 1)
-                xn += _matmul(eps, sxT, out=prod, plus_zero=n > 1)
-                np.abs(x, out=tmp)
-                tmp *= eps
-                xn += _matmul(tmp, sbxT, out=prod, plus_zero=n > 1)
-                xn += _matmul(om, sgT, out=prod, plus_zero=n > 1)
-                # NaN and inf both fail the comparisons; while every path
-                # is alive one reduction clears the whole block.
-                if not all_alive or not np.abs(xn, out=tmp).max() <= OVERFLOW_LIMIT:
-                    bad = ~(np.abs(xn) <= OVERFLOW_LIMIT).all(axis=1) & alive
-                    aborted.extend((j0 + int(i), k + 1) for i in np.flatnonzero(bad))
-                    alive &= ~bad
-                    all_alive = False
-                    xn[~alive] = np.nan
-                x = xn if all_alive else np.where(alive[:, None], xn, 0.0)
-            k0 = k1
+        for k, z in enumerate(rows):
+            eps, om = z[:, :n], z[:, n:]
+            # x_{k+1} in place; at n = 1 the first product leaves it never -0.
+            xn = _matmul(x, AT, out=X[k + 1])
+            if BT is not None:
+                ell = policy.inputs(k, x)
+                if ell is not None:
+                    xn += _matmul(ell, BT, out=prod, plus_zero=n > 1)
+            xn += _matmul(eps, sxT, out=prod, plus_zero=n > 1)
+            np.abs(x, out=tmp)
+            tmp *= eps
+            xn += _matmul(tmp, sbxT, out=prod, plus_zero=n > 1)
+            xn += _matmul(om, sgT, out=prod, plus_zero=n > 1)
+            # NaN and inf both fail the comparisons; while every path
+            # is alive one reduction clears the whole block.
+            if not all_alive or not np.abs(xn, out=tmp).max() <= OVERFLOW_LIMIT:
+                bad = ~(np.abs(xn) <= OVERFLOW_LIMIT).all(axis=1) & alive
+                aborted.extend((j0 + int(i), k + 1) for i in np.flatnonzero(bad))
+                alive &= ~bad
+                all_alive = False
+                xn[~alive] = np.nan
+            x = xn if all_alive else np.where(alive[:, None], xn, 0.0)
     return alive
 
 
@@ -641,10 +647,9 @@ def simulate_paths(model, cfg, sinks=(), threads=1):
     threads : int, optional
         Processes that draw the noise: the calling process and up to
         threads - 1 forked children, at most one per CPU and one per path
-        of a block.  The children draw each path block's first half
-        ahead, so the noise held grows from one path block to 1.5.  Every
-        child is reaped before the call returns or raises.  No result
-        depends on it.
+        of a block.  With children the noise held grows from one path
+        block to 1.5 (see _NoiseBlocks).  Every child is reaped before the
+        call returns or raises.  No result depends on it.
 
     Raises
     ------
@@ -672,48 +677,30 @@ def simulate_paths(model, cfg, sinks=(), threads=1):
         raise ValueError("threads must be a positive integer")
 
     n_paths, horizon, n = cfg.n_paths, cfg.horizon, model.n
-    width = n + model.r
     block = min(n_paths, PATH_BLOCK)
-    workers = _draw_processes(threads, block)
-    # The ring of half-block groups: two, and with children a third that
-    # they draw ahead into.  One sign byte per Rademacher draw, one double
-    # per other draw.
-    ring = (2 if workers == 1 else 3, (block + 1) // 2, _stage_block_size(horizon, width), width)
-    noise_type = np.dtype(np.uint8 if cfg.noise_kind == "rademacher" else np.float64)
-    noise = int(np.prod(ring)) * noise_type.itemsize
+    noise = _NoiseBlocks(model, cfg, threads)
     if sinks:
-        need = noise + 8 * (STREAM_BLOCK_ARRAYS * block * (horizon + 1) * n
-                            + STREAM_PATH_DOUBLES * n_paths)
+        need = noise.nbytes + 8 * (STREAM_BLOCK_ARRAYS * block * (horizon + 1) * n
+                                   + STREAM_PATH_DOUBLES * n_paths)
         held = "the path-block buffers and per-path results"
     else:
-        need = noise + 8 * n_paths * (horizon + 1) * n
+        need = noise.nbytes + 8 * n_paths * (horizon + 1) * n
         held = "the ensemble and its noise buffer"
     physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > physical:
         raise ValueError(f"{held} need {need / 1e9:.3g} GB, "
                          f"more than the {physical / 1e9:.3g} GB of memory; "
                          "lower --paths or --horizon")
-    steps = tuple(None if M is None else np.ascontiguousarray(M.T)
-                  for M in (model.A, model.B, model.sigma_x, model.sigma_bar_x, model.sigma))
-    ok = np.ones(n_paths, dtype=bool)
-    aborted = []
-    noise = _NoiseBlocks(cfg, ring, noise_type, workers)
-    # Beside children the sinks' small products run on one BLAS thread:
-    # idle OpenBLAS workers spin after each one, on the CPUs the children
-    # draw on.  The step's products keep theirs, which pay for it at n = 10.
-    reducing = _one_blas_thread if noise.children else contextlib.nullcontext
-    try:
+    ok, aborted = np.ones(n_paths, dtype=bool), []
+    with noise:
         X = noise.private((horizon + 1, block if sinks else n_paths, n))
-        halves = noise.blocks(n_paths, horizon)
-        for j0 in range(0, n_paths, PATH_BLOCK):
+        for j0, rows in noise.stage_rows():
             j1 = min(j0 + PATH_BLOCK, n_paths)
             Xj = X[:, : j1 - j0] if sinks else X[:, j0:j1]
-            ok[j0:j1] = _simulate_block(model, cfg, steps, Xj, halves, aborted, j0)
-            with reducing():
+            ok[j0:j1] = _simulate_block(model, cfg, Xj, rows, aborted, j0)
+            with noise.sinks_blas():
                 for sink in sinks:
                     sink.add_block(j0, Xj, ok[j0:j1])
-    finally:
-        noise.close()
     for sink in sinks:
         sink.close()
     kept = None if sinks else X.transpose(1, 0, 2)

@@ -2,6 +2,7 @@
 acceptance-criteria recorder that prints one PASS/FAIL line per criterion."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -85,6 +86,17 @@ def make_random_model(seed, n, *, target=0.8, alpha=1.0, m=0, r=None, p=None,
 @pytest.fixture(scope="session")
 def random_model_factory():
     return make_random_model
+
+
+@pytest.fixture(autouse=True)
+def no_child_left_unreaped():
+    """Fail a test that leaves a child process running or unreaped."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left a child process running or unreaped (waitpid: {pid})")
 
 
 def pytest_configure(config):

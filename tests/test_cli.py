@@ -309,6 +309,35 @@ class TestExitCodes:
         assert err.startswith("error:") and err.count("\n") == 1, err[:200]
         assert message in err and (flag == "model" or flag in err)
 
+    @pytest.mark.parametrize("flag, text, size, names", [
+        ("n", lambda size: "[" * size + "]" * size, 90, "n must be an integer"),
+        ("n", lambda size: json.dumps("x" * size), 500, "n must be an integer"),
+        # n = 10^size parses; validation reports the shapes it implies.
+        ("n", lambda size: "1" + "0" * size, 400, "A must be"),
+        # Integers beyond Python's 4300-digit limit on conversion.
+        ("n", lambda size: "1" + "0" * size, 5000, "bad.json"),
+        ("--Q", lambda size: f"[[1{'0' * size}]]", 5000, "bad.json"),
+        ("--G", lambda size: f"[[1{'0' * size}]]", 5000, "bad.json"),
+    ])
+    def test_error_line_does_not_grow_with_the_bad_value(self, run, models, tmp_path, flag,
+                                                          text, size, names):
+        path = tmp_path / "bad.json"
+        argv = ["analyze", str(path), "--alpha", "0.9"]
+        if flag != "n":
+            argv = ["analyze", models["scalar"], "--alpha", "0.9", flag, str(path)]
+        lengths = []
+        for scale in (size, 10 * size):
+            if flag == "n":
+                path.write_text(json.dumps(dict(SCALAR_DOC, n="N")).replace('"N"', text(scale)))
+            else:
+                path.write_text(text(scale))
+            code, out, err = run(argv)
+            assert (code, out) == (2, "")
+            assert err.startswith("error:") and err.count("\n") == 1, err[:200]
+            assert names in err and (flag == "n" or flag in err), err[:200]
+            lengths.append(len(err))
+        assert lengths[0] == lengths[1] < 1000
+
     def test_svec_build_beyond_physical_memory_exits_two(self, run, monkeypatch):
         # At alpha = 5 the n = 3 model takes the dense Stein solve, whose
         # M_1 build is refused from its shapes before anything is allocated.

@@ -138,11 +138,11 @@ class TestSimConfig:
         class Accepted(Exception):
             pass
 
-        def accepted(noise, n_paths, horizon):
+        def accepted(noise):
             assert noise.buf.dtype == np.uint8 and noise.buf.nbytes == draws
             raise Accepted
 
-        monkeypatch.setattr(sim._NoiseBlocks, "blocks", accepted)
+        monkeypatch.setattr(sim._NoiseBlocks, "stage_rows", accepted)
         cfg = SimConfig(n_paths=paths, horizon=horizon, seed=0,
                         noise_kind="rademacher", x0=[0.0])
         with pytest.raises(Accepted):
@@ -600,6 +600,52 @@ class TestDrawProcesses:
             simulate_paths(scalar_model, cfg, [Killer()], threads=2)
         assert len(forks) == 1
         assert_no_children()
+
+
+def plain_recursion(model, cfg, noise):
+    """X, ok and aborts of paths 0, 1, ... by plain @ products in the step's order, stage k's
+    noise (eps_k, w_k) being noise[k]; an aborted path is NaN from its abort on and steps
+    from 0."""
+    n = model.n
+    At, Bt, Sxt, Sbt, Sgt = (M.T.copy() for M in (model.A, model.B, model.sigma_x,
+                                                   model.sigma_bar_x, model.sigma))
+    paths = noise.shape[1]
+    X = np.empty((cfg.horizon + 1, paths, n))
+    x = X[0] = np.tile(cfg.x0, (paths, 1))
+    ok, aborted = np.ones(paths, dtype=bool), []
+    for k, z in enumerate(noise):
+        eps, om = z[:, :n], z[:, n:]
+        ell = cfg.input_policy.inputs(k, x)
+        xn = x @ At + ell @ Bt + eps @ Sxt + (np.abs(x) * eps) @ Sbt + om @ Sgt
+        bad = ok & ~(np.abs(xn) <= sim.OVERFLOW_LIMIT).all(axis=1)
+        aborted += [(int(i), k + 1) for i in np.flatnonzero(bad)]
+        ok &= ~bad
+        X[k + 1] = np.where(ok[:, None], xn, np.nan)
+        x = np.where(ok[:, None], xn, 0.0)
+    return X, ok, aborted
+
+
+class TestStep:
+    """The CSVIU step alone, driven by a fixed noise array instead of the RNG."""
+
+    def test_step_matches_the_plain_recursion_bit_for_bit(self):
+        model = CsviuModel(n=3, r=2, p=1, m=1,
+                           A=[[0.5, 0.125, -0.25], [0.0, 0.25, 0.125], [0.125, -0.5, 0.375]],
+                           sigma_x=[[0.125, 0.0, 0.5], [0.25, 0.125, 0.0], [0.0, 0.5, 0.25]],
+                           sigma_bar_x=[[0.25, 0.5, 0.0], [0.0, 0.25, 0.125], [0.5, 0.0, 0.25]],
+                           sigma=[[0.25, 0.125], [-0.5, 0.5], [0.125, 0.25]],
+                           C=[[1.0, 0.0, 0.0]], B=[[0.5], [-0.25], [0.75]], D=[[0.0]])
+        paths, horizon = 37, 12
+        cfg = SimConfig(n_paths=paths, horizon=horizon, seed=0, x0=[1.0, -0.5, 0.25],
+                        input_policy=ConstantInput([0.5]))
+        noise = np.random.default_rng(5).standard_normal((horizon, paths, model.n + model.r))
+        noise[4, 9, 0] = 1e200  # path 9 overflows at stage 5
+        X, aborted = np.empty((horizon + 1, paths, model.n)), []
+        ok = sim._simulate_block(model, cfg, X, iter(noise), aborted, 0)
+        X_ref, ok_ref, aborted_ref = plain_recursion(model, cfg, noise)
+        assert aborted == aborted_ref == [(9, 5)]
+        assert np.array_equal(ok, ok_ref)
+        assert np.array_equal(X.view(np.uint64), X_ref.view(np.uint64))
 
 
 class TestNoiseValidity:
