@@ -21,6 +21,7 @@ import csv
 import dataclasses
 import json
 import os
+import reprlib
 import sys
 from datetime import datetime, timezone
 
@@ -191,11 +192,19 @@ def _load_gain(path, n, p):
     return G
 
 
-def _positive_alpha(text):
-    try:
-        return _check_alpha(float(text))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"invalid alpha {text!r}: {exc}") from None
+def _option_type(convert, what):
+    """An argparse type: convert(text), or a one-line usage error that says the value
+    is not what, echoing it through reprlib.repr as the model-file errors do."""
+    def parse(text):
+        try:
+            return convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{reprlib.repr(text)} is not {what}") from None
+    return parse
+
+
+_integer = _option_type(int, "an integer")
+_positive_alpha = _option_type(lambda text: _check_alpha(float(text)), "a finite positive alpha")
 
 
 def _check_threads(args):
@@ -298,7 +307,6 @@ def _emit(report, args, tables=None):
 
 
 def cmd_analyze(args):
-    _check_alpha(args.alpha)
     model = load_model(args.model)
     Q = _load_weight(args.Q, model.n) if args.Q else None
 
@@ -496,7 +504,7 @@ def build_parser():
         "analyze", help="stability criteria, verdict, and detectability"
     )
     _add_common(p_analyze)
-    p_analyze.add_argument("--alpha", type=float, required=True)
+    p_analyze.add_argument("--alpha", type=_positive_alpha, required=True)
     p_analyze.add_argument("--G", help="path to a JSON output-injection gain (n x p)")
     p_analyze.set_defaults(func=cmd_analyze)
 
@@ -516,7 +524,7 @@ def build_parser():
     )
     p_norm.add_argument("--x0", help="comma-separated initial state (counter bound)")
     p_norm.add_argument(
-        "--kappa", type=int, help="horizon for the counter-discount bound"
+        "--kappa", type=_integer, help="horizon for the counter-discount bound"
     )
     p_norm.set_defaults(func=cmd_norm)
 
@@ -524,15 +532,15 @@ def build_parser():
         "simulate", help="seeded Monte Carlo estimates with closed-form comparators"
     )
     _add_common(p_sim)
-    p_sim.add_argument("--paths", type=int, required=True)
-    p_sim.add_argument("--horizon", type=int, required=True)
-    p_sim.add_argument("--seed", type=int, required=True)
+    p_sim.add_argument("--paths", type=_integer, required=True)
+    p_sim.add_argument("--horizon", type=_integer, required=True)
+    p_sim.add_argument("--seed", type=_integer, required=True)
     p_sim.add_argument("--alpha", type=_positive_alpha, required=True)
     p_sim.add_argument("--x0", help="comma-separated initial state (default: 0)")
     p_sim.add_argument("--noise", choices=NOISE_KINDS, default="gaussian")
     p_sim.add_argument(
         "--threads",
-        type=int,
+        type=_integer,
         default=1,
         help="processes that draw the noise (default 1; at most one per CPU); "
              "reports never depend on it",

@@ -186,7 +186,7 @@ def operator_matrix(model, alpha, which):
     return M
 
 
-def radius_bracket(model, floor=np.inf):
+def radius_bracket(model):
     """A Collatz-Wielandt bracket (lo, hi) on r_sigma(L_1), or None if it does not close.
 
     L_1 maps the PSD cone into itself, so for every U > 0 with Cholesky
@@ -196,9 +196,6 @@ def radius_bracket(model, floor=np.inf):
     tightens them; the bracket is read at U = I and then every
     BRACKET_EVERY steps, keeping the running max of the lower and min of
     the upper bounds.  It closes when hi - lo <= RADIUS_RTOL * hi.
-
-    With a finite ``floor`` it also stops, open, once lo >= floor: the
-    radius is then known to be at least floor.
 
     None means the power iteration cannot decide: U lost definiteness,
     L_1(U) has zero trace or is not finite, the bounds crossed, or the
@@ -224,7 +221,7 @@ def radius_bracket(model, floor=np.inf):
             except np.linalg.LinAlgError:
                 return None
             lo, hi = max(lo, float(eigs[0])), min(hi, float(eigs[-1]))
-            if abs(hi - lo) <= RADIUS_RTOL * hi or lo >= floor:
+            if abs(hi - lo) <= RADIUS_RTOL * hi:
                 return lo, hi
             widths.append(hi - lo)
             if lo > hi or _misses_cap(widths, step, hi):
@@ -249,23 +246,20 @@ def _misses_cap(widths, step, hi):
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an L_1 that overflows ends in the DomainError
-def radius_from_bracket(model, floor=np.inf):
+def radius_from_bracket(model):
     """r_sigma(L_1): the upper end of :func:`radius_bracket`, or, when the
     bracket does not close, the dense eigensolve of M_1, the svec matrix
     of L_1, built here by :func:`operator_matrix` and dropped after.
 
-    A caller that only compares the radius with ``floor`` gets the
-    bracket's lower end instead as soon as that reaches floor.  Raises
-    DomainError where M_1 is not a finite double.
+    Raises DomainError where M_1 is not a finite double.
     """
-    bracket = radius_bracket(model, floor)
+    bracket = radius_bracket(model)
     if bracket is None:
         M1 = operator_matrix(model, 1.0, "L_alpha")
         if not np.isfinite(M1).all():
             raise DomainError("r_sigma(L_1) is not a finite double; scale down A or sigma_bar_x")
         return spectral_radius(M1)
-    lo, hi = bracket
-    return lo if lo >= floor else hi
+    return bracket[1]
 
 
 def unit_radius(model):

@@ -30,12 +30,11 @@ InternalInconsistencyError rather than returning a silently wrong
 report.
 
 Detectability asks for a gain G with alpha r_sigma(L^G) < 1, where
-L^G(U) = (A + G C)^T U (A + G C) + Z(U).  Both terms are positive and Z
-does not depend on G, so alpha r_sigma(Z) = alpha r(sigma_bar_x o
-sigma_bar_x) bounds alpha r_sigma(L^G) below for every G.  The search needs numpy
-alone: its last gain comes from RICCATI_STEPS steps at most of the dual Riccati
-value iteration (Costa, Fragoso & Marques, Discrete-Time MJLS, 2005, ch. 3-5;
-Damm, LNCIS 297); the fixed cap bounds its cost on every input.
+L^G(U) = (A + G C)^T U (A + G C) + Z(U).  search_detectability decides it
+by one nonlinear power iteration on the dual map R(V) = min_G alpha L^G*(V),
+which is monotone, concave and homogeneous on the PSD cone (Lemmens &
+Nussbaum, Nonlinear Perron-Frobenius Theory, 2012; Costa, Fragoso & Marques,
+Discrete-Time MJLS, 2005): each iterate gives a gain and a bound over all gains.
 """
 
 from __future__ import annotations
@@ -47,7 +46,9 @@ import numpy as np
 from . import ops
 from .errors import DimensionError, InternalInconsistencyError, SingularOperatorError
 from .ops import radius_from_bracket, smat, spectral_radius, svec, unit_radius
-from .solver import _checked_solution, _smith_sums, _smw_solve, radius_below_one
+from .solver import (
+    STRICT_RADIUS_MARGIN, _checked_solution, _smith_sums, _smw_solve, radius_below_one,
+)
 
 __all__ = [
     "StabilityReport",
@@ -59,10 +60,8 @@ __all__ = [
 
 #: |radius - 1| below this marks the instance as marginal.
 MARGINAL_TOL = 1e-6
-#: The Riccati gain iteration stops at a relative step below RTOL, or where V passes HUGE.
-RICCATI_RTOL, RICCATI_HUGE = 1e-12, 1e12
-#: Steps after which the Riccati gain iteration stops in any case.
-RICCATI_STEPS = 100
+#: Steps after which the detectability power iteration stops, undecided.
+DETECT_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -91,9 +90,9 @@ class DetectabilityResult:
     """Outcome of a detectability check or search.
 
     ``G`` is the witness gain when one was found (detectable=True), else
-    None.  ``closed_loop_radius`` is the spectral radius of the
-    closed-loop operator at the witness, or the best radius encountered
-    during an unsuccessful search.
+    None.  ``closed_loop_radius`` is alpha r_sigma(L^G) at the witness, or
+    the least one over the gains an unsuccessful search tried (G = 0, -A C^+
+    and any later G(V), see search_detectability); it bounds no other gain.
     """
 
     detectable: bool
@@ -216,15 +215,15 @@ def _analysis(model, alpha, Qm=None):
     return report, _checked_solution(model, alpha, Qm, U[1], "direct", 0, r_L)
 
 
-def _closed_loop_radius(model, alpha, G, floor=np.inf):
-    """r_sigma(L_alpha) at the closed loop A + G C, or a lower bound once that reaches floor."""
+def _closed_loop_radius(model, alpha, G):
+    """r_sigma(L_alpha) at the closed loop A + G C."""
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
     # G = 0 leaves L_alpha itself, whose L_1 radius the model already holds.
     if not np.any(G):
         return alpha * unit_radius(model)
     closed = model.with_dynamics(model.A + G @ model.C)
-    return alpha * radius_from_bracket(closed, floor / alpha if alpha > 0 else np.inf)
+    return alpha * radius_from_bracket(closed)
 
 
 def check_detectability_with_G(model, alpha, G):
@@ -256,61 +255,67 @@ def check_detectability_with_G(model, alpha, G):
     )
 
 
-def _riccati_gain(model, alpha):
-    """G = -A V C^T (C V C^T + I)^{-1} after at most RICCATI_STEPS steps, from V = I, of
-    V <- I + alpha ((A + G C) V (A + G C)^T + G G^T + Z*(V)), Z*(V) = sigma_bar_x Diag(V)
-    sigma_bar_x^T.  V stays bounded exactly when some gain stabilises; G comes from a finite V.
-    """
-    A, C, sbx = model.A, model.C, model.sigma_bar_x
-    I_n, I_p = np.eye(model.n), np.eye(model.p)
-    V = I_n
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(RICCATI_STEPS):
-            VCt = V @ C.T
-            G = -A @ np.linalg.solve(C @ VCt + I_p, VCt.T).T
-            F = A + G @ C
-            V_next = I_n + alpha * (F @ V @ F.T + G @ G.T + (sbx * np.diag(V)) @ sbx.T)
-            size = np.abs(V_next).max()
-            if not size < RICCATI_HUGE or np.abs(V_next - V).max() <= RICCATI_RTOL * size:
-                break
-            V = V_next
-    return G
-
-
 def search_detectability(model, alpha):
-    """Deterministic search for a detectability witness.
+    """Decide detectability: a DetectabilityResult with a witness gain, or none.
 
-    Tries, in order: (a) G = 0; (b) G = -A C^+; (c) the exact bound: where
-    alpha r(sigma_bar_x o sigma_bar_x) >= 1 - STRICT_RADIUS_MARGIN no gain
-    passes, and the search stops; (d) the dual Riccati gain after at most
-    RICCATI_STEPS steps.  Each gain is judged by its closed-loop radius alone.
+    G = 0 is tried first, then the iterates from V = I of a damped power step,
+    V <- (4 R(V) / tr R(V) + V) / 5 (undamped, it can circle a 2-cycle), on
+    R(V) = alpha [min_G (A + G C) V (A + G C)^T + sigma_bar_x Diag(V) sigma_bar_x^T].
+    The minimum is L^G*(V) at G(V) = -A F (C F)^+, V = F F^T on range(V); F = I
+    first, so G(I) = -A C^+.  Every G has L^G*(V) >= R(V), and each iterate
+    reads the pencil P = F^+ R(V) F^+^T on range(V):
 
-    ``detectable=False`` certifies undetectability when the bound (c)
-    holds; otherwise it is undecided.
+    * witness: where V > 0, alpha r_sigma(L^G(V)) <= lambda_max(P).  G(V) is
+      tried, by its closed-loop radius alone, where that is below one and at
+      V = I;
+    * certificate: R(V) >= t V, t = lambda_min(P), gives alpha r_sigma(L^G) >= t
+      for every G.  Where t >= 1 + STRICT_RADIUS_MARGIN, the witness margin
+      mirrored, R(V) >= (1 + STRICT_RADIUS_MARGIN) V is checked in full: that
+      covers an unobservable mode off range(V), and leaves the slack
+      (t - 1 - margin) V on range(V) for the rounding of t.
 
-    Parameters
-    ----------
-    model : CsviuModel
-    alpha : float
-
-    Returns
-    -------
-    DetectabilityResult
+    Rounding: eigvalsh is backward stable, its eigenvalues of a symmetric M
+    exact for some M + E, ||E||_2 of order n eps ||M||_2, so the full check
+    passes down to -n eps (alpha tr R(V) + 1) (tr V = 1).  (C F)^+ scales
+    pinv's cutoff 1e-15 sigma_max(C F) by ||C||_F / ||C F||_F: pinv's own at
+    F = I, it later drops what C F cannot tell from zero.  Near the boundary
+    both may stay open for DETECT_STEPS iterates: detectable=False,
+    undecided.  A negative alpha raises ValueError.
     """
-    best_radius = np.inf
+    return _detect(model, alpha)[0]
 
-    def attempt(G):
-        nonlocal best_radius
-        # A radius at or above the best so far, which failed, is neither a
-        # witness nor a new best, so the bracket may stop once it gets there.
-        radius = _closed_loop_radius(model, alpha, G, best_radius)
-        best_radius = min(best_radius, radius)
-        if radius_below_one(radius):
-            return DetectabilityResult(True, np.asarray(G, dtype=float), radius)
-        return None
 
-    found = attempt(np.zeros((model.n, model.p))) or attempt(-model.A @ np.linalg.pinv(model.C))
-    sbx = model.sigma_bar_x
-    if not found and radius_below_one(alpha * spectral_radius(sbx * sbx)):
-        found = attempt(_riccati_gain(model, alpha))
-    return found or DetectabilityResult(False, None, float(best_radius))
+def _detect(model, alpha):
+    """search_detectability's result, and the pencil's t where it certified, else None."""
+    zero = np.zeros((model.n, model.p))
+    radius = _closed_loop_radius(model, alpha, zero)
+    if radius_below_one(radius):
+        return DetectabilityResult(True, zero, radius), None
+    A, C, sbx = model.A, model.C, model.sigma_bar_x
+    eps_n, cut = model.n * np.finfo(float).eps, 1e-15 * np.linalg.norm(C)
+    V, AF, CF, F_pinv = np.eye(model.n), A, C, None  # V = F F^T with F = I
+    edge = 1.0 + STRICT_RADIUS_MARGIN
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(DETECT_STEPS):
+            G = -AF @ np.linalg.pinv(CF, rcond=cut / (max(np.linalg.norm(CF), cut) or 1.0))
+            W = np.hstack([AF + G @ CF, sbx * np.sqrt(np.diag(V))])
+            R = W @ W.T  # R(V) / alpha
+            trace = np.trace(R)
+            pencil = R if F_pinv is None else F_pinv @ R @ F_pinv.T
+            lo, hi = alpha * np.linalg.eigvalsh(pencil)[[0, -1]]
+            if step == 0 or radius_below_one(hi):
+                closed_radius = _closed_loop_radius(model, alpha, G)
+                if radius_below_one(closed_radius):
+                    return DetectabilityResult(True, G, closed_radius), None
+                radius = min(radius, closed_radius)
+            if lo >= edge and np.linalg.eigvalsh(alpha * R - edge * V)[0] >= -eps_n * (
+                    alpha * trace + 1.0):
+                return DetectabilityResult(False, None, float(radius)), float(lo)
+            if not 0.0 < trace < np.inf:
+                break
+            V = (4.0 * R / trace + V) / 5.0
+            w, Q = np.linalg.eigh(V)
+            keep = w > eps_n * w[-1]  # range(V)
+            F, F_pinv = Q[:, keep] * np.sqrt(w[keep]), (Q[:, keep] / np.sqrt(w[keep])).T
+            AF, CF = A @ F, C @ F
+    return DetectabilityResult(False, None, float(radius)), None

@@ -191,7 +191,6 @@ class TestExitCodes:
 
     def test_input_errors_exit_two(self, run, models):
         cases = [
-            (["analyze", models["scalar"], "--alpha", "-1.0"], "alpha must be"),
             (["simulate", models["scalar"], "--paths", "0", "--horizon", "10",
               "--seed", "3", "--alpha", "0.9"], "n_paths"),
             (["analyze", models["missing"], "--alpha", "0.9"], "No such file"),
@@ -200,7 +199,6 @@ class TestExitCodes:
               "--seed", "3", "--alpha", "0.9", "--dump"], "--dump"),
             (["norm", models["scalar"], "--alpha", "1.2", "--kappa", "5",
               "--x0", "1,2"], "x0"),
-            (["analyze", models["scalar"], "--alpha", "nan"], "alpha must be"),
             (["sweep", models["scalar"], "--alphas", "nan,0.5"], "alpha must be"),
             (["norm", models["scalar"], "--alpha", "1.5", "--kappa", "-3"], "kappa"),
             (["norm", models["scalar"], "--alpha", "0.9", "--kappa", "-3"], "alpha >= 1"),
@@ -451,9 +449,19 @@ class TestExitCodes:
              "--seed", "3", "--alpha", "nan"],
             ["sweep", "model.json", "--kappa", "3"],
             ["analyze", "model.json", "--alpha", "0.9", "--budget", "5"],
+            ["analyze", "model.json", "--alpha", "-1.0"],
+            ["analyze", "model.json", "--alpha", "nan"],
+            ["simulate", "model.json", "--paths", "1" + "0" * 5000, "--horizon", "5",
+             "--seed", "3", "--alpha", "0.9"],
+            ["norm", "model.json", "--alpha", "0." + "9" * 2998 + "x"],
+            ["norm", "model.json", "--alpha", "1.2", "--kappa", "x" * 3000],
+            ["simulate", "model.json", "--paths", "10", "--horizon", "5", "--seed", "3",
+             "--alpha", "0.9", "--threads", "2" * 3000 + ".5"],
         ],
         ids=["negative-alpha", "no-mode", "missing-alpha", "bad-noise", "unknown",
-             "nan-alpha", "inf-alpha", "simulate-nan-alpha", "sweep-kappa", "analyze-budget"],
+             "nan-alpha", "inf-alpha", "simulate-nan-alpha", "sweep-kappa", "analyze-budget",
+             "analyze-negative-alpha", "analyze-nan-alpha", "5001-digit-paths",
+             "3000-char-alpha", "3000-char-kappa", "3000-char-threads"],
     )
     def test_usage_errors_raise_parser_exit(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -462,6 +470,8 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+        # a bad value is echoed through a bounded repr, not whole
+        assert len(captured.err) < 120
 
     @pytest.mark.parametrize("argv", [["--help"], ["norm", "--help"], ["--version"]])
     def test_help_and_version_exit_0(self, capsys, argv):

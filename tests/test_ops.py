@@ -377,14 +377,6 @@ class TestRadiusBracket:
         unit_radius(model)
         assert len(builds) == dense_builds
 
-    def test_stops_open_at_the_floor(self):
-        model = make_random_model(3, 4, target=0.8)
-        lo, hi = radius_bracket(model)
-        early = radius_bracket(model, floor=0.5)
-        assert 0.5 <= early[0] <= lo and early[1] - early[0] > RADIUS_RTOL * early[1]
-        assert ops.radius_from_bracket(model, floor=0.5) == early[0]
-        assert ops.radius_from_bracket(model, floor=0.9) == hi
-
     def test_zero_operator_closes_at_zero(self):
         assert radius_bracket(plain_model(np.zeros((2, 2)))) == (0.0, 0.0)
 

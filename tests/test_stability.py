@@ -257,20 +257,6 @@ class TestSearchDetectability:
         assert result.detectable
         assert builds == []
 
-    def test_floor_leaves_the_search_unchanged(self, monkeypatch):
-        # Not stable with one output: some searches find a gain, some exhaust the steps.
-        monkeypatch.setattr(stability, "RICCATI_STEPS", 30)
-        models = [make_random_model(seed, 1 + seed % 4, target=1.3, p=1) for seed in range(8)]
-        with_floor = [search_detectability(m, 0.9) for m in models]
-        monkeypatch.setattr(stability, "radius_from_bracket",
-                            lambda model, floor: ops.radius_from_bracket(model))
-        without = [search_detectability(m, 0.9) for m in models]
-        assert {a.detectable for a in with_floor} == {True, False}
-        for a, b in zip(with_floor, without):
-            assert a.detectable == b.detectable
-            assert a.closed_loop_radius == b.closed_loop_radius
-            assert (a.G is None and b.G is None) or np.array_equal(a.G, b.G)
-
     def test_hadamard_bound_holds_for_every_gain(self):
         # L^G = (A + G C)^T U (A + G C) + Z(U) with both terms positive, so
         # r_sigma(L^G) >= r_sigma(Z) = r(sigma_bar_x o sigma_bar_x) for every G.
@@ -291,14 +277,14 @@ class TestSearchDetectability:
                 radius = spectral_radius(operator_matrix(closed, alpha, "L_alpha"))
                 assert radius >= bound * (1.0 - 1e-12)
 
-    def test_bound_certifies_without_a_riccati_gain(self, monkeypatch):
-        # n3 at alpha = 5: alpha r(sigma_bar_x o sigma_bar_x) = 2.08, so the search
-        # stops at the bound and keeps the radius of -A C^+.
+    def test_bound_certifies_without_a_riccati_gain(self):
+        # n3 at alpha = 5: the power iteration certifies that no gain passes, and
+        # the result keeps the radius of -A C^+, the better of the two gains tried.
         model = load_model(N3_MODEL)
-        monkeypatch.setattr(stability, "_riccati_gain", None)
-        result = search_detectability(model, 5.0)
-        assert not result.detectable
+        result, bound = stability._detect(model, 5.0)
+        assert bound is not None and bound >= 1.0
         assert result.closed_loop_radius == 2.3379720823191086
+        assert search_detectability(model, 5.0) == result
 
     def test_monotone_in_alpha_with_same_witness(self):
         rng = np.random.default_rng(99)
@@ -354,16 +340,87 @@ def fence_models():
     return models
 
 
+def dense_closed_loop_radius(model, alpha, G):
+    """The dense oracle: r_sigma of the svec matrix of the closed-loop L_alpha."""
+    closed = model.with_dynamics(model.A + G @ model.C)
+    return spectral_radius(operator_matrix(closed, alpha, "L_alpha"))
+
+
 class TestWitnessFence:
     @pytest.mark.filterwarnings("error")
     def test_search_keeps_every_witness(self):
-        found = []
+        found, undecided = [], []
         for i, model in enumerate(fence_models()):
             for j, alpha in enumerate(FENCE_ALPHAS):
-                result = search_detectability(model, alpha)
+                result, bound = stability._detect(model, alpha)
                 if result.detectable:
-                    # The dense oracle: the svec matrix of the closed-loop L_alpha.
-                    closed = model.with_dynamics(model.A + result.G @ model.C)
-                    assert spectral_radius(operator_matrix(closed, alpha, "L_alpha")) < 1.0
+                    assert dense_closed_loop_radius(model, alpha, result.G) < 1.0
                     found.append(3 * i + j)
+                elif bound is None:
+                    undecided.append(3 * i + j)
+                else:
+                    # No gain beats the certified bound, the two the search tried included.
+                    for G in (np.zeros((model.n, model.p)), -model.A @ np.linalg.pinv(model.C)):
+                        assert dense_closed_loop_radius(model, alpha, G) >= bound * (1 - 1e-12)
         assert sorted(set(FENCE_WITNESSES) - set(found)) == []
+        assert undecided == []
+
+
+def structured_model(A, C, sigma_bar_x=None):
+    """A one-output model with the given A, C and sigma_bar_x (zero if omitted)."""
+    n = len(A)
+    sbx = np.zeros((n, n)) if sigma_bar_x is None else sigma_bar_x
+    return CsviuModel(n=n, r=n, p=1, m=0, A=A, sigma_x=np.zeros((n, n)), sigma_bar_x=sbx,
+                      sigma=0.1 * np.eye(n), C=C)
+
+
+#: name: (A, C, sigma_bar_x, alpha, the certified bound, or None for a witness)
+STRUCTURED_CASES = {
+    "unobservable-unstable-mode": ([[2.0, 0.0], [0.0, 0.5]], [[0.0, 1.0]], None, 1.0, 4.0),
+    "unobservable-stable-mode": ([[0.5, 0.0], [0.0, 2.0]], [[0.0, 1.0]], None, 1.0, None),
+    "jordan-observed-on-first": ([[1.2, 1.0], [0.0, 1.2]], [[1.0, 0.0]], None, 1.0, None),
+    "jordan-observed-on-second": ([[1.2, 1.0], [0.0, 1.2]], [[0.0, 1.0]], None, 1.0, 1.44),
+    "noise-on-unobserved-state": ([[0.8, 0.0], [0.0, 2.0]], [[0.0, 1.0]],
+                                  [[0.8, 0.0], [0.0, 0.0]], 1.0, 1.28),
+    # R maps e2 e2^T to a multiple of u u^T, u = (1.2, -1), and that back: a 2-cycle,
+    # which an undamped power step circles without deciding
+    "period-two-cycle": ([[0.0, 1.2], [-1.0, -1.0]], [[1.0, 0.0]],
+                         [[0.0, 0.0], [0.5, 0.0]], 1.0, None),
+    # V tends to e1 e1^T, where C F is rounding alone: inverting it hides the mode
+    "unobserved-mode-at-rounding": ([[1.0, 0.0], [0.0, 0.0]], [[0.0, -1.0]],
+                                    [[0.0, 0.5], [0.0, 0.5]], 1.5, 1.5),
+    # the pencil reads t about 1e-9 high here, so R(V) >= t V fails by rounding alone
+    "t-read-high": ([[1.2, 0.0, 0.8], [0.0, 0.0, 0.0], [0.0, 0.0, 0.8]], [[0.0, 1.0, 0.0]],
+                    [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, -0.3]], 1.0, 1.44),
+}
+
+
+class TestDecidedDetectability:
+    @pytest.mark.parametrize("name", sorted(STRUCTURED_CASES))
+    def test_structured_case_is_decided(self, name):
+        A, C, sbx, alpha, expected = STRUCTURED_CASES[name]
+        model = structured_model(A, C, sbx)
+        result, bound = stability._detect(model, alpha)
+        if expected is None:
+            assert result.detectable and bound is None
+            assert dense_closed_loop_radius(model, alpha, result.G) < 1.0
+            return
+        assert not result.detectable
+        assert bound == pytest.approx(expected, rel=1e-8)
+        rng = np.random.default_rng(17)
+        n = model.n
+        gains = [scale * rng.standard_normal((n, 1)) for scale in (0.1, 1, 10) for _ in range(4)]
+        for G in [np.zeros((n, 1)), -model.A @ np.linalg.pinv(model.C), *gains]:
+            assert dense_closed_loop_radius(model, alpha, G) >= expected * (1 - 1e-12)
+
+    def test_verdict_is_monotone_in_alpha(self):
+        alphas = (0.25, 0.5, 0.75, 0.9, 1.0, 1.1, 1.25, 1.5, 2.0, 3.0)
+        switched = 0
+        for seed in range(12):
+            model = make_random_model(600 + seed, 1 + seed % 5, target=1.3, p=1)
+            verdicts = [stability._detect(model, alpha) for alpha in alphas]
+            flags = [result.detectable for result, _ in verdicts]
+            assert flags == sorted(flags, reverse=True), seed
+            assert all(bound is not None for result, bound in verdicts if not result.detectable)
+            switched += flags[0] != flags[-1]
+        assert switched > 0
