@@ -10,10 +10,23 @@ to sinks and dropped; a PathFeed sink takes the block's surviving paths
 (the block itself when none aborted), evaluates their quadratic forms
 x_k^T Q x_k once, as (x_k Q) . x_k in chunks of Q_CHUNK paths, and
 passes them to every reducer (Abel sums, Cesaro means, per-stage
-statistics, the representation check), which keep only per-path
-scalars.  The whole ensemble X is kept only when it is asked for (no
-sinks); the Ensemble-taking estimators replay it through the same
-reducers, block by block, so both routes give the same bits.
+statistics, the representation check), which return only per-path
+scalars or per-stage sums.  The whole ensemble X is kept only when it
+is asked for (no sinks); the Ensemble-taking estimators replay it
+through the same reducers, block by block, so both routes give the
+same bits.
+
+Threads split the run by whole path blocks: of W = min(threads, CPUs,
+path blocks) processes, the caller and W - 1 forked children, process
+b mod W draws, steps and reduces path block b as a serial run does, in
+its own buffers: one block of X with the sinks' temporaries
+(STREAM_BLOCK_ARRAYS blocks in all) and one path block of noise.  A run
+of one path block is serial.  A sink's add_block returns a partial where
+the block ran; children pickle (ok, aborts, partials) to a pipe, and the
+caller hands the partials to the sinks' merge in block order.  With
+W > 1 each process runs BLAS on one thread (_openblas).  Splitting a
+block's rows would change bits, as BLAS products and sums round
+differently on row slices.
 
 Reproducibility contract: path j draws its noise from a Philox stream
 keyed by (master seed, j), consumed in a stage-block partition that
@@ -32,22 +45,21 @@ half per draw, low half first, and keeps bit 31 (Lemire's bounded method
 never rejects for a range of 2).  A half word left over at the end of a
 stage block opens the next one, as it does in the Generator.
 
-_NoiseBlocks alone knows how the noise is laid out and drawn, in how
-many processes, and how it reaches the step loop; its docstring
-describes the ring.  The step loop reads one row of doubles per stage,
-and no result depends on the number of drawing processes.
+_NoiseBlocks alone knows how the noise is laid out and drawn and how it
+reaches the step loop.  No result depends on the number of processes.
 """
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import functools
 import glob
-import itertools
 import mmap
 import os
-import struct
+import pickle
+import queue
+import signal
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -310,258 +322,66 @@ def _openblas():
     return None
 
 
-def _mapped(shape, dtype, flags):
-    """A fresh anonymous mapping as an array, its pages faulted in at once where the system can."""
+def _array(shape, dtype, workers, flags=mmap.MAP_PRIVATE):
+    """An uninitialised array: np.empty in a serial run; beside other processes a fresh
+    anonymous mapping, faulted in at once where the system can.  A private one made after the
+    fork copies no page when written, as memory resident at the fork would; a shared one made
+    before it is written by every process."""
+    if workers == 1:
+        return np.empty(shape, dtype)
     nbytes = int(np.prod(shape)) * dtype.itemsize
     flags |= getattr(mmap, "MAP_POPULATE", 0)
     return np.frombuffer(mmap.mmap(-1, nbytes, flags=flags), dtype).reshape(shape)
 
 
 class _NoiseBlocks:
-    """A run's noise: the one place that knows how it is laid out and drawn.
+    """A process's noise: the one place that knows how it is laid out and drawn.
 
-    Built from (model, cfg, threads), it works out its layout and
-    allocates nothing: ``workers``, the processes that draw (at most
-    threads, one per CPU and one per path of a block, and one where
-    os.fork does not exist); ``shape``, the ring (groups, rows, stages,
-    n + r); ``dtype``, one sign byte per Rademacher draw and one double
-    per other draw; and ``nbytes``, which the memory check counts.
-    Entering it allocates the ring and forks workers - 1 children;
-    leaving it closes their pipes, which ends them, and reaps them.
+    Built from (model, cfg, workers), it allocates nothing and works out
+    ``shape``, one path block's noise for one stage block, (paths, stages,
+    n + r); ``dtype``, a sign byte per Rademacher draw and a double per
+    other draw; and ``nbytes``, which the memory check counts per process.
+    Each process makes its buffer (_array) at its first path block.
 
-    The ring holds a path block's noise for one stage block in two
-    half-block groups: its first bp // 2 rows in one and the rest in the
-    other.  Without children it has two groups and this process fills
-    both.  With children it has three, in one anonymous shared mapping:
-    while the caller steps a stage block from two groups, the children
-    fill the first half of the next one into the third, then the caller
-    and the children split its second half.  The stage blocks of the
-    first path block are not drawn ahead; both halves are split over
-    every process.  So a run with children holds 1.5 path blocks of
-    noise, not one.  A process fills the same rows in every stage block
-    of a path block, so its own _PathStreams keep their saved states and
-    Rademacher carry.  Each fill is a command on a child's pipe answered
-    by one byte on another, and private() makes the arrays the children
-    must not share.  A child runs only this RNG code and leaves through
-    os._exit, when its command pipe closes or anything fails.
-
-    stage_rows() hands the step loop one (paths, n + r) row of doubles
-    per stage: it copies TILE_STAGES stages at a time stage-major from
-    both halves into one tile, and turns sign bytes one stage at a time
-    into -1.0 and +1.0.  The step loop, the sinks and every BLAS call
-    stay in the calling process; beside children, sinks_blas() runs the
-    sinks' BLAS on one thread.
+    stage_rows(j0, bp) draws paths j0 ... j0 + bp - 1 a stage block at a
+    time through one _PathStreams, which keeps each path's state and
+    Rademacher carry, and yields one (bp, n + r) row of doubles per stage:
+    it copies TILE_STAGES stages at a time stage-major into a tile, and
+    turns sign bytes one stage at a time into -1.0 and +1.0.
     """
 
-    _COMMAND = struct.Struct("6q")  # group, first row, end row, first path, stages, last
-
-    def __init__(self, model, cfg, threads):
-        self.seed, self.kind = cfg.seed, cfg.noise_kind
-        self.n_paths, self.horizon = cfg.n_paths, cfg.horizon
-        block, width = min(cfg.n_paths, PATH_BLOCK), model.n + model.r
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        self.workers = max(1, min(threads, cpus or 1, block)) if hasattr(os, "fork") else 1
-        self.shape = (2 if self.workers == 1 else 3, (block + 1) // 2,
-                      _stage_block_size(cfg.horizon, width), width)
-        self.dtype = np.dtype(np.uint8 if self.kind == "rademacher" else np.float64)
+    def __init__(self, model, cfg, workers):
+        self.cfg, self.workers, width = cfg, workers, model.n + model.r
+        self.shape = (min(cfg.n_paths, PATH_BLOCK), _stage_block_size(cfg.horizon, width), width)
+        self.dtype = np.dtype(np.uint8 if cfg.noise_kind == "rademacher" else np.float64)
         self.nbytes = int(np.prod(self.shape)) * self.dtype.itemsize
-        # [pid, command write end, ack read end] per child; acks owed by each.
-        self.children, self.pending = [], 0
+        self.buf = None
 
-    def __enter__(self):
-        self.buf = (np.empty(self.shape, self.dtype) if self.workers == 1
-                    else _mapped(self.shape, self.dtype, mmap.MAP_SHARED))
-        # The _PathStreams of this process, by their first path, and the
-        # generator they share.
-        self.streams = {}
-        self.gen = np.random.Generator(np.random.Philox(0))
-        try:
-            for _ in range(1, self.workers):
-                self._fork()
-        except BaseException:
-            self.close()
-            raise
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-
-    def private(self, shape):
-        """An uninitialised array of doubles for this process alone.
-
-        With children it is a fresh private mapping made after they were
-        forked.  They never map it, so writing it copies no page, as
-        writing memory that was resident at the fork would.
-        """
-        if self.workers == 1:
-            return np.empty(shape)
-        return _mapped(shape, np.dtype(np.float64), mmap.MAP_PRIVATE)
-
-    def _fork(self):
-        cmd_r, cmd_w = os.pipe()
-        ack_r, ack_w = os.pipe()
-        self.children.append([None, cmd_w, ack_r])
-        try:
-            pid = os.fork()
-        except OSError:
-            os.close(cmd_r)
-            os.close(ack_w)
-            raise
-        if pid == 0:
-            code = 1
-            try:
-                for _, cmd, ack in self.children:
-                    os.close(cmd)
-                    os.close(ack)
-                self._serve(cmd_r, ack_w)
-                code = 0
-            finally:
-                os._exit(code)
-        self.children[-1][0] = pid
-        os.close(cmd_r)
-        os.close(ack_w)
-
-    def _serve(self, cmd, ack):
-        """A child's loop: fill the rows of each command until the pipe closes."""
-        size = self._COMMAND.size
-        while len(command := os.read(cmd, size)) == size:
-            self._fill(*self._COMMAND.unpack(command))
-            os.write(ack, b"\x01")
-
-    def _fill(self, g, lo, hi, j, stages, last):
-        """Draw the next ``stages`` stages of paths j, j+1, ... into rows lo ... hi-1 of group g."""
-        if lo == hi:
-            return
-        streams = self.streams.pop(j, None) or _PathStreams(self.seed, j, hi - lo, self.kind,
-                                                            self.buf[g, lo].size, self.gen)
-        streams.draw(self.buf[g, lo:hi, :stages], last)
-        if not last:
-            self.streams[j] = streams
-
-    def _send(self, parts, stages, last, caller):
-        """Split each part, (group, rows, first path), over the children and, if ``caller``, this
-        process; command the children's slices and return this process's."""
-        mine = []
-        shares = len(self.children) + caller
-        try:
-            for g, rows, j in parts:
-                for i in range(shares):
-                    lo, hi = i * rows // shares, (i + 1) * rows // shares
-                    command = (g, lo, hi, j + lo, stages, last)
-                    if caller and i == 0:
-                        mine.append(command)
-                    else:
-                        os.write(self.children[i - caller][1], self._COMMAND.pack(*command))
-        except BrokenPipeError:
-            self._died()
-        self.pending += len(parts)
-        return mine
-
-    def _wait(self):
-        """Read every ack the children owe."""
-        for _, _, ack in self.children:
-            owed = self.pending
-            while owed:
-                got = os.read(ack, owed)
-                if not got:
-                    self._died()
-                owed -= len(got)
-        self.pending = 0
-
-    @staticmethod
-    def _died():
-        raise ChildProcessError("a noise-drawing child process exited mid-run")
-
-    def stage_rows(self):
-        """Yield (j0, rows) for each path block in turn; rows yields its stages' noise in order.
-
-        A row is one (paths, n + r) array of doubles, valid until the next
-        is asked for.  Each path block's rows must be run to their end
-        before the next block's: that frees the block's tile and sign row.
-        """
-        halves = self._halves()
-        for j0 in range(0, self.n_paths, PATH_BLOCK):
-            yield j0, self._rows(halves, min(PATH_BLOCK, self.n_paths - j0))
-
-    def _rows(self, halves, bp):
-        """One path block's stage rows: each stage block's halves are copied stage-major into a
-        tile, and sign bytes are turned one stage at a time into doubles in row."""
-        tile = None
-        for first, second in itertools.islice(halves, -(-self.horizon // self.shape[2])):
-            h, stages = first.shape[0], second.shape[1]
-            if tile is None:
-                tile = np.empty((TILE_STAGES, bp, self.shape[3]), self.dtype)
-                row = np.empty(tile.shape[1:]) if self.dtype == np.uint8 else None
+    def stage_rows(self, j0, bp):
+        """Yield the noise of paths j0 ... j0 + bp - 1, one row per stage, each valid until the
+        next is asked for."""
+        if self.buf is None:
+            self.buf = _array(self.shape, self.dtype, self.workers)
+            # One generator for every path block of this process.
+            self.gen = np.random.Generator(np.random.Philox(0))
+        sb, width, horizon = *self.shape[1:], self.cfg.horizon
+        streams = _PathStreams(self.cfg.seed, j0, bp, self.cfg.noise_kind, sb * width, self.gen)
+        tile = np.empty((TILE_STAGES, bp, width), self.dtype)
+        row = np.empty(tile.shape[1:]) if self.dtype == np.uint8 else None
+        for k0 in range(0, horizon, sb):
+            stages = min(sb, horizon - k0)
+            drawn = self.buf[:bp, :stages]
+            streams.draw(drawn, k0 + stages == horizon)
             for ks in range(stages):
                 if ks % TILE_STAGES == 0:
                     t = min(TILE_STAGES, stages - ks)
-                    np.copyto(tile[:t, :h], first[:, ks : ks + t].transpose(1, 0, 2))
-                    np.copyto(tile[:t, h:], second[:, ks : ks + t].transpose(1, 0, 2))
+                    np.copyto(tile[:t], drawn[:, ks : ks + t].transpose(1, 0, 2))
                 z = tile[ks % TILE_STAGES]
                 if row is not None:
                     # Sign bytes 0 and 1 to -1.0 and +1.0.
                     z = np.multiply(z, 2.0, out=row)
                     z -= 1.0
                 yield z
-
-    def _halves(self):
-        """Yield (first half, second half) of each stage block of every path block.
-
-        Path blocks of PATH_BLOCK paths come in order, each in its stage
-        blocks; a half is a view (rows, stages, n + r) valid until the
-        next stage block is asked for.
-        """
-        n_paths, horizon, sb = self.n_paths, self.horizon, self.shape[2]
-        units = ((j0, min(PATH_BLOCK, n_paths - j0), k0, min(k0 + sb, horizon))
-                 for j0 in range(0, n_paths, PATH_BLOCK) for k0 in range(0, horizon, sb))
-        ring = list(range(self.buf.shape[0]))
-        for unit, following in itertools.pairwise(itertools.chain(units, [None])):
-            j0, bp, k0, k1 = unit
-            h = bp // 2
-            parts = [(ring[1], bp - h, j0 + h)]
-            if not (self.children and j0):
-                parts.insert(0, (ring[0], h, j0))
-            for command in self._send(parts, k1 - k0, k1 == horizon, caller=True):
-                self._fill(*command)
-            self._wait()
-            if self.children and following is not None and following[0]:
-                j0n, bpn, k0n, k1n = following
-                self._send([(ring[2], bpn // 2, j0n)], k1n - k0n, k1n == horizon, caller=False)
-            yield self.buf[ring[0], :h, : k1 - k0], self.buf[ring[1], : bp - h, : k1 - k0]
-            ring = ring[2:] + ring[:2]
-
-    def close(self):
-        """Close every child's pipes, which ends it, and reap it."""
-        children, self.children = self.children, []
-        for _, cmd, ack in children:
-            os.close(cmd)
-            os.close(ack)
-        for pid, _, _ in children:
-            if pid is not None:
-                try:
-                    os.waitpid(pid, 0)
-                except ChildProcessError:
-                    pass
-
-    @contextlib.contextmanager
-    def sinks_blas(self):
-        """Run the sinks' BLAS on one thread beside children, where numpy's OpenBLAS can be told to.
-
-        Idle OpenBLAS workers spin after each of the sinks' small products,
-        on the CPUs the children draw on.  The step's products keep their
-        threads, which pay for it at n = 10.
-        """
-        controls = _openblas() if self.children else None
-        if controls is None:
-            yield
-            return
-        set_threads, get_threads = controls
-        threads = get_threads()
-        set_threads(1)
-        try:
-            yield
-        finally:
-            set_threads(threads)
 
 
 def _stage_block_size(horizon, width):
@@ -625,6 +445,110 @@ def _simulate_block(model, cfg, X, rows, aborted, j0):
     return alive
 
 
+def _blocks(model, cfg, sinks, noise, X, starts):
+    """Simulate and reduce the path blocks from ``starts`` in order, each into its columns of
+    the kept X or else into one buffer of this process; yield (ok, aborts, partials) of each."""
+    buf = X if X is not None else _array((cfg.horizon + 1, noise.shape[0], model.n),
+                                         np.dtype(np.float64), noise.workers)
+    for j0 in starts:
+        j1 = min(j0 + PATH_BLOCK, cfg.n_paths)
+        Xj = buf[:, j0:j1] if X is not None else buf[:, : j1 - j0]
+        aborted = []
+        ok = _simulate_block(model, cfg, Xj, noise.stage_rows(j0, j1 - j0), aborted, j0)
+        yield ok, aborted, [sink.add_block(j0, Xj, ok) for sink in sinks]
+
+
+def _child(results, fd):
+    """A child's loop: pickle each result to the pipe ``fd``, or the exception that stopped it."""
+    with open(fd, "wb") as pipe:
+        try:
+            for result in results:
+                pickle.dump(result, pipe, pickle.HIGHEST_PROTOCOL)
+                pipe.flush()
+        except Exception as exc:
+            pickle.dump(exc, pipe, pickle.HIGHEST_PROTOCOL)
+
+
+def _drain(fd, messages):
+    """Unpickle a child's messages into ``messages`` until its pipe closes, then put None."""
+    with open(fd, "rb") as pipe:
+        try:
+            while True:
+                messages.put(pickle.load(pipe))
+        except (EOFError, pickle.UnpicklingError):  # closed, or cut short by the child's death
+            pass
+        finally:
+            messages.put(None)
+
+
+class _Children:
+    """The children of a run: child w runs _child on work(w), into a pipe that a thread of
+    this process drains, so that no child waits on a full pipe.  Beside children every process
+    runs numpy's OpenBLAS on one thread, where it can be told to.  Leaving reaps every child,
+    killed first where the run failed, and gives this process back its BLAS threads."""
+
+    def __init__(self, work, workers):
+        self.pids, self.fds, self.readers, self.messages = [], [], [], []
+        controls = _openblas() if workers > 1 else None
+        self.blas = controls and (controls[0], controls[1]())
+        if controls:
+            controls[0](1)
+        try:
+            for w in range(1, workers):
+                r, fd = os.pipe()
+                self.fds.append(r)
+                try:
+                    pid = os.fork()
+                    if pid == 0:
+                        code = 1
+                        try:
+                            for other in self.fds:
+                                os.close(other)
+                            _child(work(w), fd)
+                            code = 0
+                        finally:
+                            os._exit(code)
+                    self.pids.append(pid)
+                finally:
+                    os.close(fd)
+        except BaseException:
+            self.close(kill=True)
+            raise
+        for r in self.fds:
+            self.messages.append(queue.Queue())
+            self.readers.append(threading.Thread(target=_drain, args=(r, self.messages[-1])))
+            self.readers[-1].start()
+        self.fds = []
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, *exc):
+        self.close(kill=exc_type is not None)
+
+    def get(self, w):
+        """Child w's next result; an exception it sent is raised here."""
+        message = self.messages[w - 1].get()
+        if message is None:
+            raise ChildProcessError("a path-block child process exited mid-run")
+        if isinstance(message, BaseException):
+            raise message
+        return message
+
+    def close(self, kill=False):
+        """Reap every child, killing it first if ``kill``."""
+        for r in self.fds:
+            os.close(r)
+        for pid in self.pids:
+            if kill:
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for reader in self.readers:
+            reader.join()
+        if self.blas:
+            self.blas[0](self.blas[1])
+
+
 def simulate_paths(model, cfg, sinks=(), threads=1):
     """Sample an ensemble of CSVIU trajectories, one path block at a time.
 
@@ -637,29 +561,38 @@ def simulate_paths(model, cfg, sinks=(), threads=1):
     model : CsviuModel
     cfg : SimConfig
     sinks : sequence, optional
-        Objects with ``add_block(j0, X, ok)`` and ``close()``.  Each block
-        of PATH_BLOCK paths from j0 on is simulated into a buffer reused
-        for the next block and handed to every sink in turn (X stage-major,
-        of shape (horizon+1, paths, n), so that X[:, j] is path j0 + j;
-        ok its survival mask; neither outlives the call), and ``close()``
-        runs after the last block.  With no sinks the whole ensemble X is
-        kept instead.
+        Objects with ``add_block(j0, X, ok)``, ``merge(partial)`` and
+        ``close()``.  Each block of PATH_BLOCK paths from j0 on is
+        simulated into a buffer reused for the process's next block and
+        handed to every sink's add_block there (X stage-major, of shape
+        (horizon+1, paths, n), so that X[:, j] is path j0 + j; ok its
+        survival mask; neither outlives the call).  What it returns goes,
+        pickled from a child, to the same sink's merge in the calling
+        process, in block order, and that process runs its own block b
+        after merging every block before b; close() runs last.  With no sinks the
+        whole ensemble X is kept instead, in one mapping shared by every
+        process.
     threads : int, optional
-        Processes that draw the noise: the calling process and up to
-        threads - 1 forked children, at most one per CPU and one per path
-        of a block.  With children the noise held grows from one path
-        block to 1.5 (see _NoiseBlocks).  Every child is reaped before the
-        call returns or raises.  No result depends on it.
+        Processes that simulate: W = min(threads, CPUs, path blocks), this
+        one and W - 1 forked children, so a run of one path block is
+        serial.  Process b mod W draws, steps and reduces path block b in
+        its own buffers: one block of X with the sinks' temporaries and
+        one path block of noise.  With W > 1 each process runs BLAS on
+        one thread where numpy's OpenBLAS can be told to.  Every child is
+        reaped before the call returns or raises.  No result depends on
+        it.
 
     Raises
     ------
     ValueError
         If threads is not a positive integer, or if what the run holds
         would not fit in physical memory (nothing is allocated and
-        nothing forked): the ensemble X and the noise without sinks; the
-        block buffers, per-path results and noise with them.
+        nothing forked): the ensemble X and each process's noise without
+        sinks; each process's block buffers and noise, and the per-path
+        results, with them.
     ChildProcessError
-        If a drawing child exits before the run ends.
+        If a child exits before the run ends; an exception raised in a
+        child is raised here with its type and message.
 
     Returns
     -------
@@ -677,30 +610,38 @@ def simulate_paths(model, cfg, sinks=(), threads=1):
         raise ValueError("threads must be a positive integer")
 
     n_paths, horizon, n = cfg.n_paths, cfg.horizon, model.n
-    block = min(n_paths, PATH_BLOCK)
-    noise = _NoiseBlocks(model, cfg, threads)
+    starts = range(0, n_paths, PATH_BLOCK)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = max(1, min(threads, cpus or 1, len(starts))) if hasattr(os, "fork") else 1
+    noise = _NoiseBlocks(model, cfg, workers)
     if sinks:
-        need = noise.nbytes + 8 * (STREAM_BLOCK_ARRAYS * block * (horizon + 1) * n
-                                   + STREAM_PATH_DOUBLES * n_paths)
+        block = 8 * STREAM_BLOCK_ARRAYS * noise.shape[0] * (horizon + 1) * n
+        need = workers * (noise.nbytes + block) + 8 * STREAM_PATH_DOUBLES * n_paths
         held = "the path-block buffers and per-path results"
     else:
-        need = noise.nbytes + 8 * n_paths * (horizon + 1) * n
-        held = "the ensemble and its noise buffer"
+        need = workers * noise.nbytes + 8 * n_paths * (horizon + 1) * n
+        held = "the ensemble and its noise buffers"
     physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > physical:
         raise ValueError(f"{held} need {need / 1e9:.3g} GB, "
                          f"more than the {physical / 1e9:.3g} GB of memory; "
                          "lower --paths or --horizon")
+    X = None if sinks else _array((horizon + 1, n_paths, n), np.dtype(np.float64), workers,
+                                  mmap.MAP_SHARED)
     ok, aborted = np.ones(n_paths, dtype=bool), []
-    with noise:
-        X = noise.private((horizon + 1, block if sinks else n_paths, n))
-        for j0, rows in noise.stage_rows():
-            j1 = min(j0 + PATH_BLOCK, n_paths)
-            Xj = X[:, : j1 - j0] if sinks else X[:, j0:j1]
-            ok[j0:j1] = _simulate_block(model, cfg, Xj, rows, aborted, j0)
-            with noise.sinks_blas():
-                for sink in sinks:
-                    sink.add_block(j0, Xj, ok[j0:j1])
+
+    def work(w):
+        return _blocks(model, cfg, sinks, noise, X, starts[w::workers])
+
+    with _Children(work, workers) as children:
+        mine = work(0)
+        for b, j0 in enumerate(starts):
+            w = b % workers
+            block_ok, block_aborted, partials = next(mine) if w == 0 else children.get(w)
+            ok[j0 : j0 + block_ok.size] = block_ok
+            aborted += block_aborted
+            for sink, partial in zip(sinks, partials):
+                sink.merge(partial)
     for sink in sinks:
         sink.close()
     kept = None if sinks else X.transpose(1, 0, 2)
@@ -714,8 +655,9 @@ class PathFeed:
     survivors, one without as it lies; nothing is kept between blocks.
     Blocks are stage-major, (stages, paths, n).  Their quadratic forms
     q[p, k] = x_k^T Q x_k are evaluated once and every reducer's
-    ``add_chunk(X, q)`` reads them; a block with no survivors reaches no
-    reducer.
+    ``add_chunk(X, q)`` reads them, in the process that simulated the
+    block; it returns the reducer's partial, which its ``merge`` takes in
+    the calling process.  A block with no survivors reaches no reducer.
     """
 
     def __init__(self, Q, reducers):
@@ -724,13 +666,18 @@ class PathFeed:
 
     @np.errstate(over="ignore", invalid="ignore")
     def add_block(self, j0, X, ok):
+        """Every reducer's partial of the block's survivors; none where none survived."""
         if not ok.all():
             if not ok.any():
-                return
+                return []
             X = X[:, ok]
         q = _quadratic_forms(X, self.Q)
-        for reducer in self.reducers:
-            reducer.add_chunk(X, q)
+        return [reducer.add_chunk(X, q) for reducer in self.reducers]
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def merge(self, partials):
+        for reducer, partial in zip(self.reducers, partials):
+            reducer.merge(partial)
 
     def close(self):
         """Nothing is held between blocks, so nothing is left to reduce."""
@@ -756,7 +703,7 @@ def _replay(ensemble, Q, reducer):
     feed = PathFeed(as_weight(Q, ensemble.model.n), [reducer])
     for j0 in range(0, ensemble.n_paths, PATH_BLOCK):
         j1 = j0 + PATH_BLOCK
-        feed.add_block(j0, X[:, j0:j1], ensemble.ok[j0:j1])
+        feed.merge(feed.add_block(j0, X[:, j0:j1], ensemble.ok[j0:j1]))
     return reducer.result()
 
 
@@ -790,38 +737,45 @@ def _estimate(parts, kind):
     return EnergyEstimate(value=mean, std_error=se, n_paths=n, kind=kind)
 
 
-class AbelSums:
+class _PerPath:
+    """A reducer whose partials are per-path arrays, kept in block order."""
+
+    def __init__(self):
+        self.parts = []
+
+    def merge(self, part):
+        self.parts.append(part)
+
+    def result(self):
+        """EnergyEstimate: mean and standard error over the surviving paths."""
+        return _estimate(self.parts, self.kind)
+
+
+class AbelSums(_PerPath):
     """Reducer: per-path discounted energy sum_{k=0}^{kappa} alpha^k ||x_k||_Q^2."""
 
     def __init__(self, alpha, kappa):
         if alpha <= 0:
             raise ValueError("alpha must be positive")
+        super().__init__()
         self.kind = f"abel(alpha={alpha}, kappa={kappa})"
         with np.errstate(over="ignore"):
             self.w = float(alpha) ** np.arange(kappa + 1)
-        self.sums = []
 
     def add_chunk(self, X, q):
-        self.sums.append(q @ self.w)
-
-    def result(self):
-        """EnergyEstimate: mean and standard error over the surviving paths."""
-        return _estimate(self.sums, self.kind)
+        return q @ self.w
 
 
-class CesaroMeans:
+class CesaroMeans(_PerPath):
     """Reducer: per-path long-run average (1/kappa) sum_{k<kappa} ||x_k||_Q^2."""
 
     def __init__(self, kappa):
+        super().__init__()
         self.kappa = kappa
-        self.means = []
+        self.kind = f"cesaro(kappa={kappa})"
 
     def add_chunk(self, X, q):
-        self.means.append(q[:, : self.kappa].mean(axis=1))
-
-    def result(self):
-        """EnergyEstimate: mean and standard error over the surviving paths."""
-        return _estimate(self.means, f"cesaro(kappa={self.kappa})")
+        return q[:, : self.kappa].mean(axis=1)
 
 
 class StageStats:
@@ -838,12 +792,17 @@ class StageStats:
         self.n = 0
 
     def add_chunk(self, X, q):
-        m, n = q.shape[0], self.n
+        """(chunk total, squared deviations from the chunk's own mean, paths) per stage."""
+        m = q.shape[0]
         chunk_total = q.sum(axis=0)
         # Deviations from each chunk's own mean avoid the cancellation (and
         # inf - inf) of the textbook sum-of-squares shortcut; chunks merge by
         # the pairwise update of Chan, Golub & LeVeque (1979).
-        self.sq_dev += ((q - chunk_total / m) ** 2).sum(axis=0)
+        return chunk_total, ((q - chunk_total / m) ** 2).sum(axis=0), m
+
+    def merge(self, partial):
+        (chunk_total, sq_dev, m), n = partial, self.n
+        self.sq_dev += sq_dev
         if n:
             self.sq_dev += (chunk_total / m - self.total / n) ** 2 * (n * m / (n + m))
         self.total += chunk_total
@@ -908,9 +867,11 @@ class RepresentationCheck:
             vA += s_k
             vA *= alpha
             v, vA = vA, v
-        self.S.append(q[:, :kappa] @ w[:kappa])
-        self.R.append(v @ self.cfg.x0 + g)
-        self.corr.append(corr)
+        return q[:, :kappa] @ w[:kappa], v @ self.cfg.x0 + g, corr
+
+    def merge(self, partial):
+        for parts, part in zip((self.S, self.R, self.corr), partial):
+            parts.append(part)
 
     @np.errstate(over="ignore", invalid="ignore")
     def result(self):

@@ -278,9 +278,13 @@ def search_detectability(model, alpha):
     exact for some M + E, ||E||_2 of order n eps ||M||_2, so the full check
     passes down to -n eps (alpha tr R(V) + 1) (tr V = 1).  (C F)^+ scales
     pinv's cutoff 1e-15 sigma_max(C F) by ||C||_F / ||C F||_F: pinv's own at
-    F = I, it later drops what C F cannot tell from zero.  Near the boundary
-    both may stay open for DETECT_STEPS iterates: detectable=False,
-    undecided.  A negative alpha raises ValueError.
+    F = I, it later drops what C F cannot tell from zero.  Where V nears the
+    PSD cone's boundary, the directions it leaves keep t low: after
+    DETECT_STEPS iterates the certificate is tried at each V' = F' F'^T,
+    F' V's factor on its m largest eigenvalues, as it is and projected onto
+    null(C) (where R(V') = L^G*(V') for every G), by the same full check.
+    Near the boundary both may stay open: detectable=False, undecided.  A
+    negative alpha raises ValueError.
     """
     return _detect(model, alpha)[0]
 
@@ -293,29 +297,50 @@ def _detect(model, alpha):
         return DetectabilityResult(True, zero, radius), None
     A, C, sbx = model.A, model.C, model.sigma_bar_x
     eps_n, cut = model.n * np.finfo(float).eps, 1e-15 * np.linalg.norm(C)
-    V, AF, CF, F_pinv = np.eye(model.n), A, C, None  # V = F F^T with F = I
     edge = 1.0 + STRICT_RADIUS_MARGIN
+
+    def read(V, F, F_pinv):  # G(V), R(V) / alpha and the pencil's alpha-scaled (lo, hi)
+        AF, CF = (A, C) if F is None else (A @ F, C @ F)
+        G = -AF @ np.linalg.pinv(CF, rcond=cut / (max(np.linalg.norm(CF), cut) or 1.0))
+        W = np.hstack([AF + G @ CF, sbx * np.sqrt(np.diag(V))])
+        R = W @ W.T
+        pencil = R if F_pinv is None else F_pinv @ R @ F_pinv.T
+        return (G, R, *alpha * np.linalg.eigvalsh(pencil)[[0, -1]])
+
+    def certifies(V, R, lo):
+        return lo >= edge and np.linalg.eigvalsh(alpha * R - edge * V)[0] >= -eps_n * (
+            alpha * np.trace(R) + 1.0)
+
+    def factor(V):  # V = F F^T on range(V), F's columns by ascending eigenvalue, and F^+
+        w, Q = np.linalg.eigh(V)
+        keep = w > eps_n * w[-1]  # range(V)
+        return Q[:, keep] * np.sqrt(w[keep]), (Q[:, keep] / np.sqrt(w[keep])).T
+
+    V, F, F_pinv = np.eye(model.n), None, None
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(DETECT_STEPS):
-            G = -AF @ np.linalg.pinv(CF, rcond=cut / (max(np.linalg.norm(CF), cut) or 1.0))
-            W = np.hstack([AF + G @ CF, sbx * np.sqrt(np.diag(V))])
-            R = W @ W.T  # R(V) / alpha
+            G, R, lo, hi = read(V, F, F_pinv)
             trace = np.trace(R)
-            pencil = R if F_pinv is None else F_pinv @ R @ F_pinv.T
-            lo, hi = alpha * np.linalg.eigvalsh(pencil)[[0, -1]]
             if step == 0 or radius_below_one(hi):
                 closed_radius = _closed_loop_radius(model, alpha, G)
                 if radius_below_one(closed_radius):
                     return DetectabilityResult(True, G, closed_radius), None
                 radius = min(radius, closed_radius)
-            if lo >= edge and np.linalg.eigvalsh(alpha * R - edge * V)[0] >= -eps_n * (
-                    alpha * trace + 1.0):
+            if certifies(V, R, lo):
                 return DetectabilityResult(False, None, float(radius)), float(lo)
             if not 0.0 < trace < np.inf:
                 break
             V = (4.0 * R / trace + V) / 5.0
-            w, Q = np.linalg.eigh(V)
-            keep = w > eps_n * w[-1]  # range(V)
-            F, F_pinv = Q[:, keep] * np.sqrt(w[keep]), (Q[:, keep] / np.sqrt(w[keep])).T
-            AF, CF = A @ F, C @ F
+            F, F_pinv = factor(V)
+        else:
+            # The read stalled on the directions V leaves: read V's dominant
+            # eigenspaces, as they are and projected onto null(C), where no gain acts.
+            P = np.eye(model.n) - np.linalg.pinv(C) @ C
+            for m in range(F.shape[1]):
+                for Fm in (F[:, m:], P @ F[:, m:]):
+                    Vm = Fm @ Fm.T
+                    if np.any(Vm):
+                        _, R, lo, _ = read(Vm, *factor(Vm))
+                        if certifies(Vm, R, lo):
+                            return DetectabilityResult(False, None, float(radius)), float(lo)
     return DetectabilityResult(False, None, float(radius)), None

@@ -35,6 +35,8 @@ NO_SBAR_DOC = dict(SCALAR_DOC, sigma_bar_x=[[0.0]])
 # A = 0 with huge state-proportional noise overflows most paths within ~120 stages
 EXPLOSIVE_DOC = dict(SCALAR_DOC, A=[[0.0]], sigma_x=[[1.0]], sigma_bar_x=[[40.0]],
                      sigma=[[1.0]])
+# |x| grows about 1e6-fold a stage: paths abort near stage 27, and alpha < 1e-12 is stable
+FAST_EXPLOSIVE_DOC = dict(EXPLOSIVE_DOC, sigma_bar_x=[[1e6]])
 # sigma = 10 puts the noise trace above 1, so varpi(L) overflows where L does not
 LOUD_DOC = dict(SCALAR_DOC, sigma=[[10.0]])
 # a JSON boolean where a number belongs; numpy alone would read it as A = 1
@@ -89,7 +91,8 @@ def models(tmp_path_factory):
                       ("huge_c", HUGE_C_DOC), ("b_m0", B_M0_DOC), ("d_m0", D_M0_DOC),
                       ("wide_b", WIDE_B_DOC), ("nan_b", NAN_B_DOC),
                       ("negative_m", NEGATIVE_M_DOC), ("no_state_b", NO_STATE_B_DOC),
-                      ("blind", BLIND_DOC), ("runaway", RUNAWAY_DOC)):
+                      ("blind", BLIND_DOC), ("runaway", RUNAWAY_DOC),
+                      ("fast_explosive", FAST_EXPLOSIVE_DOC)):
         path = base / f"{name}.json"
         path.write_text(json.dumps(doc))
         paths[name] = str(path)
@@ -947,13 +950,39 @@ class TestDeterminismAndThreads:
         assert out == baseline
 
     @pytest.mark.usefixtures("hang_guard")
-    def test_a_dead_drawing_child_exits_3_with_one_line(self, run, models, tmp_path,
-                                                        monkeypatch, cpus, forks):
-        # the child leaves at once, so the first draw finds it gone
-        monkeypatch.setattr(sim._NoiseBlocks, "_serve", lambda self, cmd, ack: None)
+    def test_dump_and_checks_are_byte_identical_at_1_2_3_threads(self, run, models, tmp_path,
+                                                                cpus):
+        # Three path blocks with aborts in each: at --threads 2 block 1 is
+        # simulated, reduced and formatted in the child, at 3 blocks 1 and 2.
+        cpus(3)
+        outputs = {}
+        for threads in ("1", "2", "3"):
+            out_dir = tmp_path / threads
+            code, out, err = run(["simulate", models["fast_explosive"],
+                                  "--paths", str(2 * sim.PATH_BLOCK + 100), "--horizon", "27",
+                                  "--seed", "3", "--alpha", "1e-13", "--dump",
+                                  "--validate-representation", "--check-decay",
+                                  "--threads", threads, "--output-dir", str(out_dir)])
+            outputs[threads] = (code, out, err, (out_dir / "decay.csv").read_bytes(),
+                                (out_dir / "trajectories.csv").read_bytes())
+        assert outputs["2"] == outputs["1"]
+        assert outputs["3"] == outputs["1"]
+        code, out, _, _, dump = outputs["1"]
+        report = json.loads(out)
+        assert code == 3 and report["representation"]["n_paths"] > 0
+        aborted = {int(row.split(b",")[0]) for row in dump.splitlines()[2:] if b"nan" in row}
+        assert len(aborted) == report["aborted_paths"]
+        assert {j // sim.PATH_BLOCK for j in aborted} == {0, 1, 2}
+
+    @pytest.mark.usefixtures("hang_guard")
+    def test_a_dead_child_exits_3_with_one_line(self, run, models, tmp_path, monkeypatch,
+                                                cpus, forks):
+        # the child's loop leaves at once, so waiting for block 1 finds it gone
+        monkeypatch.setattr(sim, "_child", lambda results, fd: None)
         cpus(2)
         out_dir = tmp_path / "out"
         code, out, err = run(["simulate", models["scalar"], *self.SIM, "--threads", "2",
+                              "--paths", str(2 * sim.PATH_BLOCK),
                               "--dump", "--output-dir", str(out_dir)])
         assert (code, out) == (3, "")
         assert len(err.splitlines()) == 1 and err.startswith("error:"), err
@@ -962,20 +991,24 @@ class TestDeterminismAndThreads:
         assert not (out_dir / "trajectories.csv").exists()
 
     @pytest.mark.usefixtures("hang_guard")
-    def test_a_child_killed_drawing_ahead_exits_3_with_one_line(self, run, models, monkeypatch,
-                                                                cpus, forks):
-        # The child dies while it draws the second path block's first half
-        # ahead, as the caller steps the first block.
-        caller, fill = os.getpid(), sim._NoiseBlocks._fill
+    def test_a_child_killed_mid_run_exits_3_with_one_line(self, run, models, monkeypatch,
+                                                          cpus, forks):
+        # The child sends block 1 and dies in block 3, after the caller has
+        # merged blocks 0 to 2.
+        child = sim._child
 
-        def dying(self, g, lo, hi, j, stages, last):
-            if os.getpid() != caller and j == sim.PATH_BLOCK:
-                os.kill(os.getpid(), signal.SIGKILL)
-            fill(self, g, lo, hi, j, stages, last)
+        def dying(results, fd):
+            def first_then_die():
+                for i, result in enumerate(results):
+                    if i:
+                        os.kill(os.getpid(), signal.SIGKILL)
+                    yield result
 
-        monkeypatch.setattr(sim._NoiseBlocks, "_fill", dying)
+            child(first_then_die(), fd)
+
+        monkeypatch.setattr(sim, "_child", dying)
         cpus(2)
-        code, out, err = run(["simulate", models["scalar"], "--paths", str(3 * sim.PATH_BLOCK),
+        code, out, err = run(["simulate", models["scalar"], "--paths", str(4 * sim.PATH_BLOCK),
                               "--horizon", "15", "--seed", "11", "--alpha", "0.9",
                               "--threads", "2"])
         assert (code, out) == (3, "")

@@ -138,7 +138,10 @@ class TestSimConfig:
         class Accepted(Exception):
             pass
 
-        def accepted(noise):
+        stage_rows = sim._NoiseBlocks.stage_rows
+
+        def accepted(noise, j0, bp):
+            next(stage_rows(noise, j0, bp))
             assert noise.buf.dtype == np.uint8 and noise.buf.nbytes == draws
             raise Accepted
 
@@ -410,18 +413,18 @@ def assert_same_bits_at_1_2_3(model, cfg, forks):
 
 @pytest.mark.usefixtures("hang_guard")
 class TestDrawProcesses:
-    """simulate_paths(threads=N) fills each stage block's rows in up to N
+    """simulate_paths(threads=N) splits the path blocks over up to N
     processes: X, ok and the aborts are the same bits for every N, and no
     child outlives the call."""
 
     @pytest.mark.parametrize("make, sb, n_paths, horizon, kind", [
         # Five stages of three draws per stage block: the Rademacher half
-        # word carries across stage blocks on both sides of every slice
-        # seam; the last path block's two paths leave one slice empty.
-        (odd_width_model, 5, sim.PATH_BLOCK + 2, 23, "gaussian"),
-        (odd_width_model, 5, sim.PATH_BLOCK + 2, 23, "rademacher"),
-        (odd_width_model, 5, sim.PATH_BLOCK + 2, 23, "uniform"),
-        (explosive_model, 7, sim.PATH_BLOCK + 50, 110, "gaussian"),
+        # word carries across stage blocks in every process; the last path
+        # block has two paths.
+        (odd_width_model, 5, 2 * sim.PATH_BLOCK + 2, 23, "gaussian"),
+        (odd_width_model, 5, 2 * sim.PATH_BLOCK + 2, 23, "rademacher"),
+        (odd_width_model, 5, 2 * sim.PATH_BLOCK + 2, 23, "uniform"),
+        (explosive_model, 7, 2 * sim.PATH_BLOCK + 50, 110, "gaussian"),
     ])
     def test_split_keeps_every_bit(self, monkeypatch, cpus, forks, make, sb, n_paths,
                                    horizon, kind):
@@ -434,16 +437,15 @@ class TestDrawProcesses:
                         x0=[1.0])
         reference = assert_same_bits_at_1_2_3(model, cfg, forks)
         if make is explosive_model:
-            assert not reference.ok[: sim.PATH_BLOCK].all()
-            assert not reference.ok[sim.PATH_BLOCK :].all()
+            assert {j // sim.PATH_BLOCK for j, _ in reference.aborted} == {0, 1, 2}
 
     @pytest.mark.parametrize("kind", ["gaussian", "rademacher", "uniform"])
     @pytest.mark.parametrize("case", ["stage-blocks", "short-last-block", "aborts"])
-    def test_drawing_ahead_keeps_every_bit(self, monkeypatch, cpus, forks, case, kind):
-        # Every path block after the first has its first half drawn ahead,
-        # while the one before it is stepped: across several stage blocks
-        # of odd draw counts, into a last block smaller than half a block,
-        # and with aborts in both halves of blocks that were drawn ahead.
+    def test_blocks_dealt_round_keep_every_bit(self, monkeypatch, cpus, forks, case, kind):
+        # Process b mod N runs path block b, one after another in its own
+        # buffers: across several stage blocks of odd draw counts, into a
+        # last block smaller than half a block, and with aborts in both
+        # halves of every block.
         block, half = sim.PATH_BLOCK, sim.PATH_BLOCK // 2
         model, sb, n_paths, horizon = {
             "stage-blocks": (odd_width_model(), 5, 3 * block + 2, 23),
@@ -459,14 +461,14 @@ class TestDrawProcesses:
         reference = assert_same_bits_at_1_2_3(model, cfg, forks)
         if case == "aborts":
             rows = {(j // block, j % block < half) for j, _ in reference.aborted}
-            assert {(1, True), (1, False), (2, True), (2, False)} <= rows
+            assert {(b, h) for b in range(3) for h in (True, False)} <= rows
 
     @pytest.mark.parametrize("count, threads, n_paths, children", [
-        (3, 1000, 50, 2),  # one process per CPU
-        (3, 1000, 2, 1),  # one per path of a block
-        (3, 1000, 1, 0),  # one path: nothing to split
-        (1, 2, 50, 0),
-        (3, 1, 50, 0),
+        (3, 1000, 5 * sim.PATH_BLOCK, 2),  # one process per CPU
+        (3, 1000, sim.PATH_BLOCK + 1, 1),  # one per path block
+        (3, 1000, sim.PATH_BLOCK, 0),  # one path block: nothing to split
+        (1, 2, 3 * sim.PATH_BLOCK, 0),
+        (3, 1, 3 * sim.PATH_BLOCK, 0),
     ])
     def test_processes_are_capped(self, scalar_model, cpus, forks, count, threads,
                                   n_paths, children):
@@ -479,7 +481,7 @@ class TestDrawProcesses:
         assert_no_children()
 
     def test_without_fork_the_run_is_serial(self, scalar_model, monkeypatch):
-        cfg = SimConfig(n_paths=300, horizon=5, seed=2, x0=[1.0])
+        cfg = SimConfig(n_paths=sim.PATH_BLOCK + 300, horizon=5, seed=2, x0=[1.0])
         reference = simulate_paths(scalar_model, cfg).X
         monkeypatch.delattr(sim.os, "fork")
         assert np.array_equal(simulate_paths(scalar_model, cfg, threads=2).X, reference)
@@ -491,15 +493,20 @@ class TestDrawProcesses:
             simulate_paths(scalar_model, cfg, threads=threads)
 
     @pytest.mark.parametrize("threads, children", [(1, 0), (2, 1)])
-    def test_sinks_run_blas_on_one_thread_beside_children(self, scalar_model, monkeypatch,
-                                                          cpus, forks, threads, children):
+    def test_every_process_runs_blas_on_one_thread_beside_children(
+            self, scalar_model, monkeypatch, cpus, forks, threads, children):
+        # Block 0 runs in the caller and block 1 in the child, if any; each
+        # reports the thread count its process had set.
         counts = [4]
 
         class Probe:
             seen = []
 
             def add_block(self, j0, X, ok):
-                self.seen.append(counts[-1])
+                return counts[-1]
+
+            def merge(self, threads):
+                self.seen.append(threads)
 
             def close(self):
                 self.seen.append(counts[-1])
@@ -513,28 +520,31 @@ class TestDrawProcesses:
         assert counts[-1] == 4
 
     def test_blas_without_thread_controls(self, scalar_model, monkeypatch, cpus, forks):
-        cfg = SimConfig(n_paths=300, horizon=5, seed=2, x0=[1.0])
+        cfg = SimConfig(n_paths=sim.PATH_BLOCK + 300, horizon=5, seed=2, x0=[1.0])
         reference = simulate_paths(scalar_model, cfg).X
         monkeypatch.setattr(sim, "_openblas", lambda: None)
         cpus(2)
         assert np.array_equal(simulate_paths(scalar_model, cfg, threads=2).X, reference)
         assert len(forks) == 1
 
-    def test_children_hold_half_a_noise_block_more(self, scalar_model, monkeypatch, cpus):
-        # One noise block fits beside X and 1.5 do not: the serial run goes
-        # ahead, and the run with a child, whose ring holds the next block's
-        # first half too, is refused before anything is forked.
-        paths, horizon, width = sim.PATH_BLOCK, 200, 2
-        ensemble = paths * (horizon + 1) * 8
-        buffer = paths * sim._stage_block_size(horizon, width) * width * 8
-        pages = (ensemble + buffer * 5 // 4) // 4096
+    @staticmethod
+    def physical_memory(monkeypatch, nbytes):
         monkeypatch.setattr(sim.os, "sysconf",
-                            {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": pages}.__getitem__)
+                            {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": nbytes // 4096}.__getitem__)
 
         def forbidden():
             raise AssertionError("forked before the memory check")
 
         monkeypatch.setattr(sim.os, "fork", forbidden)
+
+    def test_each_process_counts_its_noise_block(self, scalar_model, monkeypatch, cpus):
+        # Two path blocks kept: X and one noise block fit, X and two do not.
+        # The serial run goes ahead, and the run with a child, which draws
+        # its own noise block, is refused before anything is forked.
+        paths, horizon, width = 2 * sim.PATH_BLOCK, 200, 2
+        ensemble = paths * (horizon + 1) * 8
+        buffer = sim.PATH_BLOCK * sim._stage_block_size(horizon, width) * width * 8
+        self.physical_memory(monkeypatch, ensemble + buffer * 3 // 2)
         cpus(2)
         cfg = SimConfig(n_paths=paths, horizon=horizon, seed=0, x0=[1.0])
         assert simulate_paths(scalar_model, cfg, threads=1).n_ok == paths
@@ -542,24 +552,22 @@ class TestDrawProcesses:
             simulate_paths(scalar_model, cfg, threads=2)
 
     def test_refused_run_forks_nothing(self, scalar_model, monkeypatch, cpus):
-        # As test_noise_buffer_counts_toward_the_memory_check, at threads=2:
-        # the shared noise buffer counts, and nothing is forked before the
-        # check refuses the run.
-        paths, horizon, width = sim.PATH_BLOCK, 5000, 2
-        ensemble = paths * (horizon + 1) * 8
-        buffer = paths * sim._stage_block_size(horizon, width) * width * 8
-        pages = (ensemble + buffer // 2) // 4096
-        monkeypatch.setattr(sim.os, "sysconf",
-                            {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": pages}.__getitem__)
-
-        def forbidden():
-            raise AssertionError("forked before the memory check")
-
-        monkeypatch.setattr(sim.os, "fork", forbidden)
+        # Two path blocks streamed: each process holds STREAM_BLOCK_ARRAYS
+        # blocks of X and one noise block, the caller the per-path results.
+        # Memory for one process and a half: the serial run goes ahead, and
+        # the run with a child is refused before anything is forked.
+        paths, horizon, width = 2 * sim.PATH_BLOCK, 200, 2
+        process = 8 * sim.PATH_BLOCK * ((horizon + 1) * sim.STREAM_BLOCK_ARRAYS
+                                        + sim._stage_block_size(horizon, width) * width)
+        self.physical_memory(monkeypatch,
+                             process * 3 // 2 + 8 * sim.STREAM_PATH_DOUBLES * paths)
         cpus(2)
-        cfg = SimConfig(n_paths=paths, horizon=horizon, seed=0, x0=[0.0])
+        cfg = SimConfig(n_paths=paths, horizon=horizon, seed=0, x0=[1.0])
+        abel = sim.AbelSums(0.9, horizon)
+        simulate_paths(scalar_model, cfg, [sim.PathFeed(np.eye(1), [abel])], threads=1)
+        assert abel.result().n_paths == paths
         with pytest.raises(ValueError, match="--paths or --horizon"):
-            simulate_paths(scalar_model, cfg, threads=2)
+            simulate_paths(scalar_model, cfg, [sim.PathFeed(np.eye(1), [])], threads=2)
 
     def test_no_child_outlives_a_run(self, scalar_model, cpus, forks):
         cpus(2)
@@ -569,35 +577,40 @@ class TestDrawProcesses:
         assert len(forks) == 1
         assert_no_children()
 
-    def test_no_child_outlives_a_failing_sink(self, scalar_model, cpus, forks):
+    @pytest.mark.parametrize("failing", [sim.PATH_BLOCK, 0])
+    def test_no_child_outlives_a_failing_sink(self, scalar_model, cpus, forks, failing):
+        # The sink fails on the child's block 1 or on the caller's block 0:
+        # the caller raises the sink's own exception either way.
         class Failing:
             def add_block(self, j0, X, ok):
-                raise RuntimeError("the sink failed")
+                if j0 == failing:
+                    raise LookupError(f"the sink failed at path {j0}")
 
-            def close(self):
+            def merge(self, partial):
                 pass
-
-        cpus(2)
-        cfg = SimConfig(n_paths=2 * sim.PATH_BLOCK, horizon=4, seed=3)
-        with pytest.raises(RuntimeError, match="the sink failed"):
-            simulate_paths(scalar_model, cfg, [Failing()], threads=2)
-        assert len(forks) == 1
-        assert_no_children()
-
-    def test_a_killed_child_fails_the_run(self, scalar_model, cpus, forks):
-        # The child dies after the first path block; drawing the second
-        # must raise, not wait, and the dead child is reaped.
-        class Killer:
-            def add_block(self, j0, X, ok):
-                os.kill(forks[0], signal.SIGKILL)
 
             def close(self):
                 pass
 
         cpus(2)
         cfg = SimConfig(n_paths=3 * sim.PATH_BLOCK, horizon=4, seed=3)
+        with pytest.raises(LookupError, match=f"^the sink failed at path {failing}$") as info:
+            simulate_paths(scalar_model, cfg, [Failing()], threads=2)
+        assert info.type is LookupError
+        assert len(forks) == 1
+        assert_no_children()
+
+    def test_a_killed_child_fails_the_run(self, scalar_model, monkeypatch, cpus, forks):
+        # The child's loop dies before it sends its first block; waiting
+        # for block 1 must raise, not hang, and the dead child is reaped.
+        def dying(results, fd):
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setattr(sim, "_child", dying)
+        cpus(2)
+        cfg = SimConfig(n_paths=3 * sim.PATH_BLOCK, horizon=4, seed=3)
         with pytest.raises(ChildProcessError, match="exited mid-run"):
-            simulate_paths(scalar_model, cfg, [Killer()], threads=2)
+            simulate_paths(scalar_model, cfg, [sim.PathFeed(np.eye(1), [])], threads=2)
         assert len(forks) == 1
         assert_no_children()
 

@@ -18,6 +18,7 @@ from csviu import (
     NotStableError,
 )
 from csviu import ops, stability
+from csviu.solver import STRICT_RADIUS_MARGIN
 from conftest import make_random_model
 from test_ops import loop_operator_matrix
 from test_solver import dense_capacitance, dense_solution
@@ -389,6 +390,10 @@ STRUCTURED_CASES = {
     # V tends to e1 e1^T, where C F is rounding alone: inverting it hides the mode
     "unobserved-mode-at-rounding": ([[1.0, 0.0], [0.0, 0.0]], [[0.0, -1.0]],
                                     [[0.0, 0.5], [0.0, 0.5]], 1.5, 1.5),
+    # V tends to e2 e2^T, the unobserved mode, too slowly for the pencil's lower read on
+    # range(V) to pass 0.96 in DETECT_STEPS; read on null(C) it certifies 1.5 (0.25 + 0.64)
+    "stalled-read-on-unobserved-mode": ([[1.2, 0.0], [0.0, -0.5]], [[1.0, 0.0]],
+                                        [[0.8, 0.0], [-0.3, 0.8]], 1.5, 1.335),
     # the pencil reads t about 1e-9 high here, so R(V) >= t V fails by rounding alone
     "t-read-high": ([[1.2, 0.0, 0.8], [0.0, 0.0, 0.0], [0.0, 0.0, 0.8]], [[0.0, 1.0, 0.0]],
                     [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, -0.3]], 1.0, 1.44),
@@ -406,6 +411,7 @@ class TestDecidedDetectability:
             assert dense_closed_loop_radius(model, alpha, result.G) < 1.0
             return
         assert not result.detectable
+        assert bound >= 1.0 + STRICT_RADIUS_MARGIN
         assert bound == pytest.approx(expected, rel=1e-8)
         rng = np.random.default_rng(17)
         n = model.n

@@ -43,7 +43,7 @@ from csviu import (
 )
 from csviu.model import as_weight
 from csviu.solver import backward_recursion
-from test_sim import explosive_model
+from test_sim import explosive_model, hang_guard  # noqa: F401
 
 GOLDEN_MODELS = Path(__file__).resolve().parent / "golden" / "models"
 SCALAR_MODEL = str(GOLDEN_MODELS / "scalar.json")
@@ -187,7 +187,7 @@ CASES = {
 }
 
 
-def streamed(model, cfg, Q, alpha):
+def streamed(model, cfg, Q, alpha, threads=1):
     """One streamed pass with every reducer; returns the ensemble and the reducers."""
     reducers = {
         "abel": sim.AbelSums(alpha, cfg.horizon),
@@ -196,7 +196,8 @@ def streamed(model, cfg, Q, alpha):
         "representation": sim.RepresentationCheck(model, cfg, alpha, as_weight(Q, model.n)),
     }
     ensemble = simulate_paths(model, cfg, [sim.PathFeed(as_weight(Q, model.n),
-                                                        list(reducers.values()))])
+                                                        list(reducers.values()))],
+                              threads=threads)
     return ensemble, reducers
 
 
@@ -212,6 +213,23 @@ def case(request):
 
 
 class TestStreamEqualsOracle:
+    @pytest.mark.usefixtures("hang_guard")
+    def test_every_thread_count_merges_the_same_bits(self, case, monkeypatch):
+        # Three path blocks over one, two and three processes: every
+        # reducer's result is the same bits as the serial pass's.
+        name, kept, _, reducers, Q, alpha = case
+        monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: set(range(3)))
+        expect = {key: reducer.result() for key, reducer in reducers.items()}
+        for threads in (2, 3):
+            _, split = streamed(kept.model, kept.cfg, Q, alpha, threads)
+            for key, reducer in split.items():
+                got = reducer.result()
+                if key == "stages":
+                    assert all(np.array_equal(g.view(np.uint64), e.view(np.uint64))
+                               for g, e in zip(got, expect[key])), (threads, key)
+                else:
+                    assert repr(got) == repr(expect[key]), (threads, key)
+
     def test_stream_keeps_no_ensemble(self, case):
         _, kept, ensemble, _, _, _ = case
         assert ensemble.X is None
@@ -267,7 +285,10 @@ def test_each_block_reduces_its_own_survivors():
 
     class Record:
         def add_chunk(self, X, q):
-            chunks.append(X.copy())
+            return X.copy()
+
+        def merge(self, X):
+            chunks.append(X)
 
     simulate_paths(model, cfg, [sim.PathFeed(np.eye(1), [Record()])])
     kept = simulate_paths(model, cfg)
@@ -434,14 +455,16 @@ def test_streamed_checks_peak_below_the_memory_check(monkeypatch):
         simulate_paths(model, cfg, [sim.PathFeed(np.eye(10), [])])
 
 
+@pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("make, n_paths, horizon, noise", [
     (lambda: load_model(GOLDEN_MODELS / "n3.json"), sim.PATH_BLOCK + 50, 6, "rademacher"),
     (explosive_model, sim.PATH_BLOCK + 50, 110, "gaussian"),
 ])
-def test_sinks_see_stage_major_blocks_of_the_kept_paths(make, n_paths, horizon, noise):
+def test_sinks_see_stage_major_blocks_of_the_kept_paths(make, n_paths, horizon, noise, threads):
     # A sink sees each block stage-major, (horizon+1, paths, n), and its
     # column j is path j0 + j of the kept ensemble, bit for bit, across
-    # the block seam and through aborts.
+    # the block seam and through aborts; with two threads the second block
+    # is seen in a child, and its copy merged here.
     model = make()
     cfg = SimConfig(n_paths=n_paths, horizon=horizon, seed=7, noise_kind=noise,
                     x0=np.ones(model.n))
@@ -449,12 +472,15 @@ def test_sinks_see_stage_major_blocks_of_the_kept_paths(make, n_paths, horizon, 
 
     class Copy:
         def add_block(self, j0, X, ok):
-            seen.append((j0, X.copy(), ok.copy()))
+            return j0, X.copy(), ok.copy()
+
+        def merge(self, block):
+            seen.append(block)
 
         def close(self):
             seen.append(None)
 
-    streamed_run = simulate_paths(model, cfg, [Copy()])
+    streamed_run = simulate_paths(model, cfg, [Copy()], threads=threads)
     kept = simulate_paths(model, cfg)
     assert kept.X.shape == (n_paths, horizon + 1, model.n)
     assert [block[0] for block in seen[:-1]] == [0, sim.PATH_BLOCK] and seen[-1] is None
