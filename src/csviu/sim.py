@@ -569,9 +569,9 @@ def simulate_paths(model, cfg, sinks=(), threads=1):
         survival mask; neither outlives the call).  What it returns goes,
         pickled from a child, to the same sink's merge in the calling
         process, in block order, and that process runs its own block b
-        after merging every block before b; close() runs last.  With no sinks the
-        whole ensemble X is kept instead, in one mapping shared by every
-        process.
+        after merging every block before b; close() runs last.  With no
+        sinks the whole ensemble X is kept instead, in one mapping shared
+        by every process.
     threads : int, optional
         Processes that simulate: W = min(threads, CPUs, path blocks), this
         one and W - 1 forked children, so a run of one path block is
