@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import io
 import json
 import os
 import reprlib
@@ -246,11 +245,9 @@ def _csv_cell(value):
 
 
 class _TrajectoryDump:
-    """Block sink that writes trajectories.csv: the calling process writes its own blocks' rows
-    at once (simulate_paths runs them in block order), a child formats its blocks' for merge."""
+    """Block sink that writes trajectories.csv, a path block at a time in block order."""
 
     def __init__(self, out_dir, model):
-        self.caller = os.getpid()
         self.made_dir = not os.path.isdir(out_dir)
         os.makedirs(out_dir, exist_ok=True)
         self.out_dir = out_dir
@@ -258,31 +255,28 @@ class _TrajectoryDump:
         self.C = model.C
         self.fh = open(self.path, "w", encoding="utf-8", newline="")
         self.fh.write(f"# manifest: {MANIFEST}\n")
-        csv.writer(self.fh).writerow(
+        self.writer = csv.writer(self.fh)
+        self.writer.writerow(
             ["path", "k"]
             + [f"x{i}" for i in range(model.n)]
             + [f"y{i}" for i in range(model.p)]
         )
 
     def add_block(self, j0, X, ok):
-        """No texts where the rows were written; in a child, each path's rows as CSV text."""
+        """The block itself: its rows are written in merge."""
+        return j0, X
+
+    def merge(self, block):
+        j0, X = block
         # The CLI simulates under the zero input, so y_k = C x_k.
         Y = np.einsum("kpj,ij->kpi", X, self.C)
-        here, texts = os.getpid() == self.caller, []
         for j in range(X.shape[1]):
-            writer = csv.writer(out := self.fh if here else io.StringIO())
             for k in range(X.shape[0]):
-                writer.writerow(
+                self.writer.writerow(
                     [j0 + j, k]
                     + [repr(float(v)) for v in X[k, j]]
                     + [repr(float(v)) for v in Y[k, j]]
                 )
-            if not here:
-                texts.append(out.getvalue())
-        return texts
-
-    def merge(self, texts):
-        self.fh.writelines(texts)
 
     def close(self):
         self.fh.close()

@@ -23,7 +23,8 @@ its own buffers: one block of X with the sinks' temporaries
 (STREAM_BLOCK_ARRAYS blocks in all) and one path block of noise.  A run
 of one path block is serial.  A sink's add_block returns a partial where
 the block ran; children pickle (ok, aborts, partials) to a pipe, and the
-caller hands the partials to the sinks' merge in block order.  With
+caller hands the partials to the sinks' merge in block order, holding at
+most two of each child's, none larger than a block of X.  With
 W > 1 each process runs BLAS on one thread (_openblas).  Splitting a
 block's rows would change bits, as BLAS products and sums round
 differently on row slices.
@@ -469,12 +470,14 @@ def _child(results, fd):
             pickle.dump(exc, pipe, pickle.HIGHEST_PROTOCOL)
 
 
-def _drain(fd, messages):
-    """Unpickle a child's messages into ``messages`` until its pipe closes, then put None."""
+def _drain(fd, messages, turn):
+    """Unpickle a child's messages into ``messages``, each after the first once ``turn`` is
+    released, until its pipe closes; then put None."""
     with open(fd, "rb") as pipe:
         try:
             while True:
                 messages.put(pickle.load(pipe))
+                turn.acquire()
         except (EOFError, pickle.UnpicklingError):  # closed, or cut short by the child's death
             pass
         finally:
@@ -482,13 +485,13 @@ def _drain(fd, messages):
 
 
 class _Children:
-    """The children of a run: child w runs _child on work(w), into a pipe that a thread of
-    this process drains, so that no child waits on a full pipe.  Beside children every process
-    runs numpy's OpenBLAS on one thread, where it can be told to.  Leaving reaps every child,
-    killed first where the run failed, and gives this process back its BLAS threads."""
+    """The children of a run: child w runs _child on work(w) into a pipe, which a thread here
+    reads one result ahead of get, so this process holds at most two of a child's results.
+    Beside children every process runs numpy's OpenBLAS on one thread where it can be told to.
+    Leaving reaps every child, killed first where the run failed, and restores BLAS here."""
 
     def __init__(self, work, workers):
-        self.pids, self.fds, self.readers, self.messages = [], [], [], []
+        self.pids, self.fds, self.readers, self.turns = [], [], [], []
         controls = _openblas() if workers > 1 else None
         self.blas = controls and (controls[0], controls[1]())
         if controls:
@@ -514,9 +517,10 @@ class _Children:
         except BaseException:
             self.close(kill=True)
             raise
-        for r in self.fds:
-            self.messages.append(queue.Queue())
-            self.readers.append(threading.Thread(target=_drain, args=(r, self.messages[-1])))
+        self.messages = [queue.Queue() for _ in self.fds]
+        self.turns = [threading.Semaphore(0) for _ in self.fds]
+        for args in zip(self.fds, self.messages, self.turns):
+            self.readers.append(threading.Thread(target=_drain, args=args))
             self.readers[-1].start()
         self.fds = []
 
@@ -527,8 +531,9 @@ class _Children:
         self.close(kill=exc_type is not None)
 
     def get(self, w):
-        """Child w's next result; an exception it sent is raised here."""
+        """Child w's next result (an exception it sent is raised), and a turn to read the next."""
         message = self.messages[w - 1].get()
+        self.turns[w - 1].release()
         if message is None:
             raise ChildProcessError("a path-block child process exited mid-run")
         if isinstance(message, BaseException):
@@ -543,7 +548,8 @@ class _Children:
             if kill:
                 os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-        for reader in self.readers:
+        for turn, reader in zip(self.turns, self.readers):
+            turn.release()
             reader.join()
         if self.blas:
             self.blas[0](self.blas[1])
@@ -566,12 +572,13 @@ def simulate_paths(model, cfg, sinks=(), threads=1):
         simulated into a buffer reused for the process's next block and
         handed to every sink's add_block there (X stage-major, of shape
         (horizon+1, paths, n), so that X[:, j] is path j0 + j; ok its
-        survival mask; neither outlives the call).  What it returns goes,
-        pickled from a child, to the same sink's merge in the calling
-        process, in block order, and that process runs its own block b
-        after merging every block before b; close() runs last.  With no
-        sinks the whole ensemble X is kept instead, in one mapping shared
-        by every process.
+        survival mask).  What it returns, a partial no larger than X,
+        goes, pickled from a child, to the same sink's merge in the
+        calling process, in block order; that process runs its own block
+        b after merging every block before b, so a partial may be X
+        itself, merged before its buffer is reused.  close() runs last.
+        With no sinks the whole ensemble X is kept instead, in one
+        mapping shared by every process.
     threads : int, optional
         Processes that simulate: W = min(threads, CPUs, path blocks), this
         one and W - 1 forked children, so a run of one path block is
@@ -588,8 +595,8 @@ def simulate_paths(model, cfg, sinks=(), threads=1):
         If threads is not a positive integer, or if what the run holds
         would not fit in physical memory (nothing is allocated and
         nothing forked): the ensemble X and each process's noise without
-        sinks; each process's block buffers and noise, and the per-path
-        results, with them.
+        sinks; each process's block buffers and noise, two blocks of X
+        per child for its partials, and the per-path results, with them.
     ChildProcessError
         If a child exits before the run ends; an exception raised in a
         child is raised here with its type and message.
@@ -615,8 +622,9 @@ def simulate_paths(model, cfg, sinks=(), threads=1):
     workers = max(1, min(threads, cpus or 1, len(starts))) if hasattr(os, "fork") else 1
     noise = _NoiseBlocks(model, cfg, workers)
     if sinks:
-        block = 8 * STREAM_BLOCK_ARRAYS * noise.shape[0] * (horizon + 1) * n
-        need = workers * (noise.nbytes + block) + 8 * STREAM_PATH_DOUBLES * n_paths
+        block = 8 * noise.shape[0] * (horizon + 1) * n
+        need = (workers * (noise.nbytes + STREAM_BLOCK_ARRAYS * block)
+                + (workers - 1) * 2 * block + 8 * STREAM_PATH_DOUBLES * n_paths)
         held = "the path-block buffers and per-path results"
     else:
         need = workers * noise.nbytes + 8 * n_paths * (horizon + 1) * n
@@ -640,8 +648,9 @@ def simulate_paths(model, cfg, sinks=(), threads=1):
             block_ok, block_aborted, partials = next(mine) if w == 0 else children.get(w)
             ok[j0 : j0 + block_ok.size] = block_ok
             aborted += block_aborted
-            for sink, partial in zip(sinks, partials):
-                sink.merge(partial)
+            for sink in sinks:
+                # Popped, so that no partial is held past its merge.
+                sink.merge(partials.pop(0))
     for sink in sinks:
         sink.close()
     kept = None if sinks else X.transpose(1, 0, 2)

@@ -3,6 +3,7 @@ acceptance-criteria recorder that prints one PASS/FAIL line per criterion."""
 
 import math
 import os
+import signal
 
 import numpy as np
 import pytest
@@ -97,6 +98,19 @@ def no_child_left_unreaped():
     except ChildProcessError:
         return
     pytest.fail(f"the test left a child process running or unreaped (waitpid: {pid})")
+
+
+@pytest.fixture
+def hang_guard():
+    """Fail a test that waits 60 s, as on a dead or hung child, instead of hanging."""
+    def hung(signum, frame):
+        raise AssertionError("the run waited 60 s, on a dead or hung child")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
 
 
 def pytest_configure(config):

@@ -18,8 +18,7 @@ from referencing import Registry, Resource
 from csviu import (check_stability, cli, load_model, norms, ops, sim, solve_lyapunov, solver,
                    stability)
 from conftest import make_random_model
-from test_sim import (assert_no_children, cpus, exact_second_moments, forks,  # noqa: F401
-                      hang_guard)
+from test_sim import assert_no_children, cpus, exact_second_moments, forks  # noqa: F401
 
 N3_MODEL = str(Path(__file__).parent / "golden" / "models" / "n3.json")
 

@@ -27,7 +27,6 @@ from pathlib import Path
 import pytest
 
 from csviu import cli, sim
-from test_sim import hang_guard  # noqa: F401
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 

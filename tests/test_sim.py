@@ -4,6 +4,7 @@ decay diagnostic."""
 
 import os
 import signal
+import time
 
 import numpy as np
 import pytest
@@ -384,17 +385,23 @@ def cpus(monkeypatch):
     return set_cpus
 
 
-@pytest.fixture
-def hang_guard():
-    """Fail a test that waits 60 s, as on a dead or hung child, instead of hanging."""
-    def hung(signum, frame):
-        raise AssertionError("the run waited 60 s, on a dead or hung child")
+class ChildPartial:
+    """A sink's partial that counts its unpickled copies alive in this process, for a run in
+    which a child simulates the odd path blocks."""
 
-    previous = signal.signal(signal.SIGALRM, hung)
-    signal.alarm(60)
-    yield
-    signal.alarm(0)
-    signal.signal(signal.SIGALRM, previous)
+    alive = peak = 0
+
+    def __init__(self, j0):
+        self.j0 = j0
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        ChildPartial.alive += 1
+        ChildPartial.peak = max(ChildPartial.peak, ChildPartial.alive)
+
+    def __del__(self):
+        if self.j0 // sim.PATH_BLOCK % 2:
+            ChildPartial.alive -= 1
 
 
 def assert_same_bits_at_1_2_3(model, cfg, forks):
@@ -568,6 +575,46 @@ class TestDrawProcesses:
         assert abel.result().n_paths == paths
         with pytest.raises(ValueError, match="--paths or --horizon"):
             simulate_paths(scalar_model, cfg, [sim.PathFeed(np.eye(1), [])], threads=2)
+
+    def test_each_child_counts_two_blocks_of_partials(self, scalar_model, monkeypatch, cpus):
+        # Memory for two processes and the per-path results, and one block
+        # of X more: the caller may hold two of the child's partials, each
+        # as large as a block of X (the dump's is one), so the run is
+        # refused before anything is forked.
+        paths, horizon, width = 2 * sim.PATH_BLOCK, 200, 2
+        block = 8 * sim.PATH_BLOCK * (horizon + 1)
+        process = (sim.STREAM_BLOCK_ARRAYS * block
+                   + 8 * sim.PATH_BLOCK * sim._stage_block_size(horizon, width) * width)
+        self.physical_memory(monkeypatch,
+                             2 * process + block + 8 * sim.STREAM_PATH_DOUBLES * paths)
+        cpus(2)
+        cfg = SimConfig(n_paths=paths, horizon=horizon, seed=0, x0=[1.0])
+        with pytest.raises(ValueError, match="--paths or --horizon"):
+            simulate_paths(scalar_model, cfg, [sim.PathFeed(np.eye(1), [])], threads=2)
+
+    def test_the_caller_holds_two_partials_per_child(self, scalar_model, cpus, forks):
+        # The child runs far ahead of a slow merge; its results are read one
+        # ahead of the merge and no further, so at most two are alive here.
+        ChildPartial.alive = ChildPartial.peak = 0
+        merged = []
+
+        class Slow:
+            def add_block(self, j0, X, ok):
+                return ChildPartial(j0)
+
+            def merge(self, partial):
+                time.sleep(0.05)
+                merged.append(partial.j0)
+
+            def close(self):
+                pass
+
+        cpus(2)
+        cfg = SimConfig(n_paths=8 * sim.PATH_BLOCK, horizon=2, seed=1, x0=[1.0])
+        simulate_paths(scalar_model, cfg, [Slow()], threads=2)
+        assert len(forks) == 1
+        assert merged == list(range(0, cfg.n_paths, sim.PATH_BLOCK))
+        assert ChildPartial.peak == 2
 
     def test_no_child_outlives_a_run(self, scalar_model, cpus, forks):
         cpus(2)

@@ -43,7 +43,7 @@ from csviu import (
 )
 from csviu.model import as_weight
 from csviu.solver import backward_recursion
-from test_sim import explosive_model, hang_guard  # noqa: F401
+from test_sim import explosive_model
 
 GOLDEN_MODELS = Path(__file__).resolve().parent / "golden" / "models"
 SCALAR_MODEL = str(GOLDEN_MODELS / "scalar.json")
