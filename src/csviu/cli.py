@@ -547,8 +547,8 @@ def build_parser():
         "--threads",
         type=_integer,
         default=1,
-        help="processes that draw the noise (default 1; at most one per CPU); "
-             "reports never depend on it",
+        help="processes that simulate whole blocks of paths (default 1; at most "
+             "one per CPU and one per block of 4096 paths); reports never depend on it",
     )
     p_sim.add_argument(
         "--validate-representation",

@@ -20,7 +20,7 @@ Threads split the run by whole path blocks: of W = min(threads, CPUs,
 path blocks) processes, the caller and W - 1 forked children, process
 b mod W draws, steps and reduces path block b as a serial run does, in
 its own buffers: one block of X with the sinks' temporaries
-(STREAM_BLOCK_ARRAYS blocks in all) and one path block of noise.  A run
+(STREAM_BLOCK_ARRAYS blocks in all) and one path block's noise.  A run
 of one path block is serial.  A sink's add_block returns a partial where
 the block ran; children pickle (ok, aborts, partials) to a pipe, and the
 caller hands the partials to the sinks' merge in block order, holding at
@@ -47,7 +47,11 @@ never rejects for a range of 2).  A half word left over at the end of a
 stage block opens the next one, as it does in the Generator.
 
 _NoiseBlocks alone knows how the noise is laid out and drawn and how it
-reaches the step loop.  No result depends on the number of processes.
+reaches the step loop: a stage block of a path block is drawn a group of
+paths at a time into a small path-major buffer, each group is copied,
+transposed, into the stage-major eps and w, and the step reads stage k's
+noise as two contiguous arrays.  No result depends on the number of
+processes.
 """
 
 from __future__ import annotations
@@ -103,16 +107,17 @@ STAGE_BLOCK_ELEMENTS = 2**25
 #: vectorised pass.
 SIGN_GROUP = 16
 
-#: Stages of sign bytes copied stage-major into one tile.
-TILE_STAGES = 8
+#: Bytes of one group's draws for one stage block: the paths drawn together
+#: path-major before their copy into the stage-major noise.
+GROUP_BYTES = 2**20
 
 #: Paths per chunk of the quadratic forms, which bounds their temporary.
 Q_CHUNK = 256
 
 #: Upper bound on the arrays of one path block's X size that a streamed run
 #: holds at once: the block buffer, the copy of its survivors after aborts,
-#: q, one q chunk's X Q, and the noise tile with the per-stage buffers of the
-#: step loop and the backward step (a dozen stages together).
+#: q, one q chunk's X Q, and the per-stage buffers of the step loop and the
+#: backward step (a dozen stages together).
 STREAM_BLOCK_ARRAYS = 5
 
 #: Upper bound on the doubles per path that a streamed run keeps: the Abel
@@ -247,9 +252,10 @@ class _PathStreams:
     buffer, so setting that state on one generator gives path j its
     stream unchanged.  Between draws each path's state is saved and
     restored; a Rademacher half word left over by an odd count is kept
-    in ``carry`` and opens the path's next draw.  ``count`` bounds the
-    draws per path of one call.  ``gen``, a Generator over a Philox, may
-    be shared by the streams of one process, as each draw sets its state.
+    in ``carry`` and marked in ``odd``, and opens the path's next draw.
+    ``count`` bounds the draws per path of one call.  ``gen``, a
+    Generator over a Philox, may be shared by the streams of one
+    process, as each draw sets its state.
     """
 
     def __init__(self, seed, j0, paths, kind, count, gen=None):
@@ -264,7 +270,7 @@ class _PathStreams:
             # 32-bit halves of up to SIGN_GROUP paths' words, a carried half first.
             self.halves = np.empty((min(paths, SIGN_GROUP), count + 1), dtype=np.uint32)
             self.carry = np.empty(paths, dtype=np.uint32)
-            self.odd = 0
+            self.odd = np.zeros(paths, dtype=np.intp)
 
     def _restore(self, i):
         if self.saved[i] is None:
@@ -273,8 +279,9 @@ class _PathStreams:
         else:
             self.bitgen.state = self.saved[i]
 
-    def draw(self, out, last):
-        """Fill out[i] with path i's next draws in C order; ``last``: no draw follows, save no state.
+    def draw(self, out, last, i0=0):
+        """Fill out[i] with path i0 + i's next draws in C order; ``last``: no draw follows, save
+        no state.  The paths of one call must have drawn alike before it.
 
         Rademacher draws are written as sign bytes into a uint8 ``out``:
         1 for +1 and 0 for -1.
@@ -282,32 +289,32 @@ class _PathStreams:
         paths = out.shape[0]
         if self.kind != "rademacher":
             for i in range(paths):
-                self._restore(i)
+                self._restore(i0 + i)
                 if self.kind == "gaussian":
                     self.gen.standard_normal(out=out[i])
                 else:
                     out[i] = self.gen.uniform(-_SQRT3, _SQRT3, size=out[i].shape)
                 if not last:
-                    self.saved[i] = self.bitgen.state
+                    self.saved[i0 + i] = self.bitgen.state
             return
-        count, odd = out[0].size, self.odd
+        count, odd = out[0].size, int(self.odd[i0])
         words = (count - odd + 1) // 2
         for g0 in range(0, paths, SIGN_GROUP):
             g1 = min(g0 + SIGN_GROUP, paths)
             h = self.halves[: g1 - g0]
             for i in range(g0, g1):
-                self._restore(i)
+                self._restore(i0 + i)
                 raw = self.bitgen.random_raw(words).astype("<u8", copy=False)
                 h[i - g0, odd : odd + 2 * words] = raw.view("<u4")
                 if not last:
-                    self.saved[i] = self.bitgen.state
+                    self.saved[i0 + i] = self.bitgen.state
             if odd:
-                h[:, 0] = self.carry[g0:g1]
+                h[:, 0] = self.carry[i0 + g0 : i0 + g1]
             if odd + 2 * words > count:
-                self.carry[g0:g1] = h[:, count]
+                self.carry[i0 + g0 : i0 + g1] = h[:, count]
             np.right_shift(h[:, :count].reshape(out[g0:g1].shape), 31,
                            out=out[g0:g1], casting="unsafe")
-        self.odd = odd + 2 * words - count
+        self.odd[i0 : i0 + paths] = odd + 2 * words - count
 
 
 @functools.cache
@@ -339,50 +346,68 @@ class _NoiseBlocks:
     """A process's noise: the one place that knows how it is laid out and drawn.
 
     Built from (model, cfg, workers), it allocates nothing and works out
-    ``shape``, one path block's noise for one stage block, (paths, stages,
-    n + r); ``dtype``, a sign byte per Rademacher draw and a double per
-    other draw; and ``nbytes``, which the memory check counts per process.
-    Each process makes its buffer (_array) at its first path block.
+    ``paths`` and ``stages``, the paths of one path block and the stages
+    of one stage block; ``dtype``, a sign byte per Rademacher draw and a
+    double per other draw; ``group``, the paths drawn together, as many
+    as GROUP_BYTES holds of their draws for one stage block but at least
+    SIGN_GROUP; and ``nbytes``, which the memory check counts per
+    process.  Each process makes its arrays at its first path block: eps
+    and w, one stage block's noise of one path block, stage-major, of
+    shapes (stages, paths, n) and (stages, paths, r) (_array), and the
+    path-major group buffer (group, stages, n + r).
 
     stage_rows(j0, bp) draws paths j0 ... j0 + bp - 1 a stage block at a
     time through one _PathStreams, which keeps each path's state and
-    Rademacher carry, and yields one (bp, n + r) row of doubles per stage:
-    it copies TILE_STAGES stages at a time stage-major into a tile, and
-    turns sign bytes one stage at a time into -1.0 and +1.0.
+    Rademacher carry: each group's draws go into the group buffer and are
+    copied, transposed, into eps and w.  It yields one contiguous pair
+    (eps_k, w_k) of doubles per stage, sign bytes turned into -1.0 and
+    +1.0 one stage at a time.
     """
 
     def __init__(self, model, cfg, workers):
-        self.cfg, self.workers, width = cfg, workers, model.n + model.r
-        self.shape = (min(cfg.n_paths, PATH_BLOCK), _stage_block_size(cfg.horizon, width), width)
+        self.cfg, self.workers, self.n, self.r = cfg, workers, model.n, model.r
+        width = model.n + model.r
+        self.paths = min(cfg.n_paths, PATH_BLOCK)
+        self.stages = _stage_block_size(cfg.horizon, width)
         self.dtype = np.dtype(np.uint8 if cfg.noise_kind == "rademacher" else np.float64)
-        self.nbytes = int(np.prod(self.shape)) * self.dtype.itemsize
-        self.buf = None
+        drawn = self.stages * width * self.dtype.itemsize
+        self.group = min(self.paths, max(SIGN_GROUP, GROUP_BYTES // drawn))
+        self.nbytes = (self.paths + self.group) * drawn
+        self.eps = None
 
     def stage_rows(self, j0, bp):
-        """Yield the noise of paths j0 ... j0 + bp - 1, one row per stage, each valid until the
-        next is asked for."""
-        if self.buf is None:
-            self.buf = _array(self.shape, self.dtype, self.workers)
+        """Yield the noise (eps_k, w_k) of paths j0 ... j0 + bp - 1 for each stage k, of shapes
+        (bp, n) and (bp, r), each pair valid until the next is asked for."""
+        sb, n, horizon = self.stages, self.n, self.cfg.horizon
+        if self.eps is None:
+            self.eps, self.w = (_array((sb, self.paths, m), self.dtype, self.workers)
+                                for m in (n, self.r))
+            self.drawn = np.empty((self.group, sb, n + self.r), self.dtype)
             # One generator for every path block of this process.
             self.gen = np.random.Generator(np.random.Philox(0))
-        sb, width, horizon = *self.shape[1:], self.cfg.horizon
-        streams = _PathStreams(self.cfg.seed, j0, bp, self.cfg.noise_kind, sb * width, self.gen)
-        tile = np.empty((TILE_STAGES, bp, width), self.dtype)
-        row = np.empty(tile.shape[1:]) if self.dtype == np.uint8 else None
+            if self.dtype == np.uint8:
+                self.signs = np.empty((self.paths, n)), np.empty((self.paths, self.r))
+        streams = _PathStreams(self.cfg.seed, j0, bp, self.cfg.noise_kind,
+                               self.drawn[0].size, self.gen)
+        eps, w = self.eps[:, :bp], self.w[:, :bp]
         for k0 in range(0, horizon, sb):
             stages = min(sb, horizon - k0)
-            drawn = self.buf[:bp, :stages]
-            streams.draw(drawn, k0 + stages == horizon)
-            for ks in range(stages):
-                if ks % TILE_STAGES == 0:
-                    t = min(TILE_STAGES, stages - ks)
-                    np.copyto(tile[:t], drawn[:, ks : ks + t].transpose(1, 0, 2))
-                z = tile[ks % TILE_STAGES]
-                if row is not None:
+            for g0 in range(0, bp, self.group):
+                g1 = min(g0 + self.group, bp)
+                drawn = self.drawn[: g1 - g0, :stages]
+                streams.draw(drawn, k0 + stages == horizon, g0)
+                np.copyto(eps[:stages, g0:g1], drawn[..., :n].transpose(1, 0, 2))
+                np.copyto(w[:stages, g0:g1], drawn[..., n:].transpose(1, 0, 2))
+            for k in range(stages):
+                if self.dtype == np.uint8:
                     # Sign bytes 0 and 1 to -1.0 and +1.0.
-                    z = np.multiply(z, 2.0, out=row)
-                    z -= 1.0
-                yield z
+                    e, o = (np.multiply(z[k], 2.0, out=row[:bp])
+                            for z, row in zip((eps, w), self.signs))
+                    e -= 1.0
+                    o -= 1.0
+                    yield e, o
+                else:
+                    yield eps[k], w[k]
 
 
 def _stage_block_size(horizon, width):
@@ -406,9 +431,10 @@ def _matmul(a, b, out=None, plus_zero=True):
     return out
 
 
-def _simulate_block(model, cfg, X, rows, aborted, j0):
-    """Simulate paths j0, j0+1, ... into the stage-major X; stage k's noise (eps_k, w_k) is the
-    k-th (paths, n + r) row of doubles that ``rows`` yields.  Return who survives."""
+def _simulate_block(model, cfg, X, noise, aborted, j0):
+    """Simulate paths j0, j0+1, ... into the stage-major X; stage k's noise is the k-th pair
+    (eps_k, w_k) of doubles, of shapes (paths, n) and (paths, r), that ``noise`` yields.
+    Return who survives."""
     n = model.n
     AT, BT, sxT, sbxT, sgT = (None if M is None else np.ascontiguousarray(M.T) for M in (
         model.A, model.B, model.sigma_x, model.sigma_bar_x, model.sigma))
@@ -421,8 +447,7 @@ def _simulate_block(model, cfg, X, rows, aborted, j0):
     all_alive = True
 
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, z in enumerate(rows):
-            eps, om = z[:, :n], z[:, n:]
+        for k, (eps, om) in enumerate(noise):
             # x_{k+1} in place; at n = 1 the first product leaves it never -0.
             xn = _matmul(x, AT, out=X[k + 1])
             if BT is not None:
@@ -449,7 +474,7 @@ def _simulate_block(model, cfg, X, rows, aborted, j0):
 def _blocks(model, cfg, sinks, noise, X, starts):
     """Simulate and reduce the path blocks from ``starts`` in order, each into its columns of
     the kept X or else into one buffer of this process; yield (ok, aborts, partials) of each."""
-    buf = X if X is not None else _array((cfg.horizon + 1, noise.shape[0], model.n),
+    buf = X if X is not None else _array((cfg.horizon + 1, noise.paths, model.n),
                                          np.dtype(np.float64), noise.workers)
     for j0 in starts:
         j1 = min(j0 + PATH_BLOCK, cfg.n_paths)
@@ -583,11 +608,12 @@ def simulate_paths(model, cfg, sinks=(), threads=1):
         Processes that simulate: W = min(threads, CPUs, path blocks), this
         one and W - 1 forked children, so a run of one path block is
         serial.  Process b mod W draws, steps and reduces path block b in
-        its own buffers: one block of X with the sinks' temporaries and
-        one path block of noise.  With W > 1 each process runs BLAS on
-        one thread where numpy's OpenBLAS can be told to.  Every child is
-        reaped before the call returns or raises.  No result depends on
-        it.
+        its own buffers: one block of X with the sinks' temporaries, one
+        stage block of one path block's noise, stage-major, and the
+        buffer that a group of its paths is drawn into.  With W > 1 each
+        process runs BLAS on one thread where numpy's OpenBLAS can be
+        told to.  Every child is reaped before the call returns or
+        raises.  No result depends on it.
 
     Raises
     ------
@@ -622,7 +648,7 @@ def simulate_paths(model, cfg, sinks=(), threads=1):
     workers = max(1, min(threads, cpus or 1, len(starts))) if hasattr(os, "fork") else 1
     noise = _NoiseBlocks(model, cfg, workers)
     if sinks:
-        block = 8 * noise.shape[0] * (horizon + 1) * n
+        block = 8 * noise.paths * (horizon + 1) * n
         need = (workers * (noise.nbytes + STREAM_BLOCK_ARRAYS * block)
                 + (workers - 1) * 2 * block + 8 * STREAM_PATH_DOUBLES * n_paths)
         held = "the path-block buffers and per-path results"
@@ -696,13 +722,13 @@ def _quadratic_forms(X, Q):
     """q[p, k] = x_k^T Q x_k for a stage-major X of shape (stages, paths, n), as (x_k Q) . x_k.
 
     Evaluated Q_CHUNK paths at a time, so no temporary is larger than
-    (stages, Q_CHUNK, n); each chunk is transposed into q, which is
-    path-major and contiguous, as the reducers sum it.
+    (stages, Q_CHUNK, n); each chunk is written through the transposed
+    view of q, which is path-major and contiguous, as the reducers sum it.
     """
     q = np.empty(X.shape[1::-1])
     for p0 in range(0, X.shape[1], Q_CHUNK):
         Xc = X[:, p0 : p0 + Q_CHUNK]
-        q[p0 : p0 + Q_CHUNK] = np.einsum("kpi,kpi->kp", _matmul(Xc, Q), Xc).T
+        np.einsum("kpi,kpi->kp", _matmul(Xc, Q), Xc, out=q[p0 : p0 + Q_CHUNK].T)
     return q
 
 
@@ -837,6 +863,7 @@ class RepresentationCheck:
     def __init__(self, model, cfg, alpha, Q):
         kappa = cfg.horizon
         self.model, self.cfg, self.alpha = model, cfg, alpha
+        self.AT = np.ascontiguousarray(model.A.T)
         with np.errstate(over="ignore", invalid="ignore"):
             self.P = backward_recursion(model, alpha, Q, kappa).P_seq
             self.w = float(alpha) ** np.arange(kappa + 1)
@@ -859,7 +886,7 @@ class RepresentationCheck:
             np.sign(x, out=s_k)
             g += self.varpi[k]
             # noise = x_{k+1} - x A^T and, at the end, v = alpha (vin A + W_d s_k).
-            _matmul(x, A.T, out=noise)
+            _matmul(x, self.AT, out=noise)
             np.subtract(X[k + 1], noise, out=noise)
             vin = v
             ell = policy.inputs(k, x) if B is not None else None

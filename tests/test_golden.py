@@ -94,7 +94,7 @@ def test_report_is_byte_identical(case, tmp_path, monkeypatch):
 @pytest.mark.usefixtures("hang_guard")
 @pytest.mark.parametrize("case", [case for case in CASES if "-simulate-" in case])
 def test_drawing_processes_leave_reports_byte_identical(case, tmp_path, monkeypatch):
-    # Two and three processes draw the noise, the third on a CPU the
+    # Two and three processes simulate the path blocks, the third on a CPU the
     # affinity is made to show; the stored files, written by one, still match.
     monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: set(range(4)))
     stored_decay = GOLDEN / f"{case}.decay.csv"

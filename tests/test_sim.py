@@ -126,8 +126,9 @@ class TestSimConfig:
             simulate_paths(scalar_model, cfg)
 
     def test_rademacher_buffer_counts_one_byte_per_draw(self, scalar_model, monkeypatch):
-        # The same run with Rademacher noise: at 8 bytes a draw its buffer
-        # would not fit, but it holds one sign byte per draw (33.5 MB).
+        # The same run with Rademacher noise: at 8 bytes a draw its noise
+        # would not fit, but eps and w hold one sign byte per draw (33.5 MB)
+        # and the group buffer one per draw of its paths.
         paths, horizon, width = sim.PATH_BLOCK, 5000, 2
         ensemble = paths * (horizon + 1) * 8
         draws = paths * sim._stage_block_size(horizon, width) * width
@@ -143,7 +144,11 @@ class TestSimConfig:
 
         def accepted(noise, j0, bp):
             next(stage_rows(noise, j0, bp))
-            assert noise.buf.dtype == np.uint8 and noise.buf.nbytes == draws
+            arrays = noise.eps, noise.w, noise.drawn
+            assert all(a.dtype == np.uint8 for a in arrays)
+            assert noise.eps.nbytes + noise.w.nbytes == draws
+            assert noise.drawn.nbytes == noise.group * draws // paths <= sim.GROUP_BYTES
+            assert noise.nbytes == sum(a.nbytes for a in arrays)
             raise Accepted
 
         monkeypatch.setattr(sim._NoiseBlocks, "stage_rows", accepted)
@@ -470,6 +475,43 @@ class TestDrawProcesses:
             rows = {(j // block, j % block < half) for j, _ in reference.aborted}
             assert {(b, h) for b in range(3) for h in (True, False)} <= rows
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("make, sb, kind", [
+        # n + r = 3 and five stages per stage block: 15 draws, so the
+        # Rademacher half word carries across every other stage block.
+        (odd_width_model, 5, "rademacher"),
+        # Twelve stages per stage block: the horizon spans two of them.
+        (scalar_variant, 12, "gaussian"),
+        (scalar_variant, 12, "uniform"),
+    ])
+    def test_group_seams_follow_the_stream_contract(self, monkeypatch, cpus, forks, make, sb,
+                                                    kind, threads):
+        # Groups of 100 paths, which divide neither the first path block
+        # (4096 paths, in the caller) nor the last (1808, in the child at
+        # two processes): the paths on either side of every group seam
+        # draw the streams of a fresh Philox(key=(seed, j)).
+        model, group = make(), 100
+        width = model.n + model.r
+        monkeypatch.setattr(sim, "STAGE_BLOCK_ELEMENTS", sim.PATH_BLOCK * width * sb)
+        itemsize = 1 if kind == "rademacher" else 8
+        monkeypatch.setattr(sim, "GROUP_BYTES", group * sb * width * itemsize)
+        cpus(2)
+        cfg = SimConfig(n_paths=sim.PATH_BLOCK + 1808, horizon=23, seed=2**64 - 5,
+                        noise_kind=kind, x0=[1.0])
+        assert sim._stage_block_size(cfg.horizon, width) == sb < cfg.horizon
+        assert sim._NoiseBlocks(model, cfg, 1).group == group
+        ens = simulate_paths(model, cfg, threads=threads)
+        assert len(forks) == threads - 1
+        # Each group's first and last path, and the block's last.
+        seams = [j0 + i for j0, bp in ((0, sim.PATH_BLOCK), (sim.PATH_BLOCK, 1808))
+                 for i in range(bp) if i % group in (0, group - 1) or i == bp - 1]
+        assert len(seams) == (41 + 40 + 1) + (19 + 18 + 1)
+        for j in seams:
+            path, stage = oracle_path(model, cfg, j)
+            assert stage is None
+            assert np.array_equal(ens.X[j, :, 0], path), j
+        assert_no_children()
+
     @pytest.mark.parametrize("count, threads, n_paths, children", [
         (3, 1000, 5 * sim.PATH_BLOCK, 2),  # one process per CPU
         (3, 1000, sim.PATH_BLOCK + 1, 1),  # one per path block
@@ -664,17 +706,16 @@ class TestDrawProcesses:
 
 def plain_recursion(model, cfg, noise):
     """X, ok and aborts of paths 0, 1, ... by plain @ products in the step's order, stage k's
-    noise (eps_k, w_k) being noise[k]; an aborted path is NaN from its abort on and steps
-    from 0."""
+    noise being the pair (eps_k, w_k) = noise[k]; an aborted path is NaN from its abort on and
+    steps from 0."""
     n = model.n
     At, Bt, Sxt, Sbt, Sgt = (M.T.copy() for M in (model.A, model.B, model.sigma_x,
                                                    model.sigma_bar_x, model.sigma))
-    paths = noise.shape[1]
+    paths = noise[0][0].shape[0]
     X = np.empty((cfg.horizon + 1, paths, n))
     x = X[0] = np.tile(cfg.x0, (paths, 1))
     ok, aborted = np.ones(paths, dtype=bool), []
-    for k, z in enumerate(noise):
-        eps, om = z[:, :n], z[:, n:]
+    for k, (eps, om) in enumerate(noise):
         ell = cfg.input_policy.inputs(k, x)
         xn = x @ At + ell @ Bt + eps @ Sxt + (np.abs(x) * eps) @ Sbt + om @ Sgt
         bad = ok & ~(np.abs(xn) <= sim.OVERFLOW_LIMIT).all(axis=1)
@@ -698,8 +739,10 @@ class TestStep:
         paths, horizon = 37, 12
         cfg = SimConfig(n_paths=paths, horizon=horizon, seed=0, x0=[1.0, -0.5, 0.25],
                         input_policy=ConstantInput([0.5]))
-        noise = np.random.default_rng(5).standard_normal((horizon, paths, model.n + model.r))
-        noise[4, 9, 0] = 1e200  # path 9 overflows at stage 5
+        rng = np.random.default_rng(5)
+        noise = [(rng.standard_normal((paths, model.n)), rng.standard_normal((paths, model.r)))
+                 for _ in range(horizon)]
+        noise[4][0][9, 0] = 1e200  # path 9 overflows at stage 5
         X, aborted = np.empty((horizon + 1, paths, model.n)), []
         ok = sim._simulate_block(model, cfg, X, iter(noise), aborted, 0)
         X_ref, ok_ref, aborted_ref = plain_recursion(model, cfg, noise)
