@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import os
 import reprlib
@@ -511,7 +512,6 @@ def build_parser():
     _add_common(p_analyze)
     p_analyze.add_argument("--alpha", type=_positive_alpha, required=True)
     p_analyze.add_argument("--G", help="path to a JSON output-injection gain (n x p)")
-    p_analyze.set_defaults(func=cmd_analyze)
 
     p_norm = subparsers.add_parser(
         "norm", help="closed-form norm quantities at one alpha, or a sweep"
@@ -531,7 +531,6 @@ def build_parser():
     p_norm.add_argument(
         "--kappa", type=_integer, help="horizon for the counter-discount bound"
     )
-    p_norm.set_defaults(func=cmd_norm)
 
     p_sim = subparsers.add_parser(
         "simulate", help="seeded Monte Carlo estimates with closed-form comparators"
@@ -565,7 +564,6 @@ def build_parser():
         action="store_true",
         help="write trajectories.csv (requires --output-dir)",
     )
-    p_sim.set_defaults(func=cmd_simulate)
 
     p_sweep = subparsers.add_parser("sweep", help="alias of norm --sweep")
     _add_common(p_sweep)
@@ -573,15 +571,23 @@ def build_parser():
         "--alphas", dest="sweep", default="",
         help="comma-separated alpha grid (default: built-in grid)",
     )
-    p_sweep.set_defaults(func=cmd_norm, power=False, alpha=None, x0=None, kappa=None)
+    p_sweep.set_defaults(power=False, alpha=None, x0=None, kappa=None)
     return parser
 
 
+@functools.cache
+def _parser():
+    """The process's one parser: building it costs more than most commands' parse."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # Looked up at call time, so a command rebound on the module is the one run.
+    command = {"analyze": cmd_analyze, "norm": cmd_norm, "sweep": cmd_norm,
+               "simulate": cmd_simulate}[args.subcommand]
     try:
-        return args.func(args)
+        return command(args)
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

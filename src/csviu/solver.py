@@ -69,14 +69,20 @@ def max_abs(M):
 
 @dataclass(frozen=True)
 class LyapunovSolution:
-    """Solution of (I - L_alpha)(U) = Q with solve diagnostics; L is read-only."""
+    """Solution of (I - L_alpha)(U) = Q with solve diagnostics; L is read-only.
+
+    ``radius_bound`` is a certified upper bound on r_sigma(L_alpha), at
+    most 1 - STRICT_RADIUS_MARGIN: alpha times the upper end of the
+    Collatz-Wielandt bracket at the read that gave the verdict, or
+    r_sigma(L_alpha) itself where the model already held its radius.
+    """
 
     L: np.ndarray
     alpha: float
     method: str
     residual: float
     iterations: int
-    spectral_radius: float
+    radius_bound: float
 
 
 @dataclass(frozen=True)
@@ -174,14 +180,14 @@ def _smw_solve(model, alpha, C, stein_sums=_smith_sums):
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow ends in _require_finite instead
-def _checked_solution(model, alpha, Qm, U, method, iterations, radius):
+def _checked_solution(model, alpha, Qm, U, method, iterations, radius_bound):
     """The LyapunovSolution for U, once U and its residual are finite and small."""
     residual = max_abs(U - op_L_alpha(model, alpha, U) - Qm)
     _require_finite(alpha, U, residual)
     if residual > 1e-9 * max(1.0, max_abs(Qm)):
         raise ConvergenceError(
             f"solution residual {residual:.3g} exceeds tolerance "
-            f"(r_sigma = {radius:.6g})"
+            f"(r_sigma <= {radius_bound:.6g})"
         )
     U.setflags(write=False)
     return LyapunovSolution(
@@ -190,13 +196,20 @@ def _checked_solution(model, alpha, Qm, U, method, iterations, radius):
         method=method,
         residual=residual,
         iterations=iterations,
-        spectral_radius=radius,
+        radius_bound=radius_bound,
     )
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow ends in _require_finite instead
 def solve_lyapunov(model, alpha, Q, method="direct"):
     """Solve the perturbed Lyapunov equation (I - L_alpha)(U) = Q.
+
+    The verdict needs only an upper bound on r_sigma(L_alpha) at most
+    1 - STRICT_RADIUS_MARGIN, so the bracket of
+    :func:`csviu.ops.unit_radius` stops at its first read that gives one
+    and keeps nothing on the model.  Where no read does, it runs on to
+    closure and keeps r_sigma(L_1), and NotStableError carries the full
+    radius, as it would on a model that already held it.
 
     Parameters
     ----------
@@ -230,7 +243,7 @@ def solve_lyapunov(model, alpha, Q, method="direct"):
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
     Qm = as_weight(Q, model.n)
-    radius = alpha * unit_radius(model)
+    radius = alpha * unit_radius(model, lambda hi: radius_below_one(alpha * hi))
     if not radius_below_one(radius):
         raise NotStableError(
             f"(I - L_alpha) has no PSD solution: r_sigma(L_alpha) = {radius:.6g} >= 1",
@@ -252,7 +265,7 @@ def solve_lyapunov(model, alpha, Q, method="direct"):
         if iterations is None:
             raise ConvergenceError(
                 f"fixed point did not converge in {FIXED_POINT_MAX_ITER} iterations "
-                f"(r_sigma = {radius:.6g})"
+                f"(r_sigma <= {radius:.6g})"
             )
     else:
         raise ValueError(f"unknown method {method!r}")
@@ -268,6 +281,8 @@ def critical_alpha(model):
     test the supremum is (1 - STRICT_RADIUS_MARGIN) / max(r_sigma(L_1),
     r_sigma(A)).  r_sigma(L_1) is :func:`csviu.ops.unit_radius`, which
     builds the svec matrix M_1 only when its bracket cannot close.  The
+    printed alpha_bar needs the radius itself, so the bracket runs to
+    closure here, unlike solve_lyapunov's verdict-only read.  The
     result is at most ALPHA_BAR_CAP, which stands in for an infinite
     supremum when both radii are zero.
     """

@@ -653,6 +653,43 @@ class TestSolveCounts:
         assert (json.loads(out)["lyapunov"] is None) == (alpha == "5")
 
 
+class TestVerdictOnlyBracket:
+    """norm --alpha prints no radius: its verdict comes from the bracket's first
+    certifying read, and only a model with none keeps the closed bracket's radius."""
+
+    @pytest.fixture
+    def loaded(self, monkeypatch):
+        models, brackets = [], []
+        load, bracket = cli.load_model, ops.radius_bracket
+        monkeypatch.setattr(cli, "load_model", lambda path: models.append(load(path)) or
+                            models[-1])
+        monkeypatch.setattr(ops, "radius_bracket", lambda *args: brackets.append(args) or
+                            bracket(*args))
+        return models, brackets
+
+    @pytest.mark.parametrize("alpha, code", [("0.9", 0), ("5", 3)])
+    def test_only_a_not_stable_model_keeps_its_radius(self, run, loaded, alpha, code):
+        models, brackets = loaded
+        got, _, err = run(["norm", N3_MODEL, "--alpha", alpha])
+        assert got == code, err
+        assert len(models) == 1 and len(brackets) == 1
+        if code == 0:
+            assert "_unit_radius" not in vars(models[0])
+        else:
+            radius = vars(models[0])["_unit_radius"]
+            assert radius == ops.unit_radius(load_model(N3_MODEL))
+            assert f"r_sigma(L_alpha) = {5 * radius:.6g} >= 1" in err
+
+
+def test_main_dispatches_to_the_command_bound_at_call_time(run, models, monkeypatch):
+    # tests/test_golden.py already replays every subcommand through one process's parser
+    assert run(["norm", models["scalar"], "--alpha", "0.9"])[0] == 0
+    calls = []
+    monkeypatch.setattr(cli, "cmd_norm", lambda args: calls.append(args.alpha) or 0)
+    assert run(["norm", models["scalar"], "--alpha", "0.5"])[0] == 0
+    assert calls == [0.5]
+
+
 #: The commands a stable model runs without the svec matrix M_1.
 STABLE_COMMANDS = {
     "analyze": ["analyze", "{}", "--alpha", "0.9"],

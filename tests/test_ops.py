@@ -380,6 +380,19 @@ class TestRadiusBracket:
     def test_zero_operator_closes_at_zero(self):
         assert radius_bracket(plain_model(np.zeros((2, 2)))) == (0.0, 0.0)
 
+    @pytest.mark.parametrize("n", [3, 20])
+    def test_a_certificate_ends_the_bracket_at_its_first_read(self, n):
+        model = make_random_model(n, n, target=0.8)
+        open_reads, certifying = [], []
+        closed = radius_bracket(model, lambda hi: open_reads.append(hi) or False)
+        lo, hi = radius_bracket(model, lambda hi: certifying.append(hi) or 0.9 * hi <= 0.95)
+        # the first read whose running upper end gives 0.9 r_sigma(L_1) <= 0.95 ends it
+        assert hi == certifying[-1] and 0.9 * hi <= 0.95
+        assert all(0.9 * h > 0.95 for h in certifying[:-1])
+        assert certifying == open_reads[: len(certifying)]
+        assert len(certifying) <= 2 < len(open_reads)
+        assert closed[1] <= hi and lo <= closed[0]
+
 
 class TestOperatorInvariants:
     def test_positivity_on_200_random_psd(self):

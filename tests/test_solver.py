@@ -16,7 +16,7 @@ from csviu import (
     solve_lyapunov,
     spectral_radius,
 )
-from csviu import solver
+from csviu import ops, solver
 from csviu.solver import (
     SMITH_MAX_DOUBLINGS,
     STRICT_RADIUS_MARGIN,
@@ -47,7 +47,7 @@ class TestSolveLyapunov:
         assert np.asarray(sol.L)[0, 0] == pytest.approx(1.0 / (1.0 - 0.306), abs=1e-12)
         assert sol.method == "direct"
         assert sol.iterations == 0
-        assert sol.spectral_radius == pytest.approx(0.306)
+        assert sol.radius_bound == pytest.approx(0.306)
 
     def test_alpha_zero_returns_Q(self, scalar_model):
         rng = np.random.default_rng(3)
@@ -259,10 +259,66 @@ class TestAlphaRadius:
             model = make_random_model(seed, n, target=0.8)
             for alpha in (0.5, 0.9, 1.2):
                 direct = spectral_radius(operator_matrix(model, alpha, "L_alpha"))
+                # solved first, the verdict rests on an upper bound that certifies it
+                fresh = solve_lyapunov(model.with_dynamics(model.A), alpha, np.eye(n))
+                assert direct * (1.0 - 1e-12) <= fresh.radius_bound
+                assert radius_below_one(fresh.radius_bound)
                 stability = check_stability(model, alpha)
+                # check_stability kept r_sigma(L_1) on the model: the bound is the radius
+                assert "_unit_radius" in vars(model)
                 solution = solve_lyapunov(model, alpha, np.eye(n))
                 assert stability.spectral_radii["L_alpha"] == pytest.approx(direct, rel=1e-12)
-                assert solution.spectral_radius == pytest.approx(direct, rel=1e-12)
+                assert solution.radius_bound == pytest.approx(direct, rel=1e-12)
+
+
+class TestCertifiedVerdict:
+    """solve_lyapunov's verdict from the bracket's first certifying read is the one
+    the closed bracket gives: same NotStableError and message, or the same L bits."""
+
+    @staticmethod
+    def cases():
+        rng = np.random.default_rng(29)
+        for seed in range(36):
+            n = 1 + seed % 6
+            r1 = float(rng.uniform(0.3, 1.6))
+            model = make_random_model(seed, n, target=r1)
+            kept = model.with_dynamics(model.A)
+            r1 = ops.unit_radius(kept)  # the closed bracket, kept on this copy alone
+            edge = (1.0 - STRICT_RADIUS_MARGIN) / r1
+            # about the margin: at 1 - margin, inside it, and 1e-6 either side
+            for alpha in (0.5, 0.9, 1.0, 1.2, edge, (1.0 - STRICT_RADIUS_MARGIN / 2) / r1,
+                          edge * (1 - 1e-6), edge * (1 + 1e-6)):
+                yield model.with_dynamics(model.A), kept, alpha
+
+    @staticmethod
+    def outcome(model, alpha, Q):
+        try:
+            return solve_lyapunov(model, alpha, Q)
+        except (NotStableError, ConvergenceError) as exc:
+            return exc
+
+    def test_fresh_and_kept_radius_give_the_same_verdict(self):
+        stable = not_stable = 0
+        for fresh, kept, alpha in self.cases():
+            Q = np.eye(fresh.n)
+            got, want = self.outcome(fresh, alpha, Q), self.outcome(kept, alpha, Q)
+            assert type(got) is type(want), (fresh.n, alpha)
+            if isinstance(want, NotStableError):
+                not_stable += 1
+                assert str(got) == str(want)
+                assert got.spectral_radius == want.spectral_radius
+                # no read certified: the bracket ran on and kept its radius
+                assert vars(fresh)["_unit_radius"] == vars(kept)["_unit_radius"]
+            elif isinstance(want, ConvergenceError):
+                # on the edge itself the solve's residual may miss its tolerance, alike
+                # on both; the message ends in the bound, "(r_sigma <= ...)"
+                assert str(got).split(" (r_sigma")[0] == str(want).split(" (r_sigma")[0]
+            else:
+                stable += 1
+                assert np.array_equal(got.L.view(np.uint64), want.L.view(np.uint64))
+                assert want.radius_bound <= got.radius_bound
+                assert radius_below_one(got.radius_bound)
+        assert stable > 50 and not_stable > 50
 
 
 class TestBackwardRecursion:
