@@ -317,6 +317,7 @@ class TestCertifiedVerdict:
                 stable += 1
                 assert np.array_equal(got.L.view(np.uint64), want.L.view(np.uint64))
                 assert want.radius_bound <= got.radius_bound
+                assert "_unit_radius" not in vars(fresh)  # a certificate is not kept
                 assert radius_below_one(got.radius_bound)
         assert stable > 50 and not_stable > 50
 
