@@ -23,11 +23,12 @@ its own buffers: one block of X with the sinks' temporaries
 (STREAM_BLOCK_ARRAYS blocks in all) and one path block's noise.  A run
 of one path block is serial.  A sink's add_block returns a partial where
 the block ran; children pickle (ok, aborts, partials) to a pipe, and the
-caller hands the partials to the sinks' merge in block order, holding at
-most two of each child's, none larger than a block of X.  With
-W > 1 each process runs BLAS on one thread (_openblas).  Splitting a
-block's rows would change bits, as BLAS products and sums round
-differently on row slices.
+caller takes each block's result in block order, unpickled from a
+child's pipe only when the merge needs it, and hands the partials to the
+sinks' merge: it holds one of a child's results at a time, none larger
+than a block of X.  With W > 1 each process runs BLAS on one thread
+(_openblas).  Splitting a block's rows would change bits, as BLAS
+products and sums round differently on row slices.
 
 Reproducibility contract: path j draws its noise from a Philox stream
 keyed by (master seed, j), consumed in a stage-block partition that
@@ -62,9 +63,7 @@ import glob
 import mmap
 import os
 import pickle
-import queue
 import signal
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -351,17 +350,19 @@ class _NoiseBlocks:
     double per other draw; ``group``, the paths drawn together, as many
     as GROUP_BYTES holds of their draws for one stage block but at least
     SIGN_GROUP; and ``nbytes``, which the memory check counts per
-    process.  Each process makes its arrays at its first path block: eps
-    and w, one stage block's noise of one path block, stage-major, of
-    shapes (stages, paths, n) and (stages, paths, r) (_array), and the
-    path-major group buffer (group, stages, n + r).
+    process.  Each process makes eps and w at its first path block, one
+    stage block's noise of one path block, stage-major, of shapes
+    (stages, paths, n) and (stages, paths, r) (_array).
 
     stage_rows(j0, bp) draws paths j0 ... j0 + bp - 1 a stage block at a
     time through one _PathStreams, which keeps each path's state and
-    Rademacher carry: each group's draws go into the group buffer and are
-    copied, transposed, into eps and w.  It yields one contiguous pair
-    (eps_k, w_k) of doubles per stage, sign bytes turned into -1.0 and
-    +1.0 one stage at a time.
+    Rademacher carry: each group's draws go into the path-major group
+    buffer (group, stages, n + r) and are copied, transposed, into eps
+    and w.  It yields one contiguous pair (eps_k, w_k) of doubles per
+    stage, sign bytes turned into -1.0 and +1.0 one stage at a time in
+    rows of (bp, n) and (bp, r).  The group buffer and the sign rows are
+    made for each path block and freed once its last stage is yielded,
+    before the block's reductions.
     """
 
     def __init__(self, model, cfg, workers):
@@ -382,27 +383,26 @@ class _NoiseBlocks:
         if self.eps is None:
             self.eps, self.w = (_array((sb, self.paths, m), self.dtype, self.workers)
                                 for m in (n, self.r))
-            self.drawn = np.empty((self.group, sb, n + self.r), self.dtype)
             # One generator for every path block of this process.
             self.gen = np.random.Generator(np.random.Philox(0))
-            if self.dtype == np.uint8:
-                self.signs = np.empty((self.paths, n)), np.empty((self.paths, self.r))
+        group = np.empty((self.group, sb, n + self.r), self.dtype)
+        if self.dtype == np.uint8:
+            signs = np.empty((bp, n)), np.empty((bp, self.r))
         streams = _PathStreams(self.cfg.seed, j0, bp, self.cfg.noise_kind,
-                               self.drawn[0].size, self.gen)
+                               group[0].size, self.gen)
         eps, w = self.eps[:, :bp], self.w[:, :bp]
         for k0 in range(0, horizon, sb):
             stages = min(sb, horizon - k0)
             for g0 in range(0, bp, self.group):
                 g1 = min(g0 + self.group, bp)
-                drawn = self.drawn[: g1 - g0, :stages]
+                drawn = group[: g1 - g0, :stages]
                 streams.draw(drawn, k0 + stages == horizon, g0)
                 np.copyto(eps[:stages, g0:g1], drawn[..., :n].transpose(1, 0, 2))
                 np.copyto(w[:stages, g0:g1], drawn[..., n:].transpose(1, 0, 2))
             for k in range(stages):
                 if self.dtype == np.uint8:
                     # Sign bytes 0 and 1 to -1.0 and +1.0.
-                    e, o = (np.multiply(z[k], 2.0, out=row[:bp])
-                            for z, row in zip((eps, w), self.signs))
+                    e, o = (np.multiply(z[k], 2.0, out=row) for z, row in zip((eps, w), signs))
                     e -= 1.0
                     o -= 1.0
                     yield e, o
@@ -495,28 +495,29 @@ def _child(results, fd):
             pickle.dump(exc, pipe, pickle.HIGHEST_PROTOCOL)
 
 
-def _drain(fd, messages, turn):
-    """Unpickle a child's messages into ``messages``, each after the first once ``turn`` is
-    released, until its pipe closes; then put None."""
-    with open(fd, "rb") as pipe:
+def _results(pipe):
+    """A child's results, each unpickled from ``pipe`` when it is asked for; an exception the
+    child sent is raised, and ChildProcessError where the pipe ends first."""
+    while True:
         try:
-            while True:
-                messages.put(pickle.load(pipe))
-                turn.acquire()
+            message = pickle.load(pipe)
         except (EOFError, pickle.UnpicklingError):  # closed, or cut short by the child's death
-            pass
-        finally:
-            messages.put(None)
+            message = ChildProcessError("a path-block child process exited mid-run")
+        if isinstance(message, BaseException):
+            raise message
+        yield message
 
 
 class _Children:
-    """The children of a run: child w runs _child on work(w) into a pipe, which a thread here
-    reads one result ahead of get, so this process holds at most two of a child's results.
-    Beside children every process runs numpy's OpenBLAS on one thread where it can be told to.
-    Leaving reaps every child, killed first where the run failed, and restores BLAS here."""
+    """The processes of a run: this one, 0, and children 1 ... workers - 1, process w running
+    work(w).  ``sources[w]`` iterates over process w's results: this process's own, or child
+    w's, read from its pipe only when asked for, so this process holds one of a child's results
+    at a time.  Beside children every process runs numpy's OpenBLAS on one thread where it can
+    be told to.  Leaving reaps every child, killed first where the run failed, and restores
+    BLAS here."""
 
     def __init__(self, work, workers):
-        self.pids, self.fds, self.readers, self.turns = [], [], [], []
+        self.pids, self.pipes = [], []
         controls = _openblas() if workers > 1 else None
         self.blas = controls and (controls[0], controls[1]())
         if controls:
@@ -524,14 +525,14 @@ class _Children:
         try:
             for w in range(1, workers):
                 r, fd = os.pipe()
-                self.fds.append(r)
+                self.pipes.append(open(r, "rb"))
                 try:
                     pid = os.fork()
                     if pid == 0:
                         code = 1
                         try:
-                            for other in self.fds:
-                                os.close(other)
+                            for pipe in self.pipes:
+                                pipe.close()
                             _child(work(w), fd)
                             code = 0
                         finally:
@@ -542,12 +543,7 @@ class _Children:
         except BaseException:
             self.close(kill=True)
             raise
-        self.messages = [queue.Queue() for _ in self.fds]
-        self.turns = [threading.Semaphore(0) for _ in self.fds]
-        for args in zip(self.fds, self.messages, self.turns):
-            self.readers.append(threading.Thread(target=_drain, args=args))
-            self.readers[-1].start()
-        self.fds = []
+        self.sources = [work(0)] + [_results(pipe) for pipe in self.pipes]
 
     def __enter__(self):
         return self
@@ -555,27 +551,14 @@ class _Children:
     def __exit__(self, exc_type, *exc):
         self.close(kill=exc_type is not None)
 
-    def get(self, w):
-        """Child w's next result (an exception it sent is raised), and a turn to read the next."""
-        message = self.messages[w - 1].get()
-        self.turns[w - 1].release()
-        if message is None:
-            raise ChildProcessError("a path-block child process exited mid-run")
-        if isinstance(message, BaseException):
-            raise message
-        return message
-
     def close(self, kill=False):
         """Reap every child, killing it first if ``kill``."""
-        for r in self.fds:
-            os.close(r)
+        for pipe in self.pipes:
+            pipe.close()
         for pid in self.pids:
             if kill:
                 os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-        for turn, reader in zip(self.turns, self.readers):
-            turn.release()
-            reader.join()
         if self.blas:
             self.blas[0](self.blas[1])
 
@@ -610,10 +593,13 @@ def simulate_paths(model, cfg, sinks=(), threads=1):
         serial.  Process b mod W draws, steps and reduces path block b in
         its own buffers: one block of X with the sinks' temporaries, one
         stage block of one path block's noise, stage-major, and the
-        buffer that a group of its paths is drawn into.  With W > 1 each
-        process runs BLAS on one thread where numpy's OpenBLAS can be
-        told to.  Every child is reaped before the call returns or
-        raises.  No result depends on it.
+        buffer that a group of its paths is drawn into.  This process
+        takes the blocks' results in block order and unpickles a child's
+        from its pipe only when the merge needs it, so it holds one of a
+        child's results at a time.  With W > 1 each process runs BLAS on
+        one thread where numpy's OpenBLAS can be told to.  Every child is
+        reaped before the call returns or raises.  No result depends on
+        it.
 
     Raises
     ------
@@ -668,10 +654,8 @@ def simulate_paths(model, cfg, sinks=(), threads=1):
         return _blocks(model, cfg, sinks, noise, X, starts[w::workers])
 
     with _Children(work, workers) as children:
-        mine = work(0)
         for b, j0 in enumerate(starts):
-            w = b % workers
-            block_ok, block_aborted, partials = next(mine) if w == 0 else children.get(w)
+            block_ok, block_aborted, partials = next(children.sources[b % workers])
             ok[j0 : j0 + block_ok.size] = block_ok
             aborted += block_aborted
             for sink in sinks:

@@ -285,6 +285,12 @@ def critical_alpha(model):
     closure here, unlike solve_lyapunov's verdict-only read.  The
     result is at most ALPHA_BAR_CAP, which stands in for an infinite
     supremum when both radii are zero.
+
+    alpha_bar is the supremum under the strict test, not an alpha known
+    to solve: where r_sigma(L_1) binds, a solve exactly at alpha_bar
+    passes the verdict but is conditioned like 1 / STRICT_RADIUS_MARGIN,
+    and may raise ConvergenceError on the residual check (``norm
+    tests/golden/models/n10.json --alpha 1.2499236661357207`` exits 3).
     """
     r = max(unit_radius(model), spectral_radius(model.A))
     return ALPHA_BAR_CAP if r == 0.0 else min(ALPHA_BAR_CAP, (1.0 - STRICT_RADIUS_MARGIN) / r)

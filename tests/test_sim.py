@@ -4,6 +4,7 @@ decay diagnostic."""
 
 import os
 import signal
+import threading
 import time
 
 import numpy as np
@@ -140,17 +141,26 @@ class TestSimConfig:
         class Accepted(Exception):
             pass
 
-        stage_rows = sim._NoiseBlocks.stage_rows
+        stage_rows, draw = sim._NoiseBlocks.stage_rows, sim._PathStreams.draw
+        groups = []
+
+        def drawing(streams, out, last, i0=0):
+            # The group buffer is local to stage_rows; each draw writes a view of it.
+            groups.append(out.base)
+            return draw(streams, out, last, i0)
 
         def accepted(noise, j0, bp):
             next(stage_rows(noise, j0, bp))
-            arrays = noise.eps, noise.w, noise.drawn
+            group = groups[0]
+            assert all(g is group for g in groups)
+            arrays = noise.eps, noise.w, group
             assert all(a.dtype == np.uint8 for a in arrays)
             assert noise.eps.nbytes + noise.w.nbytes == draws
-            assert noise.drawn.nbytes == noise.group * draws // paths <= sim.GROUP_BYTES
+            assert group.nbytes == noise.group * draws // paths <= sim.GROUP_BYTES
             assert noise.nbytes == sum(a.nbytes for a in arrays)
             raise Accepted
 
+        monkeypatch.setattr(sim._PathStreams, "draw", drawing)
         monkeypatch.setattr(sim._NoiseBlocks, "stage_rows", accepted)
         cfg = SimConfig(n_paths=paths, horizon=horizon, seed=0,
                         noise_kind="rademacher", x0=[0.0])
@@ -634,9 +644,9 @@ class TestDrawProcesses:
         with pytest.raises(ValueError, match="--paths or --horizon"):
             simulate_paths(scalar_model, cfg, [sim.PathFeed(np.eye(1), [])], threads=2)
 
-    def test_the_caller_holds_two_partials_per_child(self, scalar_model, cpus, forks):
-        # The child runs far ahead of a slow merge; its results are read one
-        # ahead of the merge and no further, so at most two are alive here.
+    def test_the_caller_holds_one_partial_per_child(self, scalar_model, cpus, forks):
+        # The child runs far ahead of a slow merge; each of its results is
+        # read from its pipe only when the merge needs it, so one is alive here.
         ChildPartial.alive = ChildPartial.peak = 0
         merged = []
 
@@ -656,7 +666,47 @@ class TestDrawProcesses:
         simulate_paths(scalar_model, cfg, [Slow()], threads=2)
         assert len(forks) == 1
         assert merged == list(range(0, cfg.n_paths, sim.PATH_BLOCK))
-        assert ChildPartial.peak == 2
+        assert ChildPartial.peak == 1
+
+    def test_large_partials_neither_deadlock_nor_start_threads(self, cpus, forks):
+        # Two children run ahead of the caller with partials of a whole block
+        # of X (3.6 MB, more than a pipe holds) and aborts in every block:
+        # each child waits on its full pipe until the merge reads it, and no
+        # process waits on one that waits on it.
+        model = explosive_model()
+        cfg = SimConfig(n_paths=6 * sim.PATH_BLOCK, horizon=110, seed=17, x0=[1.0])
+
+        class Blocks:
+            def __init__(self):
+                self.merged, self.threads = [], []
+
+            def add_block(self, j0, X, ok):
+                return j0, X.copy()
+
+            def merge(self, partial):
+                self.threads.append(threading.active_count())
+                self.merged.append(partial)
+
+            def close(self):
+                pass
+
+        cpus(4)
+        runs = {}
+        for threads in (1, 3):
+            sink, before = Blocks(), threading.active_count()
+            ensemble = simulate_paths(model, cfg, [sink], threads=threads)
+            assert sink.threads == [before] * 6, threads
+            runs[threads] = sink.merged, ensemble
+        assert len(forks) == 2
+        (serial, reference), (split, ensemble) = runs[1], runs[3]
+        assert [j0 for j0, _ in split] == list(range(0, cfg.n_paths, sim.PATH_BLOCK))
+        assert all(X.nbytes >= 2**20 for _, X in split)
+        for (j0, X), (_, expected) in zip(split, serial):
+            assert np.array_equal(X.view(np.uint64), expected.view(np.uint64)), j0
+        assert {j // sim.PATH_BLOCK for j, _ in reference.aborted} == set(range(6))
+        assert ensemble.aborted == reference.aborted
+        assert np.array_equal(ensemble.ok, reference.ok)
+        assert_no_children()
 
     def test_no_child_outlives_a_run(self, scalar_model, cpus, forks):
         cpus(2)

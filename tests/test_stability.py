@@ -247,7 +247,7 @@ class TestSearchDetectability:
         assert result.closed_loop_radius >= 1.0
 
     def test_attempts_build_no_svec_matrix(self, monkeypatch):
-        # G = 0 fails here, so the search goes on to -A C^+ and the Riccati gain.
+        # G = 0 fails here, so the search goes on to its power iterates, from G(I) = -A C^+.
         model = make_random_model(5, 3, target=1.3)
         builds = []
         build = ops.operator_matrix
