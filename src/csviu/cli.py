@@ -17,7 +17,6 @@ aborted).
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import functools
 import json
@@ -226,13 +225,16 @@ def _report(command, args, config, Q, **body):
     return _jsonable({"command": command, "manifest": manifest, **body})
 
 
+def _csv_line(cells):
+    """One CSV row as csv.writer writes it, for cells that hold no comma, quote or line break."""
+    return ",".join(cells) + "\r\n"
+
+
 def _write_csv(path, manifest_name, columns, rows):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# manifest: {manifest_name}\n")
-        writer = csv.DictWriter(fh, fieldnames=columns, extrasaction="ignore")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: _csv_cell(row.get(k)) for k in columns})
+        fh.write(_csv_line(columns))
+        fh.writelines(_csv_line(_csv_cell(row.get(k)) for k in columns) for row in rows)
 
 
 def _csv_cell(value):
@@ -242,7 +244,7 @@ def _csv_cell(value):
         return "true" if value else "false"
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
-    return value
+    return str(value)
 
 
 class _TrajectoryDump:
@@ -256,12 +258,8 @@ class _TrajectoryDump:
         self.C = model.C
         self.fh = open(self.path, "w", encoding="utf-8", newline="")
         self.fh.write(f"# manifest: {MANIFEST}\n")
-        self.writer = csv.writer(self.fh)
-        self.writer.writerow(
-            ["path", "k"]
-            + [f"x{i}" for i in range(model.n)]
-            + [f"y{i}" for i in range(model.p)]
-        )
+        self.fh.write(_csv_line(["path", "k", *(f"x{i}" for i in range(model.n)),
+                                 *(f"y{i}" for i in range(model.p))]))
 
     def add_block(self, j0, X, ok):
         """The block itself: its rows are written in merge."""
@@ -271,13 +269,11 @@ class _TrajectoryDump:
         j0, X = block
         # The CLI simulates under the zero input, so y_k = C x_k.
         Y = np.einsum("kpj,ij->kpi", X, self.C)
+        # A path at a time: a whole block as Python floats would be many times its size.
         for j in range(X.shape[1]):
-            for k in range(X.shape[0]):
-                self.writer.writerow(
-                    [j0 + j, k]
-                    + [repr(float(v)) for v in X[k, j]]
-                    + [repr(float(v)) for v in Y[k, j]]
-                )
+            rows = zip(X[:, j].tolist(), Y[:, j].tolist())
+            self.fh.writelines(_csv_line(map(repr, [j0 + j, k, *x, *y]))
+                               for k, (x, y) in enumerate(rows))
 
     def close(self):
         self.fh.close()

@@ -207,11 +207,14 @@ def counter_discount_bound(report, x0, kappa):
 def _decay_envelope(report, x0, k):
     """decay_bound without its guard."""
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    quad = float(x0 @ report.L @ x0) + float(report.v_bar @ np.abs(x0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        quad = float(x0 @ report.L @ x0) + float(report.v_bar @ np.abs(x0))
+        value = 2.0 * np.float64(report.alpha) ** (-k) * quad
+    if not np.isfinite(2.0 * quad):  # the envelope at k = 0
+        raise DomainError("2 (||x0||_L^2 + <v_bar, |x0|>) is not a finite double; "
+                          "scale down --x0 or --Q")
     if quad == 0.0:
         return 0.0  # from x0 = 0 the envelope is 0 at every k, where alpha^-k may overflow
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = 2.0 * np.float64(report.alpha) ** (-k) * quad
     if not np.isfinite(value):
         raise DomainError(f"the decay envelope 2 alpha^-k (||x0||_L^2 + <v_bar, |x0|>) is "
                           f"not a finite double at k = {k}; lower --horizon or raise --alpha")

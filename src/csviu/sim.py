@@ -21,14 +21,17 @@ path blocks) processes, the caller and W - 1 forked children, process
 b mod W draws, steps and reduces path block b as a serial run does, in
 its own buffers: one block of X with the sinks' temporaries
 (STREAM_BLOCK_ARRAYS blocks in all) and one path block's noise.  A run
-of one path block is serial.  A sink's add_block returns a partial where
-the block ran; children pickle (ok, aborts, partials) to a pipe, and the
-caller takes each block's result in block order, unpickled from a
-child's pipe only when the merge needs it, and hands the partials to the
-sinks' merge: it holds one of a child's results at a time, none larger
-than a block of X.  With W > 1 each process runs BLAS on one thread
-(_openblas).  Splitting a block's rows would change bits, as BLAS
-products and sums round differently on row slices.
+of one path block is serial.  _in_block_order alone owns this split: it
+forks the children, yields every block's result in block order and
+reaps the children.  A sink's add_block returns a partial where the
+block ran; children pickle (ok, aborts, partials) to a pipe, and the
+caller unpickles a child's result only when the merge needs it and
+hands the partials to the sinks' merge: it holds one of a child's
+results at a time, none larger than a block of X.  So the memory check
+counts each process's buffers and noise and, per child, one block of X.
+With W > 1 each process runs BLAS on one thread (_openblas).  Splitting
+a block's rows would change bits, as BLAS products and sums round
+differently on row slices.
 
 Reproducibility contract: path j draws its noise from a Philox stream
 keyed by (master seed, j), consumed in a stage-block partition that
@@ -57,6 +60,7 @@ processes.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import glob
@@ -508,59 +512,49 @@ def _results(pipe):
         yield message
 
 
-class _Children:
-    """The processes of a run: this one, 0, and children 1 ... workers - 1, process w running
-    work(w).  ``sources[w]`` iterates over process w's results: this process's own, or child
-    w's, read from its pipe only when asked for, so this process holds one of a child's results
-    at a time.  Beside children every process runs numpy's OpenBLAS on one thread where it can
-    be told to.  Leaving reaps every child, killed first where the run failed, and restores
-    BLAS here."""
-
-    def __init__(self, work, workers):
-        self.pids, self.pipes = [], []
-        controls = _openblas() if workers > 1 else None
-        self.blas = controls and (controls[0], controls[1]())
-        if controls:
-            controls[0](1)
-        try:
-            for w in range(1, workers):
-                r, fd = os.pipe()
-                self.pipes.append(open(r, "rb"))
-                try:
-                    pid = os.fork()
-                    if pid == 0:
-                        code = 1
-                        try:
-                            for pipe in self.pipes:
-                                pipe.close()
-                            _child(work(w), fd)
-                            code = 0
-                        finally:
-                            os._exit(code)
-                    self.pids.append(pid)
-                finally:
-                    os.close(fd)
-        except BaseException:
-            self.close(kill=True)
-            raise
-        self.sources = [work(0)] + [_results(pipe) for pipe in self.pipes]
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, *exc):
-        self.close(kill=exc_type is not None)
-
-    def close(self, kill=False):
-        """Reap every child, killing it first if ``kill``."""
-        for pipe in self.pipes:
+@contextlib.contextmanager
+def _in_block_order(run, starts, workers):
+    """Run the path blocks from ``starts`` on ``workers`` processes and yield an iterator over
+    every block's result in block order: process w, this one for w = 0 and forked child w
+    otherwise, runs run(starts[w::workers]).  A child's results are read from its pipe only when
+    asked for, so this process holds one of a child's results at a time.  Beside children every
+    process runs numpy's OpenBLAS on one thread where it can be told to.  On leaving, every child
+    is reaped, killed first where the run failed, and BLAS is restored here."""
+    pids, pipes, failed = [], [], True
+    controls = _openblas() if workers > 1 else None
+    blas = controls and controls[1]()
+    if controls:
+        controls[0](1)
+    try:
+        for w in range(1, workers):
+            r, fd = os.pipe()
+            pipes.append(open(r, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    code = 1
+                    try:
+                        for pipe in pipes:
+                            pipe.close()
+                        _child(run(starts[w::workers]), fd)
+                        code = 0
+                    finally:
+                        os._exit(code)
+                pids.append(pid)
+            finally:
+                os.close(fd)
+        sources = [run(starts[::workers])] + [_results(pipe) for pipe in pipes]
+        yield (next(sources[b % workers]) for b in range(len(starts)))
+        failed = False
+    finally:
+        for pipe in pipes:
             pipe.close()
-        for pid in self.pids:
-            if kill:
+        for pid in pids:
+            if failed:
                 os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-        if self.blas:
-            self.blas[0](self.blas[1])
+        if controls:
+            controls[0](blas)
 
 
 def simulate_paths(model, cfg, sinks=(), threads=1):
@@ -593,13 +587,13 @@ def simulate_paths(model, cfg, sinks=(), threads=1):
         serial.  Process b mod W draws, steps and reduces path block b in
         its own buffers: one block of X with the sinks' temporaries, one
         stage block of one path block's noise, stage-major, and the
-        buffer that a group of its paths is drawn into.  This process
-        takes the blocks' results in block order and unpickles a child's
-        from its pipe only when the merge needs it, so it holds one of a
-        child's results at a time.  With W > 1 each process runs BLAS on
-        one thread where numpy's OpenBLAS can be told to.  Every child is
-        reaped before the call returns or raises.  No result depends on
-        it.
+        buffer that a group of its paths is drawn into.  _in_block_order
+        owns that split: this process takes the blocks' results from it
+        in block order, a child's unpickled from its pipe only when the
+        merge needs it, so it holds one of a child's results at a time.
+        With W > 1 each process runs BLAS on one thread where numpy's
+        OpenBLAS can be told to.  Every child is reaped before the call
+        returns or raises.  No result depends on it.
 
     Raises
     ------
@@ -607,8 +601,9 @@ def simulate_paths(model, cfg, sinks=(), threads=1):
         If threads is not a positive integer, or if what the run holds
         would not fit in physical memory (nothing is allocated and
         nothing forked): the ensemble X and each process's noise without
-        sinks; each process's block buffers and noise, two blocks of X
-        per child for its partials, and the per-path results, with them.
+        sinks; each process's block buffers and noise, one block of X
+        per child for the partial held of it, and the per-path results,
+        with them.
     ChildProcessError
         If a child exits before the run ends; an exception raised in a
         child is raised here with its type and message.
@@ -636,7 +631,7 @@ def simulate_paths(model, cfg, sinks=(), threads=1):
     if sinks:
         block = 8 * noise.paths * (horizon + 1) * n
         need = (workers * (noise.nbytes + STREAM_BLOCK_ARRAYS * block)
-                + (workers - 1) * 2 * block + 8 * STREAM_PATH_DOUBLES * n_paths)
+                + (workers - 1) * block + 8 * STREAM_PATH_DOUBLES * n_paths)
         held = "the path-block buffers and per-path results"
     else:
         need = workers * noise.nbytes + 8 * n_paths * (horizon + 1) * n
@@ -650,12 +645,9 @@ def simulate_paths(model, cfg, sinks=(), threads=1):
                                   mmap.MAP_SHARED)
     ok, aborted = np.ones(n_paths, dtype=bool), []
 
-    def work(w):
-        return _blocks(model, cfg, sinks, noise, X, starts[w::workers])
-
-    with _Children(work, workers) as children:
-        for b, j0 in enumerate(starts):
-            block_ok, block_aborted, partials = next(children.sources[b % workers])
+    run = functools.partial(_blocks, model, cfg, sinks, noise, X)
+    with _in_block_order(run, starts, workers) as results:
+        for j0, (block_ok, block_aborted, partials) in zip(starts, results):
             ok[j0 : j0 + block_ok.size] = block_ok
             aborted += block_aborted
             for sink in sinks:
@@ -805,7 +797,10 @@ class StageStats:
     """
 
     def __init__(self, kappa, x0, Q):
-        self.q0 = float(x0 @ Q @ x0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.q0 = float(x0 @ Q @ x0)
+        if not np.isfinite(self.q0):
+            raise DomainError("x0^T Q x0 is not a finite double; scale down --x0 or --Q")
         self.total = np.zeros(kappa + 1)
         self.sq_dev = np.zeros(kappa + 1)
         self.n = 0

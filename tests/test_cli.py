@@ -1,6 +1,8 @@
 """Command-line interface: exit codes, report shapes, artifacts, determinism."""
 
 import argparse
+import csv
+import io
 import json
 import os
 import signal
@@ -15,7 +17,7 @@ import numpy as np
 import pytest
 from referencing import Registry, Resource
 
-from csviu import (check_stability, cli, load_model, norms, ops, sim, solve_lyapunov, solver,
+from csviu import (CsviuModel, check_stability, cli, load_model, norms, ops, sim, solve_lyapunov, solver,
                    stability)
 from conftest import make_random_model
 from test_sim import assert_no_children, cpus, exact_second_moments, forks  # noqa: F401
@@ -1132,6 +1134,63 @@ class TestArtifacts:
         traj = (outdir / "trajectories.csv").read_text().splitlines()
         assert traj[1] == "path,k,x0,x1,y0"
         assert traj[2] == "0,0,1.0,1.0,2.0"
+
+
+class TestCsvBytes:
+    """The CSV files are written line by line without the csv module; their bytes are
+    csv.writer's."""
+
+    SPECIAL = [np.nan, -0.0, np.inf, -np.inf, 5e-324, 0.0, -1.5e-310, 1e300]
+
+    @pytest.mark.parametrize("n, p", [(1, 1), (3, 2)])
+    def test_dump_matches_csv_writer(self, tmp_path, n, p):
+        rng = np.random.default_rng(n)
+        C = rng.standard_normal((p, n))
+        C[0, 0] = -1.0  # y = -x: a +0.0 state gives a -0.0 output
+        model = CsviuModel(n=n, r=1, p=p, m=0, A=np.eye(n) / 2, sigma_x=np.zeros((n, n)),
+                           sigma_bar_x=np.zeros((n, n)), sigma=np.ones((n, 1)), C=C)
+        blocks = []
+        for j0, paths in ((0, 3), (sim.PATH_BLOCK, 2)):
+            X = rng.standard_normal((4, paths, n))
+            X.flat[: len(self.SPECIAL)] = self.SPECIAL
+            X[-1, -1] = np.nan  # an aborted path's stage
+            blocks.append((j0, X))
+        dump = cli._TrajectoryDump(str(tmp_path), model)
+        with np.errstate(invalid="ignore"):
+            for block in blocks:
+                dump.merge(block)
+        dump.close()
+
+        expected = io.StringIO()
+        expected.write("# manifest: manifest.json\n")
+        writer = csv.writer(expected)
+        writer.writerow(["path", "k"] + [f"x{i}" for i in range(n)] + [f"y{i}" for i in range(p)])
+        for j0, X in blocks:
+            with np.errstate(invalid="ignore"):
+                Y = np.einsum("kpj,ij->kpi", X, C)
+            for j in range(X.shape[1]):
+                for k in range(X.shape[0]):
+                    writer.writerow([j0 + j, k] + [repr(float(v)) for v in X[k, j]]
+                                    + [repr(float(v)) for v in Y[k, j]])
+        got = (tmp_path / "trajectories.csv").read_bytes()
+        assert got == expected.getvalue().encode()
+        for text in ("nan", "-0.0", "inf", "-inf", "5e-324"):
+            assert f",{text},".encode() in got or f",{text}\r\n".encode() in got, text
+
+    def test_tables_match_csv_dictwriter(self, tmp_path):
+        columns = ["k", "status", "energy", "violated", "bound"]
+        rows = [{"k": 0, "status": "ok", "energy": -0.0, "violated": False, "bound": None},
+                {"k": 12, "status": "not_stable", "energy": float("nan"), "violated": True,
+                 "bound": 5e-324, "extra": 1},
+                {"k": 3, "energy": np.float64(float("inf"))}]
+        cli._write_csv(tmp_path / "t.csv", "manifest.json", columns, rows)
+        expected = io.StringIO()
+        expected.write("# manifest: manifest.json\n")
+        writer = csv.DictWriter(expected, fieldnames=columns, extrasaction="ignore")
+        writer.writeheader()
+        for row in rows:
+            writer.writerow({k: cli._csv_cell(row.get(k)) for k in columns})
+        assert (tmp_path / "t.csv").read_bytes() == expected.getvalue().encode()
 
 
 def elementwise_jsonable(items):

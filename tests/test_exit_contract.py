@@ -171,6 +171,8 @@ HUGE_C = json.dumps({"n": 1, "r": 1, "p": 1, "A": [[0.5]], "sigma_x": [[0.2]],
 SHORT_SIM = ["--paths", "10", "--horizon", "5", "--seed", "1", "--alpha", "0.9"]
 #: The golden scalar model, whose backward recursion overflows at alpha = 1e300.
 SCALAR = (Path(__file__).parent / "golden" / "models" / "scalar.json").read_text()
+#: The golden n = 10 model, whose x0^T Q x0 overflows at --x0 1e154.
+N10 = (Path(__file__).parent / "golden" / "models" / "n10.json").read_text()
 
 
 @settings(derandomize=True, deadline=None, max_examples=400, database=None,
@@ -185,6 +187,8 @@ SCALAR = (Path(__file__).parent / "golden" / "models" / "scalar.json").read_text
                {"model.json": SCALAR, "out": ""}))
 @example(case=(["simulate", "model.json", *SHORT_SIM, "--dump", "--output-dir", "out"],
                {"model.json": SCALAR, "out": ""}))
+@example(case=(["simulate", "model.json", "--paths", "7", "--horizon", "5", "--seed", "7",
+                "--alpha", "0.9", "--x0", "1e154", "--check-decay"], {"model.json": N10}))
 def test_every_input_ends_in_a_report_or_one_line(workspace, case):
     argv, files = case
     workdir = Path(tempfile.mkdtemp(dir=workspace))

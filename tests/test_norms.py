@@ -200,6 +200,12 @@ class TestDecayBound:
         with pytest.raises(NotStableError, match="r_sigma\\(alpha A\\) < 1"):
             decay_bound(norm_report(scalar_model, 2.5, Q1), [1.0], 3)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("k", [0, 5])
+    def test_x0_beyond_a_double_names_x0_without_warning(self, scalar_model, k):
+        with pytest.raises(DomainError, match="scale down --x0 or --Q"):
+            decay_bound(norm_report(scalar_model, 1.2, Q1), [1e200], k)
+
     def test_k0_dominates_initial_deviation(self, scalar_model):
         sol = solve_lyapunov(scalar_model, 1.2, Q1)
         level = 1.2 * op_varpi(scalar_model, np.asarray(sol.L))

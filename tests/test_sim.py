@@ -589,7 +589,7 @@ class TestDrawProcesses:
     @staticmethod
     def physical_memory(monkeypatch, nbytes):
         monkeypatch.setattr(sim.os, "sysconf",
-                            {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": nbytes // 4096}.__getitem__)
+                            {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": nbytes}.__getitem__)
 
         def forbidden():
             raise AssertionError("forked before the memory check")
@@ -628,21 +628,30 @@ class TestDrawProcesses:
         with pytest.raises(ValueError, match="--paths or --horizon"):
             simulate_paths(scalar_model, cfg, [sim.PathFeed(np.eye(1), [])], threads=2)
 
-    def test_each_child_counts_two_blocks_of_partials(self, scalar_model, monkeypatch, cpus):
-        # Memory for two processes and the per-path results, and one block
-        # of X more: the caller may hold two of the child's partials, each
-        # as large as a block of X (the dump's is one), so the run is
-        # refused before anything is forked.
-        paths, horizon, width = 2 * sim.PATH_BLOCK, 200, 2
+    def test_each_child_counts_one_block_of_partials(self, scalar_model, monkeypatch, cpus,
+                                                     forks):
+        # Memory for two processes, the per-path results and one block of X:
+        # the caller holds one of the child's partials at a time, each as
+        # large as a block of X at most (the dump's is one).  The run goes
+        # ahead there and is refused one byte below, before anything is forked.
+        paths, horizon = 2 * sim.PATH_BLOCK, 200
+        cfg = SimConfig(n_paths=paths, horizon=horizon, seed=0, x0=[1.0])
         block = 8 * sim.PATH_BLOCK * (horizon + 1)
         process = (sim.STREAM_BLOCK_ARRAYS * block
-                   + 8 * sim.PATH_BLOCK * sim._stage_block_size(horizon, width) * width)
-        self.physical_memory(monkeypatch,
-                             2 * process + block + 8 * sim.STREAM_PATH_DOUBLES * paths)
+                   + sim._NoiseBlocks(scalar_model, cfg, 2).nbytes)
+        need = 2 * process + block + 8 * sim.STREAM_PATH_DOUBLES * paths
         cpus(2)
-        cfg = SimConfig(n_paths=paths, horizon=horizon, seed=0, x0=[1.0])
+        fork = os.fork
+        self.physical_memory(monkeypatch, need)
+        monkeypatch.setattr(sim.os, "fork", fork)
+        abel = sim.AbelSums(0.9, horizon)
+        simulate_paths(scalar_model, cfg, [sim.PathFeed(np.eye(1), [abel])], threads=2)
+        assert abel.result().n_paths == paths
+        assert len(forks) == 1
+        self.physical_memory(monkeypatch, need - 1)
         with pytest.raises(ValueError, match="--paths or --horizon"):
             simulate_paths(scalar_model, cfg, [sim.PathFeed(np.eye(1), [])], threads=2)
+        assert len(forks) == 1
 
     def test_the_caller_holds_one_partial_per_child(self, scalar_model, cpus, forks):
         # The child runs far ahead of a slow merge; each of its results is
@@ -706,6 +715,36 @@ class TestDrawProcesses:
         assert {j // sim.PATH_BLOCK for j, _ in reference.aborted} == set(range(6))
         assert ensemble.aborted == reference.aborted
         assert np.array_equal(ensemble.ok, reference.ok)
+        assert_no_children()
+
+    def test_a_failing_merge_kills_and_reaps_children_on_full_pipes(
+            self, scalar_model, monkeypatch, cpus, forks):
+        # Two children wait on full pipes, their partials a whole block of X
+        # (1.3 MB, more than a pipe holds), when the merge of block 1 raises
+        # here: the sink's exception propagates, every child is killed and
+        # reaped, and BLAS gets its thread count back.
+        counts = [4]
+        monkeypatch.setattr(sim, "_openblas", lambda: (counts.append, lambda: counts[-1]))
+
+        class Failing:
+            def add_block(self, j0, X, ok):
+                return j0, X.copy()
+
+            def merge(self, partial):
+                j0, X = partial
+                assert X.nbytes >= 2**20
+                if j0 == sim.PATH_BLOCK:
+                    raise LookupError(f"the merge failed at path {j0}")
+
+            def close(self):
+                pass
+
+        cpus(4)
+        cfg = SimConfig(n_paths=6 * sim.PATH_BLOCK, horizon=40, seed=3)
+        with pytest.raises(LookupError, match=f"^the merge failed at path {sim.PATH_BLOCK}$"):
+            simulate_paths(scalar_model, cfg, [Failing()], threads=3)
+        assert len(forks) == 2
+        assert counts == [4, 1, 4]
         assert_no_children()
 
     def test_no_child_outlives_a_run(self, scalar_model, cpus, forks):
@@ -978,6 +1017,11 @@ class TestEstimatorAccuracy:
         assert means[0] == x0 @ np.array(Q) @ x0
         assert ses[0] == 0.0
         assert ses[1] > 0.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_stage_zero_beyond_a_double_names_x0_without_warning(self):
+        with pytest.raises(sim.DomainError, match="scale down --x0 or --Q"):
+            sim.StageStats(5, np.array([1e154, 1e154]), np.eye(2))
 
     def test_iid_unit_variance_long_run_average(self):
         model = scalar_variant(a=0.0, sx=0.0, sbar=0.0, sg=1.0)
