@@ -37,7 +37,7 @@ from .errors import (
     ParseError,
     SingularOperatorError,
 )
-from .model import PSD_TOL, _as_float_array, as_weight, energy_weight, load_model
+from .model import PSD_TOL, _as_float_array, _read_json, as_weight, energy_weight, load_model
 from .norms import (
     check_counter_domain,
     counter_discount_bound,
@@ -128,15 +128,18 @@ def _jsonable(value):
     return value
 
 
-def _parse_vector(text, n, what="x0"):
+def _floats(text, what):
+    """The numbers of a comma-separated list; an empty or non-numeric field is a ValueError."""
     try:
-        values = [float(part) for part in text.split(",") if part.strip() != ""]
+        return [float(part) for part in text.split(",")]
     except ValueError:
         raise ValueError(f"{what} must be a comma-separated list of numbers") from None
-    if not values:
-        raise ValueError(f"{what} must be a comma-separated list of numbers")
+
+
+def _parse_vector(text, n, what="x0"):
+    values = _floats(text, what)
     if not np.all(np.isfinite(values)):
-        raise ValueError(f"{what} entries must be finite, got {text!r}")
+        raise ValueError(f"{what} entries must be finite, got {reprlib.repr(text)}")
     if len(values) == 1 and n > 1:
         return np.full(n, values[0])
     if len(values) != n:
@@ -151,32 +154,12 @@ def _check_alpha(alpha):
 
 
 def _parse_alpha_list(text):
-    try:
-        alphas = [float(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError:
-        raise ValueError("alpha list must be comma-separated numbers") from None
-    if not alphas:
-        raise ValueError("alpha list must be comma-separated numbers")
-    return [_check_alpha(a) for a in alphas]
-
-
-def _load_matrix(path, flag):
-    """The float array in a JSON file; content that is not one is a ParseError naming flag."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"malformed JSON in {path}: {exc}") from None
-    except ValueError:  # an integer beyond Python's limit on digits to convert
-        raise ParseError(f"{flag}: an integer has too many digits in {path}") from None
-    except RecursionError:
-        raise ParseError(f"{flag}: JSON nested too deeply in {path}") from None
-    return _as_float_array(data, flag)
+    return [_check_alpha(a) for a in _floats(text, "alpha list")]
 
 
 def _load_weight(path, n):
     """Load a weight matrix Q from a JSON file and require PSD within PSD_TOL."""
-    Q = as_weight(_load_matrix(path, "--Q"), n, "--Q")
+    Q = as_weight(_read_json(path, "--Q"), n, "--Q")
     scale = max(1.0, float(np.abs(Q).max(initial=0.0)))
     if np.linalg.eigvalsh(Q)[0] < -PSD_TOL * scale:
         raise ValueError("--Q must be positive semidefinite")
@@ -184,7 +167,7 @@ def _load_weight(path, n):
 
 
 def _load_gain(path, n, p):
-    G = _load_matrix(path, "--G")
+    G = _as_float_array(_read_json(path, "--G"), "--G")
     if G.shape != (n, p):
         raise DimensionError(f"--G must have shape ({n}, {p}), got {G.shape}")
     if not np.isfinite(G).all():

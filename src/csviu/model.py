@@ -206,10 +206,13 @@ def validate(model):
         "sigma": ("nr", (n, r)),
         "C": ("pn", (p, n)),
     }
+    if m > 0:
+        expected.update(B=("nm", (n, m)), D=("pm", (p, m)))
     for name, (dims, shape) in expected.items():
         arr = getattr(model, name)
         if arr is None:
-            violations.append(f"{name} is required")
+            need = "required when m>0" if name in ("B", "D") else "is required"
+            violations.append(f"{name} {need}")
             continue
         if bad.intersection(dims):
             continue
@@ -220,22 +223,9 @@ def validate(model):
         if not np.all(np.isfinite(arr)):
             violations.append(f"{name} has non-finite entries")
 
-    if m > 0:
-        for name, dims, shape in (("B", "nm", (n, m)), ("D", "pm", (p, m))):
-            arr = getattr(model, name)
-            if arr is None:
-                violations.append(f"{name} required when m>0")
-            elif bad.intersection(dims):
-                continue
-            elif arr.shape != shape:
-                violations.append(f"{name} must be {_dims(shape)}, got {_shape_text(arr)}")
-            elif not np.all(np.isfinite(arr)):
-                violations.append(f"{name} has non-finite entries")
-    else:
-        if model.B is not None:
-            violations.append("B present but m=0")
-        if model.D is not None:
-            violations.append("D present but m=0")
+    if m <= 0:
+        violations += [f"{name} present but m=0" for name in ("B", "D")
+                       if getattr(model, name) is not None]
     return violations
 
 
@@ -258,6 +248,25 @@ def _raise_for_violations(violations):
     raise DimensionError("; ".join(violations))
 
 
+def _read_json(path, what):
+    """The JSON document in the UTF-8 file at path: the one reader of outside files.
+
+    Each way the content fails to be JSON is one ParseError naming what
+    ("model", "--Q" or "--G") and the file.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{what} file {path}: malformed JSON: {exc}") from None
+    except UnicodeDecodeError:  # a ValueError too, so caught first
+        raise ParseError(f"{what} file {path}: not UTF-8 text") from None
+    except ValueError:  # an integer beyond Python's limit on digits to convert
+        raise ParseError(f"{what} file {path}: an integer has too many digits") from None
+    except RecursionError:
+        raise ParseError(f"{what} file {path}: JSON nested too deeply") from None
+
+
 def load_model(path):
     """Load and validate a CSVIU model from a JSON file.
 
@@ -275,21 +284,13 @@ def load_model(path):
     Raises
     ------
     ParseError
-        Malformed JSON or missing/ill-typed keys.
+        A file that is not UTF-8 JSON, or missing/ill-typed keys.
     DimensionError
         Inconsistent matrix shapes.
     ValueError
         Non-finite entries.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: malformed JSON: {exc}") from None
-        except ValueError:  # an integer beyond Python's limit on digits to convert
-            raise ParseError(f"{path}: an integer has too many digits") from None
-        except RecursionError:
-            raise ParseError(f"{path}: JSON nested too deeply") from None
+    doc = _read_json(path, "model")
     model = CsviuModel.from_dict(doc)
     violations = validate(model)
     if violations:

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ops
-from .errors import DimensionError, InternalInconsistencyError, SingularOperatorError
+from .errors import DimensionError, DomainError, InternalInconsistencyError, SingularOperatorError
 from .ops import radius_from_bracket, smat, spectral_radius, svec, unit_radius
 from .solver import (
     STRICT_RADIUS_MARGIN, _checked_solution, _smith_sums, _smw_solve, radius_below_one,
@@ -222,8 +222,14 @@ def _closed_loop_radius(model, alpha, G):
     # G = 0 leaves L_alpha itself, whose L_1 radius the model already holds.
     if not np.any(G):
         return alpha * unit_radius(model)
-    closed = model.with_dynamics(model.A + G @ model.C)
-    return alpha * radius_from_bracket(closed)
+    with np.errstate(over="ignore", invalid="ignore"):
+        closed = model.with_dynamics(model.A + G @ model.C)
+    try:
+        return alpha * radius_from_bracket(closed)
+    except DomainError:
+        unit_radius(model)  # a model whose own r_sigma(L_1) overflows is named as such
+        raise DomainError("r_sigma at the closed loop A + G C is not a finite double; "
+                          "scale down the gain G (--G)") from None
 
 
 def check_detectability_with_G(model, alpha, G):
@@ -243,6 +249,9 @@ def check_detectability_with_G(model, alpha, G):
     Returns
     -------
     DetectabilityResult
+
+    Raises DomainError naming the gain where the closed loop's r_sigma is
+    not a finite double.
     """
     G = np.asarray(G, dtype=float)
     if G.shape != (model.n, model.p):

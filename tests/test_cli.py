@@ -105,13 +105,19 @@ def models(tmp_path_factory):
                           ("non_square", [[1.0, 2.0]]), ("ragged", [[1.0], [1.0, 2.0]]),
                           ("huge", [[1.5e308]]), ("near_limit", [[8.9e307]]),
                           ("tiny_negative", [[-1e-12]]), ("negative", [[-1.0]]),
-                          ("true", [[True]]), ("bare_number", -0.5), ("flat_list", [-0.5])):
+                          ("true", [[True]]), ("bare_number", -0.5), ("flat_list", [-0.5]),
+                          ("big_gain", [[1e200]]), ("big_gain_3x2", [[1e200] * 2] * 3)):
         path = base / f"matrix_{name}.json"
         path.write_text(json.dumps(content))
         paths[f"matrix_{name}"] = str(path)
     malformed = base / "malformed.json"
     malformed.write_text("{not json")
     paths["malformed"] = str(malformed)
+    # Latin-1 bytes: a model, --Q or --G file that is not UTF-8 text
+    latin1 = base / "latin1.json"
+    latin1.write_bytes(json.dumps(dict(SCALAR_DOC, name="caf\u00e9"),
+                                  ensure_ascii=False).encode("latin-1"))
+    paths["latin1"] = str(latin1)
     paths["missing"] = str(base / "does_not_exist.json")
     return paths
 
@@ -259,6 +265,25 @@ class TestExitCodes:
             (["analyze", models["loud"], "--alpha", "0.9", "--Q", m("near_limit")], "--Q"),
             (["sweep", scalar, "--Q", m("near_limit")], "--Q"),
         ]
+        # files that are not UTF-8 text, list flags with an empty field, and finite
+        # gains whose closed loop overflows
+        cases += [
+            (["analyze", models["latin1"], "--alpha", "0.9"], "latin1.json: not UTF-8 text"),
+            (["norm", scalar, "--alpha", "0.9", "--Q", models["latin1"]],
+             "--Q file " + models["latin1"] + ": not UTF-8 text"),
+            (["analyze", scalar, "--alpha", "0.9", "--G", models["latin1"]],
+             "--G file " + models["latin1"] + ": not UTF-8 text"),
+            (["simulate", N3_MODEL, *short_sim, "--x0", "1,,2,3"],
+             "x0 must be a comma-separated list of numbers"),
+            (["sweep", scalar, "--alphas", "0.5,,0.9"],
+             "alpha list must be a comma-separated list of numbers"),
+            (["sweep", scalar, "--alphas", "0.5,0.9,"],
+             "alpha list must be a comma-separated list of numbers"),
+            (["analyze", scalar, "--alpha", "0.9", "--G", m("big_gain")],
+             "scale down the gain G (--G)"),
+            (["analyze", N3_MODEL, "--alpha", "0.9", "--G", m("big_gain_3x2")],
+             "scale down the gain G (--G)"),
+        ]
         # input matrices that contradict m
         cases += [
             (["analyze", models["b_m0"], "--alpha", "0.9"], "B present but m=0"),
@@ -364,6 +389,24 @@ class TestExitCodes:
         assert (code, out, caught) == (2, "", [])
         assert err.startswith("error:") and err.count("\n") == 1, err
         assert "C^T C" in err and "--Q" in err
+
+    def test_list_flags_take_spaces_refuse_empty_fields_and_echo_briefly(self):
+        assert cli._parse_vector(" 1 , 2,3 ", 3).tolist() == [1.0, 2.0, 3.0]
+        assert cli._parse_alpha_list("0.5, 0.9") == [0.5, 0.9]
+        for text in ("1,,2", "1,2,", ",", " "):
+            with pytest.raises(ValueError, match="^x0 must be a comma-separated list"):
+                cli._parse_vector(text, 3)
+            with pytest.raises(ValueError, match="^alpha list must be a comma-separated list"):
+                cli._parse_alpha_list(text)
+        with pytest.raises(ValueError, match="^x0 entries must be finite") as raised:
+            cli._parse_vector(",".join(["nan"] * 1000), 3)
+        assert len(str(raised.value)) < 100
+
+    def test_empty_grid_flags_mean_the_default_grid(self, run, models):
+        outs = [run(["sweep", models["scalar"]]), run(["sweep", models["scalar"], "--alphas", ""]),
+                run(["norm", models["scalar"], "--sweep", ""])]
+        assert outs[0][0] == 0 and outs[0] == outs[1]
+        assert json.loads(outs[2][1])["sweep"] == json.loads(outs[0][1])["sweep"]
 
     def test_near_limit_weight_gives_a_finite_report(self, run, models):
         # L = 8.9e307 / 0.694 is finite; every number that --Q = I prints stays finite

@@ -173,6 +173,8 @@ SHORT_SIM = ["--paths", "10", "--horizon", "5", "--seed", "1", "--alpha", "0.9"]
 SCALAR = (Path(__file__).parent / "golden" / "models" / "scalar.json").read_text()
 #: The golden n = 10 model, whose x0^T Q x0 overflows at --x0 1e154.
 N10 = (Path(__file__).parent / "golden" / "models" / "n10.json").read_text()
+#: The golden scalar model with a name in Latin-1 bytes: not UTF-8 text.
+LATIN1 = SCALAR.replace("{", '{"name": "caf\u00e9", ', 1).encode("latin-1")
 
 
 @settings(derandomize=True, deadline=None, max_examples=400, database=None,
@@ -189,12 +191,17 @@ N10 = (Path(__file__).parent / "golden" / "models" / "n10.json").read_text()
                {"model.json": SCALAR, "out": ""}))
 @example(case=(["simulate", "model.json", "--paths", "7", "--horizon", "5", "--seed", "7",
                 "--alpha", "0.9", "--x0", "1e154", "--check-decay"], {"model.json": N10}))
+# files that are not UTF-8 text, and a list flag with an empty field
+@example(case=(["analyze", "model.json", "--alpha", "0.9"], {"model.json": LATIN1}))
+@example(case=(["norm", "model.json", "--alpha", "0.9", "--Q", "weight.json"],
+               {"model.json": SCALAR, "weight.json": b"[[\xe9]]"}))
+@example(case=(["simulate", "model.json", *SHORT_SIM, "--x0", "1,,2"], {"model.json": SCALAR}))
 def test_every_input_ends_in_a_report_or_one_line(workspace, case):
     argv, files = case
     workdir = Path(tempfile.mkdtemp(dir=workspace))
     try:
         for name, text in files.items():
-            (workdir / name).write_text(text)
+            (workdir / name).write_bytes(text if isinstance(text, bytes) else text.encode())
         code, out, err, caught = run_in_process(argv, workdir)
     finally:
         shutil.rmtree(workdir)

@@ -119,6 +119,16 @@ class TestLoadSave:
         with pytest.raises(ParseError):
             load_model(path)
 
+    @pytest.mark.parametrize("data", [
+        json.dumps(dict(SCALAR_DOC, name="caf\u00e9"), ensure_ascii=False).encode("latin-1"),
+        b"\xff\xfe" + json.dumps(SCALAR_DOC).encode("utf-16-le"),
+    ], ids=["latin-1", "utf-16"])
+    def test_file_that_is_not_utf8_is_one_parse_error_naming_it(self, tmp_path, data):
+        path = tmp_path / "unreadable.json"
+        path.write_bytes(data)
+        with pytest.raises(ParseError, match=f"^model file {path}: not UTF-8 text$"):
+            load_model(path)
+
     def test_missing_keys_raise_parse_error(self, tmp_path):
         doc = {"n": 1, "r": 1, "p": 1}
         with pytest.raises(ParseError, match="missing keys"):

@@ -8,6 +8,7 @@ import pytest
 from csviu import (
     CsviuModel,
     DimensionError,
+    DomainError,
     check_detectability_with_G,
     check_stability,
     load_model,
@@ -210,6 +211,15 @@ class TestDetectabilityWithG:
     def test_shape_mismatch_rejected(self, scalar_model):
         with pytest.raises(DimensionError):
             check_detectability_with_G(scalar_model, 0.9, np.zeros((2, 1)))
+
+    @pytest.mark.parametrize("A, G, names", [
+        (0.5, 1e200, "scale down the gain G"),
+        (1e200, 1.0, "scale down A or sigma_bar_x"),
+    ], ids=["gain", "model"])
+    def test_overflow_names_the_gain_or_the_model(self, scalar_model, A, G, names):
+        model = scalar_model.with_dynamics([[A]])
+        with pytest.raises(DomainError, match=names):
+            check_detectability_with_G(model, 0.9, [[G]])
 
     def test_negative_alpha_rejected(self, scalar_model):
         with pytest.raises(ValueError, match="nonnegative"):
